@@ -1,0 +1,12 @@
+"""Self-tests of the benchmark (not part of tier-1):
+
+    python -m pytest perfbench/tests -q
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
