@@ -22,8 +22,9 @@ enclosing alias scope) and reports violations as findings:
     marking witness, and the witness re-derives under the marking.
 ``PV005`` **anchored path regexes** — every Table 1 regex is ``^…$``
     delimited (anchored patterns pin the root, unanchored ones an
-    explicit ``^.*`` prefix) and every Table 3 equality carries an
-    absolute literal path.
+    explicit ``^.*`` prefix) and every Table 3 equality / membership
+    list carries absolute literal paths that the filter's own regex
+    accepts.
 ``PV006`` **observable order/uniqueness** — the top-level plan still
     enforces document order and result uniqueness after pruning.
 ``PV007`` **projection shape** — top-level branches project the
@@ -515,39 +516,29 @@ class PlanVerifier:
                 subject,
                 "Section 3, Table 1",
             )
-        if condition.mode == "equality":
-            if not condition.literal or not condition.literal.startswith("/"):
-                report.add(
-                    _ANALYZER,
-                    "PV005",
-                    Severity.ERROR,
-                    "path equality filter carries no absolute literal "
-                    f"path (got {condition.literal!r})",
-                    subject,
-                    "Table 3",
-                )
+        literals = condition.literal_paths()
+        if literals is not None and (
+            not literals
+            or any(not p or not p.startswith("/") for p in literals)
+        ):
+            report.add(
+                _ANALYZER,
+                "PV005",
+                Severity.ERROR,
+                f"path {condition.mode} filter must carry a non-empty "
+                f"set of absolute literal paths (got {literals!r})",
+                subject,
+                "Table 3",
+            )
             return
-        if condition.mode == "in":
-            literals = condition.literals or ()
-            if not literals or any(
-                not p or not p.startswith("/") for p in literals
-            ):
-                report.add(
-                    _ANALYZER,
-                    "PV005",
-                    Severity.ERROR,
-                    "path membership filter must carry a non-empty set "
-                    f"of absolute literal paths (got {literals!r})",
-                    subject,
-                    "Table 3 (costed access strategy)",
-                )
-            return
+        # The pattern stays attached in every mode: it is what an
+        # equality/``in`` filter's literals stand for.
         if not condition.pattern:
             report.add(
                 _ANALYZER,
                 "PV005",
                 Severity.ERROR,
-                "regex path filter has an empty pattern",
+                "path filter has an empty pattern",
                 subject,
                 "Table 1",
             )
@@ -574,6 +565,19 @@ class PlanVerifier:
                 f"compiled path regex {regex!r} is not ^…$ anchored",
                 subject,
                 "Table 1, Section 4.3",
+            )
+            return
+        accepts = re.compile(regex).search
+        strays = [p for p in literals or () if not accepts(p)]
+        if strays:
+            report.add(
+                _ANALYZER,
+                "PV005",
+                Severity.ERROR,
+                f"path {condition.mode} filter lists {strays!r}, which "
+                "its own path regex does not accept",
+                subject,
+                "Table 1, Table 3",
             )
 
     # -- PV004: elimination witnesses --------------------------------------------

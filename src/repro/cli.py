@@ -269,8 +269,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    """``repro stats`` — the collected path summary feeding the costed
-    optimizer passes: totals, staleness, and the fattest paths."""
+    """``repro stats`` — the path summary feeding the costed optimizer
+    passes (shown only while it is exact): totals and the fattest
+    paths."""
     store = _open_store(args.database)
     if args.collect:
         store.collect_statistics()
@@ -278,15 +279,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     summary = store.path_summary()
     if summary is None:
         print(
-            "no statistics collected "
+            "no usable statistics: never collected, or stale because the "
+            "store mutated since the last refresh "
             "(run `repro stats DB --collect`, or bulk-load documents)"
         )
         return 1
-    stale = store.statistics_stale
     print(f"stats version: epoch {summary.version[0]} "
           f"at generation {summary.version[1]}")
-    print(f"staleness:     "
-          f"{'STALE (store mutated since refresh)' if stale else 'fresh'}")
     print(f"documents:     {summary.document_count}")
     print(f"elements:      {summary.total_elements}")
     print(f"paths:         {summary.path_count}")

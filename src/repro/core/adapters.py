@@ -148,22 +148,30 @@ class SchemaAwareAdapter(StoreAdapter):
         #: `Paths`) — the Section 4.5 ablation switch, implemented by
         #: removing the elimination pass from the default pipeline.
         self.path_filter_optimization = path_filter_optimization
+        db = getattr(store, "db", None)
+        #: Longest statement the store's connection accepts, read once
+        #: here (translation may run on threads the connection refuses).
+        #: ``None`` over a :class:`~repro.serving.shards.ShardedStore`,
+        #: whose statements run on the workers' connections.
+        self.sql_length_limit: Optional[int] = (
+            db.sql_length_limit if db is not None else None
+        )
 
     @property
     def path_summary(self) -> "Optional[PathSummary]":
-        """The store's collected statistics, consulted by the costed
-        optimizer passes (``None`` until the store has collected
-        statistics).  Duck-typed because this adapter also fronts
-        :class:`~repro.serving.shards.ShardedStore` (which merges its
-        per-shard summaries)."""
+        """The store's path summary, consulted by the costed optimizer
+        passes (``None`` until the store has collected statistics, and
+        again whenever they go stale).  Duck-typed because this adapter
+        also fronts :class:`~repro.serving.shards.ShardedStore` (which
+        merges its per-shard summaries)."""
         accessor = getattr(self.store, "path_summary", None)
         return accessor() if callable(accessor) else None
 
     @property
     def stats_version(self) -> Optional[tuple[int, int]]:
         """``(epoch, generation)`` of the statistics the costed passes
-        would consult, for cache fingerprints (``None`` when no
-        statistics exist)."""
+        would consult, for cache fingerprints (``None`` when
+        :attr:`path_summary` is)."""
         return getattr(self.store, "stats_version", None)
 
     # -- name resolution -----------------------------------------------------

@@ -64,8 +64,8 @@ class TranslationResult:
     estimated_rows: Optional[float] = None
     #: Per-branch estimates, in the statement's branch order.
     branch_estimates: Optional[tuple[float, ...]] = None
-    #: ``(epoch, generation)`` of the statistics used, for staleness
-    #: display in ``explain --costs``.
+    #: ``(epoch, generation)`` of the statistics used (``None`` when the
+    #: store handed out none), shown by ``explain --costs``.
     stats_version: Optional[tuple[int, int]] = None
 
     @property
@@ -169,9 +169,11 @@ class PPFTranslator:
     def fingerprint(self) -> tuple[object, ...]:
         """Cache key component: everything that shapes the emitted SQL.
 
-        Includes the adapter's statistics version: the costed passes
-        read the path summary, so a plan cached under stale statistics
-        must not survive a statistics refresh."""
+        Includes the adapter's statistics version — ``None`` whenever
+        the store hands out no summary: the costed passes build the
+        path summary into the plan, so a cached plan must survive
+        neither a statistics refresh nor a mutation that leaves the
+        summary stale."""
         return (
             self.dialect.name,
             self.pass_names,
@@ -202,6 +204,10 @@ class PPFTranslator:
         context = _passes.PassContext(
             marking=getattr(self.adapter, "marking", None),
             summary=summary,
+            sql_length_limit=getattr(
+                self.adapter, "sql_length_limit", None
+            ),
+            dialect=self.dialect,
         )
         plan, reports = self._pipeline.run(plan, context)
         stats_after = _nodes.plan_stats(plan)
@@ -223,5 +229,5 @@ class PPFTranslator:
             plan_stats_after=stats_after,
             estimated_rows=estimated_rows,
             branch_estimates=branch_estimates,
-            stats_version=getattr(self.adapter, "stats_version", None),
+            stats_version=summary.version if summary is not None else None,
         )

@@ -7,10 +7,12 @@ conjunction applying one selectivity per join/filter class.  The model
 is System-R-flavoured and deliberately small; every formula is listed in
 DESIGN.md's "costed decision" table.
 
-Estimates steer *performance* decisions only (join order, access
-strategy, union-branch order, fan-out gating) — a wrong estimate can
-never change what a query returns, which is what makes stale statistics
-safe.
+Estimates themselves steer *performance* decisions only (join order,
+union-branch order, fan-out gating) — a wrong estimate can never change
+what a query returns.  The summary behind them is another matter: the
+``costed-access-strategy`` pass turns its path list into the SQL filter,
+so the stores hand out a summary only while it is exact (a stale
+summary is no summary; see ``ShreddedStore.path_summary``).
 """
 
 from __future__ import annotations
@@ -72,39 +74,27 @@ class CardinalityEstimator:
 
     def __init__(self, summary: PathSummary):
         self.summary = summary
-        self._regex_cache: dict[tuple[object, ...], "re.Pattern[str]"] = {}
 
     # -- path filters -------------------------------------------------------
 
-    def _compiled(self, cond: PathFilterCond) -> "re.Pattern[str]":
-        key = (cond.pattern, cond.anchored)
-        compiled = self._regex_cache.get(key)
-        if compiled is None:
-            compiled = re.compile(
-                compile_pattern(list(cond.pattern), cond.anchored)
-            )
-            self._regex_cache[key] = compiled
-        return compiled
+    @staticmethod
+    def _regex(cond: PathFilterCond) -> str:
+        return compile_pattern(list(cond.pattern), cond.anchored)
 
     def filter_rows(self, cond: PathFilterCond) -> float:
         """Element rows satisfying one path filter (exact per-path
         counts for equality/IN, summed matches for a regex)."""
-        if cond.mode == "equality":
-            assert cond.literal is not None
-            return float(self.summary.count_for(cond.literal))
-        if cond.mode == "in":
-            return float(
-                sum(self.summary.count_for(p) for p in cond.literals or ())
-            )
-        return float(self.summary.count_matching(self._compiled(cond)))
+        literals = cond.literal_paths()
+        if literals is not None:
+            return float(sum(self.summary.count_for(p) for p in literals))
+        return float(self.summary.count_matching(self._regex(cond)))
 
     def filter_paths(self, cond: PathFilterCond) -> float:
         """`Paths` rows satisfying one path filter."""
-        if cond.mode == "equality":
-            return 1.0
-        if cond.mode == "in":
-            return float(len(cond.literals or ()))
-        return float(len(self.summary.matching_paths(self._compiled(cond))))
+        literals = cond.literal_paths()
+        if literals is None:
+            literals = self.summary.matching_paths(self._regex(cond))
+        return float(len(literals))
 
     # -- scans --------------------------------------------------------------
 

@@ -78,7 +78,9 @@ def lower_condition(
         if condition.mode == "in":
             assert condition.literals
             return Raw(
-                dialect.path_membership(expression, condition.literals)
+                dialect.path_membership(
+                    condition.paths_alias, condition.literals
+                )
             )
         pattern = compile_pattern(
             list(condition.pattern), condition.anchored

@@ -123,12 +123,16 @@ class PathFilterCond(PlanCond):
 
     The planner always emits these in ``regex`` mode with the raw
     pattern steps attached (Algorithm 1 followed literally); the
-    Section 4.5 elimination pass may drop the node entirely, the
-    regex→equality pass may switch it to ``equality`` mode with a
-    ``literal`` payload, and the costed access-strategy pass may switch
-    it to ``in`` mode with the enumerated ``literals`` (a small set of
-    schema-complete root paths, chosen over a regex scan by estimated
-    selectivity).  ``names`` is the candidate's covered element names
+    Section 4.5 elimination pass may drop the node entirely, and two
+    passes may replace the regex by the literal paths it denotes —
+    ``equality`` mode with a ``literal`` payload for one path, ``in``
+    mode with ``literals`` for several.  The regex→equality pass does
+    so from the pattern or the schema marking alone; the costed
+    access-strategy pass from the store's exact path summary (every
+    stored path the regex matches, for finite and I-P labels alike —
+    sound only because a stale summary is never handed out).  The
+    pattern stays attached in every mode: it is what the literals
+    stand for.  ``names`` is the candidate's covered element names
     (``None`` in the schema-oblivious mapping).
     """
 
@@ -140,6 +144,22 @@ class PathFilterCond(PlanCond):
     mode: str = "regex"  #: ``regex``, ``equality`` or ``in``
     literal: Optional[str] = None
     literals: Optional[tuple[str, ...]] = None
+
+    def literal_paths(self) -> Optional[tuple[str, ...]]:
+        """The literal path set of an ``equality``/``in`` filter
+        (``None`` in ``regex`` mode)."""
+        if self.mode == "equality":
+            return (self.literal,) if self.literal is not None else ()
+        if self.mode == "in":
+            return self.literals or ()
+        return None
+
+    def set_literal_paths(self, paths: tuple[str, ...]) -> None:
+        """Switch to ``equality`` (one path) or ``in`` (several)."""
+        if len(paths) == 1:
+            self.mode, self.literal, self.literals = "equality", paths[0], None
+        else:
+            self.mode, self.literal, self.literals = "in", None, paths
 
     def brief(self) -> str:
         if self.mode == "equality":

@@ -37,13 +37,17 @@ The shipped passes (in default order):
     detected by alias-canonical fingerprinting and merged.
 
 ``costed-access-strategy``
-    Statistics-driven replacement of the static Table 3 rule: a regex
-    filter whose candidates enumerate a *small* set of root paths
-    (relative to the estimated `Paths` table size) becomes a path
-    equality (one path) or an ``IN`` membership test (a few paths)
-    instead of a per-row regex scan.  Schema-complete enumeration keeps
-    the rewrite semantics-preserving; the summary only decides *when*
-    it pays off.
+    The path summary as access path.  Whenever the store hands out an
+    *exact* summary (:attr:`PassContext.summary`; the stores withhold a
+    stale one), every surviving regex filter — over finite and I-P
+    labels alike — is resolved here, at plan time, to the stored paths
+    its regex matches: an equality for one path, an ``in`` list for
+    several, untouched when nothing matches.  Same-alias filters of one
+    conjunction intersect into a single list.  The list lowers to a
+    semi-join that probes `Paths`' unique index once per statement, so
+    the Python ``REGEXP`` UDF leaves execution; the translation cache
+    keeps the list, so a repeated query pays nothing for it.  A list
+    the backend's statement-length limit has no room for stays a regex.
 
 ``costed-join-order``
     Structural-join reordering, smallest estimated input first: scans
@@ -60,8 +64,8 @@ The shipped passes (in default order):
     is order-insensitive: results are deduped and globally re-sorted).
 
 The three costed passes consult :attr:`PassContext.summary` and keep
-quiet when no statistics were collected, so every pass combination
-stays sound on stats-less stores.
+quiet without one, so every pass combination stays sound — and emits
+the paper-shape regex SQL — on stores with no or stale statistics.
 """
 
 from __future__ import annotations
@@ -100,7 +104,10 @@ from repro.plan.nodes import (
     rewrite_condition,
 )
 from repro.plan.cost import CardinalityEstimator
+from repro.plan.lowering import lower_plan
 from repro.schema.marking import PathClass, SchemaMarking
+from repro.sqlgen.dialect import DEFAULT_DIALECT, AnsiDialect
+from repro.sqlgen.render import render_statement
 from repro.stats.summary import PathSummary
 
 _COMPARATORS: dict[str, Callable[[float, float], bool]] = {
@@ -120,13 +127,18 @@ class PassContext:
     ``marking`` is the Section 4.5 schema marking (``None`` for the
     schema-oblivious Edge mapping, where no static path knowledge
     exists and the marking-based passes keep quiet).  ``summary`` is
-    the store's collected :class:`~repro.stats.summary.PathSummary`
-    (``None`` when statistics were never collected or the adapter has
-    none — the costed passes then keep quiet).
+    the store's :class:`~repro.stats.summary.PathSummary`, exact for
+    the stored rows (``None`` when statistics were never collected, are
+    stale, or the adapter has none — the costed passes then keep
+    quiet).  ``sql_length_limit`` is the longest statement, in bytes,
+    the backend accepts when rendered through ``dialect`` (``None``:
+    unknown, not checked).
     """
 
     marking: Optional[SchemaMarking] = None
     summary: Optional[PathSummary] = None
+    sql_length_limit: Optional[int] = None
+    dialect: AnsiDialect = DEFAULT_DIALECT
 
 
 @dataclass(frozen=True)
@@ -436,8 +448,7 @@ def _pass_regex_to_equality(
             return cond
         literal = exact_path(list(cond.pattern), cond.anchored)
         if literal is not None:
-            cond.mode = "equality"
-            cond.literal = literal
+            cond.set_literal_paths((literal,))
             converted += 1
             return cond
         if marking is None or cond.names is None:
@@ -452,8 +463,7 @@ def _pass_regex_to_equality(
         # restricting filter whose candidates' root paths satisfy the
         # regex in exactly one place collapses to an equality.
         if any_match and needed and len(matched) == 1:
-            cond.mode = "equality"
-            cond.literal = next(iter(matched))
+            cond.set_literal_paths(tuple(matched))
             converted += 1
         return cond
 
@@ -648,14 +658,32 @@ def _pass_dedup_union_branches(
 
 
 # ---------------------------------------------------------------------------
-# pass: costed-access-strategy (statistics-driven Table 3)
+# pass: costed-access-strategy (the path summary as access path)
 # ---------------------------------------------------------------------------
 
-#: Hard cap on the IN-list length the access-strategy pass will emit.
-_IN_LIMIT = 8
-#: The enumerated path set must cover at most this fraction of the
-#: estimated `Paths` table for membership probing to beat a regex scan.
-_IN_FRACTION = 0.25
+
+def _intersect_same_alias(conjunction: AndCond) -> int:
+    """Fold literal filters of one conjunction that share a `Paths`
+    alias into the first of them; returns how many were folded away.
+    A group with nothing in common is left alone (the elimination
+    pass's business, as with a regex nothing matches)."""
+    groups: dict[str, list[PathFilterCond]] = {}
+    for part in conjunction.parts:
+        if isinstance(part, PathFilterCond) and part.literal_paths():
+            groups.setdefault(part.paths_alias, []).append(part)
+    folded: set[int] = set()
+    for first, *rest in groups.values():
+        common = set(first.literal_paths() or ()).intersection(
+            *(other.literal_paths() or () for other in rest)
+        )
+        if rest and common:
+            first.set_literal_paths(tuple(sorted(common)))
+            folded.update(id(other) for other in rest)
+    if folded:
+        conjunction.parts = [
+            part for part in conjunction.parts if id(part) not in folded
+        ]
+    return len(folded)
 
 
 def _pass_costed_access_strategy(
@@ -663,53 +691,71 @@ def _pass_costed_access_strategy(
 ) -> PassReport:
     name = "costed-access-strategy"
     summary = context.summary
-    marking = context.marking
     if summary is None:
-        return PassReport(name, False, 0, "no statistics collected")
-    if marking is None:
-        return PassReport(name, False, 0, "no schema marking available")
-    path_rows = max(summary.path_count, 1)
-    converted = 0
+        return PassReport(name, False, 0, "no exact path summary")
+    dialect = context.dialect
+    limit = context.sql_length_limit
+    # Bytes the statement may still grow by; measured on first need.
+    room: Optional[int] = None
+    resolved = folded = kept = 0
 
-    def convert(cond: PlanCond) -> PlanCond:
-        nonlocal converted
+    def fits(cond: PathFilterCond, literals: tuple[str, ...]) -> bool:
+        """Whether the backend's statement limit has room for the list
+        (the regex text it replaces is not credited back)."""
+        nonlocal room
+        if limit is None:
+            return True
+        if room is None:
+            statement = lower_plan(plan, dialect)
+            room = limit - (
+                len(render_statement(statement).encode())
+                if statement is not None
+                else 0
+            )
+        cost = len(
+            dialect.path_membership(cond.paths_alias, literals).encode()
+        )
+        if cost > room:
+            return False
+        room -= cost
+        return True
+
+    def resolve(cond: PlanCond) -> PlanCond:
+        nonlocal resolved, folded, kept
+        if isinstance(cond, AndCond):
+            folded += _intersect_same_alias(cond)
+            return cond
         if not isinstance(cond, PathFilterCond) or cond.mode != "regex":
             return cond
-        if cond.names is None:
-            return cond
-        if any(
-            marking.classify(n) is PathClass.INFINITE for n in cond.names
-        ):
-            return cond
-        any_match, _needed, matched = _filter_analysis(cond, marking)
-        if not any_match or not matched:
+        # The summary lists every path some stored element carries, so
+        # the regex accepts exactly these `Paths` rows among the ones
+        # an element row can join to.
+        matched = summary.matching_paths(
+            compile_pattern(list(cond.pattern), cond.anchored)
+        )
+        if not matched:
             return cond  # the elimination pass's business, not ours
-        # Schema-complete enumeration: `matched` is exactly the set of
-        # `Paths` rows the regex can accept among the filter's candidate
-        # labels, so equality/IN against it is semantics-preserving.
-        # The summary only decides whether k indexed membership probes
-        # beat one regex evaluation per `Paths` row.
-        k = len(matched)
-        if k > _IN_LIMIT or k > path_rows * _IN_FRACTION:
+        if not fits(cond, matched):
+            kept += 1
             return cond
-        if k == 1:
-            cond.mode = "equality"
-            cond.literal = next(iter(matched))
-        else:
-            cond.mode = "in"
-            cond.literals = tuple(sorted(matched))
-        converted += 1
+        cond.set_literal_paths(matched)
+        resolved += 1
         return cond
 
     for select in iter_selects(plan):
-        select.where = _rewrap(rewrite_condition(select.where, convert))
-    detail = (
-        f"replaced {converted} regex scan(s) with equality/IN probes "
-        f"(~{path_rows}-row Paths table)"
-        if converted
-        else "regex scans remain the cheapest access strategy"
-    )
-    return PassReport(name, converted > 0, converted, detail)
+        select.where = _rewrap(rewrite_condition(select.where, resolve))
+    if resolved or folded:
+        detail = (
+            f"resolved {resolved} regex filter(s) against the "
+            f"{summary.path_count}-path summary, folded {folded} "
+            "same-alias filter(s)"
+        )
+    else:
+        detail = "no regex filter matches a stored path"
+    if kept:
+        detail += f"; {kept} list(s) past the statement-length limit"
+    changes = resolved + folded
+    return PassReport(name, changes > 0, changes, detail)
 
 
 # ---------------------------------------------------------------------------

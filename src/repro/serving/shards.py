@@ -49,7 +49,7 @@ from repro.errors import ShardError, StorageError, StoreIntegrityError
 from repro.resilience.policy import ResiliencePolicy
 from repro.schema.marking import SchemaMarking
 from repro.schema.model import Schema
-from repro.stats.summary import PathSummary
+from repro.stats.summary import PathStats, PathSummary
 from repro.storage.database import Database
 from repro.storage.schema_aware import SchemaAwareMapping, ShreddedStore
 from repro.xmltree.nodes import Document
@@ -155,6 +155,8 @@ class ShardedStore:
         self._entries = entries
         self._generation = generation
         self._shards: dict[int, ShreddedStore] = {}
+        #: The merged path summary, kept while ``stats_version`` holds.
+        self._summary: PathSummary | None = None
         #: In-memory documents loaded through this instance (global
         #: doc_id -> Document); feeds the degraded native fallback.
         self.documents: dict[int, Document] = {}
@@ -453,9 +455,9 @@ class ShardedStore:
     def stats_version(self) -> tuple[int, int] | None:
         """Store-level statistics version for cache fingerprints:
         ``(sum of shard epochs, store generation)``, or ``None`` when
-        any shard has no summary (the merged summary is then
-        unavailable too).  An unreadable shard counts as "no summary"
-        rather than failing: statistics are advisory, and a corrupt
+        any shard has no exact summary — never collected, or stale
+        (the merged summary is then unavailable too).  An unreadable
+        shard counts as "no summary" rather than failing: a corrupt
         shard must surface through the serving ladder, not here."""
         epochs = 0
         for index in range(self.shard_count):
@@ -471,13 +473,20 @@ class ShardedStore:
     def path_summary(self) -> PathSummary | None:
         """Corpus-wide statistics: the per-shard summaries merged
         (path/relation/document counts summed), or ``None`` when any
-        shard has no summary.  Shards share one schema, so summing
-        per-path counts is exact."""
+        shard has no exact summary.  Shards share one schema, so
+        summing per-path counts is exact.  Every statistics write
+        raises its shard's epoch, so the merge is kept until
+        :attr:`stats_version` moves."""
         version = self.stats_version
         if version is None:
             return None
-        from repro.stats.summary import PathStats
+        if self._summary is None or self._summary.version != version:
+            self._summary = self._merged_summary(version)
+        return self._summary
 
+    def _merged_summary(
+        self, version: tuple[int, int]
+    ) -> PathSummary | None:
         stats: dict[str, PathStats] = {}
         relation_counts: dict[str, int] = {}
         document_count = 0
@@ -492,16 +501,12 @@ class ShardedStore:
                 )
             for path, entry in summary.stats.items():
                 previous = stats.get(path)
-                stats[path] = PathStats(
+                stats[path] = entry if previous is None else PathStats(
                     path=path,
-                    element_count=(
-                        previous.element_count if previous else 0
-                    ) + entry.element_count,
-                    doc_count=(previous.doc_count if previous else 0)
-                    + entry.doc_count,
-                    value_count=(
-                        previous.value_count if previous else 0
-                    ) + entry.value_count,
+                    element_count=previous.element_count
+                    + entry.element_count,
+                    doc_count=previous.doc_count + entry.doc_count,
+                    value_count=previous.value_count + entry.value_count,
                 )
         return PathSummary(
             version=version,

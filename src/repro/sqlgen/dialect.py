@@ -67,14 +67,20 @@ class AnsiDialect:
         """Boolean SQL testing ``expression`` against a literal path."""
         return f"{expression} = {self.string_literal(path)}"
 
-    def path_membership(self, expression: str, paths: "tuple[str, ...]") -> str:
-        """Boolean SQL testing ``expression`` against a small literal
-        path set (the costed access-strategy's split between one
-        equality and a full regex scan)."""
-        if len(paths) == 1:
-            return self.path_equality(expression, paths[0])
+    def path_membership(
+        self, paths_alias: str, paths: "tuple[str, ...]"
+    ) -> str:
+        """Boolean SQL restricting the `Paths` row bound to
+        ``paths_alias`` to a literal path set.  A semi-join on the row
+        id: the list probes the unique index on ``paths.path`` once per
+        statement, where ``path IN (...)`` would compare strings once
+        per joined element row.  The literals stay strings, so one
+        statement runs unchanged on every shard."""
         rendered = ", ".join(self.string_literal(p) for p in paths)
-        return f"{expression} IN ({rendered})"
+        return (
+            f"{paths_alias}.id IN "
+            f"(SELECT id FROM paths WHERE path IN ({rendered}))"
+        )
 
     # -- Dewey comparisons -------------------------------------------------
 

@@ -10,9 +10,11 @@ mapping relations, persisted in the store (``repro_path_stats`` +
 ``repro_meta``), versioned against ``store.generation`` and maintained
 incrementally by ``bulk_load`` / ``delete_document``.
 
-The summary never changes *what* a query returns — stale statistics can
-only mis-steer performance decisions (join order, access strategy,
-union-branch order, fan-out gating), never correctness.
+The summary never changes *what* a query returns.  Its counts only
+steer performance decisions (join order, union-branch order, fan-out
+gating); its path list becomes the SQL path filter
+(``costed-access-strategy``), which is sound because the stores hand a
+summary out only while it is exact — a stale summary is no summary.
 """
 
 from repro.stats.summary import PathStats, PathSummary, StatsState

@@ -12,6 +12,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 
+#: Distinct patterns one summary remembers answers for (the size of the
+#: storage layer's compiled-regex cache); a stream of never-repeating
+#: path patterns must not grow a long-lived summary without bound.
+_MATCH_MEMO_LIMIT = 512
+
+
 @dataclass(frozen=True)
 class PathStats:
     """Statistics for one root-to-node path of the `Paths` relation."""
@@ -39,9 +45,9 @@ class StatsState:
     ``epoch`` increments on every statistics write; ``generation`` is
     the store's mutation counter at the time of that write.  Statistics
     are *stale* exactly when the recorded generation no longer matches
-    the store's — the cost model then keeps using them (safely: they
-    only steer performance), but ``repro shard info`` / ``repro stats``
-    surface the staleness and ``ShardedStore.analyze`` refreshes them.
+    the store's — the stores then hand out no summary at all, ``repro
+    shard info`` / ``repro stats`` say so, and ``collect_statistics``
+    / ``ShardedStore.analyze`` refresh them.
     """
 
     epoch: int
@@ -67,6 +73,11 @@ class PathSummary:
     relation_counts: Mapping[str, int]
     #: Per-path statistics, keyed by the path string.
     stats: Mapping[str, PathStats] = field(default_factory=dict)
+    #: ``matching_paths`` answers by regex text.  The summary never
+    #: changes, so an answer stays right for the object's lifetime.
+    _matches: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- totals -------------------------------------------------------------
 
@@ -98,11 +109,21 @@ class PathSummary:
 
     # -- pattern matching ---------------------------------------------------
 
-    def matching_paths(self, pattern: "str | re.Pattern[str]") -> list[str]:
+    def matching_paths(
+        self, pattern: "str | re.Pattern[str]"
+    ) -> tuple[str, ...]:
         """Stored paths satisfying a Table 1 regex (``re.search``, the
-        exact semantics of the SQL ``regexp_like`` filter)."""
-        regex = re.compile(pattern) if isinstance(pattern, str) else pattern
-        return [p for p in self.stats if regex.search(p)]
+        exact semantics of the SQL ``regexp_like`` filter), sorted.
+        The path list is scanned once per distinct pattern."""
+        text = pattern if isinstance(pattern, str) else pattern.pattern
+        matched = self._matches.get(text)
+        if matched is None:
+            search = re.compile(pattern).search
+            matched = tuple(sorted(p for p in self.stats if search(p)))
+            if len(self._matches) >= _MATCH_MEMO_LIMIT:
+                self._matches.clear()
+            self._matches[text] = matched
+        return matched
 
     def count_matching(self, pattern: "str | re.Pattern[str]") -> int:
         """Total element count over the paths a regex matches."""

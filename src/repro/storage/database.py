@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 import sqlite3
+import sys
 import threading
 import time
 from collections import OrderedDict, namedtuple
@@ -441,6 +442,15 @@ class Database:
             if row[1] == "main":
                 return row[2] or None
         return None  # pragma: no cover - main is always listed
+
+    @property
+    def sql_length_limit(self) -> int | None:
+        """Longest statement text, in bytes, this connection accepts
+        (``SQLITE_LIMIT_SQL_LENGTH``); ``None`` where Python cannot ask
+        (``Connection.getlimit`` arrived in 3.11)."""
+        if sys.version_info < (3, 11):
+            return None
+        return self.connection.getlimit(sqlite3.SQLITE_LIMIT_SQL_LENGTH)
 
     def query_plan(self, sql: str) -> list[str]:
         """The EXPLAIN QUERY PLAN detail lines for ``sql``."""

@@ -898,32 +898,39 @@ class ShreddedStore:
 
     @property
     def stats_version(self) -> tuple[int, int] | None:
-        """The persisted summary's ``(epoch, generation)``, or ``None``
-        when statistics were never collected.  Cache fingerprints (the
-        translator's, hence the engine result cache's) incorporate this,
-        so refreshed statistics can never serve a stale plan's rows."""
-        self._load_stats()
-        return (
-            self._stats_state.version
-            if self._stats_state is not None
-            else None
-        )
+        """The ``(epoch, generation)`` of the summary :meth:`path_summary`
+        hands out, or ``None`` when it hands out none (never collected,
+        or stale).  Cache fingerprints (the translator's, hence the
+        engine result cache's) incorporate this, so a plan built from
+        one summary is never served once that summary is refreshed or
+        goes stale."""
+        if self.statistics_stale or self._stats_state is None:
+            return None
+        return self._stats_state.version
 
     @property
     def statistics_stale(self) -> bool:
         """True when no summary exists, or the store mutated since the
         summary was last written (``append_subtree`` / ``delete_subtree``
         / ``update_*`` do not maintain counts — refresh with
-        :meth:`collect_statistics`).  Stale statistics are still *safe*:
-        they only steer performance decisions, never result semantics."""
+        :meth:`collect_statistics`).  A stale summary may lack paths the
+        store now holds, and the ``costed-access-strategy`` pass turns
+        the summary's path list into the SQL filter, so a stale summary
+        is treated as no summary at all."""
         self._load_stats()
         if self._stats_state is None:
             return True
         return self._stats_state.generation != self._generation
 
     def path_summary(self) -> PathSummary | None:
-        """The current :class:`~repro.stats.summary.PathSummary`, or
-        ``None`` when statistics were never collected."""
+        """The :class:`~repro.stats.summary.PathSummary`, while it is
+        exact for the stored rows; ``None`` when statistics were never
+        collected or are stale."""
+        return None if self.statistics_stale else self._persisted_summary()
+
+    def _persisted_summary(self) -> PathSummary | None:
+        """The summary as last written, stale or not (the incremental
+        maintenance below starts from it)."""
         self._load_stats()
         if self._stats_state is None:
             return None
@@ -978,7 +985,7 @@ class ShreddedStore:
             return
         if self._stats_state.generation != self._generation - 1:
             return
-        summary = self.path_summary()
+        summary = self._persisted_summary()
         if summary is None:
             self.collect_statistics()
             return
@@ -1021,7 +1028,7 @@ class ShreddedStore:
         per_relation: dict[str, int],
     ) -> None:
         """Subtract one deleted document's counts (called post-bump)."""
-        summary = self.path_summary()
+        summary = self._persisted_summary()
         if summary is None:
             self.collect_statistics()
             return

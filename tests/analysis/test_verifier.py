@@ -211,6 +211,26 @@ class TestSeededBugs:
         report = verifier.verify(plan)
         assert report.by_code("PV005")
 
+    def test_literal_its_own_regex_rejects_caught(self, translator, verifier):
+        """An equality/``in`` filter stands for its regex: a listed path
+        the regex does not accept is a wrong answer waiting to happen."""
+        from repro.plan.nodes import PathFilterCond, iter_conditions
+
+        plan = copy.deepcopy(translator.translate("//keyword").plan)
+        (cond,) = [
+            c
+            for c in iter_conditions(plan.branches()[0].where)
+            if isinstance(c, PathFilterCond)
+        ]
+        genuine = "/site/regions/asia/item/description/text/keyword"
+        cond.set_literal_paths((genuine, genuine + "/bold/keyword"))
+        assert verifier.verify(plan).ok
+        for strays in [("/site/people/person/name",), (genuine, "/site")]:
+            cond.set_literal_paths(strays)
+            report = verifier.verify(plan)
+            assert [f.code for f in report.errors] == ["PV005"]
+            assert "does not accept" in report.errors[0].message
+
     def test_duplicate_alias_caught(self, translated, verifier):
         plan = copy.deepcopy(translated.plan)
         select = plan.branches()[0]

@@ -1,0 +1,383 @@
+"""The path summary as access path (``costed-access-strategy``).
+
+With an exact summary every regex filter resolves, at plan time, to the
+stored paths it matches, and the Python ``regexp_like`` UDF leaves
+execution; without one — never collected, or stale — the translation is
+the paper-shape regex SQL, byte for byte.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sqlite3
+
+import pytest
+
+from repro import (
+    Database,
+    EdgePPFEngine,
+    EdgeStore,
+    NativeEngine,
+    PPFEngine,
+    ShreddedStore,
+    StorageError,
+    infer_schema,
+    parse_document,
+)
+from repro.core.adapters import SchemaAwareAdapter
+from repro.core.translator import PPFTranslator
+from repro.plan.cost import CardinalityEstimator
+from repro.plan.nodes import PathFilterCond, iter_conditions, iter_selects
+from repro.plan.passes import DEFAULT_PASS_NAMES
+from repro.resilience.faults import FaultInjectingDatabase, FaultPlan
+from repro.serving.scatter import ServingConfig, ShardedEngine
+from repro.serving.shards import ShardedStore
+from repro.workloads import XMarkConfig, generate_xmark
+from repro.workloads.xpathmark import XPATHMARK_A_QUERIES, XPATHMARK_QUERIES
+from repro.xmltree.nodes import ElementNode
+
+XM25 = [(q.qid, q.xpath) for q in XPATHMARK_QUERIES + XPATHMARK_A_QUERIES]
+#: The XM25 queries whose regex filter survives the static passes.
+REGEX_QIDS = {"Q3", "Q4", "Q6", "Q7", "Q21", "A2", "A3", "A5"}
+#: ... and those among them that are one path filter and nothing else.
+PATH_ONLY_QIDS = {"Q3", "Q4", "A2", "A3"}
+
+_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "data", "xm25_statsfree_sql.json"
+)
+
+
+def _store(documents, statistics: bool):
+    store = ShreddedStore.create(Database.memory(), infer_schema(documents))
+    for document in documents:
+        store.load(document)
+    if statistics:
+        store.collect_statistics()
+    return store
+
+
+def _expected(natives, xpath):
+    """``(kind, sorted ids or values)`` summed over ``(native, id base)``
+    pairs — the native oracle's answer in the SQL engines' terms."""
+    kind, out = "ids", []
+    for native, base in natives:
+        for node in native.execute(xpath):
+            if hasattr(node, "node_id"):
+                out.append(base + node.node_id)
+            else:  # text()/attribute projection: compare values
+                kind = "values"
+                out.append(node.value)
+    return kind, sorted(out)
+
+
+def _actual(engine, xpath, kind):
+    result = engine.execute(xpath)
+    return kind, sorted(result.values if kind == "values" else result.ids)
+
+
+def _agrees(engine, natives, xpath) -> bool:
+    kind, expected = _expected(natives, xpath)
+    return _actual(engine, xpath, kind) == (kind, expected)
+
+
+def _filters(translation) -> list[PathFilterCond]:
+    return [
+        cond
+        for select in iter_selects(translation.plan)
+        for cond in iter_conditions(select.where)
+        if isinstance(cond, PathFilterCond)
+    ]
+
+
+@pytest.fixture(scope="module")
+def fresh_engine(xmark_document):
+    return PPFEngine(_store([xmark_document], statistics=True))
+
+
+class TestXM25:
+    def test_udf_leaves_the_sql_and_results_match_native(
+        self, fresh_engine, xmark_native
+    ):
+        for qid, xpath in XM25:
+            translation = fresh_engine.translate(xpath)
+            if qid in REGEX_QIDS:
+                assert "costed-access-strategy" in translation.fired_passes()
+            assert "regexp_like" not in translation.sql, qid
+            assert _agrees(fresh_engine, [(xmark_native, 0)], xpath), qid
+
+    def test_statistics_free_sql_is_the_parent_commits(self, xmark_document):
+        """No summary: the SQL is what the commit before this pass body
+        emitted, for the schema-aware and the Edge mapping alike."""
+        with open(_GOLDEN, encoding="utf-8") as handle:
+            golden = json.load(handle)
+        edge = EdgeStore.create(Database.memory())
+        edge.load(xmark_document)
+        engines = {
+            "ppf": PPFEngine(_store([xmark_document], statistics=False)),
+            "edge_ppf": EdgePPFEngine(edge),
+        }
+        for name, engine in engines.items():
+            for qid, xpath in XM25:
+                assert engine.translate(xpath).sql == golden[name][qid], (
+                    name, qid,
+                )
+
+    def test_list_is_one_subquery_over_the_unique_index(self, fresh_engine):
+        """Q6 carries two filters on one `Paths` alias: they intersect
+        into one list, probed once per statement."""
+        for xpath in ("//keyword", "//keyword/ancestor::listitem"):
+            detail = fresh_engine.query_plan(xpath)
+            assert sum("LIST SUBQUERY" in line for line in detail) == 1
+            assert any(
+                line.startswith(
+                    "SEARCH paths USING COVERING INDEX "
+                    "sqlite_autoindex_paths_1"
+                )
+                for line in detail
+            ), detail
+        filters = _filters(
+            fresh_engine.translate("//keyword/ancestor::listitem")
+        )
+        assert [f.mode for f in filters] == ["in"]
+        assert all("/listitem/" in path for path in filters[0].literals)
+
+    def test_path_only_queries_estimate_exactly(self, fresh_engine):
+        """The summary holds the exact per-path counts, so a query that
+        is one path filter has q-error 1 by construction."""
+        estimator = CardinalityEstimator(fresh_engine.store.path_summary())
+        for qid, xpath in XM25:
+            if qid not in PATH_ONLY_QIDS:
+                continue
+            translation = fresh_engine.translate(xpath)
+            actual = len(fresh_engine.execute(xpath))
+            assert actual > 0
+            assert translation.estimated_rows == actual, qid
+            assert estimator.estimate_plan(
+                translation.plan
+            ).total_rows == actual
+
+    def test_toggling_the_pass_changes_sql_not_rows(self, fresh_engine):
+        without = PPFEngine(
+            fresh_engine.store,
+            passes=tuple(
+                n for n in DEFAULT_PASS_NAMES if n != "costed-access-strategy"
+            ),
+        )
+        for qid, xpath in XM25:
+            if qid in REGEX_QIDS:
+                assert "regexp_like" in without.translate(xpath).sql
+            assert (
+                without.execute(xpath).ids == fresh_engine.execute(xpath).ids
+            ), qid
+
+
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+def test_one_statement_serves_shards_with_different_paths(tmp_path):
+    """The coordinator translates once from the merged summary; a shard
+    that lacks some of the listed paths just matches fewer of them."""
+    documents = [
+        generate_xmark(XMarkConfig(scale=0.3, seed=seed)) for seed in (5, 6, 7)
+    ]
+    for index, document in enumerate(documents):
+        document.name = f"xmark{index}.xml"
+    store = ShardedStore.create(
+        str(tmp_path / "shards"), infer_schema(documents), shards=2
+    )
+    store.bulk_load(documents)
+    merged = store.path_summary()
+    assert merged is not None
+    listed = set(merged.matching_paths("^/(.+/)?keyword$"))
+    per_shard = [
+        set(store.shard_store(index).path_summary().stats) & listed
+        for index in range(2)
+    ]
+    assert any(shard < listed for shard in per_shard)
+    natives = [
+        (NativeEngine(document), entry.base)
+        for document, entry in zip(documents, store.doc_entries)
+    ]
+    with ShardedEngine.serve(
+        store, config=ServingConfig(deadline=30.0), replicas=1
+    ) as engine:
+        for qid, xpath in XM25:
+            assert "regexp_like" not in engine.translate(xpath).sql, qid
+            assert _agrees(engine, natives, xpath), qid
+    store.close()
+
+
+# -- a stale summary is no summary ----------------------------------------------
+
+#: ``k`` may sit under ``r``, ``c`` and ``a``; only ``/r/c/a/k`` is stored.
+_STORED = "<r><c><a><k>1</k></a></c></r>"
+_SCHEMA_ONLY = "<r><k>0</k><c><k>0</k></c></r>"
+
+
+def _k_store(db: Database | None = None) -> ShreddedStore:
+    stored = parse_document(_STORED, name="stored.xml")
+    schema = infer_schema(
+        [stored, parse_document(_SCHEMA_ONLY, name="schema.xml")]
+    )
+    store = ShreddedStore.create(
+        db if db is not None else Database.memory(), schema
+    )
+    store.bulk_load([stored])  # collects statistics at shred time
+    return store
+
+
+def _only_filter(engine: PPFEngine, xpath: str) -> PathFilterCond:
+    (cond,) = _filters(engine.translate(xpath))
+    return cond
+
+
+class TestStaleness:
+    XPATH = "/r/c//k"
+
+    def test_non_maintaining_mutation_retires_the_plan(self):
+        store = _k_store()
+        engine = PPFEngine(store)
+        cond = _only_filter(engine, self.XPATH)
+        assert (cond.mode, cond.literal) == ("equality", "/r/c/a/k")
+        assert len(engine.execute(self.XPATH)) == 1
+        fingerprint = engine.translator.fingerprint
+
+        (c_id,) = engine.execute("/r/c").ids
+        (new_id,) = store.append_subtree(c_id, ElementNode("k"))
+
+        assert store.statistics_stale
+        assert store.path_summary() is None and store.stats_version is None
+        assert engine.translator.fingerprint != fingerprint
+        assert _only_filter(engine, self.XPATH).mode == "regex"
+        assert new_id in engine.execute(self.XPATH).ids
+
+        store.collect_statistics()
+        cond = _only_filter(engine, self.XPATH)
+        assert cond.mode == "in"
+        assert cond.literals == ("/r/c/a/k", "/r/c/k")
+        assert new_id in engine.execute(self.XPATH).ids
+
+    def test_load_keeps_the_summary_exact(self):
+        """``load`` maintains the counts, so a path the new document
+        introduces joins the list and its rows are returned."""
+        store = _k_store()
+        engine = PPFEngine(store)
+        assert len(engine.execute(self.XPATH)) == 1
+        store.load(parse_document("<r><c><k>2</k></c></r>", name="new.xml"))
+        assert not store.statistics_stale
+        cond = _only_filter(engine, self.XPATH)
+        assert cond.literals == ("/r/c/a/k", "/r/c/k")
+        assert len(engine.execute(self.XPATH)) == 2
+
+    def test_rolled_back_load_leaves_summary_and_plan_alone(self):
+        plan = FaultPlan()
+        store = _k_store(FaultInjectingDatabase.memory(plan))
+        engine = PPFEngine(store)
+        before = engine.translate(self.XPATH)
+        version = store.stats_version
+        plan.script("error", match="INSERT INTO k", message="disk I/O error")
+        with pytest.raises(StorageError, match="disk I/O error"):
+            store.load(
+                parse_document("<r><c><k>2</k></c></r>", name="new.xml")
+            )
+        assert store.stats_version == version
+        assert not store.statistics_stale
+        assert engine.translate(self.XPATH) is before  # still cached
+        assert "/r/c/k" not in store.path_index.all_paths()
+        assert len(engine.execute(self.XPATH)) == 1
+
+    def test_stale_shard_withholds_the_merged_summary(self, tmp_path):
+        stored = [
+            parse_document(_STORED, name=f"stored{i}.xml") for i in range(4)
+        ]
+        schema = infer_schema(
+            stored + [parse_document(_SCHEMA_ONLY, name="schema.xml")]
+        )
+        store = ShardedStore.create(str(tmp_path / "s"), schema, shards=2)
+        store.bulk_load(stored)
+        assert store.path_summary() is not None
+        shard = store.shard_store(0)
+        (c_id, *_) = PPFEngine(shard).execute("/r/c").ids
+        shard.append_subtree(c_id, ElementNode("k"))
+        assert store.statistics_staleness() == [True, False]
+        assert store.stats_version is None and store.path_summary() is None
+        shard.collect_statistics()
+        assert "/r/c/k" in store.path_summary().stats
+        store.close()
+
+
+class TestMemoisation:
+    def test_sharded_merge_is_built_once_per_statistics_version(
+        self, tmp_path, monkeypatch
+    ):
+        documents = [
+            parse_document(_STORED, name=f"d{i}.xml") for i in range(4)
+        ]
+        store = ShardedStore.create(
+            str(tmp_path / "s"), infer_schema(documents), shards=2
+        )
+        store.bulk_load(documents)
+        merges = []
+        merge = ShardedStore._merged_summary
+        monkeypatch.setattr(
+            ShardedStore,
+            "_merged_summary",
+            lambda self, version: merges.append(version)
+            or merge(self, version),
+        )
+        translator = PPFTranslator(SchemaAwareAdapter(store))
+        translator.translate("/r/c//k")
+        translator.translate("/r//a")
+        assert len(merges) == 1
+        first = store.path_summary()
+        store.analyze()
+        assert store.path_summary() is not first
+        store.load(parse_document(_STORED, name="late.xml"))
+        translator.translate("/r/c//k")
+        assert len(merges) == 3
+        assert len(set(merges)) == 3
+        store.close()
+
+    def test_summary_scans_its_paths_once_per_pattern(self):
+        summary = _k_store().path_summary()
+        first = summary.matching_paths("^/r/(.+/)?k$")
+        assert first == ("/r/c/a/k",)
+        assert summary.matching_paths("^/r/(.+/)?k$") is first
+
+
+@pytest.mark.skipif(
+    not hasattr(sqlite3.Connection, "getlimit"),
+    reason="Connection.getlimit/setlimit arrived in Python 3.11",
+)
+def test_list_past_the_statement_length_limit_keeps_its_regex():
+    """The limit is the connection's own ``SQLITE_LIMIT_SQL_LENGTH``; a
+    filter whose list has no room under it stays a regex, a smaller one
+    in the same store still resolves."""
+    wide = "".join(
+        f"<branch{i:03d}-{'x' * 60}><leaf>{i}</leaf></branch{i:03d}-{'x' * 60}>"
+        for i in range(120)
+    )
+    document = parse_document(
+        f"<root><few><leaf>a</leaf><twig><leaf>b</leaf></twig></few>"
+        f"<many>{wide}</many></root>",
+        name="wide.xml",
+    )
+    store = _store([document], statistics=True)
+    # Lowered only now: the shredder's own statements are longer.
+    store.db.connection.setlimit(sqlite3.SQLITE_LIMIT_SQL_LENGTH, 4000)
+    engine = PPFEngine(store)
+    native = NativeEngine(document)
+
+    big = engine.translate("/root/many//leaf")
+    assert "regexp_like" in big.sql and len(big.sql.encode()) <= 4000
+    (report,) = [
+        r for r in big.pass_reports if r.name == "costed-access-strategy"
+    ]
+    assert not report.fired and "statement-length limit" in report.detail
+
+    small = engine.translate("/root/few//leaf")
+    assert "regexp_like" not in small.sql
+    assert _filters(small)[0].mode == "in"
+
+    for xpath in ("/root/many//leaf", "/root/few//leaf"):
+        assert _agrees(engine, [(native, 0)], xpath)
+    assert len(engine.execute("/root/many//leaf")) == 120
