@@ -16,7 +16,7 @@ it wires the three pipeline layers together:
 :meth:`PPFTranslator.translate` keeps its pre-refactor signature and
 output semantics; :class:`TranslationResult` additionally carries the
 optimized plan, per-pass reports and before/after plan statistics for
-``explain`` and the benchmark trajectory.
+``explain`` and the per-layer benchmark (``perfbench/``).
 """
 
 from __future__ import annotations

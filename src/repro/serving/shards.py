@@ -1,10 +1,10 @@
 """Document-sharded storage: one logical store over N SQLite files.
 
-BENCH_PR2/PR4 showed thread fan-out *degrades* throughput on this
-workload, so scaling reads means processes — and processes want
-independent database files.  A :class:`ShardedStore` places whole
-documents across ``N`` sibling SQLite shard files by hashing the
-document's load ordinal and name (the paper's Section 4.5
+Thread fan-out *degrades* throughput on this workload (the committed
+``BENCH_PR2.json`` / ``BENCH_PR4.json`` records), so scaling reads means
+processes — and processes want independent database files.  A
+:class:`ShardedStore` places whole documents across ``N`` sibling
+SQLite shard files by hashing the document's load ordinal and name (the paper's Section 4.5
 path-partitioned layout makes whole-document placement natural: every
 root-to-node path, and therefore every query fragment, stays resolvable
 inside a single shard).  All shards share one schema, so a single

@@ -1,167 +1,11 @@
-"""Miniature run of the serving benchmark trajectory (`-m bench_smoke`):
-the structure of BENCH_PR2.json, not the absolute numbers."""
+"""Structural checks that ride with the benchmark CI job (`-m
+bench_smoke`): wall-clock budgets, not absolute numbers."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench.trajectory import collect, write_json
-from repro.workloads.xpathmark import XPATHMARK_QUERIES
-
 pytestmark = pytest.mark.bench_smoke
-
-
-def test_trajectory_payload_structure(tmp_path):
-    payload = collect(
-        scale=0.5,
-        worker_counts=(1, 2),
-        repeats=1,
-        bulk_docs=2,
-        bulk_scale=0.5,
-        workdir=str(tmp_path),
-    )
-
-    assert payload["meta"]["workload"] == "xmark-small"
-    assert payload["meta"]["elements"] > 0
-    assert payload["meta"]["query_count"] == len(XPATHMARK_QUERIES)
-
-    assert len(payload["queries"]) == len(XPATHMARK_QUERIES)
-    for entry in payload["queries"]:
-        assert entry["seconds"] >= 0.0
-        assert entry["nodes"] >= 0
-        assert entry["xpath"]
-        plan = entry["plan"]
-        assert isinstance(plan["fired_passes"], list)
-        # The pipeline only removes work: every counter is monotone
-        # non-increasing and the optimized plan still scans something.
-        for key in ("branches", "scans", "paths_joins"):
-            before, after = plan[key]
-            assert after <= before
-        assert plan["scans"][1] >= 1
-
-    optimizer = payload["optimizer"]
-    assert "paths-join-elimination" in optimizer["passes"]
-    # Section 4.5 must pay off somewhere on the XPathMark workload.
-    assert optimizer["pass_hits"]["paths-join-elimination"] >= 1
-    assert all(hits >= 0 for hits in optimizer["pass_hits"].values())
-
-    runs = payload["serving_throughput"]["runs"]
-    assert [run["workers"] for run in runs] == [1, 2]
-    assert runs[0]["speedup_vs_serial"] == 1.0
-    for run in runs:
-        assert run["queries_per_second"] > 0
-
-    bulk = payload["bulk_load"]
-    assert bulk["documents"] == 2
-    assert bulk["load_loop_seconds"] > 0
-    assert bulk["bulk_seconds"] > 0
-    assert bulk["speedup"] > 0
-
-    out = tmp_path / "bench.json"
-    write_json(payload, str(out))
-    assert json.loads(out.read_text())["meta"] == payload["meta"]
-
-
-def test_costed_payload_structure(tmp_path):
-    from repro.bench.trajectory import collect_costed
-    from repro.workloads.xpathmark import XPATHMARK_A_QUERIES
-
-    payload = collect_costed(scale=0.5, repeats=1, workdir=str(tmp_path))
-
-    expected = len(XPATHMARK_QUERIES) + len(XPATHMARK_A_QUERIES)
-    assert len(payload["queries"]) == expected
-    assert not any(
-        name.startswith("costed-") for name in payload["heuristic_passes"]
-    )
-    for entry in payload["queries"]:
-        assert entry["heuristic_seconds"] > 0
-        assert entry["costed_seconds"] > 0
-        assert entry["actual_rows"] >= 0
-        # Statistics were collected at shred time, so every query
-        # carries an estimate and a q-error.
-        assert entry["estimated_rows"] is not None
-        assert entry["q_error"] >= 1.0
-
-    summary = payload["summary"]
-    assert summary["heuristic_total_seconds"] > 0
-    assert summary["costed_total_seconds"] > 0
-    assert summary["overall_speedup"] > 0
-    assert summary["median_q_error"] >= 1.0
-    assert summary["max_q_error"] >= summary["median_q_error"]
-    # No latency winner asserted at smoke scale; BENCH_PR7.json records
-    # the scale-6 comparison.
-
-
-@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
-def test_sharded_trajectory_payload_structure(tmp_path):
-    from repro.bench.trajectory import collect_sharded
-
-    payload = collect_sharded(
-        scale=0.5,
-        shards=2,
-        docs=4,
-        repeats=1,
-        latency_rounds=1,
-        workdir=str(tmp_path),
-    )
-
-    meta = payload["meta"]
-    assert meta["workload"] == "xmark-sharded"
-    assert meta["shards"] == 2 and meta["documents"] == 4
-    assert meta["elements"] > 0
-
-    throughput = payload["throughput"]
-    assert throughput["serial_seconds"] > 0
-    assert throughput["sharded_seconds"] > 0
-    assert throughput["speedup_vs_serial"] > 0
-    # No winner asserted here: at smoke scale the per-request IPC
-    # overhead dominates; BENCH_PR6.json records the scale-6 numbers.
-
-    latency = payload["slow_shard_latency"]
-    for mode in ("hedging", "no_hedging"):
-        assert latency[mode]["p50_seconds"] > 0
-        assert latency[mode]["p99_seconds"] >= latency[mode]["p50_seconds"]
-    # The hedge dodges the slow replica: its p50 must beat the
-    # unhedged p50, which eats the full injected delay.
-    assert (
-        latency["hedging"]["p50_seconds"]
-        < latency["no_hedging"]["p50_seconds"]
-    )
-    assert latency["hedging"]["hedges"] > 0
-
-
-@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
-def test_async_frontdoor_payload_structure(tmp_path):
-    from repro.bench.trajectory import collect_async
-
-    payload = collect_async(
-        scale=0.5,
-        shards=2,
-        docs=4,
-        total_queries=60,
-        max_inflight=8,
-        repeats=1,
-        workdir=str(tmp_path),
-    )
-
-    meta = payload["meta"]
-    assert meta["workload"] == "xmark-async-frontdoor"
-    assert meta["total_queries"] == 60
-    assert meta["max_inflight"] == 8
-
-    for section in ("sync_blocking", "pipelined_execute_many",
-                    "async_frontdoor"):
-        assert payload[section]["seconds"] > 0
-        assert payload[section]["queries_per_second"] > 0
-    front = payload["async_frontdoor"]
-    assert front["speedup_vs_sync"] > 0
-    # The whole workload was submitted in one gather, yet the heap
-    # stayed bounded by the admission window, not the workload size.
-    assert front["peak_traced_mib"] < 64
-    # No winner asserted at smoke scale; BENCH_PR8.json records the
-    # 1000-query comparison.
 
 
 def test_full_analysis_sweep_fits_wall_clock_budget():
