@@ -20,13 +20,14 @@ that under concurrency:
   :class:`ShardedStore` places documents across N SQLite shard files,
   :class:`ShardRuntime` supervises the forked worker fleet serving
   them, and :class:`ShardedEngine` scatter-gathers queries over the
-  fleet with deadlines, hedging, circuit breaking and a
-  graceful-degradation ladder,
+  fleet; deadlines, hedging, retries and circuit breaking are the one
+  graceful-degradation ladder of :mod:`repro.serving.ladder`, an
+  I/O-free machine both engines drive,
 * the **asyncio front door** (:class:`AsyncShardedEngine`) — batched
   admission over the same fleet for event-loop clients: thousands of
   in-flight queries per process, one coalesced ``submit_batch`` per
-  shard per tick, the degradation ladder driven by futures instead of
-  blocked threads.
+  shard per tick, the same ladder driven from the loop instead of a
+  blocked thread.
 """
 
 from repro.serving.bulk import bulk_pragmas, iter_chunks
@@ -43,7 +44,7 @@ _LAZY = {
     "WorkerConfig": "supervisor",
     "WorkerHandle": "supervisor",
     "ServingConfig": "scatter",
-    "ShardOutcome": "scatter",
+    "ShardOutcome": "ladder",
     "ShardedEngine": "scatter",
     "AsyncShardedEngine": "frontdoor",
 }

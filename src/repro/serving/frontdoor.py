@@ -5,19 +5,21 @@ hold thousands of in-flight XPath queries against the
 :class:`~repro.serving.supervisor.ShardRuntime` fleet — where the
 blocking :class:`~repro.serving.scatter.ShardedEngine` spends one OS
 thread per admitted query waiting on the transport, the front door
-spends none: worker completions are bridged straight onto the event
-loop through the supervisor's ``on_complete`` callbacks and resolved
-into futures.
-
-Three mechanisms make up the tentpole:
+spends none.  It is the asyncio *driver* of the one degradation ladder
+(:mod:`repro.serving.ladder`): hedging, retries, deadlines and breakers
+are that machine's decisions, translation, merge, caching and fallback
+are the blocking engine's shared halves, and this module adds three
+things:
 
 **Batched admission (tick coalescing).**  Queries submitted in the same
 event-loop iteration — one ``asyncio.gather``, many concurrent client
 tasks, a burst drained from a socket — are coalesced into a single
-*tick* and scattered as **one** ``submit_batch`` message per shard, so
-queue/marshal overhead is paid per burst instead of per query.  The
-tick flush is scheduled with ``loop.call_soon`` when the first query of
-a burst arrives; there is no background pump task to leak or poll.
+*tick* and scattered as **one** shard call (one ``submit_batch`` message
+per shard), so queue/marshal overhead is paid per burst instead of per
+query.  The tick flush is scheduled with ``loop.call_soon`` when the
+first query of a burst arrives; there is no background pump task to
+leak or poll.  Queries with different deadline budgets get separate
+ticks, because a shard call has one expiry.
 
 **Awaitable backpressure.**  Admission is an ``asyncio.Semaphore`` of
 ``max_inflight`` slots.  With ``admission_timeout`` set, a query that
@@ -25,77 +27,107 @@ cannot get a slot in time fails fast with
 :class:`~repro.errors.AdmissionRejectedError` — the same contract as
 the blocking engine.  With ``admission_timeout=None`` the await simply
 parks until a slot frees: thousands of submitted queries then occupy a
-few pending futures each instead of a thread each, which is what bounds
+pending future each instead of a thread each, which is what bounds
 memory at high concurrency.
 
-**The degradation ladder, async.**  Hedging, per-shard retries, circuit
-breakers, flagged partials and the native fallback are the *same*
-ladder (and the same breaker/stat objects) as the blocking engine —
-re-expressed over futures: a batched scatter is hedged to a second
-replica after ``hedge_delay`` of silence, a statement its batch could
-not answer falls to a per-shard hedge/retry ladder driven by
-``asyncio.wait``, and a worker crash resolves waiters immediately via
-the supervisor's lost-request callbacks (no polling).  Deadlines travel
-as absolute expiries; ``asyncio.CancelledError`` propagates through
-every rung — a cancelled await releases its admission slot and abandons
-its in-flight requests (hedges included) on the way out.
-
-Results are bit-identical to the blocking engine (same translation,
-same merge, same completeness flags) — the chaos suite asserts this
-against the single-store oracle under worker kills mid-await.
+**Cancellation.**  Worker completions reach the loop through
+``call_soon_threadsafe`` and timers through ``call_later``; nothing
+blocks.  ``asyncio.CancelledError`` propagates through every await: a
+cancelled query releases its admission slot, and when every query of a
+tick has been cancelled the tick abandons its in-flight requests
+(hedges included).
 """
 
 from __future__ import annotations
 
 import asyncio
-import marshal
-import time
 from typing import AsyncIterator, Optional, Union
 
-from repro.core.engine import (
-    QueryResult,
-    _normalize_many_args,
-)
+from repro.core.engine import QueryResult
 from repro.core.translator import TranslationResult
-from repro.errors import AdmissionRejectedError
-from repro.serving.scatter import ServingConfig, ShardedEngine, ShardOutcome
+from repro.serving.scatter import (
+    Scatter,
+    ServingConfig,
+    ShardedEngine,
+    ShardOutcome,
+    _Planned,
+)
 from repro.xpath.ast import XPathExpr
 
-#: Grace added to a batch's worker-side timeout before the loop-side
-#: watchdog gives the batch up (covers response marshalling latency).
-_BATCH_GRACE = 0.25
 
+class _Tick(Scatter):
+    """One coalescing window — every query enqueued in the same
+    event-loop iteration with the same budget — and the loop-side
+    wake-up of its scatter."""
 
-def _resolve(future: "asyncio.Future", response: Optional[dict]) -> None:
-    """Loop-side half of the callback bridge (idempotent: a waiter the
-    caller already abandoned or timed out is left alone)."""
-    if not future.done():
-        future.set_result(response)
+    def __init__(self, engine: ShardedEngine, loop) -> None:
+        super().__init__(engine)
+        self._loop = loop
+        self.statements: list[str] = []
+        #: Per statement, the future of its per-shard outcomes.
+        self.futures: list[asyncio.Future] = []
+        #: The tick hedges when *any* coalesced query is above the
+        #: costed hedge gate (the duplicate is shared, so one eligible
+        #: query justifies it).
+        self.hedge = False
+        self._waiting = 0
+        self._timers: list[asyncio.TimerHandle] = []
 
+    def add(self, sql: str, hedge: bool) -> "asyncio.Future":
+        future = self._loop.create_future()
+        future.add_done_callback(self._waiter_done)
+        self.statements.append(sql)
+        self.futures.append(future)
+        self.hedge = self.hedge or hedge
+        self._waiting += 1
+        return future
 
-class _Tick:
-    """One coalescing window: every query enqueued in the same
-    event-loop iteration, scattered as one batch per shard."""
+    def _post(self, shard: int, tag: int, payload: Optional[dict]) -> None:
+        try:
+            self._loop.call_soon_threadsafe(
+                self.completed, shard, tag, payload
+            )
+        except RuntimeError:  # loop closed mid-shutdown
+            pass
 
-    __slots__ = ("sqls", "expiries", "futures", "hedge")
+    def _set_timer(self, shard: int, delay: float, token: tuple) -> None:
+        self._timers.append(
+            self._loop.call_later(delay, self.timer_due, shard, token)
+        )
 
-    def __init__(self) -> None:
-        self.sqls: list[str] = []
-        self.expiries: list[Optional[float]] = []
-        #: Per item, one future per shard resolving to the item's
-        #: batched :class:`ShardOutcome` — or ``None`` when the item
-        #: must fall to the per-shard ladder.
-        self.futures: list[list[asyncio.Future]] = []
-        #: Batches hedge when *any* coalesced item is above the costed
-        #: hedge gate (the duplicate is shared, so one eligible item
-        #: justifies it).
-        self.hedge: bool = False
+    def _resolved(self, shard: int) -> None:
+        shards = range(len(self._calls))
+        if len(self.outcomes) < len(shards):
+            return
+        self._drop_timers()
+        for position, future in enumerate(self.futures):
+            if not future.done():
+                future.set_result(
+                    [self.outcomes[shard][position] for shard in shards]
+                )
+
+    def _waiter_done(self, future: "asyncio.Future") -> None:
+        if not future.cancelled():
+            return
+        self._waiting -= 1
+        if not self._waiting:
+            # Nobody is left to hear the answers.
+            self.cancel()
+            self._drop_timers()
+
+    def _drop_timers(self) -> None:
+        # The machine ignores stale timers; cancelling them only keeps
+        # finished ticks (and their rows) from lingering in the loop's
+        # heap until the budget would have run out.
+        for handle in self._timers:
+            handle.cancel()
+        self._timers = []
 
 
 class AsyncShardedEngine:
     """Asyncio counterpart of :class:`~repro.serving.scatter.
-    ShardedEngine`, sharing its planner, breakers, result cache and
-    degradation counters.
+    ShardedEngine`, sharing its planner, ladders (breakers, rotation),
+    result cache and degradation counters.
 
     Must be constructed on a running event loop and used only from that
     loop.  Obtain one with :meth:`serve`, by wrapping an existing
@@ -112,10 +144,8 @@ class AsyncShardedEngine:
         self._loop = asyncio.get_running_loop()
         max_inflight = max(1, engine.config.max_inflight)
         self._admission = asyncio.Semaphore(max_inflight)
-        self._tick: Optional[_Tick] = None
-        # Primary-replica rotation for batched scatters (loop-thread
-        # only); hedges go to the next replica, like the sync ladder.
-        self._round_robin = 0
+        #: Open ticks by deadline budget (loop-thread only).
+        self._ticks: dict[Optional[float], _Tick] = {}
         self._closed = False
 
     # -- construction ------------------------------------------------------------
@@ -149,7 +179,7 @@ class AsyncShardedEngine:
 
     @property
     def engine(self) -> ShardedEngine:
-        """The wrapped blocking engine (planner, breakers, fleet)."""
+        """The wrapped blocking engine (planner, ladders, fleet)."""
         return self._engine
 
     def translate(
@@ -188,12 +218,7 @@ class AsyncShardedEngine:
         try:
             await asyncio.wait_for(self._admission.acquire(), timeout)
         except asyncio.TimeoutError:
-            self._engine._count("rejections")
-            raise AdmissionRejectedError(
-                f"admission queue full: "
-                f"{self._engine.config.max_inflight} queries in flight "
-                f"and none finished within {timeout:g}s"
-            ) from None
+            raise self._engine._rejected() from None
 
     # -- execution ---------------------------------------------------------------
 
@@ -208,85 +233,47 @@ class AsyncShardedEngine:
         Semantics match :meth:`ShardedEngine.execute` — same results,
         same ``complete``/``failed_shards`` contract, same typed errors
         — plus: concurrently-submitted queries share batched scatters,
-        and cancelling the await releases the admission slot and
-        abandons the query's in-flight requests.
+        and cancelling the await releases the admission slot.
 
         :raises AdmissionRejectedError: no slot within
             ``admission_timeout`` (``None`` waits without limit).
         :raises ShardUnavailableError: every shard failed and the
             native fallback was disabled or declined.
         """
-        await self._admit()
-        try:
-            self._engine._count("queries")
-            return await self._execute_admitted(expression, deadline)
-        finally:
-            self._admission.release()
+        return (await self.execute_many([expression], deadline=deadline))[0]
 
     async def execute_many(
         self,
         expressions,
-        *args,
+        *,
         deadline: Optional[float] = None,
         concurrency: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> list[QueryResult]:
         """Run many queries, results in input order.
 
-        Like the blocking engine's batch path, the whole call occupies
-        **one** admission slot and every statement lands in the same
-        coalescing tick — one ``submit_batch`` per shard.  ``deadline``
-        budgets the whole call; ``concurrency`` is accepted for surface
+        Like the blocking engine's, the whole call occupies **one**
+        admission slot and every statement lands in the same coalescing
+        tick — one ``submit_batch`` per shard.  ``deadline`` budgets
+        the whole call; ``concurrency`` is accepted for surface
         compatibility (coalescing replaces client-side fan-out).
         """
-        deadline, concurrency = _normalize_many_args(
-            type(self).__name__, args, deadline, concurrency, max_workers
-        )
-        expressions = list(expressions)
-        if len(expressions) <= 1:
-            return [
-                await self.execute(expression, deadline=deadline)
-                for expression in expressions
-            ]
-        results: dict[int, QueryResult] = {}
-        pending: list[tuple[int, object, TranslationResult]] = []
-        for index, expression in enumerate(expressions):
-            translation = self.translate(expression)
-            if translation.is_empty:
-                results[index] = QueryResult(
-                    [], translation.projection, served_by="shards"
-                )
-                continue
-            key = self._engine._planner._result_key(expression)
-            if key is not None:
-                cached = self._engine._planner._result_cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            pending.append((index, expression, translation))
+        engine = self._engine
+        planned = [engine._plan(expression) for expression in expressions]
+        pending = [plan for plan in planned if plan.result is None]
         if pending:
             await self._admit()
+            futures: list[asyncio.Future] = []
             try:
-                self._engine._count("queries", len(pending))
-                budget = (
-                    deadline
-                    if deadline is not None
-                    else self._engine.config.deadline
-                )
-                expiry = (
-                    time.monotonic() + budget if budget is not None else None
-                )
-                gathered = await asyncio.gather(
-                    *(
-                        self._run_translation(expression, translation, expiry)
-                        for _, expression, translation in pending
-                    )
-                )
-                for (index, _, _), result in zip(pending, gathered):
-                    results[index] = result
+                engine._count("queries", len(pending))
+                budget = engine._budget(deadline)
+                futures = [self._enqueue(plan, budget) for plan in pending]
+                for plan, future in zip(pending, futures):
+                    plan.result = await self._finish(plan, await future)
             finally:
+                for future in futures:
+                    future.cancel()
                 self._admission.release()
-        return [results[index] for index in range(len(expressions))]
+        return [plan.result for plan in planned]
 
     async def stream(
         self,
@@ -319,435 +306,36 @@ class AsyncShardedEngine:
                     task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
 
-    # -- admitted path -----------------------------------------------------------
-
-    async def _execute_admitted(
-        self, expression, deadline: Optional[float]
-    ) -> QueryResult:
-        budget = (
-            deadline
-            if deadline is not None
-            else self._engine.config.deadline
-        )
-        expiry = time.monotonic() + budget if budget is not None else None
-        translation = self.translate(expression)
-        if translation.is_empty:
-            return QueryResult(
-                [], translation.projection, served_by="shards"
-            )
-        key = self._engine._planner._result_key(expression)
-        if key is not None:
-            cached = self._engine._planner._result_cache.get(key)
-            if cached is not None:
-                return cached
-        return await self._run_translation(expression, translation, expiry)
-
-    async def _run_translation(
-        self,
-        expression,
-        translation: TranslationResult,
-        expiry: Optional[float],
-    ) -> QueryResult:
-        """Scatter one translated query (batched, then laddered per
-        shard), merge, cache, degrade — the async twin of
-        :meth:`ShardedEngine._execute_admitted` after admission."""
-        engine = self._engine
-        hedge = engine._hedge_allowed(translation)
-        batched_futures = self._enqueue(translation.sql, expiry, hedge)
-        outcomes = list(
-            await asyncio.gather(
-                *(
-                    self._shard_outcome(
-                        shard,
-                        batched_futures[shard],
-                        translation.sql,
-                        expiry,
-                        hedge,
-                    )
-                    for shard in range(engine.store.shard_count)
-                )
-            )
-        )
-        failures = [outcome for outcome in outcomes if not outcome.ok]
-        if len(failures) == engine.store.shard_count:
-            # The native fallback evaluates documents in-process: run it
-            # (or raise the typed error) off-loop.
-            return await self._loop.run_in_executor(
-                None,
-                lambda: engine._all_shards_failed(
-                    expression, translation.projection, failures
-                ),
-            )
-        result = engine._merge(translation, outcomes)
-        if result.complete:
-            key = engine._planner._result_key(expression)
-            engine._planner._cache_result(key, result)
-        else:
-            engine._count("partials")
-        return result
-
-    async def _shard_outcome(
-        self,
-        shard: int,
-        batched: "asyncio.Future",
-        sql: str,
-        expiry: Optional[float],
-        hedge: bool,
-    ) -> ShardOutcome:
-        """One shard's contribution: the batched attempt first, the
-        hedge/retry ladder for whatever the batch could not answer."""
-        outcome = await self._await_batched(batched, expiry)
-        if outcome is not None and outcome.ok:
-            return outcome
-        return await self._query_shard(shard, sql, expiry, hedge=hedge)
-
-    @staticmethod
-    async def _await_batched(
-        future: "asyncio.Future", expiry: Optional[float]
-    ) -> Optional[ShardOutcome]:
-        if expiry is None:
-            return await future
-        remaining = expiry - time.monotonic()
-        if remaining <= 0:
-            return None
-        try:
-            return await asyncio.wait_for(future, remaining)
-        except asyncio.TimeoutError:
-            return None
-
     # -- tick coalescing ---------------------------------------------------------
 
     def _enqueue(
-        self, sql: str, expiry: Optional[float], hedge: bool
-    ) -> list["asyncio.Future"]:
-        """Join the currently-open tick (opening one — and scheduling
-        its flush on the next loop iteration — if needed); returns one
-        future per shard for this statement's batched outcome."""
-        tick = self._tick
+        self, plan: _Planned, budget: Optional[float]
+    ) -> "asyncio.Future":
+        """Join the open tick for ``budget`` (opening one — and
+        scheduling the flush on the next loop iteration — if needed);
+        returns the future of this statement's per-shard outcomes."""
+        tick = self._ticks.get(budget)
         if tick is None:
-            tick = self._tick = _Tick()
-            self._loop.call_soon(self._flush)
-        futures = [
-            self._loop.create_future()
-            for _ in range(self._engine.store.shard_count)
-        ]
-        tick.sqls.append(sql)
-        tick.expiries.append(expiry)
-        tick.futures.append(futures)
-        tick.hedge = tick.hedge or hedge
-        return futures
+            if not self._ticks:
+                self._loop.call_soon(self._flush)
+            tick = self._ticks[budget] = _Tick(self._engine, self._loop)
+        return tick.add(
+            plan.translation.sql, self._engine._hedge_allowed(plan)
+        )
 
     def _flush(self) -> None:
-        """Close the open tick and scatter it: one batch per shard."""
-        tick, self._tick = self._tick, None
-        if tick is None or not tick.sqls:
-            return
-        # Worker-side timeout: generous enough for the *longest*-lived
-        # item in the tick (a short-deadline item stops waiting at its
-        # own expiry; the ladder takes over for it).
-        if any(expiry is None for expiry in tick.expiries):
-            timeout = None
-        else:
-            timeout = max(
-                max(tick.expiries) - time.monotonic(), 0.001
-            )
-        for shard in range(self._engine.store.shard_count):
-            self._scatter_batch(
-                shard,
-                tick.sqls,
-                [item_futures[shard] for item_futures in tick.futures],
-                timeout,
-                tick.hedge,
-            )
+        """Close the open ticks and scatter each: one call per shard."""
+        ticks, self._ticks = self._ticks, {}
+        for budget, tick in ticks.items():
+            tick.start(tick.statements, budget, tick.hedge)
 
-    def _scatter_batch(
-        self,
-        shard: int,
-        sqls: list[str],
-        futures: list["asyncio.Future"],
-        timeout: Optional[float],
-        hedge: bool,
-    ) -> None:
-        """One hedged batch round-trip to ``shard``; resolves each
-        item's future with its :class:`ShardOutcome`, or ``None`` when
-        the whole batch needs the per-item ladder (open breaker,
-        crashed worker, failed batch)."""
-        engine = self._engine
-        runtime = engine.runtime
-        breaker = engine._breakers[shard]
-
-        def settle(outcomes: Optional[list[ShardOutcome]]) -> None:
-            for position, future in enumerate(futures):
-                if not future.done():
-                    future.set_result(
-                        outcomes[position] if outcomes is not None else None
-                    )
-
-        if not breaker.allow():
-            settle(None)
-            return
-
-        state: dict = {
-            "done": False,
-            "rids": [],
-            "lost": set(),
-            "hedge_timer": None,
-            "watchdog": None,
-            "hedge_pending": False,
-        }
-        primary = self._round_robin % runtime.replicas
-        self._round_robin += 1
-
-        def finish(response: Optional[dict], box: Optional[list]) -> None:
-            # Runs only on the loop thread.  First real response wins; a
-            # lost-request notification (``None`` with the request's id
-            # box) only settles failure once every submitted incarnation
-            # is lost and no hedge can still answer.  ``box=None`` is
-            # the watchdog / give-up path: settle failure now.
-            if state["done"]:
-                return
-            if response is None and box:
-                state["lost"].add(box[0])
-                if state["hedge_pending"] or len(state["lost"]) < len(
-                    state["rids"]
-                ):
-                    return
-            state["done"] = True
-            for timer in (state["hedge_timer"], state["watchdog"]):
-                if timer is not None:
-                    timer.cancel()
-            for sent in state["rids"]:
-                runtime.abandon(sent)
-            if response is None or not response.get("ok"):
-                breaker.record_failure()
-                settle(None)
-                return
-            breaker.record_success()
-            outcomes = []
-            for item in marshal.loads(response["items"]):
-                outcome = ShardOutcome(shard, attempts=1)
-                if item.get("ok"):
-                    outcome.rows = item["rows"]
-                else:
-                    outcome.kind = item.get("error_kind", "internal")
-                    outcome.error = item.get("error")
-                outcomes.append(outcome)
-            settle(outcomes)
-
-        def submit(replica: int) -> bool:
-            # ``box`` carries the request id into the callback; it is
-            # filled before any loop callback can run (``finish`` only
-            # executes on the loop thread, after this flush returns).
-            box: list = []
-
-            def on_complete(response: Optional[dict]) -> None:
-                try:
-                    self._loop.call_soon_threadsafe(finish, response, box)
-                except RuntimeError:  # loop closed mid-shutdown
-                    pass
-
-            try:
-                rid = runtime.submit_batch(
-                    shard,
-                    sqls,
-                    replica=replica,
-                    timeout=timeout,
-                    max_rows=engine.config.max_rows,
-                    on_complete=on_complete,
-                )
-            except Exception:
-                return False
-            box.append(rid)
-            state["rids"].append(rid)
-            return True
-
-        if not submit(primary):
-            breaker.record_failure()
-            settle(None)
-            return
-
-        hedge_delay = engine.config.hedge_delay
-        if hedge and hedge_delay is not None and runtime.replicas > 1:
-            state["hedge_pending"] = True
-
-            def fire_hedge() -> None:
-                state["hedge_pending"] = False
-                if state["done"]:
-                    return
-                engine._count("hedges")
-                submitted = submit((primary + 1) % runtime.replicas)
-                if not submitted and len(state["lost"]) >= len(
-                    state["rids"]
-                ):
-                    finish(None, None)
-
-            state["hedge_timer"] = self._loop.call_later(
-                hedge_delay, fire_hedge
-            )
-        if timeout is not None:
-            state["watchdog"] = self._loop.call_later(
-                timeout + _BATCH_GRACE, finish, None, None
-            )
-
-    # -- the per-shard ladder, async ---------------------------------------------
-
-    async def _query_shard(
-        self,
-        shard: int,
-        sql: str,
-        expiry: Optional[float],
-        hedge: bool = True,
-    ) -> ShardOutcome:
-        """Futures-driven twin of :meth:`ShardedEngine._query_shard` —
-        identical rung order, budgets and breaker bookkeeping."""
-        engine = self._engine
-        outcome = ShardOutcome(shard)
-        breaker = engine._breakers[shard]
-        if not breaker.allow():
-            engine._count("breaker_short_circuits")
-            outcome.kind = "breaker-open"
-            outcome.error = (
-                f"shard {shard} circuit breaker is {breaker.state}"
-            )
-            return outcome
-        attempts = max(1, engine.config.shard_retries + 1)
-        for attempt in range(attempts):
-            if attempt:
-                engine._count("retries")
-            outcome.attempts = attempt + 1
-            remaining = (
-                expiry - time.monotonic() if expiry is not None else None
-            )
-            if remaining is not None and remaining <= 0:
-                outcome.kind = "deadline"
-                outcome.error = f"shard {shard}: query deadline exhausted"
-                break
-            slice_budget = (
-                remaining / (attempts - attempt)
-                if remaining is not None
-                else None
-            )
-            primary = attempt % engine.runtime.replicas
-            response, kind = await self._attempt(
-                shard, sql, primary, slice_budget, outcome, hedge=hedge
-            )
-            if response is not None and response.get("ok"):
-                breaker.record_success()
-                outcome.rows = response["rows"]
-                outcome.kind = None
-                outcome.error = None
-                return outcome
-            breaker.record_failure()
-            if response is not None:
-                outcome.kind = response.get("error_kind", "internal")
-                outcome.error = response.get("error")
-            else:
-                outcome.kind = kind
-                outcome.error = (
-                    f"shard {shard}: worker crashed mid-request"
-                    if kind == "worker-crashed"
-                    else f"shard {shard}: no response within budget"
-                )
-        return outcome
-
-    async def _attempt(
-        self,
-        shard: int,
-        sql: str,
-        primary: int,
-        budget: Optional[float],
-        outcome: ShardOutcome,
-        hedge: bool = True,
-    ) -> tuple[Optional[dict], str]:
-        """One attempt: submit to ``primary``, hedge to the next replica
-        after ``hedge_delay`` of silence, first response wins — without
-        a waiting thread: worker completions (and crash/fence
-        notifications) resolve loop futures via ``on_complete``, so the
-        only timed wake-ups are the hedge point and the budget."""
-        engine = self._engine
-        runtime = engine.runtime
-        start = time.monotonic()
-        sent: list[int] = []
-        waiters: list[asyncio.Future] = []
-
-        def submit(replica: int) -> None:
-            left = (
-                budget - (time.monotonic() - start)
-                if budget is not None
-                else None
-            )
-            waiter = self._loop.create_future()
-
-            def on_complete(response: Optional[dict]) -> None:
-                try:
-                    self._loop.call_soon_threadsafe(
-                        _resolve, waiter, response
-                    )
-                except RuntimeError:  # loop closed mid-shutdown
-                    pass
-
-            sent.append(
-                runtime.submit(
-                    shard,
-                    sql,
-                    replica=replica,
-                    timeout=left,
-                    max_rows=engine.config.max_rows,
-                    on_complete=on_complete,
-                )
-            )
-            waiters.append(waiter)
-
-        hedge_at = (
-            engine.config.hedge_delay
-            if hedge
-            and engine.config.hedge_delay is not None
-            and runtime.replicas > 1
-            else None
+    async def _finish(
+        self, plan: _Planned, outcomes: list[ShardOutcome]
+    ) -> QueryResult:
+        if any(outcome.ok for outcome in outcomes):
+            return self._engine._finish(plan, outcomes)
+        # The native fallback evaluates documents in-process: run it
+        # (or raise the typed error) off-loop.
+        return await self._loop.run_in_executor(
+            None, self._engine._finish, plan, outcomes
         )
-        try:
-            submit(primary)
-        except Exception:
-            return None, "worker-crashed"
-        try:
-            while True:
-                elapsed = time.monotonic() - start
-                if budget is not None and elapsed >= budget:
-                    return None, "deadline"
-                # Only wait on still-unresolved waiters: a lost one is
-                # permanently done, and re-waiting on it would turn
-                # ``asyncio.wait`` into a busy loop.
-                live = [waiter for waiter in waiters if not waiter.done()]
-                if not live:
-                    # Every incarnation we asked is dead or fenced off;
-                    # no answer can ever arrive — fail over now.
-                    return None, "worker-crashed"
-                wait: Optional[float] = None
-                if budget is not None:
-                    wait = budget - elapsed
-                if hedge_at is not None:
-                    hedge_wait = max(hedge_at - elapsed, 0.001)
-                    wait = (
-                        hedge_wait if wait is None else min(wait, hedge_wait)
-                    )
-                done, _ = await asyncio.wait(
-                    live,
-                    timeout=wait,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                for waiter in done:
-                    response = waiter.result()
-                    if response is not None:
-                        return response, "answered"
-                elapsed = time.monotonic() - start
-                if hedge_at is not None and elapsed >= hedge_at:
-                    hedge_at = None
-                    outcome.hedged = True
-                    engine._count("hedges")
-                    try:
-                        submit((primary + 1) % runtime.replicas)
-                    except Exception:  # noqa: S110 - hedge is optional
-                        pass
-        finally:
-            for request_id in sent:
-                runtime.abandon(request_id)

@@ -8,46 +8,46 @@ shard-local ids), scatter the statement to every shard's worker via the
 ids to global ids through the store's document registry, and merge in
 Dewey document order — bit-identical to single-store execution.
 
-The failure policy is a **graceful-degradation ladder**, applied per
-shard and rung by rung:
+What happens between "scatter" and "merge" — deadline slices, hedged
+duplicates, retries on the next replica, circuit breaking — is decided
+per shard by :mod:`repro.serving.ladder` and nowhere else.  This module
+holds what surrounds that ladder, once for both engines:
 
-1. **hedge** — when a shard has not answered within ``hedge_delay``,
-   the identical request is duplicated to a second replica worker and
-   the first response wins (stragglers lose, tail latency drops);
-2. **retry** — a failed or crashed attempt is retried on the next
-   replica, within the remaining deadline budget;
-3. **partial results** — shards still failing after their retries are
-   *dropped*, not guessed: the merged result reports
-   ``complete=False`` with the losers in ``failed_shards`` (the rows
-   that are present remain correct and ordered);
-4. **native fallback** — when *every* shard failed, the in-memory
-   evaluator answers from the store's resident documents
-   (``served_by="native"``); if it cannot vouch for the data, the query
-   fails with a typed :class:`~repro.errors.ShardUnavailableError`.
+* the **front half** — translate → empty check → result-cache lookup
+  (:meth:`ShardedEngine._plan`) — and the **back half** — merge →
+  cache-or-``partials`` → native fallback or typed error when every
+  shard failed (:meth:`ShardedEngine._finish`);
+* :class:`Scatter`, which carries a ladder's actions out against the
+  runtime (send, abandon) and leaves the wake-up — where completions
+  land, how timers are kept — to a driver.
+
+The blocking driver here adds thread-safe admission (a bounded
+semaphore: reject fast with :class:`~repro.errors.
+AdmissionRejectedError` rather than queue without bound) and a blocking
+wait: the calling thread sends to every shard itself, takes completions
+from one queue and sleeps until the nearest timer.  The asyncio driver
+is :mod:`repro.serving.frontdoor`.
 
 No rung ever fabricates rows; a caller always gets correct-complete,
-correct-partial (flagged), or a typed error — the chaos suite asserts
+correct-partial (``complete=False``, losers in ``failed_shards``), the
+native evaluator's answer (``served_by="native"``) or a typed
+:class:`~repro.errors.ShardUnavailableError` — the chaos suite asserts
 exactly this against the native oracle.
-
-Backpressure sits in front of the ladder: an admission semaphore caps
-in-flight queries (reject fast with
-:class:`~repro.errors.AdmissionRejectedError` rather than queue without
-bound), and a per-shard :class:`~repro.serving.supervisor.
-CircuitBreaker` fails persistently-broken shards fast instead of
-spending the deadline on them.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
 import itertools
-import marshal
 import operator
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from typing import Iterable, Optional, Union
 
 from repro.core.adapters import SchemaAwareAdapter
 from repro.core.engine import (
@@ -55,25 +55,26 @@ from repro.core.engine import (
     QueryResult,
     ResultRow,
     SQLXPathEngine,
-    _normalize_many_args,
 )
 from repro.core.translator import PPFTranslator, TranslationResult
-from repro.errors import AdmissionRejectedError, ShardUnavailableError
+from repro.errors import (
+    AdmissionRejectedError,
+    ShardError,
+    ShardUnavailableError,
+)
 from repro.resilience.faults import WorkerFaultPlan
 from repro.resilience.policy import ResiliencePolicy
+from repro.serving.ladder import (
+    Abandon,
+    Action,
+    Send,
+    SetTimer,
+    ShardLadder,
+    ShardOutcome,
+)
 from repro.serving.supervisor import CircuitBreaker, ShardRuntime
 from repro.sqlgen.ast import UnionStatement
 from repro.xpath.ast import XPathExpr
-
-#: Granularity of the per-shard wait loop (crash detection latency).
-_WAIT_SLICE = 0.02
-
-#: Backstop granularity of the batch wait loop.  Batch waiters are
-#: woken by the dispatcher on response and by the supervisor on
-#: respawn, so this poll only catches a worker that died *between*
-#: health checks — it can be coarse, which keeps the parent asleep
-#: (and off the CPU) while workers run the batch.
-_BATCH_WAIT_SLICE = 0.25
 
 
 @dataclass(frozen=True)
@@ -115,23 +116,155 @@ class ServingConfig:
     result_cache_size: Optional[int] = 128
 
 
+
 @dataclass
-class ShardOutcome:
-    """What one shard contributed to one query."""
+class _Planned:
+    """One expression past the front half: translated and looked up in
+    the result cache.  ``result`` is set when no scatter is needed
+    (empty translation, cache hit) and filled in by the back half
+    otherwise."""
 
-    shard: int
-    rows: Optional[list] = None
-    #: Failure classification (``None`` on success): ``"breaker-open"``,
-    #: ``"deadline"``, ``"worker-crashed"``, or a worker-reported error
-    #: kind (``"timeout"``, ``"limit"``, ``"storage"``, ...).
-    kind: Optional[str] = None
-    error: Optional[str] = None
-    attempts: int = 0
-    hedged: bool = False
+    translation: TranslationResult
+    key: Optional[tuple]
+    result: Optional[QueryResult]
 
-    @property
-    def ok(self) -> bool:
-        return self.rows is not None
+
+class Scatter:
+    """One scatter: a :class:`~repro.serving.ladder.ShardCall` per
+    shard, its actions carried out against the runtime.
+
+    A driver subclasses this with the wake-up: :meth:`_post` receives a
+    transport completion on a runtime thread and must get it to
+    :meth:`completed` on the driver's own thread, :meth:`_set_timer`
+    must get :meth:`timer_due` called there after a delay, and
+    :meth:`_resolved` hears each shard's call finish.  Everything here
+    runs on that one thread.
+    """
+
+    def __init__(self, engine: "ShardedEngine") -> None:
+        self._engine = engine
+        self._calls: list = []
+        #: Shard -> one outcome per statement, once its call resolved.
+        self.outcomes: dict[int, list[ShardOutcome]] = {}
+
+    def start(
+        self, statements: list[str], budget: Optional[float], hedge: bool
+    ) -> None:
+        """Scatter ``statements`` to every shard; the deadline budget
+        (seconds, ``None`` = none) starts now."""
+        now = time.monotonic()
+        expiry = now + budget if budget is not None else None
+        self._calls = [
+            ladder.call(statements, expiry, hedge)
+            for ladder in self._engine._ladders
+        ]
+        for call in self._calls:
+            self._perform(call, call.start(now))
+
+    def completed(self, shard: int, tag: int, payload: Optional[dict]) -> None:
+        """The transport completed request ``tag`` of ``shard``'s call
+        (``None``: it never will)."""
+        call = self._calls[shard]
+        now = time.monotonic()
+        self._perform(
+            call,
+            call.lost(tag, now)
+            if payload is None
+            else call.response(tag, payload, now),
+        )
+
+    def timer_due(self, shard: int, token: tuple) -> None:
+        call = self._calls[shard]
+        self._perform(call, call.timer(token, time.monotonic()))
+
+    def cancel(self) -> None:
+        """Abandon whatever is still in flight (no-op for resolved
+        calls)."""
+        for call in self._calls:
+            self._perform(call, call.cancel())
+
+    def _perform(self, call, actions: list[Action]) -> None:
+        runtime = self._engine.runtime
+        todo = deque(actions)
+        while todo:
+            action = todo.popleft()
+            if isinstance(action, Send):
+                try:
+                    rid = runtime.submit_batch(
+                        call.shard,
+                        action.statements,
+                        replica=action.replica,
+                        timeout=action.timeout,
+                        max_rows=self._engine.config.max_rows,
+                        on_complete=partial(
+                            self._post, call.shard, action.tag
+                        ),
+                    )
+                except ShardError:
+                    todo.extend(call.lost(action.tag, time.monotonic()))
+                else:
+                    call.sent(action.tag, rid)
+            elif isinstance(action, Abandon):
+                runtime.abandon(action.rid)
+            elif isinstance(action, SetTimer):
+                self._set_timer(call.shard, action.delay, action.token)
+            else:
+                self.outcomes[call.shard] = action.outcomes
+                self._resolved(call.shard)
+
+    def _post(self, shard: int, tag: int, payload: Optional[dict]) -> None:
+        raise NotImplementedError
+
+    def _set_timer(self, shard: int, delay: float, token: tuple) -> None:
+        raise NotImplementedError
+
+    def _resolved(self, shard: int) -> None:
+        """``shard``'s call just resolved into :attr:`outcomes`."""
+
+
+class _BlockingScatter(Scatter):
+    """The blocking wake-up: completions land in one queue, timers in a
+    heap, and the calling thread sleeps on the queue until the nearest
+    timer."""
+
+    def __init__(self, engine: "ShardedEngine") -> None:
+        super().__init__(engine)
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        #: (due, tie-break, shard, token)
+        self._timers: list[tuple] = []
+        self._order = itertools.count()
+
+    def _post(self, shard: int, tag: int, payload: Optional[dict]) -> None:
+        self._inbox.put((shard, tag, payload))
+
+    def _set_timer(self, shard: int, delay: float, token: tuple) -> None:
+        heapq.heappush(
+            self._timers,
+            (time.monotonic() + delay, next(self._order), shard, token),
+        )
+
+    def run(
+        self, statements: list[str], budget: Optional[float], hedge: bool
+    ) -> dict[int, list[ShardOutcome]]:
+        """Scatter and block until every shard's call resolved."""
+        try:
+            self.start(statements, budget, hedge)
+            while len(self.outcomes) < len(self._calls):
+                wait = (
+                    max(self._timers[0][0] - time.monotonic(), 0.0)
+                    if self._timers
+                    else None
+                )
+                try:
+                    event = self._inbox.get(timeout=wait)
+                except queue.Empty:
+                    _, _, shard, token = heapq.heappop(self._timers)
+                    self.timer_due(shard, token)
+                else:
+                    self.completed(*event)
+        finally:
+            self.cancel()
+        return self.outcomes
 
 
 class ShardedEngine:
@@ -171,28 +304,7 @@ class ShardedEngine:
             verify_plans=verify_plans,
         )
         self._admission = threading.BoundedSemaphore(self.config.max_inflight)
-        self._breakers = {
-            shard: CircuitBreaker(
-                failure_threshold=self.config.breaker_threshold,
-                cooldown=self.config.breaker_cooldown,
-            )
-            for shard in range(store.shard_count)
-        }
-        # One long-lived scatter pool instead of a ThreadPoolExecutor
-        # per query: sized so every admitted query can fan out over all
-        # shards at once without thread-spawn latency on the hot path.
-        self._scatter = ThreadPoolExecutor(
-            max_workers=max(1, self.config.max_inflight)
-            * store.shard_count,
-            thread_name_prefix="scatter",
-        )
         self._stats_lock = threading.Lock()
-        # Lazily-built async front doors, one per event loop (keyed by
-        # id(loop), identity-checked: a dead loop's slot is reclaimed).
-        self._frontdoors: dict[int, object] = {}
-        #: Cleanup hooks run by :meth:`close` — :func:`repro.connect`
-        #: registers the store it opened here.
-        self._on_close: list = []
         #: Degradation counters: queries, hedges, retries, partials,
         #: fallbacks, rejections, breaker_short_circuits.
         self.stats = {
@@ -204,6 +316,27 @@ class ShardedEngine:
             "rejections": 0,
             "breaker_short_circuits": 0,
         }
+        #: Per shard, the rungs every call to it shares (blocking and
+        #: asyncio alike): breaker, primary rotation, counters.
+        self._ladders = [
+            ShardLadder(
+                shard,
+                runtime.replicas,
+                self.config,
+                CircuitBreaker(
+                    failure_threshold=self.config.breaker_threshold,
+                    cooldown=self.config.breaker_cooldown,
+                ),
+                self._count,
+            )
+            for shard in range(store.shard_count)
+        ]
+        # Lazily-built async front doors, one per event loop (keyed by
+        # id(loop), identity-checked: a dead loop's slot is reclaimed).
+        self._frontdoors: dict[int, object] = {}
+        #: Cleanup hooks run by :meth:`close` — :func:`repro.connect`
+        #: registers the store it opened here.
+        self._on_close: list = []
 
     # -- construction ------------------------------------------------------------
 
@@ -244,11 +377,9 @@ class ShardedEngine:
         )
 
     def close(self) -> None:
-        """Shut down the scatter pool, the worker fleet when this
-        engine owns it, and anything :func:`repro.connect` opened on
-        the caller's behalf."""
+        """Shut down the worker fleet when this engine owns it, and
+        anything :func:`repro.connect` opened on the caller's behalf."""
         self._frontdoors.clear()
-        self._scatter.shutdown(wait=False)
         if self._own_runtime:
             self.runtime.close()
         hooks, self._on_close = list(self._on_close), []
@@ -284,8 +415,7 @@ class ShardedEngine:
     def breaker_states(self) -> dict[int, str]:
         """Current circuit-breaker state per shard."""
         return {
-            shard: breaker.state
-            for shard, breaker in self._breakers.items()
+            ladder.shard: ladder.breaker.state for ladder in self._ladders
         }
 
     # -- execution ---------------------------------------------------------------
@@ -298,35 +428,22 @@ class ShardedEngine:
         """Run ``expression`` over every shard and merge.
 
         ``deadline`` (seconds) overrides the config's per-query
-        deadline.  See the module docstring for the degradation ladder;
-        the result's :attr:`~repro.core.engine.QueryResult.complete` /
-        ``failed_shards`` carry the completeness contract.
+        deadline.  The result's :attr:`~repro.core.engine.QueryResult.
+        complete` / ``failed_shards`` carry the completeness contract.
 
         :raises AdmissionRejectedError: no in-flight slot freed up
             within the admission timeout (backpressure).
         :raises ShardUnavailableError: every shard failed and the
             native fallback was disabled or declined.
         """
-        if not self._admission.acquire(timeout=self.config.admission_timeout):
-            self._count("rejections")
-            raise AdmissionRejectedError(
-                f"admission queue full: {self.config.max_inflight} queries "
-                f"in flight and none finished within "
-                f"{self.config.admission_timeout:g}s"
-            )
-        try:
-            self._count("queries")
-            return self._execute_admitted(expression, deadline)
-        finally:
-            self._admission.release()
+        return self.execute_many([expression], deadline=deadline)[0]
 
     def execute_many(
         self,
-        expressions,
-        *args,
+        expressions: Iterable[Union[str, XPathExpr]],
+        *,
         deadline: Optional[float] = None,
         concurrency: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> list[QueryResult]:
         """Run many queries, results in input order.
 
@@ -335,64 +452,42 @@ class ShardedEngine:
         wall-clock budget for the whole call, and partial-result
         semantics ride on each result's ``complete``/``failed_shards``.
         The statements are *pipelined*: each shard worker receives one
-        batch request carrying every statement, so queue and pickle
-        overhead is paid per shard instead of per query.  Any statement
-        a shard's batch could not answer is re-run through the normal
-        per-shard hedge/retry ladder, so per-query degradation
-        semantics (partial results, fallback, typed errors) are
-        unchanged.  The batch occupies one admission slot.
-        ``concurrency`` (and the deprecated ``max_workers`` /
-        positional form) is accepted for surface compatibility —
-        pipelining replaced the client-side thread fan-out."""
-        deadline, _ = _normalize_many_args(
-            type(self).__name__, args, deadline, concurrency, max_workers
-        )
-        expressions = list(expressions)
-        if len(expressions) <= 1:
-            return [
-                self.execute(expression, deadline=deadline)
-                for expression in expressions
-            ]
-        results: dict[int, QueryResult] = {}
-        pending: list[tuple[int, TranslationResult]] = []
-        keys: dict[int, object] = {}
-        for index, expression in enumerate(expressions):
-            translation = self.translate(expression)
-            if translation.is_empty:
-                results[index] = QueryResult(
-                    [], translation.projection, served_by="shards"
-                )
-                continue
-            key = self._planner._result_key(expression)
-            if key is not None:
-                cached = self._planner._result_cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            keys[index] = key
-            pending.append((index, translation))
+        request carrying every statement the result cache could not
+        answer, and one ladder per shard covers the whole list — a
+        retry resends only the statements still unanswered.  The call
+        occupies one admission slot.  ``concurrency`` is accepted for
+        surface compatibility — pipelining replaced the client-side
+        thread fan-out."""
+        planned = [self._plan(expression) for expression in expressions]
+        pending = [plan for plan in planned if plan.result is None]
         if pending:
             if not self._admission.acquire(
                 timeout=self.config.admission_timeout
             ):
-                self._count("rejections")
-                raise AdmissionRejectedError(
-                    f"admission queue full: {self.config.max_inflight} "
-                    f"queries in flight and none finished within "
-                    f"{self.config.admission_timeout:g}s"
-                )
+                raise self._rejected()
             try:
-                for _ in pending:
-                    self._count("queries")
-                self._execute_batch(pending, keys, results, deadline)
+                self._count("queries", len(pending))
+                per_shard = _BlockingScatter(self).run(
+                    [plan.translation.sql for plan in pending],
+                    self._budget(deadline),
+                    any(self._hedge_allowed(plan) for plan in pending),
+                )
+                for position, plan in enumerate(pending):
+                    plan.result = self._finish(
+                        plan,
+                        [
+                            per_shard[shard][position]
+                            for shard in range(self.store.shard_count)
+                        ],
+                    )
             finally:
                 self._admission.release()
-        return [results[index] for index in range(len(expressions))]
+        return [plan.result for plan in planned]
 
     def frontdoor(self) -> "object":
         """The calling event loop's :class:`~repro.serving.frontdoor.
         AsyncShardedEngine` over this engine (created on first use;
-        shares this engine's planner, breakers, caches and stats).
+        shares this engine's planner, ladders, caches and stats).
         Must be called from a running loop."""
         # Imported lazily: frontdoor imports this module.
         from repro.serving.frontdoor import AsyncShardedEngine
@@ -412,315 +507,66 @@ class ShardedEngine:
     ) -> QueryResult:
         """Awaitable :meth:`execute` through the calling loop's async
         front door: batched admission, awaitable backpressure, and the
-        degradation ladder driven by futures instead of a blocked
-        thread.  See :class:`~repro.serving.frontdoor.
-        AsyncShardedEngine`."""
+        same ladder driven from the loop instead of a blocked thread.
+        See :class:`~repro.serving.frontdoor.AsyncShardedEngine`."""
         return await self.frontdoor().execute(expression, deadline=deadline)
 
-    def _execute_batch(
-        self,
-        pending: list,
-        keys: dict,
-        results: dict,
-        deadline: Optional[float],
-    ) -> None:
-        """Scatter one pipelined batch per shard, ladder the misses,
-        merge per query into ``results`` (keyed by input position)."""
-        budget = deadline if deadline is not None else self.config.deadline
-        expiry = time.monotonic() + budget if budget is not None else None
-        sqls = [translation.sql for _, translation in pending]
-        shard_count = self.store.shard_count
-        per_shard = dict(
-            zip(
-                range(shard_count),
-                self._scatter.map(
-                    lambda shard: self._batch_shard(shard, sqls, expiry),
-                    range(shard_count),
-                ),
-            )
-        )
-        for position, (index, translation) in enumerate(pending):
-            outcomes = []
-            for shard in range(shard_count):
-                batched = per_shard[shard]
-                outcome = (
-                    batched[position] if batched is not None else None
-                )
-                if outcome is None or not outcome.ok:
-                    # This statement missed its batch (worker failure,
-                    # breaker, per-item error): the per-shard ladder
-                    # takes over with the remaining deadline.
-                    outcome = self._query_shard(
-                        shard,
-                        translation.sql,
-                        expiry,
-                        hedge=self._hedge_allowed(translation),
-                    )
-                outcomes.append(outcome)
-            failures = [o for o in outcomes if not o.ok]
-            if len(failures) == shard_count:
-                results[index] = self._all_shards_failed(
-                    translation.expression, translation.projection, failures
-                )
-                continue
-            result = self._merge(translation, outcomes)
-            if result.complete:
-                self._planner._cache_result(keys.get(index), result)
-            else:
-                self._count("partials")
-            results[index] = result
+    # -- the halves both drivers share -------------------------------------------
 
-    def _batch_shard(
-        self, shard: int, sqls: list[str], expiry: Optional[float]
-    ) -> Optional[list[ShardOutcome]]:
-        """One pipelined batch round-trip to ``shard``.
-
-        Returns per-statement outcomes (failed items carry their error
-        and fall to the ladder), or ``None`` when the whole batch needs
-        the ladder (open breaker, crashed worker, deadline)."""
-        breaker = self._breakers[shard]
-        if not breaker.allow():
-            return None
-        remaining = (
-            expiry - time.monotonic() if expiry is not None else None
-        )
-        if remaining is not None and remaining <= 0:
-            return None
-        event = threading.Event()
-        try:
-            request_id = self.runtime.submit_batch(
-                shard,
-                sqls,
-                timeout=remaining,
-                max_rows=self.config.max_rows,
-                event=event,
-            )
-        except Exception:
-            breaker.record_failure()
-            return None
-        try:
-            while True:
-                wait = _BATCH_WAIT_SLICE
-                if expiry is not None:
-                    left = expiry - time.monotonic()
-                    if left <= 0:
-                        return None
-                    wait = min(wait, left)
-                _, response = self.runtime.wait_any(
-                    [request_id], event, wait
-                )
-                if response is not None:
-                    break
-                if self.runtime.request_lost(request_id):
-                    breaker.record_failure()
-                    return None
-        finally:
-            self.runtime.abandon(request_id)
-        if not response.get("ok"):
-            breaker.record_failure()
-            return None
-        breaker.record_success()
-        outcomes = []
-        for item in marshal.loads(response["items"]):
-            outcome = ShardOutcome(shard, attempts=1)
-            if item.get("ok"):
-                outcome.rows = item["rows"]
-            else:
-                outcome.kind = item.get("error_kind", "internal")
-                outcome.error = item.get("error")
-            outcomes.append(outcome)
-        return outcomes
-
-    def _execute_admitted(
-        self, expression, deadline: Optional[float]
-    ) -> QueryResult:
+    def _plan(self, expression: Union[str, XPathExpr]) -> _Planned:
+        """Front half: translate → empty check → result-cache lookup."""
         translation = self.translate(expression)
         if translation.is_empty:
-            return QueryResult([], translation.projection, served_by="shards")
+            return _Planned(
+                translation,
+                None,
+                QueryResult([], translation.projection, served_by="shards"),
+            )
         key = self._planner._result_key(expression)
-        if key is not None:
-            cached = self._planner._result_cache.get(key)
-            if cached is not None:
-                return cached
-        budget = deadline if deadline is not None else self.config.deadline
-        expiry = time.monotonic() + budget if budget is not None else None
-        shard_count = self.store.shard_count
-        hedge = self._hedge_allowed(translation)
-        outcomes = list(
-            self._scatter.map(
-                lambda shard: self._query_shard(
-                    shard, translation.sql, expiry, hedge=hedge
-                ),
-                range(shard_count),
-            )
+        return _Planned(
+            translation,
+            key,
+            self._planner._result_cache.get(key) if key is not None else None,
         )
-        failures = [outcome for outcome in outcomes if not outcome.ok]
-        if len(failures) == shard_count:
-            return self._all_shards_failed(
-                expression, translation.projection, failures
-            )
-        result = self._merge(translation, outcomes)
-        if result.complete:
-            self._planner._cache_result(key, result)
-        else:
-            self._count("partials")
-        return result
 
-    def _hedge_allowed(self, translation: object) -> bool:
+    def _budget(self, deadline: Optional[float]) -> Optional[float]:
+        return deadline if deadline is not None else self.config.deadline
+
+    def _rejected(self) -> AdmissionRejectedError:
+        self._count("rejections")
+        return AdmissionRejectedError(
+            f"admission queue full: {self.config.max_inflight} queries "
+            f"in flight and none finished within "
+            f"{self.config.admission_timeout:g}s"
+        )
+
+    def _hedge_allowed(self, plan: _Planned) -> bool:
         """Costed hedge gate: a query whose estimated result is below
         ``config.hedge_min_rows`` skips hedged duplicates — statistics
         never change which rows come back, only the duplicate-request
         policy.  Estimate-less translations (no statistics collected)
         hedge as before."""
-        estimated = getattr(translation, "estimated_rows", None)
+        estimated = getattr(plan.translation, "estimated_rows", None)
         if estimated is None:
             return True
         return bool(estimated >= self.config.hedge_min_rows)
 
-    # -- the per-shard ladder ----------------------------------------------------
-
-    def _query_shard(
-        self,
-        shard: int,
-        sql: str,
-        expiry: Optional[float],
-        hedge: bool = True,
-    ) -> ShardOutcome:
-        """Run the hedge/retry rungs for one shard.  ``hedge=False``
-        disables hedged duplicates (the costed gate for cheap queries);
-        retries and breakers are unaffected."""
-        outcome = ShardOutcome(shard)
-        breaker = self._breakers[shard]
-        if not breaker.allow():
-            self._count("breaker_short_circuits")
-            outcome.kind = "breaker-open"
-            outcome.error = (
-                f"shard {shard} circuit breaker is {breaker.state}"
+    def _finish(
+        self, plan: _Planned, outcomes: list[ShardOutcome]
+    ) -> QueryResult:
+        """Back half: merge → cache-or-``partials``, or the last rung
+        when every shard failed."""
+        translation = plan.translation
+        if not any(outcome.ok for outcome in outcomes):
+            return self._all_shards_failed(
+                translation.expression, translation.projection, outcomes
             )
-            return outcome
-        attempts = max(1, self.config.shard_retries + 1)
-        for attempt in range(attempts):
-            if attempt:
-                self._count("retries")
-            outcome.attempts = attempt + 1
-            remaining = (
-                expiry - time.monotonic() if expiry is not None else None
-            )
-            if remaining is not None and remaining <= 0:
-                outcome.kind = "deadline"
-                outcome.error = f"shard {shard}: query deadline exhausted"
-                break
-            # This attempt's slice of the remaining deadline: split it
-            # evenly over the attempts still available, so one slow
-            # attempt cannot starve the retries behind it.
-            slice_budget = (
-                remaining / (attempts - attempt)
-                if remaining is not None
-                else None
-            )
-            primary = attempt % self.runtime.replicas
-            response, kind = self._attempt(
-                shard, sql, primary, slice_budget, outcome, hedge=hedge
-            )
-            if response is not None and response.get("ok"):
-                breaker.record_success()
-                outcome.rows = response["rows"]
-                outcome.kind = None
-                outcome.error = None
-                return outcome
-            breaker.record_failure()
-            if response is not None:
-                outcome.kind = response.get("error_kind", "internal")
-                outcome.error = response.get("error")
-            else:
-                outcome.kind = kind
-                outcome.error = (
-                    f"shard {shard}: worker crashed mid-request"
-                    if kind == "worker-crashed"
-                    else f"shard {shard}: no response within budget"
-                )
-        return outcome
-
-    def _attempt(
-        self,
-        shard: int,
-        sql: str,
-        primary: int,
-        budget: Optional[float],
-        outcome: ShardOutcome,
-        hedge: bool = True,
-    ) -> tuple[Optional[dict], str]:
-        """One attempt: submit to ``primary``, hedge to the next replica
-        after ``hedge_delay`` of silence, first response wins.
-
-        Returns ``(response, kind)`` — response ``None`` means nothing
-        arrived, with ``kind`` saying why (``"deadline"`` or
-        ``"worker-crashed"``).
-        """
-        event = threading.Event()
-        start = time.monotonic()
-        sent: list[int] = []
-
-        def submit(replica: int) -> None:
-            left = (
-                budget - (time.monotonic() - start)
-                if budget is not None
-                else None
-            )
-            sent.append(
-                self.runtime.submit(
-                    shard,
-                    sql,
-                    replica=replica,
-                    timeout=left,
-                    max_rows=self.config.max_rows,
-                    event=event,
-                )
-            )
-
-        hedge_at = (
-            self.config.hedge_delay
-            if hedge
-            and self.config.hedge_delay is not None
-            and self.runtime.replicas > 1
-            else None
-        )
-        try:
-            submit(primary)
-        except Exception:
-            return None, "worker-crashed"
-        try:
-            while True:
-                elapsed = time.monotonic() - start
-                if budget is not None and elapsed >= budget:
-                    return None, "deadline"
-                wait = _WAIT_SLICE
-                if budget is not None:
-                    wait = min(wait, budget - elapsed)
-                if hedge_at is not None:
-                    wait = min(wait, max(hedge_at - elapsed, 0.001))
-                request_id, response = self.runtime.wait_any(
-                    sent, event, wait
-                )
-                if response is not None:
-                    return response, "answered"
-                if all(self.runtime.request_lost(rid) for rid in sent):
-                    # Every incarnation we asked is dead or fenced off;
-                    # no answer can ever arrive — fail over now.
-                    return None, "worker-crashed"
-                if hedge_at is not None and elapsed >= hedge_at:
-                    hedge_at = None
-                    outcome.hedged = True
-                    self._count("hedges")
-                    try:
-                        submit(
-                            (primary + 1) % self.runtime.replicas
-                        )
-                    except Exception:  # noqa: S110 - hedge is optional
-                        pass
-        finally:
-            for request_id in sent:
-                self.runtime.abandon(request_id)
+        result = self._merge(translation, outcomes)
+        if result.complete:
+            self._planner._cache_result(plan.key, result)
+        else:
+            self._count("partials")
+        return result
 
     # -- merging and degradation -------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Supervised shard-worker processes: the muscle behind sharded serving.
 
-Thread fan-out measurably *degrades* this workload (BENCH_PR2/PR4), so
-queries scatter over **processes**: each shard of a :class:`~repro.
+Thread fan-out measurably *degrades* this workload (the committed
+``BENCH_PR2.json`` / ``BENCH_PR4.json`` records), so queries scatter
+over **processes**: each shard of a :class:`~repro.
 serving.shards.ShardedStore` is served by one or more forked worker
 processes, each owning its own read-only :class:`~repro.serving.pool.
 ConnectionPool` over the shard file.  SQLite steps with the GIL
@@ -30,7 +31,7 @@ Workers are deliberately dumb: they receive already-translated SQL
 `Paths` by string, never by shard-local ids), run it under the
 resilience guards, and ship raw rows back.  All policy — deadlines,
 hedging, retries, degradation — stays in the parent
-(:mod:`repro.serving.scatter`).
+(:mod:`repro.serving.ladder`).
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def worker_main(
 ) -> None:
     """Entry point of one shard worker process.
 
-    Serves ``query``/``ping`` requests from ``requests`` until a
+    Serves ``batch``/``ping`` requests from ``requests`` until a
     ``stop`` message arrives, stamping ``heartbeat`` from a side thread
     so long-running queries never look like a hang.  Scripted process
     faults (kill / hang / slow) apply per request.
@@ -148,46 +149,14 @@ def worker_main(
         payload["gen"] = config.generation
         responses.put(payload)
 
-    def run_query(message: dict, fault: Any) -> None:
-        # A "slow" fault delays the affected request (holding its
-        # executor slot), not the whole worker.
-        if fault is not None and fault.kind == "slow":
-            time.sleep(fault.seconds)
-        if pool is None:
-            respond(
-                {
-                    "id": message["id"],
-                    "ok": False,
-                    "error_kind": "storage",
-                    "error": f"shard pool unavailable: {pool_error}",
-                }
-            )
-            return
-        try:
-            with pool.acquire() as db:
-                rows = db.query(
-                    message["sql"],
-                    timeout=message.get("timeout"),
-                    max_rows=message.get("max_rows"),
-                )
-            respond({"id": message["id"], "ok": True, "rows": rows})
-        except Exception as exc:
-            respond(
-                {
-                    "id": message["id"],
-                    "ok": False,
-                    "error_kind": _classify_error(exc),
-                    "error": str(exc)[:500],
-                    "attempts": getattr(exc, "attempts", None),
-                }
-            )
-
     def run_batch(message: dict, fault: Any) -> None:
         # Pipelined statements: one request/response round-trip carries
-        # a whole batch, amortizing queue + pickle overhead that would
-        # otherwise be paid per query.  Item failures are reported per
-        # item; the batch response itself is always "ok" once the pool
-        # is usable.
+        # a whole batch (a single query is a batch of one), amortizing
+        # queue + pickle overhead that would otherwise be paid per
+        # query.  Item failures are reported per item; the batch
+        # response itself is always "ok" once the pool is usable.  A
+        # "slow" fault delays the affected request (holding its
+        # executor slot), not the whole worker.
         if fault is not None and fault.kind == "slow":
             time.sleep(fault.seconds)
         if pool is None:
@@ -244,7 +213,7 @@ def worker_main(
             if op == "ping":
                 respond({"id": message["id"], "ok": True, "pong": True})
                 continue
-            if op not in ("query", "batch"):
+            if op != "batch":
                 continue
             fault = draw.draw() if draw is not None else None
             if fault is not None:
@@ -256,9 +225,7 @@ def worker_main(
                     frozen.set()
                     time.sleep(fault.seconds if fault.seconds > 0 else 3600.0)
                     continue
-            executor.submit(
-                run_batch if op == "batch" else run_query, message, fault
-            )
+            executor.submit(run_batch, message, fault)
     finally:
         stop_beating.set()
         executor.shutdown(wait=False)
@@ -363,28 +330,42 @@ class WorkerHandle:
 
 
 class _Pending:
-    """One in-flight request awaiting its response."""
+    """One in-flight request awaiting its completion."""
 
-    __slots__ = (
-        "callback", "event", "expected_gen", "shard", "replica", "response",
-    )
+    __slots__ = ("callback", "done", "expected_gen", "shard", "replica")
 
     def __init__(
-        self, event: threading.Event, shard: int, replica: int,
+        self,
+        shard: int,
+        replica: int,
         expected_gen: int,
-        callback: "Optional[Callable[[Optional[dict]], None]]" = None,
+        callback: "Callable[[Optional[dict]], None]",
     ):
-        self.event = event
         self.shard = shard
         self.replica = replica
         self.expected_gen = expected_gen
-        self.response: dict | None = None
-        #: Completion hook fired (from the dispatcher/supervisor thread)
-        #: with the response dict, or ``None`` when the request became
-        #: unanswerable (worker respawned / runtime closed).  This is
-        #: what bridges completions into an asyncio event loop without a
-        #: waiting thread per request (``loop.call_soon_threadsafe``).
+        #: Fired once, from the dispatcher or supervisor thread, with
+        #: the response dict — or ``None`` when the request became
+        #: unanswerable (worker respawned / runtime closed).  Event-loop
+        #: callers bridge it with ``loop.call_soon_threadsafe``, blocking
+        #: ones with a queue; neither needs a waiting thread per request.
         self.callback = callback
+        self.done = False
+
+
+class _Parked:
+    """The completion hook of a request sent without one: keeps the
+    response where :meth:`ShardRuntime.wait` picks it up."""
+
+    __slots__ = ("event", "response")
+
+    def __init__(self) -> None:
+        self.event = threading.Event()
+        self.response: dict | None = None
+
+    def __call__(self, response: Optional[dict]) -> None:
+        self.response = response
+        self.event.set()
 
 
 class ShardRuntime:
@@ -396,10 +377,10 @@ class ShardRuntime:
     routes responses — dropping any whose worker generation is stale —
     to the threads waiting on them.
 
-    The runtime is transport only: :meth:`submit` / :meth:`wait` /
-    :meth:`wait_any` move SQL out and raw rows back.  Deadlines,
-    hedging, retries and degradation live in
-    :class:`~repro.serving.scatter.ShardedEngine`.
+    The runtime is transport only: :meth:`submit_batch` moves SQL out
+    and ``on_complete`` (or :meth:`wait`) brings raw rows back.
+    Deadlines, hedging, retries and degradation live in
+    :mod:`repro.serving.ladder`.
     """
 
     def __init__(
@@ -433,7 +414,6 @@ class ShardRuntime:
         self._lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
         self._next_request_id = 1
-        self._rr: dict[int, int] = {}
         self._stop = threading.Event()
         self._started = False
         #: Supervision journal: spawn/respawn/heartbeat-kill events, in
@@ -485,19 +465,11 @@ class ShardRuntime:
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
         self._dispatcher.join(timeout=2.0)
-        lost_callbacks = []
         with self._lock:
-            for pending in self._pending.values():
-                pending.event.set()
-                if pending.callback is not None and pending.response is None:
-                    lost_callbacks.append(pending.callback)
-            self._pending.clear()
             self._workers.clear()
-        for callback in lost_callbacks:
-            try:
-                callback(None)
-            except Exception:  # pragma: no cover - defensive
-                pass
+        self._lose()
+        with self._lock:
+            self._pending.clear()
 
     def __enter__(self) -> "ShardRuntime":
         return self.start()
@@ -576,26 +548,37 @@ class ShardRuntime:
             generation=handle.generation + 1,
             reason=reason,
         )
-        # Wake waiters bound to the dead incarnation: their
-        # ``request_lost`` check sees the generation bump and fails
-        # over immediately instead of discovering it by polling.
-        lost_callbacks = []
+        self._lose()
+
+    def _lose(self) -> None:
+        """Complete with ``None`` every unanswered request whose worker
+        incarnation is gone — dead, respawned one generation up, or
+        shut down — so callers fail over now instead of waiting out
+        their deadline budget.  Runs after every respawn, and whenever
+        the dispatcher idles, which catches a crash before the next
+        health sweep does."""
         with self._lock:
+            lost = []
             for pending in self._pending.values():
-                if (
-                    pending.shard == handle.shard
-                    and pending.replica == handle.replica
-                    and pending.expected_gen <= handle.generation
-                    and pending.response is None
+                handle = self._workers.get((pending.shard, pending.replica))
+                if not pending.done and (
+                    handle is None
+                    or handle.generation != pending.expected_gen
+                    or not handle.process.is_alive()
                 ):
-                    pending.event.set()
-                    if pending.callback is not None:
-                        lost_callbacks.append(pending.callback)
-        for callback in lost_callbacks:
-            try:
-                callback(None)
-            except Exception:  # pragma: no cover - defensive
-                pass
+                    pending.done = True
+                    lost.append(pending)
+        for pending in lost:
+            self._complete(pending, None)
+
+    @staticmethod
+    def _complete(pending: _Pending, response: Optional[dict]) -> None:
+        # Outside the lock: the hook typically just posts to a queue or
+        # schedules a loop.call_soon_threadsafe, but it is caller code.
+        try:
+            pending.callback(response)
+        except Exception:  # pragma: no cover - defensive
+            pass
 
     def worker(self, shard: int, replica: int) -> WorkerHandle:
         """The current incarnation serving ``(shard, replica)``."""
@@ -624,76 +607,53 @@ class ShardRuntime:
             except queue_mod.Empty:
                 if self._stop.is_set():
                     break
+                self._lose()
                 continue
-            request_id = response.get("id")
-            callback = None
             with self._lock:
-                pending = self._pending.get(request_id)
-                if pending is None:
+                pending = self._pending.get(response.get("id"))
+                if pending is None or pending.done:
                     continue  # already abandoned (hedge lost the race)
                 if response.get("gen") != pending.expected_gen:
                     # Generation fence: a reply from a stale worker
                     # incarnation must never satisfy a fresh request.
                     continue
-                pending.response = response
-                pending.event.set()
-                callback = pending.callback
-            if callback is not None:
-                # Outside the lock: the hook typically just schedules a
-                # loop.call_soon_threadsafe, but it is caller code.
-                try:
-                    callback(response)
-                except Exception:  # pragma: no cover - defensive
-                    pass
+                pending.done = True
+            self._complete(pending, response)
 
-    def submit(
+    def _send(
         self,
         shard: int,
-        sql: str,
-        *,
-        replica: int | None = None,
-        timeout: float | None = None,
-        max_rows: int | None = None,
-        event: threading.Event | None = None,
-        on_complete: Callable[[Optional[dict]], None] | None = None,
+        replica: int,
+        message: dict,
+        on_complete: Callable[[Optional[dict]], None] | None,
     ) -> int:
-        """Send one SQL request to a worker of ``shard``; returns the
-        request id to :meth:`wait` on.  ``replica`` pins a specific
-        worker (hedges do); by default replicas rotate round-robin.
-        ``event`` lets several requests share a wake-up event for
-        first-response-wins waits.  ``on_complete`` is fired once from a
-        runtime thread with the response dict — or ``None`` when the
-        request became unanswerable — letting event-loop callers bridge
-        completions to futures without a waiting thread per request."""
-        if replica is None:
-            with self._lock:
-                replica = self._rr.get(shard, 0) % self.replicas
-                self._rr[shard] = replica + 1
-        handle = self.worker(shard, replica)
+        """Register a pending request and enqueue ``message`` to the
+        worker of ``(shard, replica)``; returns the request id."""
         with self._lock:
-            request_id = self._next_request_id
+            # Looked up and registered under one lock hold: a respawn
+            # either sees this request (and reports it lost) or has
+            # already swapped in the incarnation it goes to.
+            handle = self._workers.get((shard, replica))
+            if handle is None:
+                raise ShardError(
+                    f"no worker for shard {shard} replica {replica}",
+                    shard=shard,
+                )
+            request_id = message["id"] = self._next_request_id
             self._next_request_id += 1
             self._pending[request_id] = _Pending(
-                event if event is not None else threading.Event(),
                 shard,
                 replica,
                 handle.generation,
-                callback=on_complete,
+                on_complete if on_complete is not None else _Parked(),
             )
-        message = {
-            "op": "query",
-            "id": request_id,
-            "sql": sql,
-            "timeout": timeout,
-            "max_rows": max_rows,
-        }
         try:
             handle.requests.put_nowait(message)
         except Exception as exc:
             self.abandon(request_id)
             raise ShardError(
-                f"could not enqueue request to shard {shard} replica "
-                f"{replica}: {exc}",
+                f"could not enqueue {message['op']} to shard {shard} "
+                f"replica {replica}: {exc}",
                 shard=shard,
             ) from exc
         return request_id
@@ -703,102 +663,51 @@ class ShardRuntime:
         shard: int,
         sqls: list[str],
         *,
-        replica: int | None = None,
+        replica: int = 0,
         timeout: float | None = None,
         max_rows: int | None = None,
-        event: threading.Event | None = None,
         on_complete: Callable[[Optional[dict]], None] | None = None,
     ) -> int:
         """Send a pipelined batch of statements to one worker in a
         single request/response round-trip.  The response carries one
         ``items`` entry per statement (``ok`` + rows, or a per-item
-        error); queue and pickle overhead is paid once per batch
-        instead of once per statement.  ``on_complete`` follows the
-        :meth:`submit` contract."""
-        if replica is None:
-            with self._lock:
-                replica = self._rr.get(shard, 0) % self.replicas
-                self._rr[shard] = replica + 1
-        handle = self.worker(shard, replica)
-        with self._lock:
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._pending[request_id] = _Pending(
-                event if event is not None else threading.Event(),
-                shard,
-                replica,
-                handle.generation,
-                callback=on_complete,
-            )
+        error), marshal-encoded; queue and pickle overhead is paid once
+        per batch instead of once per statement.  ``on_complete`` is
+        fired once from a runtime thread with the response dict — or
+        ``None`` when the request became unanswerable; without it the
+        response is kept for :meth:`wait`.  Either way every id handed
+        out is the caller's to :meth:`abandon` (or :meth:`wait` out)."""
         message = {
             "op": "batch",
-            "id": request_id,
             "sqls": list(sqls),
             "timeout": timeout,
             "max_rows": max_rows,
         }
-        try:
-            handle.requests.put_nowait(message)
-        except Exception as exc:
-            self.abandon(request_id)
-            raise ShardError(
-                f"could not enqueue batch to shard {shard} replica "
-                f"{replica}: {exc}",
-                shard=shard,
-            ) from exc
-        return request_id
+        return self._send(shard, replica, message, on_complete)
 
     def ping(self, shard: int, replica: int, timeout: float = 1.0) -> bool:
         """Round-trip health probe of one worker."""
-        handle = self.worker(shard, replica)
-        with self._lock:
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._pending[request_id] = _Pending(
-                threading.Event(), shard, replica, handle.generation
-            )
         try:
-            handle.requests.put_nowait({"op": "ping", "id": request_id})
-        except Exception:
-            self.abandon(request_id)
+            request_id = self._send(shard, replica, {"op": "ping"}, None)
+        except ShardError:
             return False
         response = self.wait(request_id, timeout)
         return bool(response and response.get("ok"))
 
     def wait(self, request_id: int, timeout: float) -> Optional[dict]:
-        """Block for the response to ``request_id``; ``None`` when it
-        does not arrive in time (the request is abandoned)."""
+        """Block for the response to a request sent without
+        ``on_complete``; ``None`` when it does not arrive in time or
+        never can (the request is abandoned either way)."""
         with self._lock:
             pending = self._pending.get(request_id)
         if pending is None:
             return None
-        pending.event.wait(timeout)
-        with self._lock:
-            pending = self._pending.pop(request_id, None)
-        return pending.response if pending is not None else None
-
-    def wait_any(
-        self, request_ids: list[int], event: threading.Event, timeout: float
-    ) -> tuple[Optional[int], Optional[dict]]:
-        """First-response-wins wait over requests sharing ``event``.
-
-        Returns ``(request_id, response)`` of the first arrival, or
-        ``(None, None)`` on timeout.  The *other* requests stay pending;
-        abandon them (or keep waiting) as the caller sees fit.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                for request_id in request_ids:
-                    pending = self._pending.get(request_id)
-                    if pending is not None and pending.response is not None:
-                        self._pending.pop(request_id, None)
-                        return request_id, pending.response
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None, None
-            event.wait(remaining)
-            event.clear()
+        parked = pending.callback
+        if not isinstance(parked, _Parked):
+            raise ShardError("wait() is for requests sent without on_complete")
+        parked.event.wait(timeout)
+        self.abandon(request_id)
+        return parked.response
 
     def abandon(self, request_id: int) -> None:
         """Forget an in-flight request (lost hedge, expired deadline);
@@ -806,20 +715,3 @@ class ShardRuntime:
         dispatcher."""
         with self._lock:
             self._pending.pop(request_id, None)
-
-    def request_lost(self, request_id: int) -> bool:
-        """``True`` when ``request_id`` can no longer be answered: the
-        worker incarnation it was sent to crashed or was respawned
-        (generation fence) before responding.  Lets callers fail over
-        immediately instead of waiting out their deadline budget."""
-        with self._lock:
-            pending = self._pending.get(request_id)
-            if pending is None or pending.response is not None:
-                return False
-            handle = self._workers.get((pending.shard, pending.replica))
-        if handle is None:
-            return True
-        return (
-            handle.generation != pending.expected_gen
-            or not handle.process.is_alive()
-        )

@@ -154,20 +154,13 @@ class TestCoalescing:
         engine = serve(sharded, max_inflight=16, hedge_delay=None)
         try:
             batch_calls = []
-            single_calls = []
             real_batch = engine.runtime.submit_batch
-            real_single = engine.runtime.submit
 
             def counting_batch(shard, sqls, **kwargs):
                 batch_calls.append((shard, tuple(sqls)))
                 return real_batch(shard, sqls, **kwargs)
 
-            def counting_single(shard, sql, **kwargs):
-                single_calls.append(shard)
-                return real_single(shard, sql, **kwargs)
-
             engine.runtime.submit_batch = counting_batch
-            engine.runtime.submit = counting_single
 
             async def go():
                 front = AsyncShardedEngine(engine)
@@ -178,14 +171,11 @@ class TestCoalescing:
             results = run(go())
             assert all(r.complete for r in results)
             # One submit_batch per shard for the whole burst, each
-            # carrying all four statements; the per-query ladder (and
-            # its one-statement submits) never fired.
+            # carrying all four statements; nothing was resent.
             assert len(batch_calls) == sharded.shard_count
             assert all(len(sqls) == len(QUERIES) for _, sqls in batch_calls)
-            assert single_calls == []
         finally:
             engine.runtime.submit_batch = real_batch
-            engine.runtime.submit = real_single
             engine.close()
 
     def test_sequential_queries_get_their_own_ticks(self, corpus):
@@ -383,39 +373,42 @@ class TestDeadline:
             engine.close()
 
 
-class TestDeprecationShims:
-    def test_async_execute_many_positional_max_workers_warns(self, corpus):
+class TestOneCallForm:
+    """``execute_many(expressions, *, deadline=None, concurrency=None)``
+    is the only call form on every engine: the ``max_workers`` /
+    positional shims deprecated in PR 8 are gone."""
+
+    def test_async_execute_many_positional_rejected(self, corpus):
         _, sharded = corpus
         engine = serve(sharded)
         try:
 
             async def go():
                 front = AsyncShardedEngine(engine)
-                with pytest.warns(DeprecationWarning):
-                    return await front.execute_many(QUERIES, 3)
+                with pytest.raises(TypeError):
+                    await front.execute_many(QUERIES, 3)
 
-            results = run(go())
-            assert len(results) == len(QUERIES)
+            run(go())
         finally:
             engine.close()
 
-    def test_sync_execute_many_max_workers_kwarg_warns(self, corpus):
+    def test_sync_execute_many_max_workers_kwarg_rejected(self, corpus):
         _, sharded = corpus
         engine = serve(sharded)
         try:
-            with pytest.warns(DeprecationWarning):
-                results = engine.execute_many(QUERIES, max_workers=3)
-            assert len(results) == len(QUERIES)
+            with pytest.raises(TypeError):
+                engine.execute_many(QUERIES, max_workers=3)
         finally:
             engine.close()
 
-    def test_ppf_execute_many_positional_warns_and_matches(self, corpus):
+    def test_ppf_execute_many_positional_rejected(self, corpus):
         single, _ = corpus
         engine = PPFEngine(single)
-        with pytest.warns(DeprecationWarning):
-            old = engine.execute_many(QUERIES, 2)
-        new = engine.execute_many(QUERIES, concurrency=2)
-        assert [r.ids for r in old] == [r.ids for r in new]
+        with pytest.raises(TypeError):
+            engine.execute_many(QUERIES, 2)
+        assert len(engine.execute_many(QUERIES, concurrency=2)) == len(
+            QUERIES
+        )
 
 
 class TestSingleStoreAsync:

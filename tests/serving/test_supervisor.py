@@ -3,6 +3,8 @@ respawns, generation fencing, and the circuit-breaker state machine."""
 
 from __future__ import annotations
 
+import marshal
+import queue
 import time
 
 import pytest
@@ -55,10 +57,14 @@ class TestRuntimeBasics:
     def test_query_roundtrip(self, tmp_path):
         store = make_store(tmp_path)
         with ShardRuntime(store.shard_paths, replicas=1) as runtime:
-            request = runtime.submit(0, "SELECT id, 1, x'00' FROM docs")
+            request = runtime.submit_batch(
+                0, ["SELECT id, 1, x'00' FROM docs"]
+            )
             response = runtime.wait(request, timeout=5.0)
             assert response is not None and response["ok"]
             assert response["gen"] == 0
+            (item,) = marshal.loads(response["items"])
+            assert item["ok"] and len(item["rows"]) >= 1
         store.close()
 
     def test_ping_all_workers(self, tmp_path):
@@ -72,10 +78,15 @@ class TestRuntimeBasics:
     def test_worker_reports_typed_error_kind(self, tmp_path):
         store = make_store(tmp_path)
         with ShardRuntime(store.shard_paths, replicas=1) as runtime:
-            request = runtime.submit(0, "SELECT * FROM no_such_table")
+            request = runtime.submit_batch(
+                0, [COUNT_SQL, "SELECT * FROM no_such_table"]
+            )
             response = runtime.wait(request, timeout=5.0)
-            assert response is not None and not response["ok"]
-            assert response["error_kind"] == "storage"
+            # The batch itself answers; the failure is the item's.
+            assert response is not None and response["ok"]
+            good, bad = marshal.loads(response["items"])
+            assert good["ok"]
+            assert not bad["ok"] and bad["error_kind"] == "storage"
         store.close()
 
     def test_rejects_empty_fleet(self):
@@ -103,7 +114,7 @@ class TestSupervision:
             fault_plan=plan,
         ).start()
         try:
-            request = runtime.submit(0, COUNT_SQL)
+            request = runtime.submit_batch(0, [COUNT_SQL])
             assert runtime.wait(request, timeout=2.0) is None  # died
             killed_at = time.monotonic()
             assert wait_for(
@@ -137,7 +148,7 @@ class TestSupervision:
             fault_plan=plan,
         ).start()
         try:
-            runtime.submit(0, COUNT_SQL)  # freezes the worker
+            runtime.submit_batch(0, [COUNT_SQL])  # freezes the worker
             assert wait_for(
                 lambda: runtime.respawn_count() >= 1, timeout=8.0
             )
@@ -164,7 +175,7 @@ class TestGenerationFencing:
         ).start()
         try:
             assert runtime.worker(0, 0).generation == 0
-            runtime.submit(0, COUNT_SQL)
+            runtime.submit_batch(0, [COUNT_SQL])
             assert wait_for(
                 lambda: runtime.worker(0, 0).generation == 1, timeout=5.0
             )
@@ -182,20 +193,69 @@ class TestGenerationFencing:
             fault_plan=plan,
         ).start()
         try:
-            request = runtime.submit(0, COUNT_SQL)
-            # The kill fires on receipt: the pending request can never
-            # be answered, and request_lost detects it well before any
-            # deadline — first via process death, then via the fence
-            # once the supervisor respawns generation 1.
-            assert wait_for(
-                lambda: runtime.request_lost(request), timeout=5.0
+            completions = queue.SimpleQueue()
+            request = runtime.submit_batch(
+                0, [COUNT_SQL], on_complete=completions.put
             )
+            # The kill fires on receipt: the pending request can never
+            # be answered, and the one loss signal — on_complete(None)
+            # — arrives well before any deadline: on process death
+            # when the dispatcher idles, else with the respawn.
+            assert completions.get(timeout=5.0) is None
             assert wait_for(
                 lambda: runtime.respawn_count() >= 1, timeout=5.0
             )
-            assert runtime.request_lost(request)  # fenced now too
+            # Exactly once: the respawn's fence does not report the
+            # same request again.
+            time.sleep(0.3)
+            assert completions.empty()
+            # Still registered until its sender abandons it.
+            assert request in runtime._pending
+            runtime.abandon(request)
+            assert not runtime._pending
         finally:
             runtime.close()
+        store.close()
+
+    def test_stale_generation_response_is_fenced(self, tmp_path):
+        """A reply stamped with another incarnation's generation never
+        completes a request."""
+        store = make_store(tmp_path, shards=1)
+        with ShardRuntime(store.shard_paths, replicas=1) as runtime:
+            completions = queue.SimpleQueue()
+            request = runtime.submit_batch(
+                0, [COUNT_SQL], on_complete=completions.put
+            )
+            response = completions.get(timeout=5.0)
+            assert response["ok"] and response["gen"] == 0
+            runtime.abandon(request)
+            # Same id, wrong generation: register a request bound to
+            # generation 0 and hand the dispatcher a generation-7 reply.
+            fenced = runtime.submit_batch(
+                0, [COUNT_SQL], on_complete=completions.put
+            )
+            runtime._responses.put(
+                {"id": fenced, "ok": True, "items": b"", "gen": 7}
+            )
+            assert completions.get(timeout=5.0)["gen"] == 0
+            time.sleep(0.3)
+            assert completions.empty()
+            runtime.abandon(fenced)
+        store.close()
+
+    def test_close_completes_unanswered_requests_with_none(self, tmp_path):
+        store = make_store(tmp_path, shards=1)
+        plan = WorkerFaultPlan().script("hang", shard=0, replica=0)
+        runtime = ShardRuntime(
+            store.shard_paths,
+            replicas=1,
+            health_interval=30.0,
+            fault_plan=plan,
+        ).start()
+        completions = queue.SimpleQueue()
+        runtime.submit_batch(0, [COUNT_SQL], on_complete=completions.put)
+        runtime.close()
+        assert completions.get(timeout=5.0) is None
         store.close()
 
     def test_fresh_request_after_respawn_is_served(self, tmp_path):
@@ -208,11 +268,11 @@ class TestGenerationFencing:
             fault_plan=plan,
         ).start()
         try:
-            runtime.submit(0, COUNT_SQL)
+            runtime.submit_batch(0, [COUNT_SQL])
             assert wait_for(
                 lambda: runtime.worker(0, 0).generation == 1, timeout=5.0
             )
-            request = runtime.submit(0, COUNT_SQL)
+            request = runtime.submit_batch(0, [COUNT_SQL])
             response = runtime.wait(request, timeout=5.0)
             assert response is not None and response["ok"]
             assert response["gen"] == 1
