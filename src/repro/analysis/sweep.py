@@ -100,10 +100,8 @@ def _iter_sweep_reports(
                     yield Report(), False
                     continue
                 yield (
-                    verifier.verify(
-                        translation.plan,
-                        translation.pass_reports,
-                        subject=subject,
+                    verifier.verify_translation(
+                        translation, subject=subject
                     ),
                     True,
                 )

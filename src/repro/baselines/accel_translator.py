@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Union
 
-from repro.core.engine import QueryResult, ResultRow
+from repro.core.results import QueryResult, ResultRow, in_document_order
 from repro.errors import TranslationError, UnsupportedXPathError
 from repro.sqlgen import (
     And,
@@ -415,11 +415,10 @@ class AccelEngine:
                     value=None if value is None else str(value),
                 )
             )
-        unique: dict[int, ResultRow] = {}
-        for row in rows:
-            unique.setdefault(row.id, row)
-        ordered = sorted(unique.values(), key=lambda r: (r.doc_id, r.id))
-        return QueryResult(ordered, projection)
+        return QueryResult(
+            in_document_order(rows, ordered=False, distinct=False),
+            projection,
+        )
 
 
 def _attr_name(step: Step) -> str:

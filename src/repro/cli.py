@@ -454,11 +454,7 @@ def cmd_verify_plans(args: argparse.Namespace) -> int:
         for xpath in args.xpaths:
             translation = translator.translate(xpath)
             reports.append(
-                verifier.verify(
-                    translation.plan,
-                    translation.pass_reports,
-                    subject=xpath,
-                )
+                verifier.verify_translation(translation, subject=xpath)
             )
             verified += 1
     if args.workloads:

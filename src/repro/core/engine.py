@@ -20,10 +20,20 @@ import threading
 import time
 from collections import OrderedDict, namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.core.adapters import EdgeAdapter, SchemaAwareAdapter
+
+# The result types live in repro.core.results; they are re-exported
+# here because this module is where callers have always found them.
+from repro.core.results import (  # noqa: F401
+    SERVED_BY,
+    QueryResult,
+    ResultRow,
+    ServedBy,
+    in_document_order,
+    rows_from_records,
+)
 from repro.core.translator import PPFTranslator, TranslationResult
 from repro.errors import QueryTimeoutError, ReproError, RetryExhaustedError
 from repro.plan.nodes import QueryPlan, describe_plan
@@ -44,21 +54,6 @@ from repro.xpath.ast import XPathExpr
 
 #: Hit/miss statistics of the per-engine translation cache.
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
-
-#: The closed vocabulary of :attr:`QueryResult.served_by` values.  Every
-#: execution path must report one of exactly these strings — ``"sql"``
-#: (the translated statement ran on a single store), ``"native"`` (the
-#: in-memory evaluator answered, either as explicit baseline or as the
-#: degradation ladder's last rung) or ``"shards"`` (scatter-gather over
-#: the sharded worker fleet, including the asyncio front door).  The
-#: vocabulary is enforced three ways: :class:`QueryResult` validates at
-#: construction, the ``CA004`` code lint rejects out-of-vocabulary
-#: string literals passed as ``served_by=``, and the oracle test matrix
-#: asserts every engine's results stay inside it.
-SERVED_BY: frozenset[str] = frozenset({"sql", "native", "shards"})
-
-#: Static typing twin of :data:`SERVED_BY` (keep the two in sync).
-ServedBy = Literal["sql", "native", "shards"]
 
 
 class ExplainReport(str):
@@ -141,99 +136,6 @@ class ExplainReport(str):
                 f"actual {actual}"
             )
         return lines
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One result element (or projected value)."""
-
-    id: int
-    doc_id: int
-    dewey_pos: bytes
-    value: Optional[str] = None
-
-
-class QueryResult:
-    """Document-ordered result of one query.
-
-    **Completeness contract** (sharded serving): a result with
-    ``complete=True`` covers every shard/document of the store.  When
-    the sharded engine degrades to partial results, ``complete`` is
-    ``False`` and :attr:`failed_shards` lists the shard indexes whose
-    rows are missing — the rows that *are* present are still correct
-    and document-ordered.  Single-store engines always return complete
-    results (or raise).
-    """
-
-    def __init__(
-        self,
-        rows: list[ResultRow],
-        projection: str,
-        served_by: str = "sql",
-        complete: bool = True,
-        failed_shards: Optional[list[int]] = None,
-    ):
-        if served_by not in SERVED_BY:
-            raise ValueError(
-                f"served_by must be one of {sorted(SERVED_BY)}, "
-                f"got {served_by!r}"
-            )
-        self.rows = rows
-        #: ``nodes``, ``text`` or ``attribute``.
-        self.projection = projection
-        #: Which execution path produced the rows: ``"sql"`` (the
-        #: translated statement ran on the store), ``"native"`` (the
-        #: in-memory evaluator answered after SQL execution timed out or
-        #: exhausted its retries) or ``"shards"`` (scatter-gather over
-        #: the sharded worker fleet).  Always a member of the closed
-        #: :data:`SERVED_BY` vocabulary.
-        self.served_by = served_by
-        #: ``False`` when one or more shards could not contribute rows
-        #: (see :attr:`failed_shards`); always ``True`` for single-store
-        #: execution.
-        self.complete = complete
-        #: Shard indexes missing from a partial result (empty when
-        #: :attr:`complete`).
-        self.failed_shards: list[int] = list(failed_shards or [])
-
-    @property
-    def ids(self) -> list[int]:
-        """Global element ids, in document order."""
-        return [row.id for row in self.rows]
-
-    @property
-    def values(self) -> list[str]:
-        """Projected text/attribute values (``text``/``attribute``
-        projections only), **excluding** ``None`` entries.
-
-        For engine-served results the two lists are in fact always
-        aligned: the translator emits ``value IS NOT NULL`` on every
-        value projection (an element without text has no text *node*,
-        so it is not a result at all), and the native fallback only
-        produces real text/attribute nodes.  The ``None`` filter here
-        is therefore a guarantee, not a silent row drop — but rows
-        constructed by hand (or future value-producing paths) may carry
-        ``None``, and then ``values`` is shorter than :attr:`ids`; use
-        :attr:`values_aligned` when positional correspondence with
-        ``ids`` must survive that.
-        """
-        return [row.value for row in self.rows if row.value is not None]
-
-    @property
-    def values_aligned(self) -> list[Optional[str]]:
-        """Projected values positionally aligned with :attr:`ids`:
-        exactly one entry per result row, with an explicit ``None``
-        sentinel wherever a row carries no value."""
-        return [row.value for row in self.rows]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[ResultRow]:
-        return iter(self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QueryResult({len(self.rows)} rows, {self.projection!r})"
 
 
 class SQLXPathEngine:
@@ -366,10 +268,8 @@ class SQLXPathEngine:
         from repro.errors import PlanVerificationError
 
         marking = getattr(self.translator.adapter, "marking", None)
-        report = PlanVerifier(marking=marking).verify(
-            translation.plan,
-            translation.pass_reports,
-            subject=translation.expression,
+        report = PlanVerifier(marking=marking).verify_translation(
+            translation, subject=translation.expression
         )
         if not report.ok:
             raise PlanVerificationError(
@@ -464,7 +364,9 @@ class SQLXPathEngine:
         ]
         report.branch_actual = tuple(len(raw) for raw in raws)
         merged = self._materialize(
-            translation, [record for raw in raws for record in raw]
+            translation,
+            [record for raw in raws for record in raw],
+            one_statement=False,
         )
         report.actual_rows = len(merged)
         return report
@@ -480,9 +382,9 @@ class SQLXPathEngine:
     def iterate(self, expression: Union[str, XPathExpr]):
         """Stream result rows without materializing the whole set.
 
-        Rows arrive in per-branch order (a UNION's branches are not
-        globally document-ordered); use :meth:`execute` when global
-        order matters.
+        Rows arrive as the statement orders them — document order,
+        since a UNION carries the ``ORDER BY`` at union level — and
+        without :meth:`execute`'s one-row-per-id pass over a UNION.
         """
         translation = self.translate(expression)
         if translation.is_empty:
@@ -546,35 +448,28 @@ class SQLXPathEngine:
         return self.store.db.guarded_query(sql)
 
     def _materialize(
-        self, translation: TranslationResult, raw: Iterable[tuple]
+        self,
+        translation: TranslationResult,
+        raw: Iterable[tuple],
+        one_statement: bool,
     ) -> QueryResult:
         """Wrap raw records into a document-ordered :class:`QueryResult`.
 
-        UNION branches each arrive sorted, but their concatenation is
-        not; global document order is enforced here (and splits are
-        deduped)."""
-        rows = []
-        for record in raw:
-            if translation.projection == "nodes":
-                row_id, doc_id, dewey = record[:3]
-                rows.append(ResultRow(row_id, doc_id, bytes(dewey)))
-            else:
-                row_id, doc_id, dewey, value = record[:4]
-                rows.append(
-                    ResultRow(
-                        row_id,
-                        doc_id,
-                        bytes(dewey),
-                        value=None if value is None else str(value),
-                    )
-                )
-        unique: dict[int, ResultRow] = {}
-        for row in rows:
-            unique.setdefault(row.id, row)
-        ordered = sorted(
-            unique.values(), key=lambda r: (r.doc_id, r.dewey_pos)
+        ``one_statement`` says ``raw`` is what ``translation.sql`` itself
+        returned: then the statement's own ``ORDER BY`` / ``DISTINCT``
+        (``translation.ordered`` / ``.distinct``) stand, except that a
+        UNION removes duplicate *rows* and this result holds one row per
+        *id*.  Concatenated per-branch results — the branches are
+        rendered without the union-level ``ORDER BY`` — are deduplicated
+        and sorted here."""
+        return QueryResult(
+            in_document_order(
+                rows_from_records(raw, translation.projection != "nodes"),
+                ordered=one_statement and translation.ordered,
+                distinct=one_statement and translation.one_row_per_id,
+            ),
+            translation.projection,
         )
-        return QueryResult(ordered, translation.projection)
 
     def execute(
         self,
@@ -611,7 +506,7 @@ class SQLXPathEngine:
             if fallback_result is None:
                 raise
             return fallback_result
-        result = self._materialize(translation, raw)
+        result = self._materialize(translation, raw, one_statement=True)
         self._cache_result(key, result)
         return result
 
@@ -746,7 +641,9 @@ class SQLXPathEngine:
                 )
             )
         result = self._materialize(
-            translation, [record for raw in raws for record in raw]
+            translation,
+            [record for raw in raws for record in raw],
+            one_statement=False,
         )
         self._cache_result(key, result)
         return result
@@ -792,13 +689,11 @@ class SQLXPathEngine:
                         value=value,
                     )
                 )
-        unique: dict[int, ResultRow] = {}
-        for row in rows:
-            unique.setdefault(row.id, row)
-        ordered = sorted(
-            unique.values(), key=lambda r: (r.doc_id, r.dewey_pos)
+        return QueryResult(
+            in_document_order(rows, ordered=False, distinct=False),
+            projection,
+            served_by="native",
         )
-        return QueryResult(ordered, projection, served_by="native")
 
 
 class PPFEngine(SQLXPathEngine):

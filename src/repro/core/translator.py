@@ -22,6 +22,7 @@ optimized plan, per-pass reports and before/after plan statistics for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from repro.core.adapters import StoreAdapter
@@ -67,13 +68,31 @@ class TranslationResult:
     #: ``(epoch, generation)`` of the statistics used (``None`` when the
     #: store handed out none), shown by ``explain --costs``.
     stats_version: Optional[tuple[int, int]] = None
+    #: The statement ends in exactly ``ORDER BY doc_id, dewey_pos``
+    #: (Section 4.3; at union level for a split): whoever runs
+    #: :attr:`sql` as one statement receives rows in document order.
+    ordered: bool = False
+    #: The statement yields no row twice: its root is ``DISTINCT``, a
+    #: ``UNION`` (Section 4.4), or a select whose shape proves it.
+    #: Both claims are re-derived from the plan by the verifier's PV006.
+    distinct: bool = False
 
-    @property
+    @cached_property
     def sql(self) -> str:
-        """The SQL text (empty string when statically empty)."""
+        """The SQL text (empty string when statically empty), rendered
+        once: the statement is not mutated after ``translate()``."""
         if self.statement is None:
             return ""
         return render_statement(self.statement)
+
+    @property
+    def one_row_per_id(self) -> bool:
+        """:attr:`distinct` rows are also distinct element *ids*: true
+        of a single select, whose columns are all functions of the one
+        projected element row; a UNION removes only identical rows."""
+        return self.distinct and not isinstance(
+            self.statement, UnionStatement
+        )
 
     @property
     def is_empty(self) -> bool:
@@ -219,8 +238,9 @@ class PPFTranslator:
             )
             estimated_rows = estimate.total_rows
             branch_estimates = estimate.branch_rows
+        statement = _lowering.lower_plan(plan, self.dialect)
         return TranslationResult(
-            _lowering.lower_plan(plan, self.dialect),
+            statement,
             plan.projection,
             text,
             plan=plan,
@@ -230,4 +250,14 @@ class PPFTranslator:
             estimated_rows=estimated_rows,
             branch_estimates=branch_estimates,
             stats_version=summary.version if summary is not None else None,
+            ordered=statement is not None
+            and tuple(statement.order_by) == _nodes.DOCUMENT_ORDER,
+            distinct=isinstance(statement, UnionStatement)
+            or (
+                isinstance(statement, SelectStatement)
+                and (
+                    statement.distinct
+                    or _passes._distinct_redundant(plan.root)
+                )
+            ),
         )

@@ -269,6 +269,11 @@ class AggregateCountCond(PlanCond):
 # ---------------------------------------------------------------------------
 
 
+#: The ORDER BY every top-level statement ends in (Section 4.3): the
+#: clause that makes SQL row order XPath document order.
+DOCUMENT_ORDER: tuple[str, str] = ("doc_id", "dewey_pos")
+
+
 @dataclass
 class Scan:
     """One FROM-clause relation.  Order matters: lowering renders scans

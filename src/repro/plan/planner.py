@@ -36,6 +36,7 @@ from repro.core.pathregex import (
 )
 from repro.errors import UnsupportedXPathError
 from repro.plan.nodes import (
+    DOCUMENT_ORDER,
     AggregateCountCond,
     AndCond,
     DocEqCond,
@@ -172,7 +173,7 @@ class Planner:
             return None
         if len(selects) == 1:
             return selects[0]
-        return PlanUnion(branches=selects, order_by=["doc_id", "dewey_pos"])
+        return PlanUnion(branches=selects, order_by=list(DOCUMENT_ORDER))
 
     # -- backbone ------------------------------------------------------------
 
@@ -240,7 +241,7 @@ class Planner:
             branch.stmt.where.add(RawCond(f"{value} IS NOT NULL"))
             columns.append(f"{value} AS value")
         branch.stmt.columns = columns
-        branch.stmt.order_by = ["doc_id", "dewey_pos"]
+        branch.stmt.order_by = list(DOCUMENT_ORDER)
         return not contains_false(branch.stmt.where)
 
     # -- one PPF -------------------------------------------------------------

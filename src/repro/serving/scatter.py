@@ -50,11 +50,12 @@ from functools import partial
 from typing import Iterable, Optional, Union
 
 from repro.core.adapters import SchemaAwareAdapter
-from repro.core.engine import (
-    ExplainReport,
+from repro.core.engine import ExplainReport, SQLXPathEngine
+from repro.core.results import (
     QueryResult,
     ResultRow,
-    SQLXPathEngine,
+    merge_document_runs,
+    rows_from_records,
 )
 from repro.core.translator import PPFTranslator, TranslationResult
 from repro.errors import (
@@ -73,7 +74,6 @@ from repro.serving.ladder import (
     ShardOutcome,
 )
 from repro.serving.supervisor import CircuitBreaker, ShardRuntime
-from repro.sqlgen.ast import UnionStatement
 from repro.xpath.ast import XPathExpr
 
 
@@ -576,7 +576,8 @@ class ShardedEngine:
         outcomes: list[ShardOutcome],
     ) -> QueryResult:
         """Remap shard-local rows to global ids through the document
-        registry and merge in Dewey document order.
+        registry and concatenate the per-document runs in global
+        document order.
 
         A row naming a document the registry does not know means the
         shard file and the manifest disagree (corruption, swapped
@@ -588,12 +589,13 @@ class ShardedEngine:
         failed = {
             outcome.shard for outcome in outcomes if not outcome.ok
         }
-        rows: list[ResultRow] = []
+        #: (global doc_id, that document's rows) per document run.
+        runs: list[tuple[int, list[ResultRow]]] = []
         wants_value = translation.projection != "nodes"
         for outcome in outcomes:
             if not outcome.ok:
                 continue
-            shard_rows: list[ResultRow] = []
+            shard_runs: list[tuple[int, list[ResultRow]]] = []
             try:
                 # Shard responses arrive ordered by document, so the
                 # registry lookup and id offset are resolved once per
@@ -602,27 +604,17 @@ class ShardedEngine:
                     outcome.rows, key=operator.itemgetter(1)
                 ):
                     entry = remap[(outcome.shard, local_doc)]
-                    offset = entry.base - entry.local_base
-                    doc_id = entry.doc_id
-                    if wants_value:
-                        shard_rows.extend(
-                            ResultRow(
-                                record[0] + offset,
-                                doc_id,
-                                bytes(record[2]),
-                                value=None
-                                if len(record) < 4 or record[3] is None
-                                else str(record[3]),
-                            )
-                            for record in records
+                    shard_runs.append(
+                        (
+                            entry.doc_id,
+                            rows_from_records(
+                                records,
+                                wants_value,
+                                entry.base - entry.local_base,
+                                entry.doc_id,
+                            ),
                         )
-                    else:
-                        shard_rows.extend(
-                            ResultRow(
-                                record[0] + offset, doc_id, bytes(record[2])
-                            )
-                            for record in records
-                        )
+                    )
             except KeyError as exc:
                 failed.add(outcome.shard)
                 outcome.kind = "registry-mismatch"
@@ -631,17 +623,14 @@ class ShardedEngine:
                     f"doc {exc.args[0][1]}, unknown to the manifest"
                 )
                 continue
-            rows.extend(shard_rows)
-        if isinstance(translation.statement, UnionStatement):
-            # Only a UNION of branches can produce the same element
-            # twice (within one shard; global ids never collide across
-            # shards) — single-statement results skip the dedupe pass.
-            unique: dict[int, ResultRow] = {}
-            for row in rows:
-                unique.setdefault(row.id, row)
-            rows = list(unique.values())
-        ordered = sorted(
-            rows, key=operator.attrgetter("doc_id", "dewey_pos")
+            runs.extend(shard_runs)
+        # Every shard ran ``translation.sql`` as one statement, so its
+        # runs are as ordered and duplicate-free as the statement says
+        # (global ids never collide across shards).
+        ordered = merge_document_runs(
+            runs,
+            ordered=translation.ordered,
+            distinct=translation.one_row_per_id,
         )
         return QueryResult(
             ordered,

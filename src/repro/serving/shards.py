@@ -153,6 +153,8 @@ class ShardedStore:
         self.shard_count = shard_count
         self.policy = policy
         self._entries = entries
+        #: :meth:`remap_table`'s answer, kept until the registry changes.
+        self._remap: dict[tuple[int, int], DocEntry] | None = None
         self._generation = generation
         self._shards: dict[int, ShreddedStore] = {}
         #: The merged path summary, kept while ``stats_version`` holds.
@@ -293,10 +295,12 @@ class ShardedStore:
         """``(shard, local_doc_id) -> DocEntry`` lookup used by the
         scatter-gather merge to translate shard-local row ids into
         global ids."""
-        return {
-            (entry.shard, entry.local_doc_id): entry
-            for entry in self._entries
-        }
+        if self._remap is None:
+            self._remap = {
+                (entry.shard, entry.local_doc_id): entry
+                for entry in self._entries
+            }
+        return self._remap
 
     def document_count(self) -> int:
         return len(self._entries)
@@ -383,6 +387,7 @@ class ShardedStore:
         for global_doc, _, _, document in placements:
             self._entries.append(new_entries[global_doc])
             self.documents[global_doc] = document
+        self._remap = None
         self._bump_generation()
         for shard in touched:
             self._write_shard_manifest(shard)
@@ -406,6 +411,7 @@ class ShardedStore:
             entry.local_doc_id
         )
         self._entries.remove(entry)
+        self._remap = None
         self.documents.pop(doc_id, None)
         self._documents_resident = False
         self._bump_generation()

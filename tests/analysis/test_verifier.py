@@ -38,6 +38,10 @@ def translated(translator):
     return translator.translate("/site/regions//item[@id]/name")
 
 
+def _codes(report):
+    return [finding.code for finding in report]
+
+
 class TestCleanPlans:
     def test_real_translation_is_clean(self, translated, verifier):
         report = verifier.verify(translated.plan, translated.pass_reports)
@@ -132,6 +136,48 @@ class TestSeededBugs:
         plan.root.order_by = []
         report = verifier.verify(plan)
         assert report.by_code("PV006")
+
+    def test_order_by_dewey_pos_alone_caught(self, translated, verifier):
+        """Ordering within a document is not document order across a
+        multi-document store: the clause must be the exact pair."""
+        for order_by in (
+            ["dewey_pos"],
+            ["dewey_pos", "doc_id"],
+            ["doc_id", "dewey_pos DESC"],
+        ):
+            plan = copy.deepcopy(translated.plan)
+            plan.root.order_by = order_by
+            assert _codes(verifier.verify(plan)) == ["PV006"], order_by
+
+    def test_ordered_claim_without_the_clause_caught(
+        self, translated, verifier
+    ):
+        assert translated.ordered and translated.distinct
+        assert verifier.verify_translation(translated).ok
+        plan = copy.deepcopy(translated.plan)
+        plan.root.order_by = []
+        lying = dataclasses.replace(translated, plan=plan, ordered=True)
+        # One finding for the missing clause, one for the claim.
+        assert _codes(verifier.verify_translation(lying)) == [
+            "PV006", "PV006",
+        ]
+        honest = dataclasses.replace(lying, ordered=False)
+        assert _codes(verifier.verify_translation(honest)) == ["PV006"]
+
+    def test_claims_must_agree_with_the_plan(
+        self, translator, translated, verifier
+    ):
+        """Under-claiming is a finding too: the fields are derived, not
+        tunable."""
+        modest = dataclasses.replace(translated, ordered=False)
+        assert _codes(verifier.verify_translation(modest)) == ["PV006"]
+        fanning = translator.translate("//keyword/ancestor::listitem")
+        plan = copy.deepcopy(fanning.plan)
+        plan.root.distinct = False
+        lying = dataclasses.replace(fanning, plan=plan, distinct=True)
+        assert _codes(verifier.verify_translation(lying)) == [
+            "PV006", "PV006",
+        ]
 
     def test_pruned_distinct_caught(self, translator, verifier):
         # The ancestor join fans out (many keywords share a listitem),

@@ -307,12 +307,21 @@ class TestAsyncChaosSoak:
                     await asyncio.sleep(0.05)
                 assert not engine.runtime._pending
                 # The fleet is still serviceable from the same loop.
-                fresh = await front.execute(QUERIES[0])
-                assert check_outcome(QUERIES[0], fresh, answers) in (
-                    "complete",
-                    "native",
-                    "partial",
-                )
+                # The scripted kills fire on a worker's 2nd / 3rd
+                # request and the coalesced soak above may have sent
+                # each worker only one, so keep asking — one more
+                # request per shard each time — until the supervisor
+                # has replaced a killed worker.
+                for _ in range(60):
+                    fresh = await front.execute(QUERIES[0])
+                    assert check_outcome(QUERIES[0], fresh, answers) in (
+                        "complete",
+                        "native",
+                        "partial",
+                    )
+                    if engine.runtime.respawn_count():
+                        break
+                    await asyncio.sleep(0.05)
 
             asyncio.run(soak())
             respawns = engine.runtime.respawn_count()

@@ -103,6 +103,29 @@ class TestOracleEquivalence:
             result = engine.execute("//no_such_element")
             assert result.ids == [] and result.complete
 
+    def test_document_loaded_after_the_first_query_is_remapped(
+        self, corpus
+    ):
+        """The merge's (shard, local doc) table is memoised per
+        registry change, not per engine."""
+        single, sharded = corpus
+        oracle = PPFEngine(single)
+        with ShardedEngine.serve(
+            sharded, config=ServingConfig(deadline=15.0), replicas=1
+        ) as engine:
+            assert engine.execute("//item").rows == oracle.execute("//item").rows
+            extra = make_docs(7)[6]
+            single.load(extra)
+            new_id = sharded.load(extra)
+            for query in QUERIES:
+                actual = engine.execute(query)
+                assert actual.complete, query
+                assert actual.rows == oracle.execute(query).rows, query
+            assert new_id in {row.doc_id for row in engine.execute("//item")}
+            sharded.delete_document(new_id)
+            single.delete_document(new_id)
+            assert engine.execute("//item").rows == oracle.execute("//item").rows
+
     def test_result_cache_serves_repeat(self, corpus):
         _, sharded = corpus
         with ShardedEngine.serve(

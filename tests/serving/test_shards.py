@@ -106,6 +106,24 @@ class TestGlobalIdRegistry:
         for entry in store.doc_entries:
             assert remap[(entry.shard, entry.local_doc_id)] is entry
 
+    def test_remap_table_is_rebuilt_only_when_the_registry_changes(
+        self, store
+    ):
+        before = store.remap_table()
+        assert store.remap_table() is before
+        extra = parse_document(
+            "<shop><item sku='x'><price>1</price></item></shop>",
+            name="extra.xml",
+        )
+        new_id = store.load(extra)
+        remap = store.remap_table()
+        assert remap is not before
+        entry = store.doc_entries[-1]
+        assert entry.doc_id == new_id
+        assert remap[(entry.shard, entry.local_doc_id)] is entry
+        store.delete_document(new_id)
+        assert (entry.shard, entry.local_doc_id) not in store.remap_table()
+
     def test_to_document_node_id(self, store):
         entry = store.doc_entries[2]
         doc_id, node_id = store.to_document_node_id(entry.base + 3)
