@@ -307,18 +307,17 @@ class TestAsyncChaosSoak:
                     await asyncio.sleep(0.05)
                 assert not engine.runtime._pending
                 # The fleet is still serviceable from the same loop.
-                # The scripted kills fire on a worker's 2nd / 3rd
-                # request and the coalesced soak above may have sent
-                # each worker only one, so keep asking — one more
-                # request per shard each time — until the supervisor
-                # has replaced a killed worker.
-                for _ in range(60):
-                    fresh = await front.execute(QUERIES[0])
-                    assert check_outcome(QUERIES[0], fresh, answers) in (
-                        "complete",
-                        "native",
-                        "partial",
-                    )
+                fresh = await front.execute(QUERIES[0])
+                assert check_outcome(QUERIES[0], fresh, answers) in (
+                    "complete",
+                    "native",
+                    "partial",
+                )
+                # That query was shard 0 / replica 0's 2nd request at
+                # the latest, so its scripted kill has fired; replacing
+                # the worker races the query's retry on the surviving
+                # replica.  Wait for the supervisor — no more queries.
+                for _ in range(100):
                     if engine.runtime.respawn_count():
                         break
                     await asyncio.sleep(0.05)
