@@ -145,49 +145,26 @@ _document_key = operator.itemgetter(1, 2)
 
 
 def rows_from_records(
-    records: Iterable[Sequence[Any]],
-    wants_value: bool,
-    id_offset: int = 0,
-    doc_id: Optional[int] = None,
+    records: Iterable[Sequence[Any]], wants_value: bool
 ) -> list[ResultRow]:
     """Wrap SQL records — ``(id, doc_id, dewey_pos)``, plus ``value``
     when ``wants_value`` — into rows, in the order given.
 
     ``dewey_pos`` is taken as it comes: every store declares the column
-    ``BLOB`` and ``sqlite3`` (and ``marshal``, across the fleet's IPC)
-    hands BLOBs over as ``bytes``.  With ``doc_id`` the records are one
-    shard-local document run being lifted into the global id space:
-    ids shift by ``id_offset`` and the local document id is replaced.
+    ``BLOB`` and ``sqlite3`` hands BLOBs over as ``bytes``.  A record
+    of any other width raises ``ValueError``.
     """
-    if doc_id is None:
-        if wants_value:
-            return [
-                _new_row(
-                    ResultRow,
-                    (row_id, doc, dewey, None if value is None else str(value)),
-                )
-                for row_id, doc, dewey, value in records
-            ]
-        return [
-            _new_row(ResultRow, (row_id, doc, dewey, None))
-            for row_id, doc, dewey in records
-        ]
     if wants_value:
         return [
             _new_row(
                 ResultRow,
-                (
-                    row_id + id_offset,
-                    doc_id,
-                    dewey,
-                    None if value is None else str(value),
-                ),
+                (row_id, doc_id, dewey, None if value is None else str(value)),
             )
-            for row_id, _, dewey, value in records
+            for row_id, doc_id, dewey, value in records
         ]
     return [
-        _new_row(ResultRow, (row_id + id_offset, doc_id, dewey, None))
-        for row_id, _, dewey in records
+        _new_row(ResultRow, (row_id, doc_id, dewey, None))
+        for row_id, doc_id, dewey in records
     ]
 
 
@@ -211,6 +188,36 @@ def in_document_order(
     if not ordered:
         rows = sorted(rows, key=_document_key)
     return rows
+
+
+def remapped_rows(
+    records: Iterable[Sequence[Any]],
+    wants_value: bool,
+    id_offset: int,
+    doc_id: int,
+) -> list[ResultRow]:
+    """:func:`rows_from_records` for one shard-local document run being
+    lifted into the global id space: ids shift by ``id_offset`` and the
+    local document id is replaced by ``doc_id``.  (``marshal``, the
+    fleet's IPC, delivers BLOBs as ``bytes`` like ``sqlite3`` does.)
+    """
+    if wants_value:
+        return [
+            _new_row(
+                ResultRow,
+                (
+                    row_id + id_offset,
+                    doc_id,
+                    dewey,
+                    None if value is None else str(value),
+                ),
+            )
+            for row_id, _, dewey, value in records
+        ]
+    return [
+        _new_row(ResultRow, (row_id + id_offset, doc_id, dewey, None))
+        for row_id, _, dewey in records
+    ]
 
 
 def merge_document_runs(

@@ -55,7 +55,7 @@ from repro.core.results import (
     QueryResult,
     ResultRow,
     merge_document_runs,
-    rows_from_records,
+    remapped_rows,
 )
 from repro.core.translator import PPFTranslator, TranslationResult
 from repro.errors import (
@@ -583,7 +583,8 @@ class ShardedEngine:
         shard file and the manifest disagree (corruption, swapped
         file): that shard's rows are *discarded* and the shard is
         reported failed — wrong attribution must never look like a
-        correct answer.
+        correct answer.  So is a shard whose records are not the
+        three (``nodes``) or four columns the projection selects.
         """
         remap = self.store.remap_table()
         failed = {
@@ -607,7 +608,7 @@ class ShardedEngine:
                     shard_runs.append(
                         (
                             entry.doc_id,
-                            rows_from_records(
+                            remapped_rows(
                                 records,
                                 wants_value,
                                 entry.base - entry.local_base,
@@ -621,6 +622,15 @@ class ShardedEngine:
                 outcome.error = (
                     f"shard {outcome.shard} returned rows for local "
                     f"doc {exc.args[0][1]}, unknown to the manifest"
+                )
+                continue
+            except (ValueError, TypeError, IndexError) as exc:
+                failed.add(outcome.shard)
+                outcome.kind = "malformed-response"
+                outcome.error = (
+                    f"shard {outcome.shard} returned records that do "
+                    f"not fit a {translation.projection!r} projection: "
+                    f"{exc}"
                 )
                 continue
             runs.extend(shard_runs)

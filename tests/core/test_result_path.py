@@ -365,6 +365,32 @@ class TestFleet:
             if row[1] in kept
         ]
 
+    @pytest.mark.parametrize(
+        "xpath, reshape",
+        [
+            # A value column on a ``nodes`` projection, none on ``text``.
+            ("//keyword", lambda record: (*record, "x")),
+            ("//item/name/text()", lambda record: record[:3]),
+            ("//keyword", lambda record: record[:1]),
+        ],
+    )
+    def test_malformed_shard_response_is_discarded_and_flagged(
+        self, fleet, single, xpath, reshape
+    ):
+        store, engine = fleet
+        translation, outcomes = self._outcomes(store, engine, xpath)
+        outcomes[1].rows = [reshape(record) for record in outcomes[1].rows]
+        result = engine._merge(translation, outcomes)
+        assert not result.complete and result.failed_shards == [1]
+        assert outcomes[1].kind == "malformed-response"
+        assert "shard 1" in outcomes[1].error
+        kept = {entry.doc_id for entry in store.doc_entries if entry.shard == 0}
+        assert as_tuples(result) == [
+            row
+            for row in as_tuples(single.execute(xpath))
+            if row[1] in kept
+        ]
+
     def test_a_document_split_over_two_runs_falls_back_to_the_sort(self):
         first = [ResultRow(10, 2, b"\x01"), ResultRow(12, 2, b"\x03")]
         again = [ResultRow(11, 2, b"\x02")]
