@@ -100,8 +100,10 @@ def _iter_sweep_reports(
                     yield Report(), False
                     continue
                 yield (
-                    verifier.verify_translation(
-                        translation, subject=subject
+                    verifier.verify(
+                        translation.plan,
+                        translation.pass_reports,
+                        subject=subject,
                     ),
                     True,
                 )

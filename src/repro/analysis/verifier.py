@@ -27,9 +27,8 @@ enclosing alias scope) and reports violations as findings:
     accepts.
 ``PV006`` **observable order/uniqueness** — the top-level plan still
     orders by exactly ``doc_id, dewey_pos`` and enforces result
-    uniqueness after pruning, and the ``ordered`` / ``distinct`` claims
-    a translation carries (the result path skips its own sort / dedupe
-    on their word) agree with what the plan shows.
+    uniqueness after pruning (the result path skips its own sort /
+    dedupe on the strength of those clauses).
 ``PV007`` **projection shape** — top-level branches project the
     ``id, doc_id, dewey_pos[, value]`` tuple, identically across UNION
     branches.
@@ -45,7 +44,7 @@ enclosing alias scope) and reports violations as findings:
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.analysis.report import Report, Severity
 from repro.core.pathregex import PatternStep, compile_pattern
@@ -77,9 +76,6 @@ from repro.plan.passes import (
     _distinct_redundant,
 )
 from repro.schema.marking import PathClass, SchemaMarking
-
-if TYPE_CHECKING:
-    from repro.core.translator import TranslationResult
 
 _ANALYZER = "plan-verifier"
 
@@ -171,44 +167,19 @@ class PlanVerifier:
         plan: QueryPlan,
         pass_reports: Sequence[PassReport] = (),
         subject: Optional[str] = None,
-        *,
-        ordered: Optional[bool] = None,
-        distinct: Optional[bool] = None,
     ) -> Report:
-        """Verify one optimized plan (plus its optimizer-pass reports).
-
-        ``ordered`` / ``distinct`` are the claims of the plan's
-        :class:`~repro.core.translator.TranslationResult`; when given,
-        PV006 also checks them against the plan."""
+        """Verify one optimized plan (plus its optimizer-pass reports)."""
         report = Report()
         label = subject if subject is not None else plan.expression
         if plan.root is not None:
             branches = plan.branches()
             for branch in branches:
                 self._check_select(branch, [], report, label)
-            self._check_observability(
-                plan, report, label, ordered, distinct
-            )
+            self._check_observability(plan, report, label)
             self._check_projection_shape(plan, report, label)
         self._check_witnesses(pass_reports, report, label)
         self._check_reorders(plan, pass_reports, report, label)
         return report
-
-    def verify_translation(
-        self,
-        translation: "TranslationResult",
-        subject: Optional[str] = None,
-    ) -> Report:
-        """Verify a translation: its plan, its pass reports and its
-        ``ordered`` / ``distinct`` claims."""
-        assert translation.plan is not None
-        return self.verify(
-            translation.plan,
-            translation.pass_reports,
-            subject=subject,
-            ordered=translation.ordered,
-            distinct=translation.distinct,
-        )
 
     # -- per-select invariants (recursive) ---------------------------------------
 
@@ -860,17 +831,11 @@ class PlanVerifier:
     # -- PV006: observable order / duplicates ------------------------------------
 
     def _check_observability(
-        self,
-        plan: QueryPlan,
-        report: Report,
-        subject: str,
-        claimed_ordered: Optional[bool],
-        claimed_distinct: Optional[bool],
+        self, plan: QueryPlan, report: Report, subject: str
     ) -> None:
         root = plan.root
         assert root is not None
-        ordered = tuple(root.order_by) == DOCUMENT_ORDER
-        if not ordered:
+        if tuple(root.order_by) != DOCUMENT_ORDER:
             report.add(
                 _ANALYZER,
                 "PV006",
@@ -883,12 +848,11 @@ class PlanVerifier:
             )
         # The UNION keyword deduplicates across branches, so pruned
         # per-branch DISTINCTs stay sound.
-        distinct = (
+        if not (
             isinstance(root, PlanUnion)
             or root.distinct
             or _distinct_redundant(root)
-        )
-        if not distinct:
+        ):
             report.add(
                 _ANALYZER,
                 "PV006",
@@ -898,21 +862,6 @@ class PlanVerifier:
                 subject,
                 "Section 4.4",
             )
-        for name, claimed, derived in (
-            ("ordered", claimed_ordered, ordered),
-            ("distinct", claimed_distinct, distinct),
-        ):
-            if claimed is not None and claimed != derived:
-                report.add(
-                    _ANALYZER,
-                    "PV006",
-                    Severity.ERROR,
-                    f"translation claims {name}={claimed} but the plan "
-                    f"shows {name}={derived}; the result path skips its "
-                    "own sort/dedupe on that claim",
-                    subject,
-                    "Section 4.3, Section 4.4",
-                )
 
     # -- PV007: projection shape --------------------------------------------------
 

@@ -26,12 +26,11 @@ or a sharded store directory (``manifest.json``) — and returns an
 object satisfying the :class:`Engine` protocol either way: ``execute``
 / ``execute_many`` / ``execute_async`` / ``explain`` / ``close``, plus
 the context-manager surface.  Everything the engine opened on your
-behalf (database, pool, worker fleet) is released by ``close``.
+behalf (database, worker fleet) is released by ``close``.
 
 :class:`EngineConfig` consolidates the tuning surface of both engine
 families in one frozen dataclass; fields that do not apply to the
-detected store kind are simply unused (a single store has no hedging,
-a sharded store has no client-side connection pool).
+detected store kind are simply unused (a single store has no hedging).
 """
 
 from __future__ import annotations
@@ -88,14 +87,6 @@ class EngineConfig:
     fallback: bool = True
     #: Entries in the generation-keyed result cache (``None`` = off).
     result_cache_size: Optional[int] = 128
-
-    # -- single-store serving --
-    #: Read-only connection-pool size for ``execute_many`` /
-    #: ``execute_parallel`` fan-out (0 = no pool, serial execution).
-    pool_size: int = 0
-    #: Cost gate on UNION-branch fan-out: estimated results below this
-    #: many rows stay on the single-connection path.
-    parallel_min_rows: float = 64.0
 
     # -- sharded serving (ServingConfig fields + fleet shape) --
     #: Worker replicas per shard.
@@ -174,7 +165,6 @@ class Engine(Protocol):
         expressions,
         *,
         deadline: Optional[float] = None,
-        concurrency: Optional[int] = None,
     ) -> list[QueryResult]:
         """Run many queries; results in input order, ``deadline``
         budgets the whole call."""
@@ -216,13 +206,11 @@ def connect(
     """Open a store and return a ready-to-query :class:`Engine`.
 
     ``path_or_dir`` is either a single-store SQLite file (returns a
-    :class:`~repro.core.engine.PPFEngine`, with a read-only connection
-    pool attached when ``config.pool_size`` > 0) or a sharded store
+    :class:`~repro.core.engine.PPFEngine`) or a sharded store
     directory with a ``manifest.json`` (spawns a supervised worker
     fleet and returns a :class:`~repro.serving.scatter.ShardedEngine`).
     Either way the engine owns what was opened for it: ``close()`` (or
-    leaving the ``with`` block) tears down pools, fleets, and database
-    handles.
+    leaving the ``with`` block) tears down fleets and database handles.
 
     :raises StorageError: the path is neither an existing store file
         nor a sharded store directory.
@@ -245,29 +233,22 @@ def connect(
 
 
 def _connect_single(path: str, config: EngineConfig) -> "PPFEngine":
-    from repro.serving.pool import ConnectionPool
     from repro.storage.database import Database
     from repro.storage.schema_aware import ShreddedStore
 
-    policy = config.policy()
-    # Shared across threads so execute_async (which runs the blocking
-    # engine on an executor thread) works on the same handle; the
-    # stdlib sqlite3 build is SERIALIZED (threadsafety == 3).
-    db = Database.open(path, policy=policy, check_same_thread=False)
+    # Not bound to the opening thread: execute_async runs the blocking
+    # engine on its one executor thread.  One thread at a time may use
+    # the handle (a second one gets a StorageError, see Database.query).
+    db = Database.open(
+        path, policy=config.policy(), check_same_thread=False
+    )
     try:
-        store = ShreddedStore.open(db)
-        pool = None
-        if config.pool_size > 0:
-            pool = ConnectionPool.for_store(
-                store, size=config.pool_size, policy=policy
-            )
         engine = PPFEngine(
-            store,
+            ShreddedStore.open(db),
             path_filter_optimization=config.path_filter_optimization,
             prefer_fk_joins=config.prefer_fk_joins,
             fallback=config.fallback,
             result_cache_size=config.result_cache_size,
-            pool=pool,
             passes=config.passes,
             dialect=config.dialect,
             verify_plans=config.verify_plans,
@@ -275,9 +256,6 @@ def _connect_single(path: str, config: EngineConfig) -> "PPFEngine":
     except BaseException:
         db.close()
         raise
-    engine.parallel_min_rows = config.parallel_min_rows
-    if pool is not None:
-        engine._on_close.append(pool.close)
     engine._on_close.append(db.close)
     return engine
 

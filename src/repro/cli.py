@@ -116,11 +116,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     """``repro query`` — run XPath queries and print the results.
 
     Both store kinds are opened through :func:`repro.connect`: a single
-    store file fans ``--workers N`` out over a read-only connection
-    pool, a sharded store directory (detected, or requested via
-    ``--shards``) is served by the supervised multi-process
-    scatter-gather engine; ``--query-timeout`` is the per-query
-    deadline either way, and results print in input order.
+    store file runs the queries one after another on its connection, a
+    sharded store directory (detected, or requested via ``--shards``)
+    is served by the supervised multi-process scatter-gather engine;
+    ``--query-timeout`` is the per-query deadline either way, and
+    results print in input order.
     """
     from repro.api import EngineConfig, connect
 
@@ -133,13 +133,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
         return 2
     config = EngineConfig(
-        deadline=args.query_timeout,
-        max_rows=args.max_rows,
-        pool_size=(
-            args.workers
-            if args.workers > 1 and len(args.xpaths) > 1
-            else 0
-        ),
+        deadline=args.query_timeout, max_rows=args.max_rows
     )
     exit_code = 0
     with connect(args.database, config=config) as engine:
@@ -151,9 +145,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        results = engine.execute_many(
-            args.xpaths, concurrency=args.workers
-        )
+        results = engine.execute_many(args.xpaths)
         for xpath, result in zip(args.xpaths, results):
             if len(args.xpaths) > 1:
                 print(f"== {xpath}")
@@ -454,7 +446,11 @@ def cmd_verify_plans(args: argparse.Namespace) -> int:
         for xpath in args.xpaths:
             translation = translator.translate(xpath)
             reports.append(
-                verifier.verify_translation(translation, subject=xpath)
+                verifier.verify(
+                    translation.plan,
+                    translation.pass_reports,
+                    subject=xpath,
+                )
             )
             verified += 1
     if args.workloads:
@@ -498,14 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     query = commands.add_parser("query", help="run an XPath query")
     query.add_argument("database")
     query.add_argument("xpaths", nargs="+", metavar="xpath")
-    query.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="serve several queries concurrently from a pool of N "
-        "read-only connections",
-    )
     query.add_argument(
         "--query-timeout",
         type=float,

@@ -10,6 +10,10 @@ Every engine exposes the same two calls:
 :class:`PPFEngine` is the paper's system (schema-aware mapping +
 PPF-based translation); :class:`EdgePPFEngine` is the Section 5.1
 schema-oblivious variant sharing the identical translation algorithm.
+
+No engine here starts threads over a query: one XPath is one SQL
+statement, and the forked shard fleet (:mod:`repro.serving.supervisor`)
+is the only parallelism in the tree.
 """
 
 from __future__ import annotations
@@ -151,13 +155,17 @@ class SQLXPathEngine:
       so a hit is always consistent with the current data and never
       touches SQLite at all.  Introspect with :meth:`result_cache_info`.
 
-    The engine is thread-safe once a :class:`~repro.serving.
-    ConnectionPool` is attached (:meth:`attach_pool`): every
-    :meth:`execute` then checks a read-only pooled connection out for
-    the duration of its statement, so independent queries — and, via
-    :meth:`execute_parallel`, the independent UNION branches of one
-    translation — run concurrently.  Without a pool, execution uses the
-    store's own (single-threaded) connection, exactly as before.
+    The engine itself never fans a query out over threads: one XPath
+    is one statement, handed whole to SQLite (Section 4.4), and the only
+    parallelism in the tree is the forked shard fleet of
+    :mod:`repro.serving.supervisor`.  Callers that bring their *own*
+    threads attach a :class:`~repro.serving.ConnectionPool`
+    (:meth:`attach_pool`): every :meth:`execute` then checks a read-only
+    pooled connection out for the duration of its statement, which makes
+    the engine thread-safe and gives each reader a committed snapshot
+    beside a live writer.  That is a safety device, not a speed-up
+    (EXPERIMENTS.md "PR 18").  Without a pool, execution uses the
+    store's own connection, which one thread at a time may use.
 
     With ``fallback=True``, :meth:`execute` degrades gracefully: when
     SQL execution times out (:class:`QueryTimeoutError`) or exhausts its
@@ -170,11 +178,6 @@ class SQLXPathEngine:
     """
 
     _CACHE_LIMIT = 256
-
-    #: Estimated-rows floor under which :meth:`execute_parallel`
-    #: declines to fan out (thread/connection handoff costs more than a
-    #: small query saves).  Only consulted when statistics exist.
-    parallel_min_rows: float = 64.0
 
     def __init__(self, store, translator: PPFTranslator,
                  fallback: bool = False,
@@ -194,14 +197,13 @@ class SQLXPathEngine:
         )
         self._cache_hits = 0
         self._cache_misses = 0
-        #: Guards the translation cache (shared by pool worker threads).
+        #: Guards the translation cache (shared by the caller's threads).
         self._lock = threading.Lock()
         self._result_cache = (
             ResultCache(result_cache_size) if result_cache_size else None
         )
         self._pool = pool
-        #: Bounded executor behind :meth:`execute_async` (lazy; NOT one
-        #: thread per query).
+        #: The one thread behind :meth:`execute_async` (lazy).
         self._async_executor: ThreadPoolExecutor | None = None
         #: Cleanup hooks run by :meth:`close` — :func:`repro.connect`
         #: registers the store/database it opened here, so closing the
@@ -268,8 +270,10 @@ class SQLXPathEngine:
         from repro.errors import PlanVerificationError
 
         marking = getattr(self.translator.adapter, "marking", None)
-        report = PlanVerifier(marking=marking).verify_translation(
-            translation, subject=translation.expression
+        report = PlanVerifier(marking=marking).verify(
+            translation.plan,
+            translation.pass_reports,
+            subject=translation.expression,
         )
         if not report.ok:
             raise PlanVerificationError(
@@ -363,10 +367,15 @@ class SQLXPathEngine:
             self._run_sql(render_statement(branch)) for branch in branches
         ]
         report.branch_actual = tuple(len(raw) for raw in raws)
-        merged = self._materialize(
-            translation,
-            [record for raw in raws for record in raw],
-            one_statement=False,
+        # Branches are rendered without the union-level ORDER BY, so
+        # their concatenation vouches for neither order nor uniqueness.
+        merged = in_document_order(
+            rows_from_records(
+                [record for raw in raws for record in raw],
+                translation.projection != "nodes",
+            ),
+            ordered=False,
+            distinct=False,
         )
         report.actual_rows = len(merged)
         return report
@@ -416,11 +425,9 @@ class SQLXPathEngine:
         its own policy and the store's, so attaching a pool built
         without limits (``ConnectionPool(path)`` defaults to
         :data:`~repro.resilience.DEFAULT_POLICY`) can never silently
-        drop the limits ``execute`` would have applied — this is what
-        makes ``--query-timeout`` reach the ``execute_many`` /
-        ``execute_parallel`` fan-out paths.  ``deadline`` (seconds of
-        remaining budget) tightens the wall-clock limit further, never
-        loosens it.
+        drop the limits ``execute`` would have applied.  ``deadline``
+        (seconds of remaining budget) tightens the wall-clock limit
+        further, never loosens it.
         """
         store_policy = self.store.db.policy
         pool = self._pool
@@ -446,30 +453,6 @@ class SQLXPathEngine:
                 max_rows=store_policy.max_rows,
             )
         return self.store.db.guarded_query(sql)
-
-    def _materialize(
-        self,
-        translation: TranslationResult,
-        raw: Iterable[tuple],
-        one_statement: bool,
-    ) -> QueryResult:
-        """Wrap raw records into a document-ordered :class:`QueryResult`.
-
-        ``one_statement`` says ``raw`` is what ``translation.sql`` itself
-        returned: then the statement's own ``ORDER BY`` / ``DISTINCT``
-        (``translation.ordered`` / ``.distinct``) stand, except that a
-        UNION removes duplicate *rows* and this result holds one row per
-        *id*.  Concatenated per-branch results — the branches are
-        rendered without the union-level ``ORDER BY`` — are deduplicated
-        and sorted here."""
-        return QueryResult(
-            in_document_order(
-                rows_from_records(raw, translation.projection != "nodes"),
-                ordered=one_statement and translation.ordered,
-                distinct=one_statement and translation.one_row_per_id,
-            ),
-            translation.projection,
-        )
 
     def execute(
         self,
@@ -506,7 +489,17 @@ class SQLXPathEngine:
             if fallback_result is None:
                 raise
             return fallback_result
-        result = self._materialize(translation, raw, one_statement=True)
+        # The statement's own ORDER BY / DISTINCT stand, except that a
+        # UNION removes duplicate *rows* and a result holds one row per
+        # *id* (translation.one_row_per_id).
+        result = QueryResult(
+            in_document_order(
+                rows_from_records(raw, translation.projection != "nodes"),
+                ordered=translation.ordered,
+                distinct=translation.one_row_per_id,
+            ),
+            translation.projection,
+        )
         self._cache_result(key, result)
         return result
 
@@ -515,38 +508,26 @@ class SQLXPathEngine:
         expressions: Iterable[Union[str, XPathExpr]],
         *,
         deadline: Optional[float] = None,
-        concurrency: Optional[int] = None,
     ) -> list[QueryResult]:
-        """Run many independent queries, results in input order.
+        """Run many independent queries one after another, results in
+        input order.
 
         The normalized batch surface shared with
-        :class:`~repro.serving.scatter.ShardedEngine`: ``concurrency``
-        bounds the fan-out, ``deadline`` is a wall-clock budget for the
-        *whole call* — queries started after it expires fail like any
-        per-query timeout (fallback-answered when enabled, raised
-        otherwise).
-
-        With a pool attached, queries fan out over a
-        ``ThreadPoolExecutor`` (at most ``concurrency`` in flight) and
-        overlap inside SQLite; without one they run serially on the
-        store's connection — same results, no concurrency.
+        :class:`~repro.serving.scatter.ShardedEngine`: ``deadline`` is a
+        wall-clock budget for the *whole call* — queries started after
+        it expires fail like any per-query timeout (fallback-answered
+        when enabled, raised otherwise).
         """
-        if concurrency is None:
-            concurrency = 4
-        expressions = list(expressions)
-        expiry = None if deadline is None else time.monotonic() + deadline
-
-        def run(expression: Union[str, XPathExpr]) -> QueryResult:
-            remaining = None
-            if expiry is not None:
-                remaining = max(expiry - time.monotonic(), 0.001)
-            return self.execute(expression, deadline=remaining)
-
-        workers = min(concurrency, len(expressions))
-        if self._pool is None or workers <= 1:
-            return [run(expression) for expression in expressions]
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(run, expressions))
+        if deadline is None:
+            return [self.execute(expression) for expression in expressions]
+        expiry = time.monotonic() + deadline
+        return [
+            self.execute(
+                expression,
+                deadline=max(expiry - time.monotonic(), 0.001),
+            )
+            for expression in expressions
+        ]
 
     async def execute_async(
         self,
@@ -557,11 +538,11 @@ class SQLXPathEngine:
         """Awaitable :meth:`execute` for asyncio callers.
 
         Single-store execution is CPU/SQLite-bound, so the call runs on
-        a small engine-owned thread pool (bounded — concurrent awaits
-        queue rather than spawning a thread each); the coroutine merely
-        awaits its completion.  Cancelling the await abandons the
-        *wait*, not the underlying statement — the resilience policy's
-        timeout still bounds the worker thread.
+        the engine's one executor thread — concurrent awaits queue
+        behind each other, and only that thread ever touches the
+        connection; the coroutine merely awaits its completion.
+        Cancelling the await abandons the *wait*, not the underlying
+        statement — the resilience policy's timeout still bounds it.
         """
         loop = asyncio.get_running_loop()
         executor = self._async_executor
@@ -570,7 +551,7 @@ class SQLXPathEngine:
                 executor = self._async_executor
                 if executor is None:
                     executor = ThreadPoolExecutor(
-                        max_workers=4,
+                        max_workers=1,
                         thread_name_prefix="repro-async",
                     )
                     self._async_executor = executor
@@ -582,7 +563,7 @@ class SQLXPathEngine:
     def close(self) -> None:
         """Release engine-owned resources (idempotent).
 
-        Shuts down the :meth:`execute_async` thread pool and runs any
+        Shuts down the :meth:`execute_async` thread and runs any
         cleanup hooks registered by :func:`repro.connect` (the store /
         database it opened on the caller's behalf).  The engine object
         must not be used afterwards.
@@ -599,54 +580,6 @@ class SQLXPathEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def execute_parallel(
-        self, expression: Union[str, XPathExpr], max_workers: int = 4
-    ) -> QueryResult:
-        """Like :meth:`execute`, but when the translation is a
-        multi-branch UNION (Section 4.4 SQL splitting) and a pool is
-        attached, the branches — independent SELECTs by construction —
-        run concurrently on separate pooled connections and merge into
-        the usual document-ordered result.
-
-        When statistics exist, the fan-out is additionally cost-gated:
-        a query whose estimated result is below
-        :attr:`parallel_min_rows` runs on the single-connection path —
-        for tiny results the thread/connection handoff costs more than
-        the overlap saves."""
-        translation = self.translate(expression)
-        if translation.is_empty:
-            return QueryResult([], translation.projection)
-        branches = (
-            translation.statement.branches
-            if isinstance(translation.statement, UnionStatement)
-            else []
-        )
-        if self._pool is None or max_workers <= 1 or len(branches) < 2:
-            return self.execute(expression)
-        estimated = getattr(translation, "estimated_rows", None)
-        if estimated is not None and estimated < self.parallel_min_rows:
-            return self.execute(expression)
-        key = self._result_key(expression)
-        if key is not None:
-            cached = self._result_cache.get(key)
-            if cached is not None:
-                return cached
-        workers = min(max_workers, len(branches))
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            raws = list(
-                executor.map(
-                    lambda branch: self._run_sql(render_statement(branch)),
-                    branches,
-                )
-            )
-        result = self._materialize(
-            translation,
-            [record for raw in raws for record in raw],
-            one_statement=False,
-        )
-        self._cache_result(key, result)
-        return result
 
     # -- graceful degradation ---------------------------------------------------
 
@@ -711,7 +644,8 @@ class PPFEngine(SQLXPathEngine):
     :param result_cache_size: entries in the generation-keyed result
         cache (``None`` disables it).
     :param pool: serve queries from this read-only connection pool
-        (equivalent to calling :meth:`attach_pool` afterwards).
+        (equivalent to calling :meth:`attach_pool` afterwards) — for
+        callers that query from several threads.
     :param passes: explicit optimizer-pass selection (names from
         :data:`repro.plan.passes.PASSES`, run in the given order);
         ``None`` uses the default pipeline, honouring

@@ -68,14 +68,6 @@ class TranslationResult:
     #: ``(epoch, generation)`` of the statistics used (``None`` when the
     #: store handed out none), shown by ``explain --costs``.
     stats_version: Optional[tuple[int, int]] = None
-    #: The statement ends in exactly ``ORDER BY doc_id, dewey_pos``
-    #: (Section 4.3; at union level for a split): whoever runs
-    #: :attr:`sql` as one statement receives rows in document order.
-    ordered: bool = False
-    #: The statement yields no row twice: its root is ``DISTINCT``, a
-    #: ``UNION`` (Section 4.4), or a select whose shape proves it.
-    #: Both claims are re-derived from the plan by the verifier's PV006.
-    distinct: bool = False
 
     @cached_property
     def sql(self) -> str:
@@ -85,7 +77,34 @@ class TranslationResult:
             return ""
         return render_statement(self.statement)
 
-    @property
+    @cached_property
+    def ordered(self) -> bool:
+        """The statement ends in exactly ``ORDER BY doc_id, dewey_pos``
+        (Section 4.3; at union level for a split): whoever runs
+        :attr:`sql` as one statement receives rows in document order.
+        Read once off the statement, like :attr:`sql`."""
+        return (
+            self.statement is not None
+            and tuple(self.statement.order_by) == _nodes.DOCUMENT_ORDER
+        )
+
+    @cached_property
+    def distinct(self) -> bool:
+        """The statement yields no row twice: its root is ``DISTINCT``,
+        a ``UNION`` (Section 4.4), or a select whose plan shape proves
+        it (the condition the verifier's PV006 enforces on the plan)."""
+        statement = self.statement
+        if isinstance(statement, UnionStatement):
+            return True
+        return isinstance(statement, SelectStatement) and (
+            statement.distinct
+            or (
+                self.plan is not None
+                and _passes._distinct_redundant(self.plan.root)
+            )
+        )
+
+    @cached_property
     def one_row_per_id(self) -> bool:
         """:attr:`distinct` rows are also distinct element *ids*: true
         of a single select, whose columns are all functions of the one
@@ -250,14 +269,4 @@ class PPFTranslator:
             estimated_rows=estimated_rows,
             branch_estimates=branch_estimates,
             stats_version=summary.version if summary is not None else None,
-            ordered=statement is not None
-            and tuple(statement.order_by) == _nodes.DOCUMENT_ORDER,
-            distinct=isinstance(statement, UnionStatement)
-            or (
-                isinstance(statement, SelectStatement)
-                and (
-                    statement.distinct
-                    or _passes._distinct_redundant(plan.root)
-                )
-            ),
         )

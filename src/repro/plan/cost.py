@@ -8,7 +8,7 @@ is System-R-flavoured and deliberately small; every formula is listed in
 DESIGN.md's "costed decision" table.
 
 Estimates themselves steer *performance* decisions only (join order,
-union-branch order, fan-out gating) — a wrong estimate can never change
+union-branch order, hedge gating) — a wrong estimate can never change
 what a query returns.  The summary behind them is another matter: the
 ``costed-access-strategy`` pass turns its path list into the SQL filter,
 so the stores hand out a summary only while it is exact (a stale

@@ -59,9 +59,12 @@ The shipped passes (in default order):
     :class:`ReorderWitness` for the PV008 verifier invariant.
 
 ``costed-union-order``
-    Orders UNION branches largest-estimate first, so
-    ``execute_parallel`` schedules the long poles early (UNION output
-    is order-insensitive: results are deduped and globally re-sorted).
+    Orders UNION branches largest-estimate first (UNION output is
+    order-insensitive: the union-level ``ORDER BY`` re-sorts it).  Its
+    customer was the per-branch thread fan-out deleted in PR 18, so it
+    now reorders without a consumer — kept because ``PASSES`` is pinned
+    by the benchmark, and listed in ROADMAP's cull for the next
+    ``benchmark`` PR.
 
 The three costed passes consult :attr:`PassContext.summary` and keep
 quiet without one, so every pass combination stays sound — and emits

@@ -156,7 +156,10 @@ class WorkerFaultPlan:
     ``seed ^ hash((shard, replica))`` so a run is exactly reproducible
     regardless of scheduling order.  Unlike :class:`FaultPlan` (which
     fires below the statement layer), these faults model whole-process
-    failure: kill, freeze, and shard-level slowness.
+    failure: kill, freeze, and shard-level slowness.  A worker serves
+    its requests one at a time, so a ``"slow"`` fault delays the
+    *worker* — the affected request and every request queued behind
+    it — while its heartbeat keeps ticking.
     """
 
     seed: int = 0

@@ -247,15 +247,13 @@ class AsyncShardedEngine:
         expressions,
         *,
         deadline: Optional[float] = None,
-        concurrency: Optional[int] = None,
     ) -> list[QueryResult]:
         """Run many queries, results in input order.
 
         Like the blocking engine's, the whole call occupies **one**
         admission slot and every statement lands in the same coalescing
         tick — one ``submit_batch`` per shard.  ``deadline`` budgets
-        the whole call; ``concurrency`` is accepted for surface
-        compatibility (coalescing replaces client-side fan-out).
+        the whole call.
         """
         engine = self._engine
         planned = [engine._plan(expression) for expression in expressions]

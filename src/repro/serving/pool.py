@@ -1,4 +1,4 @@
-"""A pool of read-only connections for concurrent query serving.
+"""A pool of read-only connections for callers that query from threads.
 
 PR 1 switched file-backed stores to WAL journaling, which is exactly the
 mode under which SQLite allows many readers alongside one writer.  A
@@ -6,9 +6,12 @@ mode under which SQLite allows many readers alongside one writer.  A
 database file — each ``read_only``, each registering ``regexp_like``,
 each running statements under the same :class:`~repro.resilience.
 ResiliencePolicy` retry/guard machinery — and hands them out one per
-query.  Because every pooled connection is a separate ``sqlite3``
-handle, queries dispatched from different threads genuinely overlap
-inside SQLite (the C library releases the GIL while stepping).
+query.  Every pooled connection is a separate ``sqlite3`` handle, so a
+thread never shares a connection with another thread and every reader
+sees a committed snapshot beside a live writer.  The pool is that
+safety device and nothing more: threaded queries measure *slower* than
+serial ones here (EXPERIMENTS.md "PR 18"), and nothing in the library
+starts threads over it.
 """
 
 from __future__ import annotations

@@ -346,7 +346,6 @@ class ShardedEngine:
         store,
         config: Optional[ServingConfig] = None,
         replicas: int = 2,
-        pool_size: int = 2,
         policy: Optional[ResiliencePolicy] = None,
         fault_plan: Optional[WorkerFaultPlan] = None,
         health_interval: Optional[float] = None,
@@ -363,7 +362,6 @@ class ShardedEngine:
         runtime = ShardRuntime(
             store.shard_paths,
             replicas=replicas,
-            pool_size=pool_size,
             policy=policy if policy is not None else store.policy,
             fault_plan=fault_plan,
             **kwargs,
@@ -443,7 +441,6 @@ class ShardedEngine:
         expressions: Iterable[Union[str, XPathExpr]],
         *,
         deadline: Optional[float] = None,
-        concurrency: Optional[int] = None,
     ) -> list[QueryResult]:
         """Run many queries, results in input order.
 
@@ -455,9 +452,7 @@ class ShardedEngine:
         request carrying every statement the result cache could not
         answer, and one ladder per shard covers the whole list — a
         retry resends only the statements still unanswered.  The call
-        occupies one admission slot.  ``concurrency`` is accepted for
-        surface compatibility — pipelining replaced the client-side
-        thread fan-out."""
+        occupies one admission slot."""
         planned = [self._plan(expression) for expression in expressions]
         pending = [plan for plan in planned if plan.result is None]
         if pending:

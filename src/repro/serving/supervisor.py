@@ -1,13 +1,15 @@
 """Supervised shard-worker processes: the muscle behind sharded serving.
 
-Thread fan-out measurably *degrades* this workload (the committed
-``BENCH_PR2.json`` / ``BENCH_PR4.json`` records), so queries scatter
-over **processes**: each shard of a :class:`~repro.
-serving.shards.ShardedStore` is served by one or more forked worker
-processes, each owning its own read-only :class:`~repro.serving.pool.
-ConnectionPool` over the shard file.  SQLite steps with the GIL
-released, but separate processes also get separate page caches and true
-CPU parallelism for the Python-side row handling.
+Processes are the only parallelism in the tree.  Thread fan-out
+measurably *degrades* this workload (``BENCH_PR2.json`` /
+``BENCH_PR4.json``, and EXPERIMENTS.md "PR 18" on two cores), so
+queries scatter over forked workers: each shard of a :class:`~repro.
+serving.shards.ShardedStore` is served by one or more worker processes,
+each owning one read-only :class:`~repro.storage.database.Database`
+over the shard file and running its requests one at a time.  Separate
+processes get separate page caches and true CPU parallelism for the
+Python-side row handling; more throughput per shard means more
+``replicas``, not threads inside a worker.
 
 The robustness machinery lives here:
 
@@ -42,7 +44,6 @@ import os
 import queue as queue_mod
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -83,7 +84,6 @@ class WorkerConfig:
     replica: int
     generation: int
     shard_path: str
-    pool_size: int = 2
     policy: ResiliencePolicy | None = None
     fault_plan: WorkerFaultPlan | None = None
     heartbeat_interval: float = HEARTBEAT_INTERVAL
@@ -109,12 +109,13 @@ def worker_main(
 ) -> None:
     """Entry point of one shard worker process.
 
-    Serves ``batch``/``ping`` requests from ``requests`` until a
-    ``stop`` message arrives, stamping ``heartbeat`` from a side thread
-    so long-running queries never look like a hang.  Scripted process
-    faults (kill / hang / slow) apply per request.
+    Serves ``batch``/``ping`` requests from ``requests``, one at a
+    time on this thread, until a ``stop`` message arrives, stamping
+    ``heartbeat`` from a side thread so long-running queries never look
+    like a hang.  Scripted process faults (kill / hang / slow) apply
+    per request.
     """
-    from repro.serving.pool import ConnectionPool
+    from repro.storage.database import Database
 
     frozen = threading.Event()
     stop_beating = threading.Event()
@@ -134,14 +135,14 @@ def worker_main(
         if config.fault_plan is not None
         else None
     )
-    pool: ConnectionPool | None = None
-    pool_error: str | None = None
+    db: Database | None = None
+    open_error: str | None = None
     try:
-        pool = ConnectionPool(
-            config.shard_path, size=config.pool_size, policy=config.policy
+        db = Database.open(
+            config.shard_path, policy=config.policy, read_only=True
         )
     except Exception as exc:  # pragma: no cover - open failures are rare
-        pool_error = str(exc)
+        open_error = str(exc)
 
     def respond(payload: dict) -> None:
         payload.setdefault("shard", config.shard)
@@ -154,39 +155,38 @@ def worker_main(
         # a whole batch (a single query is a batch of one), amortizing
         # queue + pickle overhead that would otherwise be paid per
         # query.  Item failures are reported per item; the batch
-        # response itself is always "ok" once the pool is usable.  A
-        # "slow" fault delays the affected request (holding its
-        # executor slot), not the whole worker.
+        # response itself is always "ok" once the shard file is open.
+        # A "slow" fault delays this worker — the affected request and
+        # everything queued behind it.
         if fault is not None and fault.kind == "slow":
             time.sleep(fault.seconds)
-        if pool is None:
+        if db is None:
             respond(
                 {
                     "id": message["id"],
                     "ok": False,
                     "error_kind": "storage",
-                    "error": f"shard pool unavailable: {pool_error}",
+                    "error": f"shard database unavailable: {open_error}",
                 }
             )
             return
         items = []
-        with pool.acquire() as db:
-            for sql in message["sqls"]:
-                try:
-                    rows = db.query(
-                        sql,
-                        timeout=message.get("timeout"),
-                        max_rows=message.get("max_rows"),
-                    )
-                    items.append({"ok": True, "rows": rows})
-                except Exception as exc:
-                    items.append(
-                        {
-                            "ok": False,
-                            "error_kind": _classify_error(exc),
-                            "error": str(exc)[:500],
-                        }
-                    )
+        for sql in message["sqls"]:
+            try:
+                rows = db.query(
+                    sql,
+                    timeout=message.get("timeout"),
+                    max_rows=message.get("max_rows"),
+                )
+                items.append({"ok": True, "rows": rows})
+            except Exception as exc:
+                items.append(
+                    {
+                        "ok": False,
+                        "error_kind": _classify_error(exc),
+                        "error": str(exc)[:500],
+                    }
+                )
         # SQLite rows hold only marshal-able scalars, and marshal of a
         # big nested list beats the queue deep-pickling 10k+ tuples —
         # the queue then ships one flat bytes payload.
@@ -194,13 +194,6 @@ def worker_main(
             {"id": message["id"], "ok": True, "items": marshal.dumps(items)}
         )
 
-    # Queries run on as many threads as the pool has connections:
-    # SQLite steps with the GIL released, so a worker genuinely
-    # overlaps requests instead of serving a batch one at a time.
-    executor = ThreadPoolExecutor(
-        max_workers=max(1, config.pool_size),
-        thread_name_prefix=f"shard{config.shard}r{config.replica}",
-    )
     try:
         while True:
             try:
@@ -225,12 +218,13 @@ def worker_main(
                     frozen.set()
                     time.sleep(fault.seconds if fault.seconds > 0 else 3600.0)
                     continue
-            executor.submit(run_batch, message, fault)
+            run_batch(message, fault)
     finally:
+        # Reached between requests only: no statement is running on the
+        # connection being closed.
         stop_beating.set()
-        executor.shutdown(wait=False)
-        if pool is not None:
-            pool.close()
+        if db is not None:
+            db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +381,6 @@ class ShardRuntime:
         self,
         shard_paths: list[str],
         replicas: int = 2,
-        pool_size: int = 2,
         policy: ResiliencePolicy | None = None,
         health_interval: float = DEFAULT_HEALTH_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
@@ -400,7 +393,6 @@ class ShardRuntime:
             raise ShardError(f"replicas must be >= 1, got {replicas}")
         self.shard_paths = list(shard_paths)
         self.replicas = replicas
-        self.pool_size = pool_size
         self.policy = policy
         self.health_interval = health_interval
         self.heartbeat_timeout = heartbeat_timeout
@@ -487,7 +479,6 @@ class ShardRuntime:
             replica=replica,
             generation=generation,
             shard_path=self.shard_paths[shard],
-            pool_size=self.pool_size,
             policy=self.policy,
             fault_plan=self.fault_plan,
         )

@@ -11,7 +11,7 @@ mapping relations, persisted in the store (``repro_path_stats`` +
 incrementally by ``bulk_load`` / ``delete_document``.
 
 The summary never changes *what* a query returns.  Its counts only
-steer performance decisions (join order, union-branch order, fan-out
+steer performance decisions (join order, union-branch order, hedge
 gating); its path list becomes the SQL path filter
 (``costed-access-strategy``), which is sound because the stores hand a
 summary out only while it is exact — a stale summary is no summary.

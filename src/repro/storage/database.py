@@ -162,6 +162,9 @@ class Database:
         self.policy = policy if policy is not None else DEFAULT_POLICY
         self._cancel_event = threading.Event()
         self._active_guard: QueryGuard | None = None
+        #: Held by the thread whose guard is installed (re-entrant: a
+        #: guarded query may nest another on the same thread).
+        self._guard_owner = threading.RLock()
         # Injectable for deterministic tests.
         self._sleep = time.sleep
         self._rng = None  # run_with_retry creates one when None
@@ -319,21 +322,34 @@ class Database:
         if timeout is None:
             yield None
             return
-        guard = QueryGuard(
-            timeout,
-            cancel_event=self._cancel_event,
-            interval=self.policy.progress_interval,
-        )
-        previous = self._active_guard
-        self._active_guard = guard
-        guard.install(self.connection)
+        # Swapping the progress handler under another thread's running
+        # statement deadlocks (that thread's handler waits for the GIL,
+        # this one for SQLite's connection mutex): refuse instead.
+        if not self._guard_owner.acquire(blocking=False):
+            raise StorageError(
+                "this connection is running another thread's guarded "
+                "query; a connection serves one thread at a time — give "
+                "a multi-threaded caller a ConnectionPool "
+                "(engine.attach_pool) so each thread gets its own"
+            )
         try:
-            yield guard
+            guard = QueryGuard(
+                timeout,
+                cancel_event=self._cancel_event,
+                interval=self.policy.progress_interval,
+            )
+            previous = self._active_guard
+            self._active_guard = guard
+            guard.install(self.connection)
+            try:
+                yield guard
+            finally:
+                guard.uninstall(self.connection)
+                self._active_guard = previous
+                if previous is not None:
+                    previous.install(self.connection)
         finally:
-            guard.uninstall(self.connection)
-            self._active_guard = previous
-            if previous is not None:
-                previous.install(self.connection)
+            self._guard_owner.release()
 
     def guarded_query(self, sql: str, params: Sequence = ()) -> list[tuple]:
         """Like :meth:`query`, but under the connection policy's

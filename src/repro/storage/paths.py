@@ -6,8 +6,8 @@ relation, ``paths(id, path)``; every mapping relation carries a
 insertion, exactly as the paper describes, with an in-memory cache so
 loading is one lookup per element.
 
-The cache is guarded by a lock: translation (which may run on pool
-worker threads) reads it while a loader thread fills it.  All writes to
+The cache is guarded by a lock: translation (which may run on a
+caller's reader threads) reads it while a loader thread fills it.  All writes to
 the relation itself still belong to the store's single writer
 connection.
 """

@@ -149,36 +149,6 @@ class TestSeededBugs:
             plan.root.order_by = order_by
             assert _codes(verifier.verify(plan)) == ["PV006"], order_by
 
-    def test_ordered_claim_without_the_clause_caught(
-        self, translated, verifier
-    ):
-        assert translated.ordered and translated.distinct
-        assert verifier.verify_translation(translated).ok
-        plan = copy.deepcopy(translated.plan)
-        plan.root.order_by = []
-        lying = dataclasses.replace(translated, plan=plan, ordered=True)
-        # One finding for the missing clause, one for the claim.
-        assert _codes(verifier.verify_translation(lying)) == [
-            "PV006", "PV006",
-        ]
-        honest = dataclasses.replace(lying, ordered=False)
-        assert _codes(verifier.verify_translation(honest)) == ["PV006"]
-
-    def test_claims_must_agree_with_the_plan(
-        self, translator, translated, verifier
-    ):
-        """Under-claiming is a finding too: the fields are derived, not
-        tunable."""
-        modest = dataclasses.replace(translated, ordered=False)
-        assert _codes(verifier.verify_translation(modest)) == ["PV006"]
-        fanning = translator.translate("//keyword/ancestor::listitem")
-        plan = copy.deepcopy(fanning.plan)
-        plan.root.distinct = False
-        lying = dataclasses.replace(fanning, plan=plan, distinct=True)
-        assert _codes(verifier.verify_translation(lying)) == [
-            "PV006", "PV006",
-        ]
-
     def test_pruned_distinct_caught(self, translator, verifier):
         # The ancestor join fans out (many keywords share a listitem),
         # so DISTINCT is load-bearing on this plan.

@@ -3,8 +3,8 @@
 Until PR 17 every execution path wrapped each record, kept the first
 row per id in a dict and ``sorted()`` the lot, whatever the plan had
 already proved.  That procedure is kept *here* (``reference_rows``) and
-every path — single store under every pass pipeline, Edge, accel,
-``execute_parallel``, the native fallback, a 2-shard fleet driven both
+every path — single store under every pass pipeline, Edge, accel, a
+pooled connection, the native fallback, a 2-shard fleet driven both
 ways — must return what it returns over the statement's raw records,
 row for row: ids, document ids, Dewey keys and values.
 """
@@ -12,6 +12,8 @@ row for row: ids, document ids, Dewey keys and values.
 from __future__ import annotations
 
 import asyncio
+import copy
+import dataclasses
 
 import pytest
 
@@ -157,14 +159,15 @@ class TestSingleStore:
             ), xpath
 
     def test_parallel_branches_and_costed_explain(self, documents, tmp_path):
-        """Per-branch results are concatenated without the union-level
-        ORDER BY: they still come back ordered and duplicate-free."""
+        """A pooled connection answers like the store's own; and the
+        sibling branches of a UNION, which ``explain_costs`` runs one by
+        one and concatenates without the union-level ORDER BY, are still
+        counted duplicate-free."""
         store = _shredded(
             documents,
             Database.open(str(tmp_path / "pool.db"), check_same_thread=False),
         )
         engine = PPFEngine(store, passes=(), result_cache_size=None)
-        engine.parallel_min_rows = 0.0
         fanned = 0
         with ConnectionPool.for_store(store, size=2) as pool:
             engine.attach_pool(pool)
@@ -176,10 +179,7 @@ class TestSingleStore:
                     store.db.query(translation.sql), translation.projection
                 )
                 fanned += translation.branch_count() > 1
-                assert (
-                    as_tuples(engine.execute_parallel(xpath, max_workers=2))
-                    == expected
-                ), xpath
+                assert as_tuples(engine.execute(xpath)) == expected, xpath
                 report = engine.explain_costs(xpath)
                 assert report.actual_rows == len(expected), xpath
                 assert sum(report.branch_actual) >= len(expected)
@@ -232,6 +232,22 @@ class TestPlanClaims:
                     not isinstance(translation.statement, UnionStatement)
                 )
         assert checked > 500
+
+    def test_claims_are_read_off_the_statement(self, single):
+        """``ordered`` / ``distinct`` are not constructor arguments: a
+        statement without the clause cannot be declared ordered, and
+        the result path then sorts."""
+        translation = single.translate("//keyword")
+        with pytest.raises(TypeError):
+            dataclasses.replace(translation, ordered=True)
+        statement = copy.deepcopy(translation.statement)
+        statement.order_by = ["dewey_pos"]
+        statement.distinct = False
+        bare = dataclasses.replace(
+            translation, statement=statement, plan=None
+        )
+        assert not bare.ordered and not bare.distinct
+        assert not bare.one_row_per_id
 
     def test_sql_is_rendered_once(self, single):
         translation = single.translate("//keyword")

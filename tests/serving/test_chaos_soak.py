@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -248,9 +249,12 @@ class TestAsyncChaosSoak:
 
         single, sharded = build_corpus(tmp_path, docs=4)
         answers = oracle_answers(single, sharded)
+        # The 20 concurrent queries coalesce into one batch per worker
+        # and tick, so only a worker's *first* request (after=0) is
+        # sure to arrive while they are parked.
         plan = (
             WorkerFaultPlan(seed=SEED, slow_rate=0.10, slow_seconds=0.03)
-            .script("kill", shard=0, replica=0, after=1)
+            .script("kill", shard=0, replica=0, after=0)
             .script("kill", shard=1, replica=1, after=2)
         )
         config = ServingConfig(
@@ -274,6 +278,7 @@ class TestAsyncChaosSoak:
 
             async def soak():
                 front = AsyncShardedEngine(engine)
+                victim = engine.runtime.worker(0, 0)
                 workload = QUERIES * 4
                 tasks = [
                     asyncio.ensure_future(front.execute(q))
@@ -299,6 +304,9 @@ class TestAsyncChaosSoak:
                         continue
                     assert not isinstance(outcome, BaseException), outcome
                     tally[check_outcome(query, outcome, answers)] += 1
+                # The kill landed while the wave was parked: shard 0's
+                # answers above came from the surviving replica.
+                assert not victim.process.is_alive()
                 # No leaked futures: all in-flight requests (hedges
                 # included) were answered or abandoned.
                 for _ in range(100):
@@ -313,16 +321,17 @@ class TestAsyncChaosSoak:
                     "native",
                     "partial",
                 )
-                # That query was shard 0 / replica 0's 2nd request at
-                # the latest, so its scripted kill has fired; replacing
-                # the worker races the query's retry on the surviving
-                # replica.  Wait for the supervisor — no more queries.
-                for _ in range(100):
-                    if engine.runtime.respawn_count():
-                        break
-                    await asyncio.sleep(0.05)
 
             asyncio.run(soak())
+            # The supervisor replaces the dead worker on its next health
+            # sweep (0.1 s apart); the wave, answered by the hedge after
+            # 0.05 s, usually finishes before that.
+            patience = time.monotonic() + 5.0
+            while (
+                not engine.runtime.respawn_count()
+                and time.monotonic() < patience
+            ):
+                time.sleep(0.02)
             respawns = engine.runtime.respawn_count()
         finally:
             engine.close()

@@ -1,9 +1,12 @@
 """Pooled readers against a live writer: snapshot containment, no lock
-errors leaking through, no stale cache serves — plus the parallel
-execution APIs and the process-global regex cache under contention."""
+errors leaking through, no stale cache serves — plus ``execute_many``
+with and without a pool, the inventory of thread fan-outs left in the
+tree, and the process-global regex cache under contention."""
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import re
 import sqlite3
 import threading
@@ -115,46 +118,36 @@ class TestParallelExecution:
         expected = [serial.execute(q).ids for q in self.QUERIES]
         with ConnectionPool.for_store(file_store, size=4) as pool:
             engine = PPFEngine(file_store, result_cache_size=None, pool=pool)
-            got = engine.execute_many(self.QUERIES, concurrency=4)
+            got = engine.execute_many(self.QUERIES)
             assert [r.ids for r in got] == expected
             assert pool.checkouts >= len(self.QUERIES)
-            # concurrency=1 takes the serial path, same answers.
-            got1 = engine.execute_many(self.QUERIES, concurrency=1)
-            assert [r.ids for r in got1] == expected
 
     def test_execute_many_without_pool_is_serial_but_correct(
         self, file_store
     ):
         engine = PPFEngine(file_store, result_cache_size=None)
-        got = engine.execute_many(self.QUERIES, concurrency=4)
+        got = engine.execute_many(self.QUERIES)
         assert [r.ids for r in got] == [
             engine.execute(q).ids for q in self.QUERIES
         ]
 
-    def test_execute_parallel_fans_union_branches(self, tmp_path):
-        doc = parse_document(
-            "<lib><book id='b1'><title>A</title></book>"
-            "<journal id='j1'><title>B</title></journal></lib>",
-            name="lib",
-        )
-        path = str(tmp_path / "union.db")
-        store = ShreddedStore.create(
-            Database.open(path, check_same_thread=False),
-            infer_schema([doc]),
-        )
-        store.load(doc)
-        engine = PPFEngine(store, result_cache_size=None)
-        assert engine.translate("/lib/*").branch_count() == 2
-        expected = engine.execute("/lib/*").ids
-        with ConnectionPool.for_store(store, size=2) as pool:
-            engine.attach_pool(pool)
-            result = engine.execute_parallel("/lib/*", max_workers=2)
-            assert result.ids == expected
-            # Single-branch queries just delegate to execute().
-            assert (
-                engine.execute_parallel("//book").ids
-                == engine.execute("//book").ids
-            )
+    def test_one_thread_fan_out_left_in_the_tree(self):
+        """Processes are the only parallelism: the single executor under
+        ``src/repro`` (outside the analyzers, which only *name* it) is
+        the one thread behind single-store ``execute_async``."""
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        sites = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            if "analysis" not in path.relative_to(root).parts
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", ""))
+            == "ThreadPoolExecutor"
+        ]
+        assert len(sites) == 1 and sites[0].startswith("core/engine.py:")
 
 
 class TestSharedRegexCache:

@@ -374,9 +374,34 @@ class TestDeadline:
 
 
 class TestOneCallForm:
-    """``execute_many(expressions, *, deadline=None, concurrency=None)``
-    is the only call form on every engine: the ``max_workers`` /
-    positional shims deprecated in PR 8 are gone."""
+    """``execute_many(expressions, *, deadline=None)`` is the only call
+    form on every engine: the ``max_workers`` / positional shims
+    deprecated in PR 8 are gone, and so is ``concurrency`` — no engine
+    fans a batch out over threads."""
+
+    @pytest.mark.parametrize("keyword", ["concurrency", "max_workers"])
+    @pytest.mark.parametrize("family", ["ppf", "sharded", "async"])
+    def test_fan_out_keywords_rejected(self, corpus, family, keyword):
+        single, sharded = corpus
+        if family == "ppf":
+            with pytest.raises(TypeError):
+                PPFEngine(single).execute_many(QUERIES, **{keyword: 2})
+            return
+        engine = serve(sharded)
+        try:
+            if family == "sharded":
+                with pytest.raises(TypeError):
+                    engine.execute_many(QUERIES, **{keyword: 2})
+                return
+
+            async def go():
+                front = AsyncShardedEngine(engine)
+                with pytest.raises(TypeError):
+                    await front.execute_many(QUERIES, **{keyword: 2})
+
+            run(go())
+        finally:
+            engine.close()
 
     def test_async_execute_many_positional_rejected(self, corpus):
         _, sharded = corpus
@@ -406,9 +431,7 @@ class TestOneCallForm:
         engine = PPFEngine(single)
         with pytest.raises(TypeError):
             engine.execute_many(QUERIES, 2)
-        assert len(engine.execute_many(QUERIES, concurrency=2)) == len(
-            QUERIES
-        )
+        assert len(engine.execute_many(QUERIES)) == len(QUERIES)
 
 
 class TestSingleStoreAsync:

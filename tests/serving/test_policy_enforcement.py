@@ -1,13 +1,12 @@
 """Regression: the store's resilience limits must reach *every*
-execution path, including pooled fan-out.
+execution path, including the pooled one.
 
 A pool constructed directly (``ConnectionPool(path, size)``) carries
 the unlimited default policy; before the fix, ``_run_sql`` ran pooled
 statements under *only* the pool connection's policy, so a
 ``--query-timeout`` on the store was silently dropped exactly on the
-``execute_many`` / ``execute_parallel`` paths that use the pool.  Now
-the pooled path enforces the strictest of the store's and the pool's
-limits."""
+paths that use the pool.  Now the pooled path enforces the strictest of
+the store's and the pool's limits."""
 
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ from repro import (
     infer_schema,
     parse_document,
 )
-from repro.sqlgen.ast import UnionStatement
 
 _INFINITE = (
     "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
@@ -57,11 +55,9 @@ def unlimited_pool(store, size=2):
     return pool
 
 
-def stub_translation(sql=_INFINITE, statement=None):
+def stub_translation(sql=_INFINITE):
     return SimpleNamespace(
-        statement=statement
-        if statement is not None
-        else object(),  # anything non-None and non-UnionStatement
+        statement=object(),  # anything non-None and non-UnionStatement
         projection="nodes",
         expression="//stub",
         is_empty=False,
@@ -81,31 +77,14 @@ class TestPooledPolicyEnforcement:
         pool.close()
 
     def test_execute_many_honours_store_timeout(self, limited_store):
-        """The reported bug: `--query-timeout` dropped on the
-        execute_many fan-out when the pool had no policy of its own."""
+        """The reported bug: `--query-timeout` dropped on a pooled
+        execute_many when the pool had no policy of its own."""
         engine = PPFEngine(limited_store, result_cache_size=None)
         pool = unlimited_pool(limited_store)
         engine.attach_pool(pool)
         engine.translate = lambda expression: stub_translation()
         with pytest.raises(QueryTimeoutError):
-            engine.execute_many(["//a", "//b"], concurrency=2)
-        pool.close()
-
-    def test_execute_parallel_honours_store_timeout(
-        self, limited_store, monkeypatch
-    ):
-        engine = PPFEngine(limited_store, result_cache_size=None)
-        pool = unlimited_pool(limited_store)
-        engine.attach_pool(pool)
-        union = UnionStatement(branches=[object(), object()])
-        engine.translate = lambda expression: stub_translation(
-            statement=union
-        )
-        monkeypatch.setattr(
-            "repro.core.engine.render_statement", lambda branch: _INFINITE
-        )
-        with pytest.raises(QueryTimeoutError):
-            engine.execute_parallel("//stub", max_workers=2)
+            engine.execute_many(["//a", "//b"])
         pool.close()
 
     def test_strictest_of_pool_and_store_wins(self, tmp_path):

@@ -86,7 +86,7 @@ class TestOracleEquivalence:
         with ShardedEngine.serve(
             sharded, config=ServingConfig(deadline=15.0)
         ) as engine:
-            results = engine.execute_many(QUERIES, concurrency=3)
+            results = engine.execute_many(QUERIES)
             for query, result in zip(QUERIES, results):
                 assert result.ids == oracle.execute(query).ids, query
 

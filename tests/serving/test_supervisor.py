@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import marshal
 import queue
+import signal
 import time
 
 import pytest
@@ -51,6 +52,10 @@ def wait_for(predicate, timeout=5.0, interval=0.02):
 
 
 COUNT_SQL = "SELECT COUNT(*) AS n, 1, x'00' FROM docs"
+ENDLESS_SQL = (
+    "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+    "SELECT COUNT(*), 1, x'00' FROM c"
+)
 
 
 class TestRuntimeBasics:
@@ -160,6 +165,34 @@ class TestSupervision:
             assert "hung" in reasons
         finally:
             runtime.close()
+        store.close()
+
+    @pytest.mark.chaos  # also runs in CI's chaos-smoke job
+    def test_close_under_a_running_batch_never_crashes_a_worker(
+        self, tmp_path
+    ):
+        """A worker runs its batch on its own request loop, so it can
+        only reach its shutdown path between statements: one that is
+        still stepping when the fleet closes finishes (exit 0) or is
+        terminated by the supervisor (SIGTERM) — it never closes the
+        connection under the statement and dies on SIGSEGV."""
+        store = make_store(tmp_path, shards=2)
+        runtime = ShardRuntime(store.shard_paths, replicas=1).start()
+        handles = [runtime.worker(shard, 0) for shard in range(2)]
+        completions = queue.SimpleQueue()
+        # Shard 0 outlives close()'s grace period; shard 1 times out
+        # inside it and then sees the stop message.
+        runtime.submit_batch(
+            0, [ENDLESS_SQL], timeout=30.0, on_complete=completions.put
+        )
+        runtime.submit_batch(
+            1, [ENDLESS_SQL], timeout=0.5, on_complete=completions.put
+        )
+        runtime.close()
+        for handle in handles:
+            handle.process.join(timeout=5.0)
+        exit_codes = [handle.process.exitcode for handle in handles]
+        assert set(exit_codes) <= {0, -signal.SIGTERM}, exit_codes
         store.close()
 
 

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -27,6 +32,34 @@ pytestmark = [
 ]
 
 XML = "<shop><item sku='a'><price>5</price></item></shop>"
+
+#: Child process of the gather regression test: XMark scale 24 (the
+#: smallest store the deadlock reproduced on every time), default
+#: config, the 25 XM25 queries.
+_GATHER_SCRIPT = """
+import asyncio, faulthandler, sys
+faulthandler.dump_traceback_later(60, exit=True)
+import repro
+from repro.storage.database import Database
+from repro.storage.schema_aware import ShreddedStore
+from repro.workloads.xmark import XMarkConfig, generate_xmark
+from repro.workloads.xpathmark import XPATHMARK_A_QUERIES, XPATHMARK_QUERIES
+
+document = generate_xmark(XMarkConfig(scale=24.0, seed=7))
+db = Database.open(sys.argv[1])
+ShreddedStore.create(db, repro.infer_schema([document])).bulk_load([document])
+db.close()
+queries = [q.xpath for q in XPATHMARK_QUERIES + XPATHMARK_A_QUERIES]
+
+async def gathered(engine):
+    return await asyncio.gather(*(engine.execute_async(q) for q in queries))
+
+with repro.connect(sys.argv[1]) as engine:
+    got = asyncio.run(gathered(engine))
+    engine.result_cache_clear()
+    assert [r.rows for r in got] == [engine.execute(q).rows for q in queries]
+print(len(got), "results match")
+"""
 
 
 def make_docs(count=4):
@@ -79,21 +112,71 @@ class TestConnectSingle:
         engine.close()  # idempotent
 
     def test_config_controls_pool_and_policy(self, single_path):
-        config = EngineConfig(pool_size=2, deadline=9.0, max_rows=50)
+        """The policy follows the config; a pool is no longer something
+        a config can ask for — ``connect`` never builds one."""
+        with pytest.raises(TypeError):
+            EngineConfig(pool_size=2)
+        config = EngineConfig(deadline=9.0, max_rows=50)
         with connect(single_path, config=config) as engine:
-            assert engine._pool is not None
+            assert engine.pool is None
             assert engine.store.db.policy.query_timeout == 9.0
             assert engine.store.db.policy.max_rows == 50
             assert len(engine.execute("//item")) == 4
 
     def test_execute_async_is_wired(self, single_path):
-        config = EngineConfig(pool_size=2)
-        with connect(single_path, config=config) as engine:
+        with connect(single_path) as engine:
 
             async def go():
                 return await engine.execute_async("//item")
 
             assert len(asyncio.run(go())) == 4
+
+    def test_gathered_execute_async_does_not_deadlock(self, tmp_path):
+        """Regression: 25 gathered ``execute_async`` calls on one
+        ``connect()``-ed file store used to park four executor threads
+        on the one guarded connection (GIL vs SQLite's connection
+        mutex) and never return.  Runs in a child under a watchdog so a
+        relapse fails in bounded time instead of hanging the suite."""
+        child = subprocess.run(
+            [sys.executable, "-c", _GATHER_SCRIPT, str(tmp_path / "x.db")],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr[-2000:]
+        assert child.stdout.strip().endswith("25 results match")
+
+    def test_second_thread_on_a_guarded_connection_gets_a_typed_error(
+        self, single_path
+    ):
+        """Two plain threads on an unpooled engine: the one that arrives
+        while the other's guard is installed is told to attach a pool —
+        at once, not after a deadlock."""
+        with connect(single_path) as engine:
+            db = engine.store.db
+            entered, release = threading.Event(), threading.Event()
+
+            def hold():
+                with db._guarded(5.0):
+                    entered.set()
+                    release.wait(10.0)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            try:
+                assert entered.wait(5.0)
+                started = time.monotonic()
+                with pytest.raises(StorageError, match="attach_pool"):
+                    engine.execute("//item")
+                assert time.monotonic() - started < 1.0
+            finally:
+                release.set()
+                holder.join(5.0)
+            assert not holder.is_alive()
+            # The guard's owner is unaffected, and the connection serves
+            # the next thread once it is free again.
+            assert len(engine.execute("//item")) == 4
 
 
 class TestConnectSharded:
