@@ -38,8 +38,17 @@ from repro.core.results import (  # noqa: F401
     in_document_order,
     rows_from_records,
 )
-from repro.core.translator import PPFTranslator, TranslationResult
-from repro.errors import QueryTimeoutError, ReproError, RetryExhaustedError
+from repro.core.translator import (
+    PlanTemplate,
+    PPFTranslator,
+    TranslationResult,
+)
+from repro.errors import (
+    QueryTimeoutError,
+    ReproError,
+    RetryExhaustedError,
+    StorageError,
+)
 from repro.plan.nodes import QueryPlan, describe_plan
 
 # Module-object binding (see translator.py): repro.plan.passes imports
@@ -49,15 +58,20 @@ import repro.plan.passes as _plan_passes
 
 from repro.serving.cache import ResultCache
 from repro.serving.pool import ConnectionPool
-from repro.sqlgen.ast import UnionStatement
+from repro.sqlgen.ast import SelectStatement, UnionStatement
 from repro.sqlgen.dialect import AnsiDialect
 from repro.sqlgen.render import render_statement
+from repro.storage.database import Params
 from repro.storage.edge import EdgeStore
 from repro.storage.schema_aware import ShreddedStore
 from repro.xpath.ast import XPathExpr
+from repro.xpath.lexer import shape_of
 
 #: Hit/miss statistics of the per-engine translation cache.
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+#: Rows :meth:`SQLXPathEngine.iterate` fetches and wraps at a time.
+_ITERATE_CHUNK = 256
 
 
 class ExplainReport(str):
@@ -147,9 +161,15 @@ class SQLXPathEngine:
 
     Two cache tiers sit in front of SQLite:
 
-    * **translations** are cached per expression string with true LRU
-      eviction — they depend only on the schema (static for a store's
-      lifetime), so repeated queries skip the translation pass entirely;
+    * **translations** are looked up twice, both with true LRU eviction:
+      by expression string — a repeated query skips translation
+      entirely — and, failing that, by *shape*: the expression with its
+      literals lifted out (:func:`repro.xpath.lexer.shape_of`).  A
+      string of a known shape binds its literals to the shape's
+      :class:`~repro.core.translator.PlanTemplate` as SQL parameters
+      instead of being translated, so a stream of never-repeating
+      strings from a handful of query forms costs a handful of
+      translations (and of SQLite statement compilations);
     * **results** are cached in a bounded LRU keyed by ``(xpath, store
       generation)``.  The store bumps its generation on every mutation,
       so a hit is always consistent with the current data and never
@@ -178,6 +198,7 @@ class SQLXPathEngine:
     """
 
     _CACHE_LIMIT = 256
+    _TEMPLATE_LIMIT = 256
 
     def __init__(self, store, translator: PPFTranslator,
                  fallback: bool = False,
@@ -193,6 +214,11 @@ class SQLXPathEngine:
         #: running bad SQL.
         self.verify_plans = verify_plans
         self._translation_cache: OrderedDict[tuple, TranslationResult] = (
+            OrderedDict()
+        )
+        #: ``(shape key, translator fingerprint)`` → the shape's
+        #: template, or ``None`` for a shape known not to be liftable.
+        self._templates: OrderedDict[tuple, Optional[PlanTemplate]] = (
             OrderedDict()
         )
         self._cache_hits = 0
@@ -230,36 +256,71 @@ class SQLXPathEngine:
     def translate(self, expression: Union[str, XPathExpr]) -> TranslationResult:
         """Translate without executing (cached for string expressions).
 
-        The cache key includes the translator fingerprint — which in
-        turn includes the store's statistics version — so refreshed
-        statistics (a new cost-model input) can never serve a plan
-        built against the old summary."""
+        First lookup: the exact string.  Second: its shape — a hit
+        binds the string's literals to the cached template and shares
+        everything else with it.  Only a shape never seen before (or
+        one that is not liftable) is translated.  Both keys include the
+        translator fingerprint — which in turn includes the store's
+        statistics version — so refreshed statistics (a new cost-model
+        input) can never serve a plan built against the old summary."""
         if not isinstance(expression, str):
-            translated = self.translator.translate(expression)
+            translated = self.translator.translate_inline(expression)
             if self.verify_plans:
                 self._verify_translation(translated)
             return translated
-        key = (expression, self.translator.fingerprint)
+        fingerprint = self.translator.fingerprint
+        key = (expression, fingerprint)
         with self._lock:
             cached = self._translation_cache.get(key)
             if cached is not None:
                 self._cache_hits += 1
                 self._translation_cache.move_to_end(key)
                 return cached
-            self._cache_misses += 1
-        # Translate outside the lock: it only reads the schema and the
-        # statistics snapshot pinned by the cache key, and two threads
-        # translating the same novel expression just produce equal
-        # results.
-        translated = self.translator.translate(expression)
-        if self.verify_plans:
-            self._verify_translation(translated)
+        translated, hit = self._translate_by_shape(expression, fingerprint)
         with self._lock:
+            if hit:
+                self._cache_hits += 1
+            else:
+                self._cache_misses += 1
             self._translation_cache[key] = translated
             self._translation_cache.move_to_end(key)
             while len(self._translation_cache) > self._CACHE_LIMIT:
                 self._translation_cache.popitem(last=False)
         return translated
+
+    def _translate_by_shape(
+        self, expression: str, fingerprint: tuple
+    ) -> tuple[TranslationResult, bool]:
+        """The translation of a string the exact-string cache missed,
+        and whether a cached template supplied it."""
+        # Translation runs outside the lock: it only reads the schema
+        # and the statistics snapshot pinned by the cache key, and two
+        # threads translating the same novel shape just produce equal
+        # templates.
+        shape = shape_of(expression)
+        if shape is None:  # does not tokenize: raises, saying where
+            return self.translator.translate_inline(expression), False
+        key = (shape.key, fingerprint)
+        with self._lock:
+            known = key in self._templates
+            template = self._templates.get(key)
+            if known:
+                self._templates.move_to_end(key)
+        if not known:
+            template = self.translator.template(expression, shape)
+            if template is not None and self.verify_plans:
+                self._verify_translation(template.translation)
+            with self._lock:
+                self._templates[key] = template
+                self._templates.move_to_end(key)
+                while len(self._templates) > self._TEMPLATE_LIMIT:
+                    self._templates.popitem(last=False)
+        if template is not None:
+            return template.bind(expression, shape.values), known
+        translated = self.translator.translate_inline(expression)
+        if self.verify_plans:
+            self._verify_translation(translated)
+        return translated, False
 
     def _verify_translation(self, translation: TranslationResult) -> None:
         """Run the static plan verifier over a fresh translation
@@ -283,7 +344,11 @@ class SQLXPathEngine:
             )
 
     def cache_info(self) -> CacheInfo:
-        """Hit/miss counters of the translation cache."""
+        """Counters of the translation cache: ``hits`` are lookups
+        answered without translating (by the exact string, or by
+        binding to a cached template), ``misses`` the full translations
+        made; ``maxsize`` / ``currsize`` describe the exact-string
+        tier."""
         with self._lock:
             return CacheInfo(
                 self._cache_hits,
@@ -296,6 +361,7 @@ class SQLXPathEngine:
         """Drop all cached translations and reset the counters."""
         with self._lock:
             self._translation_cache.clear()
+            self._templates.clear()
             self._cache_hits = 0
             self._cache_misses = 0
 
@@ -364,7 +430,8 @@ class SQLXPathEngine:
             else [statement]
         )
         raws = [
-            self._run_sql(render_statement(branch)) for branch in branches
+            self._run_bound(translation, self._run_sql, branch)
+            for branch in branches
         ]
         report.branch_actual = tuple(len(raw) for raw in raws)
         # Branches are rendered without the union-level ORDER BY, so
@@ -386,7 +453,7 @@ class SQLXPathEngine:
         translation = self.translate(expression)
         if translation.is_empty:
             return []
-        return self.store.db.query_plan(translation.sql)
+        return self._run_bound(translation, self.store.db.query_plan)
 
     def iterate(self, expression: Union[str, XPathExpr]):
         """Stream result rows without materializing the whole set.
@@ -398,14 +465,47 @@ class SQLXPathEngine:
         translation = self.translate(expression)
         if translation.is_empty:
             return
-        cursor = self.store.db.execute(translation.sql)
-        for record in cursor:
-            value = None
-            if translation.projection != "nodes" and len(record) > 3:
-                value = None if record[3] is None else str(record[3])
-            yield ResultRow(
-                record[0], record[1], bytes(record[2]), value=value
-            )
+        cursor = self._run_bound(translation, self.store.db.execute)
+        wants_value = translation.projection != "nodes"
+        while True:
+            records = cursor.fetchmany(_ITERATE_CHUNK)
+            if not records:
+                return
+            yield from rows_from_records(records, wants_value)
+
+    @staticmethod
+    def _run_bound(
+        translation: TranslationResult,
+        run,
+        statement: Optional[SelectStatement] = None,
+    ):
+        """``run(sql, parameters)`` for ``translation`` — for one branch
+        ``statement`` of it when given, for all of it otherwise: the
+        one place the parametrised text meets its values.
+
+        A :class:`~repro.errors.StorageError` on the way out (timeout,
+        row cap, retries exhausted, a wrapped SQLite error) is restated
+        with the literals inline: what failed is something the user can
+        paste into ``sqlite3``, not ``:v0`` with the value lost."""
+        parameters = translation.parameters
+        sql = (
+            translation.parametrised_sql
+            if statement is None
+            else render_statement(statement)
+        )
+        if not parameters:
+            return run(sql)
+        try:
+            return run(sql, parameters)
+        except StorageError as exc:
+            if exc.sql:
+                inline = (
+                    translation.sql
+                    if statement is None
+                    else render_statement(statement, parameters=parameters)
+                )
+                exc.restate(exc.sql.replace(sql, inline))
+            raise
 
     @staticmethod
     def _strictest(*limits: "Optional[float]") -> Optional[float]:
@@ -414,7 +514,10 @@ class SQLXPathEngine:
         return min(present) if present else None
 
     def _run_sql(
-        self, sql: str, deadline: Optional[float] = None
+        self,
+        sql: str,
+        parameters: Params = (),
+        deadline: Optional[float] = None,
     ) -> list[tuple]:
         """Run one statement under the resilience guards — on a pooled
         read-only connection when a pool is attached, on the store's own
@@ -435,6 +538,7 @@ class SQLXPathEngine:
             with pool.acquire() as db:
                 return db.query(
                     sql,
+                    parameters,
                     timeout=self._strictest(
                         store_policy.query_timeout,
                         db.policy.query_timeout,
@@ -447,12 +551,13 @@ class SQLXPathEngine:
         if deadline is not None:
             return self.store.db.query(
                 sql,
+                parameters,
                 timeout=self._strictest(
                     store_policy.query_timeout, deadline
                 ),
                 max_rows=store_policy.max_rows,
             )
-        return self.store.db.guarded_query(sql)
+        return self.store.db.guarded_query(sql, parameters)
 
     def execute(
         self,
@@ -479,7 +584,10 @@ class SQLXPathEngine:
             if cached is not None:
                 return cached
         try:
-            raw = self._run_sql(translation.sql, deadline)
+            raw = self._run_bound(
+                translation,
+                functools.partial(self._run_sql, deadline=deadline),
+            )
         except (QueryTimeoutError, RetryExhaustedError):
             if not self.fallback:
                 raise

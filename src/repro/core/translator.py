@@ -13,20 +13,33 @@ it wires the three pipeline layers together:
 3. :func:`repro.plan.lowering.lower_plan` renders the survivor through a
    :class:`~repro.sqlgen.dialect.AnsiDialect` (SQLite by default).
 
-:meth:`PPFTranslator.translate` keeps its pre-refactor signature and
-output semantics; :class:`TranslationResult` additionally carries the
-optimized plan, per-pass reports and before/after plan statistics for
-``explain`` and the per-layer benchmark (``perfbench/``).
+**Translation is per shape.**  Algorithm 1 is a function of steps, axes,
+name tests and predicate structure; the constants of value predicates
+only ever end up as the right-hand side of a selection.  So a string is
+translated as its :class:`~repro.xpath.lexer.Shape`: literals become
+:class:`~repro.xpath.ast.Parameter` leaves, the planner writes a named
+SQL parameter where it would have written the literal, and the outcome
+is a :class:`PlanTemplate` that every string of that shape *binds* —
+sharing plan, statement, reports, estimates and SQL text, adding only
+its values.  A shape whose plan needs a value (:class:`~repro.plan.
+planner.NotLiftable`) is translated with its literals in place instead.
+
+:class:`TranslationResult` carries the optimized plan, per-pass reports
+and before/after plan statistics for ``explain`` and the per-layer
+benchmark (``perfbench/``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from repro.core.adapters import StoreAdapter
-from repro.errors import TranslationError
+from repro.errors import ReproError, TranslationError
 
 # The plan modules are bound as module objects (not from-imports): the
 # plan and core packages import each other's submodules, and depending on
@@ -41,8 +54,10 @@ import repro.plan.planner as _planner
 
 from repro.sqlgen import SelectStatement, UnionStatement, render_statement
 from repro.sqlgen.dialect import DEFAULT_DIALECT, AnsiDialect
+from repro.sqlgen.render import BoundValue, number_value, parameter_name
 from repro.xpath.ast import XPathExpr
-from repro.xpath.parser import parse_xpath
+from repro.xpath.lexer import NUMBER_SLOT, STRING_SLOT, Shape, shape_of
+from repro.xpath.parser import parse_template, parse_xpath
 
 
 @dataclass
@@ -68,14 +83,46 @@ class TranslationResult:
     #: ``(epoch, generation)`` of the statistics used (``None`` when the
     #: store handed out none), shown by ``explain --costs``.
     stats_version: Optional[tuple[int, int]] = None
+    #: Values of the statement's named parameters, by name (``None``
+    #: when it has none: the literals are in the statement).  Everything
+    #: above except ``expression`` is the template's, shared by every
+    #: string of the shape; this is what one string adds.
+    parameters: Optional[dict[str, BoundValue]] = None
 
     @cached_property
-    def sql(self) -> str:
-        """The SQL text (empty string when statically empty), rendered
-        once: the statement is not mutated after ``translate()``."""
+    def parametrised_sql(self) -> str:
+        """The statement as it executes: named parameters (``:v0`` …)
+        where the expression has literals, to be run with
+        :attr:`parameters` bound.  Empty when statically empty; rendered
+        once per template (the statement is not mutated after
+        ``translate()``)."""
         if self.statement is None:
             return ""
         return render_statement(self.statement)
+
+    @cached_property
+    def sql(self) -> str:
+        """The SQL text with its literals inline (empty string when
+        statically empty): self-contained, what ``explain`` shows, error
+        messages quote and the shard fleet ships.  Rendered from the
+        statement on first access."""
+        if self.statement is None or not self.parameters:
+            return self.parametrised_sql
+        return render_statement(self.statement, parameters=self.parameters)
+
+    def bound(
+        self, expression: str, parameters: dict[str, BoundValue]
+    ) -> "TranslationResult":
+        """This (template) translation as the translation of
+        ``expression``: the same plan, statement, reports, estimates and
+        cached :attr:`parametrised_sql` — shared, not copied — with
+        ``parameters`` as values."""
+        result = object.__new__(TranslationResult)
+        result.__dict__.update(self.__dict__)
+        result.__dict__.pop("sql", None)
+        result.expression = expression
+        result.parameters = parameters
+        return result
 
     @cached_property
     def ordered(self) -> bool:
@@ -153,6 +200,33 @@ class TranslationResult:
         return [self.statement]
 
 
+def _number_value(text: str) -> BoundValue:
+    return number_value(float(text))
+
+
+class PlanTemplate(NamedTuple):
+    """The translation of one shape (see the module docstring)."""
+
+    #: The shape's translation; its statement names a parameter ``vN``
+    #: wherever slot *N*'s literal would stand.
+    translation: TranslationResult
+    #: Per slot: the parameter's name, and the function from the lifted
+    #: text to the value to bind (a number's text → the number; a
+    #: ``contains`` / ``starts-with`` argument → its LIKE pattern).
+    slots: tuple[tuple[str, Callable[[str], BoundValue]], ...]
+
+    def bind(self, expression: str, values: Sequence[str]) -> TranslationResult:
+        """The translation of ``expression``, a string of this shape
+        whose literals are ``values``."""
+        return self.translation.bound(
+            expression,
+            {
+                name: binder(value)
+                for (name, binder), value in zip(self.slots, values)
+            },
+        )
+
+
 class PPFTranslator:
     """Translates XPath expressions to SQL over one mapping adapter."""
 
@@ -226,16 +300,73 @@ class PPFTranslator:
     ) -> TranslationResult:
         """Translate ``expression``; raises on unsupported features.
 
+        A string is translated as its shape and bound (module
+        docstring); an AST, or a string whose shape is not liftable,
+        with its literals in the statement.
+
         :raises UnsupportedXPathError: for features outside the SQL subset
             (positional predicates, standalone arithmetic results).
         :raises TranslationError: when no relation can host a step.
         """
-        ast = (
-            parse_xpath(expression)
-            if isinstance(expression, str)
-            else expression
+        if isinstance(expression, str):
+            shape = shape_of(expression)
+            if shape is not None:
+                template = self.template(expression, shape)
+                if template is not None:
+                    return template.bind(expression, shape.values)
+        return self.translate_inline(expression)
+
+    def template(
+        self, expression: str, shape: Shape
+    ) -> Optional[PlanTemplate]:
+        """Translate the ``shape`` of ``expression`` — one full
+        translation, valid for every string of that shape — or ``None``
+        when the shape is not liftable.
+
+        The template is planned from an AST that does not hold the
+        literals, so it cannot depend on them.  Whatever goes wrong on
+        the way — the planner needs a value, or the expression is
+        unsupported — the answer is ``None`` and
+        :meth:`translate_inline` decides, with the real literals in
+        hand, exactly as it always has."""
+        try:
+            translation = self._translate(
+                parse_template(expression), _shape_text(shape)
+            )
+        except (_planner.NotLiftable, ReproError):
+            return None
+        assert translation.plan is not None
+        # Read what is derived from the statement once, here, so that
+        # bound translations inherit the answers instead of each
+        # deriving its own.
+        for derived in ("parametrised_sql", "ordered", "one_row_per_id"):
+            getattr(translation, derived)
+        like_slots = translation.plan.like_slots
+        binders: list[Callable[[str], BoundValue]] = [
+            functools.partial(_planner.like_pattern, like_slots[index])
+            if index in like_slots
+            else (_number_value if marker == NUMBER_SLOT else str)
+            for index, marker in enumerate(_SLOT.findall(shape.key))
+        ]
+        return PlanTemplate(
+            translation,
+            tuple(
+                (parameter_name(index), binder)
+                for index, binder in enumerate(binders)
+            ),
         )
-        text = expression if isinstance(expression, str) else str(ast)
+
+    def translate_inline(
+        self, expression: Union[str, XPathExpr]
+    ) -> TranslationResult:
+        """Translate ``expression`` with its literals written into the
+        statement (no parameters): the path for ASTs and for shapes
+        that are not liftable."""
+        if isinstance(expression, str):
+            return self._translate(parse_xpath(expression), expression)
+        return self._translate(expression, str(expression))
+
+    def _translate(self, ast: XPathExpr, text: str) -> TranslationResult:
         plan = self._planner.plan(ast, text)
         stats_before = _nodes.plan_stats(plan)
         summary = getattr(self.adapter, "path_summary", None)
@@ -270,3 +401,15 @@ class PPFTranslator:
             branch_estimates=branch_estimates,
             stats_version=summary.version if summary is not None else None,
         )
+
+
+#: A slot marker in a shape key.
+_SLOT = re.compile(f"[{STRING_SLOT}{NUMBER_SLOT}]")
+
+
+def _shape_text(shape: Shape) -> str:
+    """The shape as XPath text, a variable reference per slot
+    (``//a[b = $v0]``): what a template's plan names as its
+    expression."""
+    numbers = itertools.count()
+    return _SLOT.sub(lambda _: f"$v{next(numbers)}", shape.key)

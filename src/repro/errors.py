@@ -62,7 +62,18 @@ class StorageError(ReproError):
     """
 
     def __init__(self, message: str, *, sql: str | None = None):
+        #: The failure itself, without the SQL excerpt.
+        self.reason = message
+        super().__init__(message)
+        self.restate(sql)
+
+    def restate(self, sql: str | None) -> None:
+        """Name ``sql`` as the failing statement, in :attr:`sql` and in
+        the message.  The engines use this to report a statement that
+        ran with bound parameters as the self-contained text a user can
+        paste into ``sqlite3``."""
         self.sql = sql
+        message = self.reason
         if sql:
             if len(sql) > SQL_PREVIEW_LIMIT:
                 shown = (
@@ -72,7 +83,7 @@ class StorageError(ReproError):
             else:
                 shown = sql
             message = f"{message}\nSQL was:\n{shown}"
-        super().__init__(message)
+        self.args = (message,)
 
 
 class QueryTimeoutError(StorageError):

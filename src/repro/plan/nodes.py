@@ -351,6 +351,10 @@ class QueryPlan:
     #: ``nodes`` (element rows), ``text`` or ``attribute`` (value rows).
     projection: str
     expression: str
+    #: Plan templates only: slot index → ``contains`` / ``starts-with``
+    #: for each parameter that stands in a LIKE pattern, so its value
+    #: is bound escaped and wrapped in ``%`` the way the function asks.
+    like_slots: dict[int, str] = field(default_factory=dict)
 
     @property
     def is_empty(self) -> bool:

@@ -2,7 +2,8 @@
 
 Each pass is an independent, individually toggleable rewrite of a
 :class:`~repro.plan.nodes.QueryPlan`.  The pipeline interleaves the
-passes with an always-on constant folder (``fold_plan``) that propagates
+passes with an always-on constant folder (``fold_plan``, run once up
+front and again after every pass that fired) that propagates
 ``TRUE``/``FALSE`` conditions, prunes statically dead branches and
 collapses single-branch unions, so passes are free to rewrite locally
 and let the folder clean up.
@@ -392,11 +393,17 @@ def _pass_paths_join_elimination(
     detail = (
         f"dropped {removed} redundant filter(s), proved {emptied} "
         f"unsatisfiable, removed {dropped_scans} Paths join(s)"
-        if changes
+        if changes or dropped_scans
         else "every Paths filter is load-bearing"
     )
+    # An orphan `Paths` join may predate this pass (folding dropped its
+    # filter): removing it alone is a change, and leaves a TRUE to fold.
     return PassReport(
-        name, changes > 0, changes, detail, witnesses=tuple(witnesses)
+        name,
+        changes > 0 or dropped_scans > 0,
+        changes,
+        detail,
+        witnesses=tuple(witnesses),
     )
 
 
@@ -1023,14 +1030,18 @@ class PassPipeline:
     def run(
         self, plan: QueryPlan, context: Optional[PassContext] = None
     ) -> tuple[QueryPlan, list[PassReport]]:
-        """Fold, then run each pass (folding after every one)."""
+        """Fold, then run each pass, folding again after every pass
+        that fired: folding is idempotent, so a pass that changed
+        nothing leaves a folded plan folded."""
         if context is None:
             context = PassContext()
         fold_plan(plan)
         reports: list[PassReport] = []
         for pass_name in self.names:
-            reports.append(PASSES[pass_name](plan, context))
-            fold_plan(plan)
+            report = PASSES[pass_name](plan, context)
+            reports.append(report)
+            if report.fired:
+                fold_plan(plan)
         return plan, reports
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -57,7 +58,11 @@ from repro.plan.nodes import (
     TrueCond,
     contains_false,
 )
-from repro.sqlgen.render import number_literal, string_literal
+from repro.sqlgen.render import (
+    number_literal,
+    parameter_sql,
+    string_literal,
+)
 from repro.xpath.ast import (
     AndExpr,
     ArithmeticExpr,
@@ -68,6 +73,7 @@ from repro.xpath.ast import (
     NotExpr,
     NumberLiteral,
     OrExpr,
+    Parameter,
     PathExpr,
     Step,
     StringLiteral,
@@ -82,6 +88,14 @@ if TYPE_CHECKING:
 
 _SQL_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+
+
+class NotLiftable(Exception):
+    """Planning a template needed the *value* of a parameter: the plan
+    would differ from one constant to the next (a positional ``[2]``,
+    arithmetic the planner folds, ``count(p) > 2``, a literal compared
+    with a literal, a bare string's truth), so the expression has to be
+    planned with its literals in place."""
 
 
 @dataclass
@@ -128,6 +142,8 @@ class Planner:
         #: When False, the `Paths` relation is never touched.
         self.use_path_index = use_path_index
         self._used_aliases: set[str] = set()
+        self._like_slots: dict[int, str] = {}
+        self._planning = threading.Lock()
 
     # -- public API ----------------------------------------------------------
 
@@ -138,8 +154,20 @@ class Planner:
             subset (positional predicates on non-child steps, standalone
             arithmetic results).
         :raises TranslationError: when no relation can host a step.
+        :raises NotLiftable: when ``ast`` holds a
+            :class:`~repro.xpath.ast.Parameter` where the plan depends
+            on the value.
         """
-        self._used_aliases = set()
+        # The aliases handed out and the LIKE slots seen are per-plan
+        # state kept on the instance: one plan at a time.
+        with self._planning:
+            self._used_aliases = set()
+            self._like_slots = {}
+            plan = self._plan(ast, text)
+            plan.like_slots = self._like_slots
+            return plan
+
+    def _plan(self, ast: XPathExpr, text: str) -> QueryPlan:
         if isinstance(ast, UnionExpr):
             selects: list[LogicalSelect] = []
             projections: set[str] = set()
@@ -618,6 +646,8 @@ class Planner:
             )
         if isinstance(expr, StringLiteral):
             return TrueCond() if expr.value else FalseCond()
+        if isinstance(expr, Parameter):
+            raise NotLiftable(expr)
         raise UnsupportedXPathError(f"unsupported predicate {expr}")
 
     def _function_condition(
@@ -625,23 +655,22 @@ class Planner:
     ) -> PlanCond:
         if call.name in ("contains", "starts-with"):
             target, literal = call.args
-            if not isinstance(literal, StringLiteral):
+            if isinstance(literal, Parameter) and literal.kind == "string":
+                self._like_slots[literal.index] = call.name
+                pattern_sql = parameter_sql(literal.index)
+            elif isinstance(literal, StringLiteral):
+                pattern_sql = string_literal(
+                    like_pattern(call.name, literal.value)
+                )
+            else:
                 raise UnsupportedXPathError(
                     f"{call.name}() needs a string literal second argument"
                 )
-            escaped = (
-                literal.value.replace("\\", "\\\\")
-                .replace("%", "\\%")
-                .replace("_", "\\_")
-            )
-            like = (
-                f"%{escaped}%" if call.name == "contains" else f"{escaped}%"
-            )
             return self._value_path_condition(
                 branch,
                 target,
                 "LIKE",
-                string_literal(like) + " ESCAPE '\\'",
+                pattern_sql + " ESCAPE '\\'",
                 numeric=False,
             )
         raise UnsupportedXPathError(
@@ -741,7 +770,7 @@ class Planner:
         sub_branches = self._build_predicate_path(branch, path)
         alternatives: list[PlanCond] = []
         for sub in sub_branches:
-            value = self._branch_value_expr(sub, path)
+            value = self._branch_value_expr(sub, path, numeric)
             if value is None:
                 continue
             sub.stmt.where.add(RawCond(f"{value} {sql_op} {literal_sql}"))
@@ -976,9 +1005,11 @@ class Planner:
         return surviving
 
     def _branch_value_expr(
-        self, branch: _Branch, path: LocationPath
+        self, branch: _Branch, path: LocationPath, numeric: bool = False
     ) -> Optional[str]:
-        """SQL expression for the value a predicate path compares."""
+        """SQL expression for the value a predicate path compares
+        (``numeric``: against a number, which a mapping without typed
+        columns has to cast for)."""
         assert branch.ctx_alias is not None
         assert branch.ctx_candidate is not None
         split = split_backbone(path)
@@ -987,10 +1018,10 @@ class Planner:
                 branch.ctx_candidate,
                 branch.ctx_alias,
                 split.attribute_projection,
-                numeric=False,
+                numeric=numeric,
             )
         return self.adapter.text_expr(
-            branch.ctx_candidate, branch.ctx_alias, numeric=False
+            branch.ctx_candidate, branch.ctx_alias, numeric=numeric
         )
 
     # -- helpers -------------------------------------------------------------
@@ -1036,7 +1067,21 @@ def _single_name(candidate: Optional["Candidate"]) -> Optional[str]:
     return None
 
 
+def like_pattern(function: str, text: str) -> str:
+    """The LIKE pattern (under ``ESCAPE '\\'``) for ``contains`` /
+    ``starts-with`` of the literal ``text``."""
+    escaped = (
+        text.replace("\\", "\\\\").replace("%", "\\%").replace("_", "\\_")
+    )
+    return f"%{escaped}%" if function == "contains" else f"{escaped}%"
+
+
 def _literal_sql(expr: XPathExpr) -> tuple[str, bool]:
+    """SQL text of a comparand, and whether it is numeric.  A template
+    parameter becomes a named SQL parameter: from here on it is opaque
+    text to adapters, passes and lowering, like any literal."""
+    if isinstance(expr, Parameter):
+        return parameter_sql(expr.index), expr.kind == "number"
     value = _static_value(expr)
     if isinstance(value, float):
         return number_literal(value), True
@@ -1048,6 +1093,8 @@ def _static_value(expr: XPathExpr) -> Union[float, str]:
         return expr.value
     if isinstance(expr, StringLiteral):
         return expr.value
+    if isinstance(expr, Parameter):
+        raise NotLiftable(expr)
     if isinstance(expr, ArithmeticExpr):
         left = _static_value(expr.left)
         right = _static_value(expr.right)
@@ -1124,6 +1171,10 @@ def _positional_form(expr: XPathExpr) -> Optional[_Positional]:
         return _Positional("last")
     if isinstance(expr, Comparison):
         left, op, right = expr.left, expr.op, expr.right
+        if (_is_position_call(left) and isinstance(right, Parameter)) or (
+            _is_position_call(right) and isinstance(left, Parameter)
+        ):
+            raise NotLiftable(expr)
         if _is_position_call(left) and isinstance(right, NumberLiteral):
             return _Positional("cmp", op, right.value)
         if _is_position_call(right) and isinstance(left, NumberLiteral):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.resilience.policy import ResiliencePolicy
-from repro.storage.database import Database
+from repro.storage.database import Database, Params
 
 #: Statements that must stay reliable for recovery to work.
 _CONTROL_PREFIXES = (
@@ -309,7 +309,7 @@ class FaultInjectingDatabase(Database):
             f"unknown fault kind {fault.kind!r}"
         )
 
-    def _raw_execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+    def _raw_execute(self, sql: str, params: Params = ()) -> sqlite3.Cursor:
         self._maybe_inject(sql)
         return super()._raw_execute(sql, params)
 

@@ -61,7 +61,6 @@ def run_with_retry(
     :raises sqlite3.Error: permanent errors propagate untouched so the
         caller can wrap them with its own context.
     """
-    rng = rng if rng is not None else random.Random()
     attempt = 0
     while True:
         try:
@@ -76,5 +75,7 @@ def run_with_retry(
                     sql=sql,
                     attempts=attempt + 1,
                 ) from exc
+            if rng is None:  # seeded from the OS: not on the no-error path
+                rng = random.Random()
             sleep(backoff_delay(policy, attempt, rng))
             attempt += 1

@@ -31,7 +31,7 @@ import threading
 import time
 from collections import OrderedDict, namedtuple
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 from repro.errors import (
     QueryCancelledError,
@@ -45,6 +45,9 @@ from repro.resilience.retry import run_with_retry
 
 #: Rows fetched per chunk while enforcing ``max_rows``.
 _FETCH_CHUNK = 256
+
+#: Statement parameters: positional (``?``) or by name (``:name``).
+Params = Union[Sequence[Any], Mapping[str, Any]]
 
 #: Hit/miss statistics of :class:`RegexCache` (same shape as
 #: ``functools.lru_cache``'s info tuple).
@@ -240,7 +243,7 @@ class Database:
 
     # -- raw layer (fault injection hooks) ---------------------------------------
 
-    def _raw_execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+    def _raw_execute(self, sql: str, params: Params = ()) -> sqlite3.Cursor:
         return self.connection.execute(sql, params)
 
     def _raw_executemany(
@@ -253,7 +256,7 @@ class Database:
 
     # -- statement execution ------------------------------------------------------
 
-    def execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+    def execute(self, sql: str, params: Params = ()) -> sqlite3.Cursor:
         """Execute one statement, retrying transient errors and wrapping
         sqlite errors with (truncated) SQL context."""
         try:
@@ -351,7 +354,7 @@ class Database:
         finally:
             self._guard_owner.release()
 
-    def guarded_query(self, sql: str, params: Sequence = ()) -> list[tuple]:
+    def guarded_query(self, sql: str, params: Params = ()) -> list[tuple]:
         """Like :meth:`query`, but under the connection policy's
         ``query_timeout`` and ``max_rows`` limits.  This is the entry
         point for *user* queries (the engines route through it);
@@ -367,7 +370,7 @@ class Database:
     def query(
         self,
         sql: str,
-        params: Sequence = (),
+        params: Params = (),
         *,
         timeout: float | None = None,
         max_rows: int | None = None,
@@ -468,9 +471,9 @@ class Database:
             return None
         return self.connection.getlimit(sqlite3.SQLITE_LIMIT_SQL_LENGTH)
 
-    def query_plan(self, sql: str) -> list[str]:
+    def query_plan(self, sql: str, params: Params = ()) -> list[str]:
         """The EXPLAIN QUERY PLAN detail lines for ``sql``."""
-        rows = self.query("EXPLAIN QUERY PLAN " + sql)
+        rows = self.query("EXPLAIN QUERY PLAN " + sql, params)
         return [row[-1] for row in rows]
 
     def table_names(self) -> list[str]:

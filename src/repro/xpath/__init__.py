@@ -19,6 +19,7 @@ from repro.xpath.ast import (
     NotExpr,
     NumberLiteral,
     OrExpr,
+    Parameter,
     PathExpr,
     Step,
     StringLiteral,
@@ -27,7 +28,7 @@ from repro.xpath.ast import (
     UnionExpr,
     XPathExpr,
 )
-from repro.xpath.parser import parse_xpath
+from repro.xpath.parser import parse_template, parse_xpath
 
 __all__ = [
     "AndExpr",
@@ -42,11 +43,13 @@ __all__ = [
     "NotExpr",
     "NumberLiteral",
     "OrExpr",
+    "Parameter",
     "PathExpr",
     "Step",
     "StringLiteral",
     "TextTest",
     "UnionExpr",
     "XPathExpr",
+    "parse_template",
     "parse_xpath",
 ]

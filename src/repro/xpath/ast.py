@@ -8,7 +8,6 @@ messages and ``explain`` output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 from repro.xpath.axes import Axis
 
@@ -193,6 +192,20 @@ class StringLiteral(XPathExpr):
         return f"'{self.value}'"
 
 
+@dataclass(frozen=True)
+class Parameter(XPathExpr):
+    """The place of a literal in a plan template: slot ``index`` of the
+    expression's :class:`~repro.xpath.lexer.Shape`, holding a
+    ``'string'`` or a ``'number'``.  The value itself is not in the AST;
+    it is bound when the translated statement runs."""
+
+    index: int
+    kind: str
+
+    def __str__(self) -> str:
+        return f"$v{self.index}"
+
+
 @dataclass
 class FunctionCall(XPathExpr):
     """A function call such as ``position()``, ``last()``, ``count(p)``,
@@ -205,5 +218,3 @@ class FunctionCall(XPathExpr):
         rendered = ", ".join(str(a) for a in self.args)
         return f"{self.name}({rendered})"
 
-
-Value = Union[float, str, bool, list]

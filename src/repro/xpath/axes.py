@@ -37,7 +37,7 @@ class Axis(enum.Enum):
     ATTRIBUTE = "attribute"
 
     def __str__(self) -> str:
-        return self.value
+        return str(self.value)
 
     @property
     def is_forward(self) -> bool:

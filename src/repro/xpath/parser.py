@@ -26,9 +26,11 @@ from repro.xpath.ast import (
     LocationPath,
     NameTest,
     NodeKindTest,
+    NodeTest,
     NotExpr,
     NumberLiteral,
     OrExpr,
+    Parameter,
     PathExpr,
     Step,
     StringLiteral,
@@ -59,17 +61,39 @@ def parse_xpath(expression: str) -> XPathExpr:
 
     :raises XPathSyntaxError: on malformed input.
     """
-    parser = _Parser(expression)
-    result = parser.parse_or()
-    parser.expect_end()
-    return result
+    return _Parser(expression).parse()
+
+
+def parse_template(expression: str) -> XPathExpr:
+    """Parse the *shape* of ``expression``: the AST of
+    :func:`parse_xpath` with a :class:`~repro.xpath.ast.Parameter` where
+    each literal stood, numbered like the slots of
+    :func:`repro.xpath.lexer.shape_of`.  The AST holds none of the
+    expression's constants, so nothing compiled from it can depend on
+    them.
+
+    :raises XPathSyntaxError: on malformed input.
+    """
+    return _Parser(expression, lift=True).parse()
 
 
 class _Parser:
-    def __init__(self, expression: str):
+    def __init__(self, expression: str, lift: bool = False) -> None:
         self.expression = expression
         self.tokens = tokenize(expression)
         self.index = 0
+        #: Replace literals by numbered parameters (parse_template).
+        self.lift = lift
+        self.slots = 0
+
+    def parse(self) -> XPathExpr:
+        result = self.parse_or()
+        self.expect_end()
+        return result
+
+    def _parameter(self, kind: str) -> Parameter:
+        self.slots += 1
+        return Parameter(self.slots - 1, kind)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -170,9 +194,13 @@ class _Parser:
             return inner
         if token.kind == "literal":
             self.advance()
+            if self.lift:
+                return self._parameter("string")
             return StringLiteral(token.value)
         if token.kind == "number":
             self.advance()
+            if self.lift:
+                return self._parameter("number")
             return NumberLiteral(float(token.value))
         if self._at_function_call():
             return self.parse_function_call()
@@ -286,7 +314,7 @@ class _Parser:
             return NameTest(token.value)
         raise self.error("expected a name or '*'")
 
-    def _parse_node_test(self):
+    def _parse_node_test(self) -> NodeTest:
         token = self.peek()
         if token.kind == "name" and token.value in _NODE_KIND_TESTS:
             if self.peek(1).is_symbol("("):

@@ -314,3 +314,118 @@ class TestTranslatorFacade:
         key_b = PPFEngine(figure1_store, passes=())._result_key("//F")
         assert key_a is not None and key_b is not None
         assert key_a != key_b
+
+
+class TestFoldOnlyAfterFiredPasses:
+    """``PassPipeline.run`` folds after a pass only when the pass says
+    it fired.  That is sound iff folding a folded plan changes nothing
+    and every pass that changes a plan reports so; both are checked
+    against the pipeline that folded after every pass, kept here."""
+
+    @staticmethod
+    def always_fold(names, plan, context):
+        from repro.plan.passes import fold_plan
+
+        fold_plan(plan)
+        for name in names:
+            PASSES[name](plan, context)
+            fold_plan(plan)
+        return plan
+
+    @staticmethod
+    def workloads():
+        from repro.analysis.sweep import sweep_workloads
+        from repro.plan.passes import PassContext
+
+        for _, store, queries in sweep_workloads():
+            adapter = SchemaAwareAdapter(store)
+            translator = PPFTranslator(adapter)
+            context = PassContext(
+                marking=adapter.marking,
+                summary=adapter.path_summary,
+                sql_length_limit=adapter.sql_length_limit,
+            )
+            yield translator, context, [xpath for _, xpath in queries]
+
+    def test_fold_plan_is_idempotent_on_every_workload_plan(self):
+        import copy
+
+        from repro.plan.lowering import lower_plan
+        from repro.plan.passes import fold_plan
+        from repro.sqlgen import render_statement
+        from repro.xpath.parser import parse_xpath
+
+        def rendered(plan):
+            statement = lower_plan(plan)
+            return None if statement is None else render_statement(statement)
+
+        checked = 0
+        for translator, context, queries in self.workloads():
+            for xpath in queries:
+                raw = translator._planner.plan(parse_xpath(xpath), xpath)
+                optimized = translator.translate(xpath).plan
+                for plan in (raw, optimized):
+                    once = fold_plan(copy.deepcopy(plan))
+                    twice = fold_plan(copy.deepcopy(once))
+                    assert twice == once
+                    assert rendered(twice) == rendered(once)
+                    checked += 1
+        assert checked >= 60
+
+    def test_sql_is_byte_identical_to_folding_after_every_pass(self):
+        """XM25 and the DBLP queries under all 2^7 pass subsets."""
+        import copy
+
+        from repro.analysis.sweep import pass_combinations
+        from repro.plan.lowering import lower_plan
+        from repro.sqlgen import render_statement
+        from repro.xpath.parser import parse_xpath
+
+        compared = 0
+        for translator, context, queries in self.workloads():
+            plans = [
+                translator._planner.plan(parse_xpath(xpath), xpath)
+                for xpath in queries
+            ]
+            for combo in pass_combinations():
+                pipeline = PassPipeline(combo)
+                for plan in plans:
+                    mine, _ = pipeline.run(copy.deepcopy(plan), context)
+                    reference = self.always_fold(
+                        combo, copy.deepcopy(plan), context
+                    )
+                    assert mine == reference
+                    if mine.root is not None:
+                        assert render_statement(
+                            lower_plan(mine)
+                        ) == render_statement(lower_plan(reference))
+                    compared += 1
+        assert compared == 128 * 30
+
+    def test_orphan_paths_cleanup_counts_as_fired(self, figure1_store):
+        """The one pass that could change a plan without a rewrite of
+        its own to report: an orphan `Paths` join removed with no filter
+        dropped still leaves a TRUE for the folder."""
+        from repro.plan.nodes import PathFilterCond, TrueCond, rewrite_plan
+        from repro.plan.passes import PassContext
+        from repro.xpath.parser import parse_xpath
+
+        adapter = SchemaAwareAdapter(figure1_store)
+        plan = PPFTranslator(adapter)._planner.plan(
+            parse_xpath("//G//G"), "//G//G"
+        )
+        rewrite_plan(
+            plan,
+            lambda c: TrueCond() if isinstance(c, PathFilterCond) else c,
+        )
+        context = PassContext(marking=adapter.marking)
+        optimized, reports = PassPipeline(("paths-join-elimination",)).run(
+            plan, context
+        )
+        assert reports[0].fired and reports[0].changes == 0
+        assert plan_stats(optimized)["paths_joins"] == 0
+        assert not any(
+            isinstance(part, TrueCond)
+            for branch in optimized.branches()
+            for part in branch.where.parts
+        )

@@ -62,6 +62,8 @@ def stub_translation(sql=_INFINITE):
         expression="//stub",
         is_empty=False,
         sql=sql,
+        parametrised_sql=sql,
+        parameters=None,
     )
 
 
