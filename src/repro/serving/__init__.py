@@ -12,9 +12,6 @@ that under concurrency:
   full :class:`~repro.core.engine.QueryResult` objects keyed by
   ``(xpath, store generation)``, so a hit never touches SQLite and a
   mutation can never serve a stale answer,
-* :func:`bulk_pragmas` / :func:`iter_chunks` — the pragma scope and
-  batching primitives behind ``ShreddedStore.bulk_load`` /
-  ``EdgeStore.bulk_load``,
 * the **sharded multi-process tier** (imported lazily — it builds on
   :mod:`repro.core`, which itself imports this package):
   :class:`ShardedStore` places documents across N SQLite shard files,
@@ -30,7 +27,6 @@ that under concurrency:
   blocked thread.
 """
 
-from repro.serving.bulk import bulk_pragmas, iter_chunks
 from repro.serving.cache import CacheInfo, ResultCache
 from repro.serving.pool import ConnectionPool
 
@@ -74,7 +70,5 @@ __all__ = [
     "ShardedStore",
     "WorkerConfig",
     "WorkerHandle",
-    "bulk_pragmas",
-    "iter_chunks",
     "shard_of",
 ]

@@ -49,7 +49,7 @@ from repro.errors import ShardError, StorageError, StoreIntegrityError
 from repro.resilience.policy import ResiliencePolicy
 from repro.schema.marking import SchemaMarking
 from repro.schema.model import Schema
-from repro.stats.summary import PathStats, PathSummary
+from repro.stats.summary import PathSummary
 from repro.storage.database import Database
 from repro.storage.schema_aware import SchemaAwareMapping, ShreddedStore
 from repro.xmltree.nodes import Document
@@ -493,33 +493,22 @@ class ShardedStore:
     def _merged_summary(
         self, version: tuple[int, int]
     ) -> PathSummary | None:
-        stats: dict[str, PathStats] = {}
-        relation_counts: dict[str, int] = {}
-        document_count = 0
+        merged = PathSummary(
+            version=version, document_count=0, relation_counts={}
+        )
         for index in range(self.shard_count):
             summary = self.shard_store(index).path_summary()
             if summary is None:
                 return None
-            document_count += summary.document_count
-            for table, rows in summary.relation_counts.items():
-                relation_counts[table] = (
-                    relation_counts.get(table, 0) + rows
-                )
-            for path, entry in summary.stats.items():
-                previous = stats.get(path)
-                stats[path] = entry if previous is None else PathStats(
-                    path=path,
-                    element_count=previous.element_count
-                    + entry.element_count,
-                    doc_count=previous.doc_count + entry.doc_count,
-                    value_count=previous.value_count + entry.value_count,
-                )
-        return PathSummary(
-            version=version,
-            document_count=document_count,
-            relation_counts=relation_counts,
-            stats=stats,
-        )
+            merged = merged.plus(
+                {
+                    path: (s.element_count, s.doc_count, s.value_count)
+                    for path, s in summary.stats.items()
+                },
+                summary.relation_counts,
+                documents=summary.document_count,
+            )
+        return merged
 
     # -- fallback support ---------------------------------------------------------
 

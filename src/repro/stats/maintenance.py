@@ -13,7 +13,7 @@ generation it was true for.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from repro.stats.summary import PathStats, PathSummary, StatsState
 
@@ -139,47 +139,31 @@ def collect_summary(
     One GROUP BY per relation (value counts only where the relation has
     a text column), joined against `Paths` for the path strings.
     """
-    stats: dict[str, PathStats] = {}
-    relation_counts: dict[str, int] = {}
-    for table, info in mapping.relations.items():
-        value_term = (
-            "COUNT(t.text)" if info.text_kind is not None else "0"
-        )
-        rows = db.query(  # static-ok: sql-interp
-            f"SELECT p.path, COUNT(*), COUNT(DISTINCT t.doc_id), "
-            f"{value_term} FROM {table} t "
-            f"JOIN paths p ON t.path_id = p.id GROUP BY t.path_id"
-        )
-        total = 0
-        for path, elements, docs, values in rows:
-            total += int(elements)
-            previous = stats.get(str(path))
-            if previous is None:
-                stats[str(path)] = PathStats(
-                    path=str(path),
-                    element_count=int(elements),
-                    doc_count=int(docs),
-                    value_count=int(values),
-                )
-            else:  # pragma: no cover - a path maps to one relation
-                stats[str(path)] = PathStats(
-                    path=str(path),
-                    element_count=previous.element_count + int(elements),
-                    doc_count=previous.doc_count + int(docs),
-                    value_count=previous.value_count + int(values),
-                )
-        relation_counts[table] = total
     doc_row = (
         db.query_one("SELECT COUNT(*) FROM docs")
         if "docs" in db.table_names()
         else None
     )
-    return PathSummary(
+    summary = PathSummary(
         version=version,
         document_count=int(doc_row[0]) if doc_row else 0,
-        relation_counts=relation_counts,
-        stats=stats,
+        relation_counts={},
     )
+    for table, info in mapping.relations.items():
+        value_term = (
+            "COUNT(t.text)" if info.text_kind is not None else "0"
+        )
+        per_path = {
+            str(path): (int(elements), int(docs), int(values))
+            for path, elements, docs, values in db.query(  # static-ok: sql-interp
+                f"SELECT p.path, COUNT(*), COUNT(DISTINCT t.doc_id), "
+                f"{value_term} FROM {table} t "
+                f"JOIN paths p ON t.path_id = p.id GROUP BY t.path_id"
+            )
+        }
+        total = sum(elements for elements, _, _ in per_path.values())
+        summary = summary.plus(per_path, {table: total})
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -188,34 +172,39 @@ def collect_summary(
 
 
 def document_deltas(
-    mapping: "SchemaAwareMapping", document: "Document"
-) -> tuple[dict[str, tuple[int, int]], dict[str, int]]:
-    """Per-path ``(elements, values)`` and per-relation row deltas one
-    document contributes, computed from the in-memory tree (the same
-    walk the shredder does, so the counts match the stored rows
-    exactly)."""
+    mapping: "SchemaAwareMapping", documents: Iterable["Document"]
+) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
+    """Per-path ``(elements, documents, values)`` and per-relation row
+    deltas ``documents`` contribute, computed from the in-memory trees
+    (the same walk the shredder does, so the counts match the stored
+    rows exactly)."""
     per_path: dict[str, list[int]] = {}
     per_relation: dict[str, int] = {}
-    for element in document.iter_elements():
-        info = mapping.relation_for(element.name)
-        entry = per_path.setdefault(element.path, [0, 0])
-        entry[0] += 1
-        if info.text_kind is not None and element.direct_text:
-            entry[1] += 1
-        per_relation[info.table] = per_relation.get(info.table, 0) + 1
+    for document in documents:
+        seen: set[str] = set()
+        for element in document.iter_elements():
+            info = mapping.relation_for(element.name)
+            entry = per_path.setdefault(element.path, [0, 0, 0])
+            entry[0] += 1
+            if element.path not in seen:
+                seen.add(element.path)
+                entry[1] += 1
+            if info.text_kind is not None and element.direct_text:
+                entry[2] += 1
+            per_relation[info.table] = per_relation.get(info.table, 0) + 1
     return (
-        {path: (c, v) for path, (c, v) in per_path.items()},
+        {path: tuple(entry) for path, entry in per_path.items()},
         per_relation,
     )
 
 
 def removal_deltas(
     db: "Database", mapping: "SchemaAwareMapping", doc_id: int
-) -> tuple[dict[str, tuple[int, int]], dict[str, int]]:
-    """Per-path and per-relation counts one stored document holds —
-    queried *before* its rows are deleted, so ``delete_document`` can
-    subtract them from the summary."""
-    per_path: dict[str, tuple[int, int]] = {}
+) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
+    """The (negative) per-path and per-relation deltas of removing one
+    stored document — queried *before* its rows are deleted, so
+    ``delete_document`` can apply them to the summary."""
+    per_path: dict[str, tuple[int, int, int]] = {}
     per_relation: dict[str, int] = {}
     for table, info in mapping.relations.items():
         value_term = (
@@ -230,7 +219,7 @@ def removal_deltas(
         total = 0
         for path, elements, values in rows:
             total += int(elements)
-            per_path[str(path)] = (int(elements), int(values))
+            per_path[str(path)] = (-int(elements), -1, -int(values))
         if total:
-            per_relation[table] = total
+            per_relation[table] = -total
     return per_path, per_relation

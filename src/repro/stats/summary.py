@@ -95,6 +95,44 @@ class PathSummary:
         """Row count of one mapping relation, if known."""
         return self.relation_counts.get(table)
 
+    # -- arithmetic ---------------------------------------------------------
+
+    def plus(
+        self,
+        per_path: Mapping[str, tuple[int, int, int]],
+        per_relation: Mapping[str, int],
+        documents: int = 0,
+        version: Optional[tuple[int, int]] = None,
+    ) -> "PathSummary":
+        """This summary with signed per-path ``(elements, documents,
+        values)`` and per-relation row deltas applied.  No count goes
+        below zero, and a path whose element count reaches zero is
+        dropped."""
+        stats = dict(self.stats)
+        for path, (elements, docs, values) in per_path.items():
+            old = stats.get(path)
+            if old is not None:
+                elements += old.element_count
+                docs += old.doc_count
+                values += old.value_count
+            if elements > 0:
+                stats[path] = PathStats(
+                    path, elements, max(docs, 0), max(values, 0)
+                )
+            else:
+                stats.pop(path, None)
+        relation_counts = dict(self.relation_counts)
+        for table, rows in per_relation.items():
+            relation_counts[table] = max(
+                relation_counts.get(table, 0) + rows, 0
+            )
+        return PathSummary(
+            version=self.version if version is None else version,
+            document_count=max(self.document_count + documents, 0),
+            relation_counts=relation_counts,
+            stats=stats,
+        )
+
     # -- per-path lookups ---------------------------------------------------
 
     def count_for(self, path: str) -> int:

@@ -8,6 +8,10 @@
   relation plus a separate attribute relation (footnote 3).
 * :class:`repro.storage.accel.AccelStore` — pre/post region encoding for
   the XPath Accelerator baseline of Section 5.2.
+
+The first two carry the same descriptors and share one write path,
+:mod:`repro.storage.loading`: ``load`` and ``bulk_load`` are one
+transaction, verified by one integrity check.
 """
 
 from repro.storage.database import Database

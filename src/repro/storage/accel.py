@@ -12,17 +12,11 @@ baseline is measured for.
 from __future__ import annotations
 
 from repro.storage.database import Database
+from repro.storage.loading import _DOCS_DDL
 from repro.xmltree.nodes import Document, ElementNode
 
 _ACCEL_DDL = [
-    """
-    CREATE TABLE IF NOT EXISTS docs (
-        id         INTEGER PRIMARY KEY,
-        name       TEXT NOT NULL,
-        base       INTEGER NOT NULL,
-        node_count INTEGER NOT NULL
-    )
-    """,
+    _DOCS_DDL,
     """
     CREATE TABLE accel (
         pre    INTEGER PRIMARY KEY,

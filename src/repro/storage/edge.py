@@ -14,13 +14,9 @@ from __future__ import annotations
 from repro.dewey import encode
 from typing import Sequence
 
-from repro.errors import StoreIntegrityError
-from repro.resilience.integrity import (
-    IntegrityIssue,
-    check_document_load,
-    check_referential_integrity,
-)
+from repro.resilience.integrity import IntegrityIssue
 from repro.storage.database import Database
+from repro.storage.loading import _DOCS_DDL, _DocumentStore
 from repro.storage.paths import PathIndex
 from repro.xmltree.nodes import Document
 
@@ -32,14 +28,6 @@ _EDGE_INDEX_DDL = {
 }
 
 _EDGE_DDL = [
-    """
-    CREATE TABLE IF NOT EXISTS docs (
-        id         INTEGER PRIMARY KEY,
-        name       TEXT NOT NULL,
-        base       INTEGER NOT NULL,
-        node_count INTEGER NOT NULL
-    )
-    """,
     """
     CREATE TABLE edge (
         id        INTEGER PRIMARY KEY,
@@ -66,21 +54,11 @@ _EDGE_DDL = [
 ]
 
 
-class EdgeStore:
+class EdgeStore(_DocumentStore):
     """A schema-oblivious shredded XML store over one :class:`Database`."""
 
     def __init__(self, db: Database):
-        self.db = db
-        self.path_index = PathIndex(db)
-        row = db.query_one("SELECT COALESCE(MAX(base + node_count), 0) FROM docs")
-        self._next_base = int(row[0]) if row and row[0] is not None else 0
-        #: In-memory copies of documents loaded through this store
-        #: instance (doc_id -> Document); used by the engines'
-        #: native-evaluator fallback.
-        self.documents: dict[int, Document] = {}
-        self._document_bases: dict[int, int] = {}
-        count_row = db.query_one("SELECT COUNT(*) FROM docs")
-        self._documents_resident = not (count_row and count_row[0])
+        super().__init__(db, ["edge"])
         #: Monotonic mutation counter (see ``ShreddedStore.generation``).
         self._generation = 0
 
@@ -96,129 +74,26 @@ class EdgeStore:
     @classmethod
     def create(cls, db: Database) -> "EdgeStore":
         """Create the ``edge``/``attrs`` relations and return the store."""
-        db.execute(_EDGE_DDL[0])
+        db.execute(_DOCS_DDL)
         # PathIndex creates `paths` before edge's FK references it.
         PathIndex(db)
-        for statement in _EDGE_DDL[1:]:
+        for statement in _EDGE_DDL:
             db.execute(statement)
         db.commit()
         return cls(db)
 
-    def load(self, document: Document) -> int:
-        """Shred ``document`` into the central relation.
-
-        The load runs inside one savepoint and is verified by a
-        post-load integrity check before release: a mid-load failure
-        rolls every row back, leaving the store unchanged.
-
-        :returns: the assigned ``doc_id``.
-        :raises StoreIntegrityError: when the freshly written rows
-            violate a store invariant (the load is rolled back first).
-        """
-        base = self._next_base
-        try:
-            with self.db.savepoint("repro_load"):
-                doc_id, count = self._write_document(document, base)
-                issues = check_document_load(
-                    self.db, ["edge"], doc_id, base, count
-                )
-                orphan_attrs = self.db.query_one(
-                    "SELECT COUNT(*) FROM attrs WHERE elem_id >= ? "
-                    "AND elem_id < ? AND elem_id NOT IN "
-                    "(SELECT id FROM edge)",
-                    (base, base + count),
-                )
-                if orphan_attrs[0]:
-                    issues.append(
-                        IntegrityIssue(
-                            "orphan-parent",
-                            "attrs",
-                            f"{orphan_attrs[0]} attribute row(s) reference "
-                            f"a missing element",
-                        )
-                    )
-                if issues:
-                    raise StoreIntegrityError(
-                        "post-load integrity check failed: "
-                        + "; ".join(str(issue) for issue in issues)
-                    )
-        except BaseException:
-            self.path_index.refresh()
-            raise
-        self.db.commit()
-        self._next_base = base + count
-        self.documents[doc_id] = document
-        self._document_bases[doc_id] = base
-        self._bump_generation()
-        return doc_id
-
-    def bulk_load(
-        self, documents: Sequence[Document], chunk_rows: int | None = None
-    ) -> list[int]:
-        """Load many documents through the fast path (see
-        :meth:`ShreddedStore.bulk_load`): secondary indexes dropped and
-        rebuilt once, chunked ``executemany`` batches, batched `Paths`
-        inserts, ``synchronous=OFF`` / ``temp_store=MEMORY`` for the
-        duration, one savepoint verified by a store-wide referential
-        check at exit.
-
-        :returns: the assigned ``doc_id``s, in input order.
-        """
-        documents = list(documents)
-        if not documents:
-            return []
-        from repro.serving.bulk import DEFAULT_CHUNK_ROWS, bulk_pragmas
-
-        chunk = chunk_rows if chunk_rows else DEFAULT_CHUNK_ROWS
-        loaded: list[tuple[int, Document, int]] = []
-        next_base = self._next_base
-        with bulk_pragmas(self.db):
-            try:
-                with self.db.savepoint("repro_bulk_load"):
-                    for name in _EDGE_INDEX_DDL:
-                        self.db.execute(f"DROP INDEX IF EXISTS {name}")  # static-ok: sql-interp
-                    for document in documents:
-                        self.path_index.ensure_many(
-                            document.distinct_paths()
-                        )
-                        doc_id, count = self._write_document(
-                            document, next_base, chunk_rows=chunk
-                        )
-                        loaded.append((doc_id, document, next_base))
-                        next_base += count
-                    for statement in _EDGE_INDEX_DDL.values():
-                        self.db.execute(statement)
-                    issues = check_referential_integrity(self.db, ["edge"])
-                    if issues:
-                        raise StoreIntegrityError(
-                            "bulk-load integrity check failed: "
-                            + "; ".join(str(issue) for issue in issues)
-                        )
-            except BaseException:
-                self.path_index.refresh()
-                raise
-            self.db.commit()
-        for doc_id, document, base in loaded:
-            self.documents[doc_id] = document
-            self._document_bases[doc_id] = base
-        self._next_base = next_base
-        self._bump_generation()
-        return [doc_id for doc_id, _, _ in loaded]
+    def _index_statements(self) -> tuple[list[str], list[str]]:
+        return (
+            [f"DROP INDEX IF EXISTS {name}" for name in _EDGE_INDEX_DDL],
+            list(_EDGE_INDEX_DDL.values()),
+        )
 
     def _write_document(
-        self, document: Document, base: int, chunk_rows: int | None = None
-    ) -> tuple[int, int]:
-        """Insert all rows of ``document``; returns (doc_id, count)."""
-        cursor = self.db.execute(
-            "INSERT INTO docs (name, base, node_count) VALUES (?, ?, 0)",
-            (document.name, base),
-        )
-        doc_id = int(cursor.lastrowid)
+        self, document: Document, doc_id: int, base: int
+    ) -> int:
         edge_rows = []
         attr_rows = []
-        count = 0
         for element in document.iter_elements():
-            count += 1
             global_id = base + element.node_id
             parent = element.parent
             text = element.direct_text
@@ -235,40 +110,38 @@ class EdgeStore:
             )
             for attr_name, value in element.attributes.items():
                 attr_rows.append((global_id, attr_name, value))
-        edge_sql = (
+        self.db.executemany(
             "INSERT INTO edge (id, doc_id, par_id, name, path_id, dewey_pos,"
-            " text) VALUES (?, ?, ?, ?, ?, ?, ?)"
+            " text) VALUES (?, ?, ?, ?, ?, ?, ?)",
+            edge_rows,
         )
-        attr_sql = "INSERT INTO attrs (elem_id, name, value) VALUES (?, ?, ?)"
-        if chunk_rows is None:
-            self.db.executemany(edge_sql, edge_rows)
-            self.db.executemany(attr_sql, attr_rows)
-        else:
-            from repro.serving.bulk import iter_chunks
-
-            for batch in iter_chunks(edge_rows, chunk_rows):
-                self.db.executemany(edge_sql, batch)
-            for batch in iter_chunks(attr_rows, chunk_rows):
-                self.db.executemany(attr_sql, batch)
-        self.db.execute(
-            "UPDATE docs SET node_count = ? WHERE id = ?", (count, doc_id)
+        self.db.executemany(
+            "INSERT INTO attrs (elem_id, name, value) VALUES (?, ?, ?)",
+            attr_rows,
         )
-        return doc_id, count
+        return len(edge_rows)
 
-    def resident_documents(self) -> dict[int, tuple[Document, int]] | None:
-        """``doc_id -> (Document, base)`` when every stored document was
-        loaded through this instance (see
-        :meth:`ShreddedStore.resident_documents`)."""
-        if not self._documents_resident:
-            return None
-        return {
-            doc_id: (doc, self._document_bases[doc_id])
-            for doc_id, doc in self.documents.items()
-        }
-
-    def verify_integrity(self) -> list[IntegrityIssue]:
-        """Store-wide referential checks (diagnostics)."""
-        return check_referential_integrity(self.db, ["edge"])
+    def _load_issues(
+        self, loaded: Sequence[tuple[int, int, int]]
+    ) -> list[IntegrityIssue]:
+        issues = super()._load_issues(loaded)
+        # One load's id ranges are adjacent: first base to last end.
+        first, last = loaded[0], loaded[-1]
+        orphan_attrs = self.db.query_one(
+            "SELECT COUNT(*) FROM attrs WHERE elem_id > ? AND elem_id <= ? "
+            "AND elem_id NOT IN (SELECT id FROM edge)",
+            (first[1], last[1] + last[2]),
+        )
+        if orphan_attrs[0]:
+            issues.append(
+                IntegrityIssue(
+                    "orphan-parent",
+                    "attrs",
+                    f"{orphan_attrs[0]} attribute row(s) reference "
+                    f"a missing element",
+                )
+            )
+        return issues
 
     def total_elements(self) -> int:
         """Number of stored element rows."""

@@ -25,21 +25,16 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from repro.dewey import encode
-from repro.errors import SchemaError, StorageError, StoreIntegrityError
+from repro.dewey import decode, encode
+from repro.errors import SchemaError, StorageError
 from typing import Iterable, Sequence
 
-from repro.resilience.integrity import (
-    IntegrityIssue,
-    check_document_load,
-    check_referential_integrity,
-)
 from repro.schema.marking import SchemaMarking
 from repro.schema.model import Schema
 from repro.stats import maintenance as _stats
-from repro.stats.summary import PathStats, PathSummary, StatsState
+from repro.stats.summary import PathSummary, StatsState
 from repro.storage.database import Database
-from repro.storage.paths import PathIndex
+from repro.storage.loading import _DOCS_DDL, _DocumentStore
 from repro.xmltree.nodes import Document, ElementNode
 
 #: Identifiers that element names must not shadow (meta tables and SQL
@@ -262,15 +257,6 @@ class SchemaAwareMapping:
         ]
 
 
-_DOCS_DDL = """
-CREATE TABLE IF NOT EXISTS docs (
-    id         INTEGER PRIMARY KEY,
-    name       TEXT NOT NULL,
-    base       INTEGER NOT NULL,
-    node_count INTEGER NOT NULL
-)
-"""
-
 _META_DDL = """
 CREATE TABLE IF NOT EXISTS repro_meta (
     key   TEXT PRIMARY KEY,
@@ -279,7 +265,7 @@ CREATE TABLE IF NOT EXISTS repro_meta (
 """
 
 
-class ShreddedStore:
+class ShreddedStore(_DocumentStore):
     """A schema-aware shredded XML store over one :class:`Database`."""
 
     def __init__(
@@ -289,12 +275,10 @@ class ShreddedStore:
         mapping: SchemaAwareMapping,
         marking: SchemaMarking,
     ):
-        self.db = db
+        super().__init__(db, list(mapping.relations))
         self.schema = schema
         self.mapping = mapping
         self.marking = marking
-        self.path_index = PathIndex(db)
-        self._next_base = self._initial_base()
         #: Monotonic mutation counter: bumps on every ``load`` /
         #: ``bulk_load`` / ``append_subtree`` / ``delete_*`` /
         #: ``update_*``.  The engines' result cache keys on it, so a
@@ -308,17 +292,6 @@ class ShreddedStore:
         self._stats_loaded = False
         self._stats_state: StatsState | None = None
         self._summary: PathSummary | None = None
-        #: In-memory copies of documents loaded through this store
-        #: instance (doc_id -> (Document, base)); used by the engines'
-        #: native-evaluator fallback.
-        self.documents: dict[int, Document] = {}
-        self._document_bases: dict[int, int] = {}
-        # Fallback answers are only trustworthy when every stored
-        # document is resident and unmodified since loading.
-        row = db.query_one("SELECT COUNT(*) FROM docs") if (
-            "docs" in db.table_names()
-        ) else None
-        self._documents_resident = not (row and row[0])
 
     @classmethod
     def create(cls, db: Database, schema: Schema) -> "ShreddedStore":
@@ -358,10 +331,6 @@ class ShreddedStore:
         mapping = SchemaAwareMapping(schema)
         return cls(db, schema, mapping, SchemaMarking(schema))
 
-    def _initial_base(self) -> int:
-        row = self.db.query_one("SELECT COALESCE(MAX(base + node_count), 0) FROM docs")
-        return int(row[0]) if row and row[0] is not None else 0
-
     def _initial_generation(self) -> int:
         """Restore the persisted mutation counter (0 on fresh stores)."""
         if "repro_meta" not in self.db.table_names():
@@ -388,186 +357,40 @@ class ShreddedStore:
 
     # -- loading -----------------------------------------------------------------
 
-    def load(self, document: Document) -> int:
-        """Shred ``document`` into the mapping relations.
-
-        The whole load runs inside one savepoint and is verified by a
-        post-load integrity check before release: any mid-load failure
-        (or detected inconsistency) rolls every row back, leaving the
-        store exactly as it was.
-
-        :returns: the assigned ``doc_id``.
-        :raises StorageError: if the document does not conform to the
-            store's schema.
-        :raises StoreIntegrityError: if the freshly written rows violate
-            a store invariant (the load is rolled back first).
-        """
+    def _check_conforms(self, document: Document) -> None:
         if not self.schema.conforms(document):
             raise StorageError(
                 f"document {document.name!r} does not conform to the schema"
             )
-        base = self._next_base
-        try:
-            with self.db.savepoint("repro_load"):
-                doc_id, count = self._write_document(document, base)
-                issues = check_document_load(
-                    self.db,
-                    list(self.mapping.relations),
-                    doc_id,
-                    base,
-                    count,
-                )
-                if issues:
-                    raise StoreIntegrityError(
-                        "post-load integrity check failed: "
-                        + "; ".join(str(issue) for issue in issues)
-                    )
-        except BaseException:
-            # Paths inserted inside the aborted savepoint are gone from
-            # the relation; drop them from the cache too.
-            self.path_index.refresh()
-            raise
-        self.db.commit()
-        self._next_base = base + count
-        self.documents[doc_id] = document
-        self._document_bases[doc_id] = base
-        self._bump_generation()
-        self._stats_apply_documents([document])
-        return doc_id
 
-    def bulk_load(
-        self, documents: Sequence[Document], chunk_rows: int | None = None
-    ) -> list[int]:
-        """Load many documents through the fast path.
-
-        Meant for initial loads: secondary indexes are dropped up front
-        and rebuilt once after every row lands (index maintenance per
-        row is what dominates ``load`` loops), rows go in as bounded
-        ``executemany`` chunks, new `Paths` entries are ensured in one
-        batch per document, and the whole load runs with
-        ``synchronous=OFF`` / ``temp_store=MEMORY`` (restored at exit).
-        Everything happens inside one savepoint verified by a store-wide
-        referential integrity check, so a failure rolls the store — and
-        its indexes — back to the pre-call state.
-
-        Note the per-document :func:`check_document_load` of :meth:`load`
-        is replaced by the single store-wide check; on an already
-        populated store the index rebuild re-sorts existing rows too, so
-        the speedup is largest on a fresh store.
-
-        :returns: the assigned ``doc_id``s, in input order.
-        """
-        documents = list(documents)
-        if not documents:
-            return []
-        for document in documents:
-            if not self.schema.conforms(document):
-                raise StorageError(
-                    f"document {document.name!r} does not conform to the "
-                    f"schema"
-                )
-        from repro.serving.bulk import DEFAULT_CHUNK_ROWS, bulk_pragmas
-
-        chunk = chunk_rows if chunk_rows else DEFAULT_CHUNK_ROWS
-        loaded: list[tuple[int, Document, int]] = []
-        next_base = self._next_base
-        with bulk_pragmas(self.db):
-            try:
-                with self.db.savepoint("repro_bulk_load"):
-                    for statement in self.mapping.drop_index_ddl():
-                        self.db.execute(statement)
-                    for document in documents:
-                        self.path_index.ensure_many(
-                            document.distinct_paths()
-                        )
-                        doc_id, count = self._write_document(
-                            document, next_base, chunk_rows=chunk
-                        )
-                        loaded.append((doc_id, document, next_base))
-                        next_base += count
-                    for statement in self.mapping.index_ddl():
-                        self.db.execute(statement)
-                    issues = check_referential_integrity(
-                        self.db, list(self.mapping.relations)
-                    )
-                    if issues:
-                        raise StoreIntegrityError(
-                            "bulk-load integrity check failed: "
-                            + "; ".join(str(issue) for issue in issues)
-                        )
-            except BaseException:
-                self.path_index.refresh()
-                raise
-            self.db.commit()
-        for doc_id, document, base in loaded:
-            self.documents[doc_id] = document
-            self._document_bases[doc_id] = base
-        self._next_base = next_base
-        self._bump_generation()
-        self._stats_apply_documents(
-            [doc for _, doc, _ in loaded], collect_if_missing=True
-        )
-        return [doc_id for doc_id, _, _ in loaded]
+    def _index_statements(self) -> tuple[list[str], list[str]]:
+        return self.mapping.drop_index_ddl(), self.mapping.index_ddl()
 
     def _write_document(
-        self, document: Document, base: int, chunk_rows: int | None = None
-    ) -> tuple[int, int]:
-        """Insert all rows of ``document``; returns (doc_id, count)."""
+        self, document: Document, doc_id: int, base: int
+    ) -> int:
         count = 0
         rows_by_relation: dict[str, list[tuple]] = {}
-        insert_sql: dict[str, str] = {}
-        cursor = self.db.execute(
-            "INSERT INTO docs (name, base, node_count) VALUES (?, ?, 0)",
-            (document.name, base),
-        )
-        doc_id = int(cursor.lastrowid)
         for element in document.iter_elements():
             count += 1
             info = self.mapping.relation_for(element.name)
-            if info.table not in insert_sql:
-                insert_sql[info.table] = self._insert_sql(info)
-                rows_by_relation[info.table] = []
-            rows_by_relation[info.table].append(
+            rows_by_relation.setdefault(info.table, []).append(
                 self._row_for(element, info, doc_id, base)
             )
-        if chunk_rows is None:
-            for table, rows in rows_by_relation.items():
-                self.db.executemany(insert_sql[table], rows)
-        else:
-            from repro.serving.bulk import iter_chunks
+        self._insert_rows(rows_by_relation)
+        return count
 
-            for table, rows in rows_by_relation.items():
-                for batch in iter_chunks(rows, chunk_rows):
-                    self.db.executemany(insert_sql[table], batch)
-        self.db.execute(
-            "UPDATE docs SET node_count = ? WHERE id = ?", (count, doc_id)
-        )
-        return doc_id, count
-
-    # -- fallback support -----------------------------------------------------------
-
-    def resident_documents(self) -> dict[int, tuple[Document, int]] | None:
-        """``doc_id -> (Document, base)`` when the in-memory copies
-        mirror the stored data exactly — i.e. every document was loaded
-        through this store instance and none was modified since.
-        Returns ``None`` otherwise; the engines' native fallback then
-        declines rather than serve stale answers."""
-        if not self._documents_resident:
-            return None
-        return {
-            doc_id: (doc, self._document_bases[doc_id])
-            for doc_id, doc in self.documents.items()
-        }
+    def _after_load(self, documents: Sequence[Document], bulk: bool) -> None:
+        self._stats_apply_documents(documents, collect_if_missing=bulk)
 
     def _mark_documents_stale(self) -> None:
         self._documents_resident = False
 
-    def verify_integrity(self) -> list[IntegrityIssue]:
-        """Store-wide referential checks (diagnostics): orphan parents
-        and dangling ``path_id`` references across all relations."""
-        return check_referential_integrity(
-            self.db, list(self.mapping.relations)
-        )
+    def _insert_rows(self, rows_by_relation: dict[str, list[tuple]]) -> None:
+        for table, rows in rows_by_relation.items():
+            self.db.executemany(
+                self._insert_sql(self.mapping.relations[table]), rows
+            )
 
     def _insert_sql(self, info: RelationInfo) -> str:
         columns = ["id", "doc_id", "par_id", "path_id", "dewey_pos"]
@@ -588,14 +411,24 @@ class ShreddedStore:
         info: RelationInfo,
         doc_id: int,
         base: int,
+        *,
+        par_id: int | None = None,
+        path: str | None = None,
+        dewey: tuple[int, ...] | None = None,
     ) -> tuple:
+        """The row of ``element``.  The keywords place a fragment below
+        an element already stored (:meth:`append_subtree`): the id of
+        that parent for the fragment's root, and the absolute path and
+        Dewey vector in place of the fragment-relative ones."""
         parent = element.parent
+        if parent is not None:
+            par_id = base + parent.node_id
         row: list = [
             base + element.node_id,
             doc_id,
-            base + parent.node_id if parent is not None else None,
-            self.path_index.ensure(element.path),
-            encode(element.dewey),
+            par_id,
+            self.path_index.ensure(path or element.path),
+            encode(dewey or element.dewey),
         ]
         if info.shared:
             row.append(element.name)
@@ -695,9 +528,6 @@ class ShreddedStore:
                 f"fragment <{element.name}> does not conform to the "
                 f"schema under {parent_name!r}"
             )
-        from repro.dewey import decode
-        from repro.xmltree.nodes import Document
-
         parent_vector = decode(parent_dewey_blob)
         ordinal = self._next_child_ordinal(parent_global_id)
         parent_path_row = self.db.query_one(  # static-ok: sql-interp
@@ -713,39 +543,20 @@ class ShreddedStore:
         base = self._next_base
         new_ids = []
         rows_by_relation: dict[str, list[tuple]] = {}
-        insert_sql: dict[str, str] = {}
         for node in fragment.iter_elements():
             info = self.mapping.relation_for(node.name)
-            if info.table not in insert_sql:
-                insert_sql[info.table] = self._insert_sql(info)
-                rows_by_relation[info.table] = []
-            absolute_dewey = parent_vector + (ordinal,) + node.dewey[1:]
-            absolute_path = parent_path + node.path
-            par_id = (
-                parent_global_id
-                if node.parent is None
-                else base + node.parent.node_id
-            )
-            global_id = base + node.node_id
-            new_ids.append(global_id)
-            row: list = [
-                global_id,
+            row = self._row_for(
+                node,
+                info,
                 doc_id,
-                par_id,
-                self.path_index.ensure(absolute_path),
-                encode(absolute_dewey),
-            ]
-            if info.shared:
-                row.append(node.name)
-            if info.text_kind is not None:
-                text = node.direct_text
-                row.append(_convert(text, info.text_kind) if text else None)
-            for attr_name, (_, kind) in info.attr_columns.items():
-                value = node.attributes.get(attr_name)
-                row.append(None if value is None else _convert(value, kind))
-            rows_by_relation[info.table].append(tuple(row))
-        for table, rows in rows_by_relation.items():
-            self.db.executemany(insert_sql[table], rows)
+                base,
+                par_id=parent_global_id,
+                path=parent_path + node.path,
+                dewey=parent_vector + (ordinal,) + node.dewey[1:],
+            )
+            new_ids.append(row[0])
+            rows_by_relation.setdefault(info.table, []).append(row)
+        self._insert_rows(rows_by_relation)
         self.db.commit()
         self._next_base = base + len(new_ids)
         self._mark_documents_stale()
@@ -761,8 +572,6 @@ class ShreddedStore:
                 (parent_global_id,),
             )
             if row and row[0] is not None:
-                from repro.dewey import decode
-
                 ordinal = decode(bytes(row[0]))[-1]
                 highest = max(highest, ordinal)
         return highest + 1
@@ -989,75 +798,31 @@ class ShreddedStore:
         if summary is None:
             self.collect_statistics()
             return
-        stats = dict(summary.stats)
-        relation_counts = dict(summary.relation_counts)
-        document_count = summary.document_count
-        for document in documents:
-            per_path, per_relation = _stats.document_deltas(
-                self.mapping, document
-            )
-            for path, (elements, values) in per_path.items():
-                previous = stats.get(path)
-                stats[path] = PathStats(
-                    path=path,
-                    element_count=(
-                        previous.element_count if previous else 0
-                    ) + elements,
-                    doc_count=(previous.doc_count if previous else 0) + 1,
-                    value_count=(
-                        previous.value_count if previous else 0
-                    ) + values,
-                )
-            for table, rows in per_relation.items():
-                relation_counts[table] = (
-                    relation_counts.get(table, 0) + rows
-                )
-            document_count += 1
         self._persist_summary(
-            PathSummary(
+            summary.plus(
+                *_stats.document_deltas(self.mapping, documents),
+                documents=len(documents),
                 version=(self._stats_state.epoch + 1, self._generation),
-                document_count=document_count,
-                relation_counts=relation_counts,
-                stats=stats,
             )
         )
 
     def _stats_apply_removal(
         self,
-        per_path: dict[str, tuple[int, int]],
+        per_path: dict[str, tuple[int, int, int]],
         per_relation: dict[str, int],
     ) -> None:
-        """Subtract one deleted document's counts (called post-bump)."""
+        """Apply one deleted document's (negative) deltas (called
+        post-bump)."""
         summary = self._persisted_summary()
         if summary is None:
             self.collect_statistics()
             return
-        stats = dict(summary.stats)
-        for path, (elements, values) in per_path.items():
-            previous = stats.get(path)
-            if previous is None:
-                continue
-            remaining = previous.element_count - elements
-            if remaining <= 0:
-                stats.pop(path)
-            else:
-                stats[path] = PathStats(
-                    path=path,
-                    element_count=remaining,
-                    doc_count=max(previous.doc_count - 1, 0),
-                    value_count=max(previous.value_count - values, 0),
-                )
-        relation_counts = dict(summary.relation_counts)
-        for table, rows in per_relation.items():
-            relation_counts[table] = max(
-                relation_counts.get(table, 0) - rows, 0
-            )
         self._persist_summary(
-            PathSummary(
+            summary.plus(
+                per_path,
+                per_relation,
+                documents=-1,
                 version=(summary.version[0] + 1, self._generation),
-                document_count=max(summary.document_count - 1, 0),
-                relation_counts=relation_counts,
-                stats=stats,
             )
         )
 

@@ -1,6 +1,6 @@
 """The bulk-load fast path: equivalence with serial ``load`` loops,
 rollback (rows *and* indexes) on mid-load failure, pragma restoration,
-chunking, and the EdgeStore twin."""
+and the EdgeStore twin."""
 
 from __future__ import annotations
 
@@ -133,31 +133,12 @@ class TestShreddedBulkLoad:
             table: 0 for table in store.relation_counts()
         }
 
-    def test_small_chunks_are_equivalent(self):
-        docs = make_docs()
-        serial = ShreddedStore.create(Database.memory(), infer_schema(docs))
-        for doc in docs:
-            serial.load(doc)
-        chunked = ShreddedStore.create(Database.memory(), infer_schema(docs))
-        chunked.bulk_load(docs, chunk_rows=3)
-        assert chunked.relation_counts() == serial.relation_counts()
-        assert (
-            PPFEngine(chunked).execute("//book").ids
-            == PPFEngine(serial).execute("//book").ids
-        )
-
     def test_empty_list_is_a_noop(self):
         docs = make_docs()
         store = ShreddedStore.create(Database.memory(), infer_schema(docs))
         generation = store.generation
         assert store.bulk_load([]) == []
         assert store.generation == generation
-
-    def test_chunk_rows_must_be_positive(self):
-        from repro.serving.bulk import iter_chunks
-
-        with pytest.raises(ValueError):
-            list(iter_chunks([1, 2, 3], 0))
 
 
 class TestEdgeBulkLoad:
@@ -167,7 +148,7 @@ class TestEdgeBulkLoad:
         for doc in docs:
             serial.load(doc)
         bulk = EdgeStore.create(Database.memory())
-        doc_ids = bulk.bulk_load(docs, chunk_rows=5)
+        doc_ids = bulk.bulk_load(docs)
 
         assert doc_ids == [1, 2, 3]
         for table in ("edge", "attrs"):
