@@ -1,7 +1,8 @@
 """Ablation — the Section 3.1 relational indexes.
 
 The paper's mapping maintains, per relation, the primary key, an index
-on the parent FK and a composite ``(dewey_pos, path_id)`` index.  This
+on the parent FK and a composite ``(dewey_pos, path_id)`` index (led by
+``doc_id`` here, DESIGN.md 4b).  This
 bench measures the query set with and without the composite Dewey
 indexes: the structural-join queries (Q6, Q7, Q-A) collapse without
 them, which is exactly why Section 3.1 mandates the index.
@@ -103,7 +104,7 @@ def test_ablation_index_summary(benchmark, bundle):
         run_query, args=(engine, queries[0].xpath), rounds=2, iterations=1
     )
     print()
-    print("Section 3.1 ablation — composite (dewey_pos, path_id) index:")
+    print("Section 3.1 ablation — composite (doc_id, dewey_pos, path_id) index:")
     total_indexed = 0.0
     total_unindexed = 0.0
     for qid in indexed:

@@ -87,7 +87,9 @@ def _iter_sweep_reports(
     """Per-(combo, query) verifier reports plus a translated? flag."""
     for workload, store, queries in sweep_workloads():
         adapter = SchemaAwareAdapter(store)
-        verifier = PlanVerifier(marking=adapter.marking)
+        verifier = PlanVerifier(
+            marking=adapter.marking, summary=adapter.path_summary
+        )
         for combo in combos:
             translator = PPFTranslator(adapter, passes=list(combo))
             for qid, xpath in queries:

@@ -16,10 +16,14 @@ enclosing alias scope) and reports violations as findings:
 ``PV003`` **Dewey typing** — structural predicates use a Table 2
     operator for a known axis, and their operands are element relations
     carrying ``dewey_pos``/``doc_id`` columns; the two-column `Paths`
-    relation can never appear in a Dewey comparison.
-``PV004`` **justified Paths elimination** — every rewrite the
+    relation can never appear in a Dewey comparison.  A path filter
+    tests an element relation: by its ``path_id`` once resolved to
+    literal paths, through a `Paths` scan linked to it while a regex.
+``PV004`` **justified filter elimination** — every rewrite the
     ``paths-join-elimination`` pass performed carries a U-P/F-P/I-P
-    marking witness, and the witness re-derives under the marking.
+    marking witness that re-derives under the marking, and every
+    filter ``costed-access-strategy`` dropped as a tautology carries a
+    witness that re-derives from the path summary it cites.
 ``PV005`` **anchored path regexes** — every Table 1 regex is ``^…$``
     delimited (anchored patterns pin the root, unanchored ones an
     explicit ``^.*`` prefix) and every Table 3 equality / membership
@@ -73,9 +77,11 @@ from repro.plan.passes import (
     EliminationWitness,
     PassReport,
     ReorderWitness,
+    TautologyWitness,
     _distinct_redundant,
 )
 from repro.schema.marking import PathClass, SchemaMarking
+from repro.stats.summary import PathSummary
 
 _ANALYZER = "plan-verifier"
 
@@ -155,10 +161,19 @@ class PlanVerifier:
     :param marking: the Section 4.5 schema marking used to re-derive
         ``paths-join-elimination`` witnesses (``None`` for the
         schema-oblivious Edge mapping, where the pass must not fire).
+    :param summary: the store's path summary, used to re-derive
+        ``costed-access-strategy`` tautology witnesses; one recorded
+        against another version of the summary cannot be re-derived and
+        is reported.
     """
 
-    def __init__(self, marking: Optional[SchemaMarking] = None):
+    def __init__(
+        self,
+        marking: Optional[SchemaMarking] = None,
+        summary: Optional[PathSummary] = None,
+    ):
         self.marking = marking
+        self.summary = summary
 
     # -- entry points ------------------------------------------------------------
 
@@ -178,6 +193,7 @@ class PlanVerifier:
             self._check_observability(plan, report, label)
             self._check_projection_shape(plan, report, label)
         self._check_witnesses(pass_reports, report, label)
+        self._check_tautologies(pass_reports, report, label)
         self._check_reorders(plan, pass_reports, report, label)
         return report
 
@@ -476,7 +492,7 @@ class PlanVerifier:
                     )
             elif isinstance(condition, PathFilterCond):
                 self._check_path_filter(
-                    condition, local, outer_scopes, report, subject
+                    condition, select, local, outer_scopes, report, subject
                 )
 
     def _require_element_operand(
@@ -503,21 +519,26 @@ class PlanVerifier:
     def _check_path_filter(
         self,
         condition: PathFilterCond,
+        select: LogicalSelect,
         local: dict[str, Scan],
         outer_scopes: list[dict[str, Scan]],
         report: Report,
         subject: str,
     ) -> None:
-        scan = self._resolve(condition.paths_alias, local, outer_scopes)
-        if scan is not None and not scan.is_paths:
+        owner = self._resolve(condition.alias, local, outer_scopes)
+        if owner is not None and owner.is_paths:
             report.add(
                 _ANALYZER,
                 "PV003",
                 Severity.ERROR,
-                f"path filter targets {condition.paths_alias!r}, bound "
-                f"to table {scan.table!r} instead of `Paths`",
+                f"path filter tests {condition.alias!r}, a `Paths` scan; "
+                "a path filter restricts the rows of an element relation",
                 subject,
                 "Section 3, Table 1",
+            )
+        if condition.mode == "regex":
+            self._check_regex_filter_join(
+                condition, select, local, report, subject
             )
         literals = condition.literal_paths()
         if literals is not None and (
@@ -583,6 +604,46 @@ class PlanVerifier:
                 "Table 1, Table 3",
             )
 
+    def _check_regex_filter_join(
+        self,
+        condition: PathFilterCond,
+        select: LogicalSelect,
+        local: dict[str, Scan],
+        report: Report,
+        subject: str,
+    ) -> None:
+        """A regex reads ``paths_alias.path``: its select must scan
+        `Paths` under that alias and link the row to the filter's
+        owner."""
+        scan = local.get(condition.paths_alias)
+        if scan is None or not scan.is_paths:
+            bound = "unbound" if scan is None else f"table {scan.table!r}"
+            report.add(
+                _ANALYZER,
+                "PV003",
+                Severity.ERROR,
+                f"regex path filter reads {condition.paths_alias!r} "
+                f"({bound}), not a `Paths` scan of its select",
+                subject,
+                "Section 3, Table 1",
+            )
+        elif not any(
+            isinstance(part, PathsLinkCond)
+            and part.owner_alias == condition.alias
+            and part.paths_alias == condition.paths_alias
+            for part in iter_conditions(select.where)
+        ):
+            report.add(
+                _ANALYZER,
+                "PV003",
+                Severity.ERROR,
+                f"regex path filter on {condition.alias!r} reads "
+                f"{condition.paths_alias!r}, but no paths link joins "
+                "the two",
+                subject,
+                "Section 3, Table 1",
+            )
+
     # -- PV004: elimination witnesses --------------------------------------------
 
     def _check_witnesses(
@@ -644,18 +705,9 @@ class PlanVerifier:
         if not witness.classes:
             fail("no candidate classes recorded")
             return
-        try:
-            pattern = [
-                step
-                for step in witness.pattern
-                if isinstance(step, PatternStep)
-            ]
-            if len(pattern) != len(witness.pattern):
-                fail("pattern contains non-PatternStep entries")
-                return
-            regex = re.compile(compile_pattern(pattern, witness.anchored))
-        except TranslationError as exc:
-            fail(f"recorded pattern does not compile ({exc})")
+        regex = _witness_regex(witness.pattern, witness.anchored)
+        if isinstance(regex, str):
+            fail(regex)
             return
 
         any_match = False
@@ -702,6 +754,59 @@ class PlanVerifier:
                 "claims the filter is unsatisfiable, but a candidate "
                 "root path satisfies the pattern"
             )
+
+    def _check_tautologies(
+        self,
+        pass_reports: Sequence[PassReport],
+        report: Report,
+        subject: str,
+    ) -> None:
+        for pass_report in pass_reports:
+            for witness in pass_report.tautologies:
+                message = self._tautology_failure(witness)
+                if message is not None:
+                    report.add(
+                        _ANALYZER,
+                        "PV004",
+                        Severity.ERROR,
+                        f"tautology witness for {witness.alias!r} does "
+                        "not re-derive: " + message,
+                        subject,
+                        "Section 4.5 (summary-proved extension)",
+                    )
+
+    def _tautology_failure(self, witness: TautologyWitness) -> Optional[str]:
+        """Why the summary does not prove the dropped filter redundant
+        (``None`` when it does)."""
+        summary = self.summary
+        if summary is None or summary.version != witness.summary_version:
+            held = None if summary is None else summary.version
+            return (
+                f"it cites summary version {witness.summary_version}, "
+                f"the verifier holds {held}"
+            )
+        if not witness.names:
+            return "no candidate names recorded"
+        regex = _witness_regex(witness.pattern, witness.anchored)
+        if isinstance(regex, str):
+            return regex
+        matched = sorted(p for p in summary.stats if regex.search(p))
+        if list(witness.matched_paths) != matched:
+            return (
+                f"recorded matched paths {list(witness.matched_paths)} "
+                f"differ from re-derived {matched}"
+            )
+        unmatched = sorted(
+            p
+            for p in summary.stats
+            if p.rsplit("/", 1)[-1] in witness.names and p not in matched
+        )
+        if unmatched:
+            return (
+                f"stored path(s) {unmatched} of {list(witness.names)} "
+                "fail the pattern (the filter restricts something)"
+            )
+        return None
 
     # -- PV008: cost-based reorder witnesses --------------------------------------
 
@@ -902,10 +1007,27 @@ class PlanVerifier:
 # ---------------------------------------------------------------------------
 
 
+def _witness_regex(
+    pattern: "tuple[object, ...]", anchored: bool
+) -> "Union[re.Pattern[str], str]":
+    """The compiled Table 1 regex of a witness's recorded pattern, or
+    the reason it has none."""
+    steps = [step for step in pattern if isinstance(step, PatternStep)]
+    if len(steps) != len(pattern):
+        return "pattern contains non-PatternStep entries"
+    try:
+        return re.compile(compile_pattern(steps, anchored))
+    except TranslationError as exc:
+        return f"recorded pattern does not compile ({exc})"
+
+
 def _typed_aliases(condition: PlanCond) -> list[str]:
     """Alias fields carried by a typed (non-raw) condition node."""
     if isinstance(condition, PathFilterCond):
-        return [condition.alias, condition.paths_alias]
+        # Resolved to literal paths, a filter reads its owner only.
+        if condition.mode == "regex":
+            return [condition.alias, condition.paths_alias]
+        return [condition.alias]
     if isinstance(condition, PathsLinkCond):
         return [condition.owner_alias, condition.paths_alias]
     if isinstance(condition, NameFilterCond):
@@ -949,9 +1071,10 @@ def verify_plan(
     pass_reports: Sequence[PassReport] = (),
     marking: Optional[SchemaMarking] = None,
     subject: Optional[str] = None,
+    summary: Optional[PathSummary] = None,
 ) -> Report:
     """One-shot convenience wrapper around :class:`PlanVerifier`."""
-    return PlanVerifier(marking=marking).verify(
+    return PlanVerifier(marking=marking, summary=summary).verify(
         plan, pass_reports, subject=subject
     )
 

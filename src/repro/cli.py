@@ -229,8 +229,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """``repro explain`` — print the generated SQL (and, with
-    ``--plan``, the optimized logical plan and per-pass report; with
-    ``--costs``, estimated vs. actual row counts)."""
+    ``--plan``, the optimized logical plan, the per-pass report and
+    SQLite's own plan for the statement; with ``--costs``, estimated
+    vs. actual row counts)."""
     store = _open_store(args.database)
     engine = PPFEngine(store)
     if getattr(args, "costs", False):
@@ -253,6 +254,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"-- plan stats: {changed or 'unchanged'}")
         print("-- SQL:")
     print(report)
+    if getattr(args, "plan", False):
+        print("-- sqlite plan:")
+        for line in engine.query_plan(args.xpath):
+            print(f"  {line}")
     if getattr(args, "costs", False):
         print("-- costs:")
         for line in report.cost_lines():
@@ -442,7 +447,9 @@ def cmd_verify_plans(args: argparse.Namespace) -> int:
         store = _open_store(args.db)
         adapter = SchemaAwareAdapter(store)
         translator = PPFTranslator(adapter)
-        verifier = PlanVerifier(marking=adapter.marking)
+        verifier = PlanVerifier(
+            marking=adapter.marking, summary=adapter.path_summary
+        )
         for xpath in args.xpaths:
             translation = translator.translate(xpath)
             reports.append(
@@ -557,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--plan",
         action="store_true",
-        help="also print the optimized logical plan and which "
-        "optimizer passes fired",
+        help="also print the optimized logical plan, which optimizer "
+        "passes fired, and SQLite's EXPLAIN QUERY PLAN for the statement",
     )
     explain.add_argument(
         "--costs",

@@ -5,8 +5,8 @@ between the schema-aware mapping of Section 3 and the Edge-like mapping
 of Section 5.1 sits behind :class:`StoreAdapter`:
 
 * candidate relations for a fragment's prominent step,
-* access to text and attribute values (typed columns vs. the central
-  ``attrs`` relation).
+* access to text and attribute values (columns of the element's
+  relation vs. the central ``attrs`` relation).
 
 The Section 4.5 decision whether a `Paths` join is needed at all lives
 in the ``paths-join-elimination`` optimizer pass
@@ -56,6 +56,12 @@ class Candidate:
     #: Name of the column carrying the element name, when a restriction
     #: is needed (``elname`` for shared relations, ``name`` for Edge).
     name_column: Optional[str] = None
+
+
+def _value_expr(column: str, numeric: bool) -> str:
+    """A stored value as a comparand: values are stored as the text the
+    document had, so a comparison against a number casts."""
+    return f"CAST({column} AS NUMERIC)" if numeric else column
 
 
 class StoreAdapter(abc.ABC):
@@ -231,14 +237,14 @@ class SchemaAwareAdapter(StoreAdapter):
         info = self.relation(candidate)
         if info.text_kind is None:
             return None
-        return f"{alias}.text"
+        return _value_expr(f"{alias}.text", numeric)
 
     def attr_expr(self, candidate, alias, attr, numeric):
         info = self.relation(candidate)
         if attr not in info.attr_columns:
             return None
         column, _ = info.attr_columns[attr]
-        return f"{alias}.{column}"
+        return _value_expr(f"{alias}.{column}", numeric)
 
     def attr_condition(
         self, candidate, alias, attr, op, literal_sql, numeric, fresh_alias
@@ -290,15 +296,11 @@ class EdgeAdapter(StoreAdapter):
         return [Candidate("edge", None)]
 
     def text_expr(self, candidate, alias, numeric):
-        if numeric:
-            return f"CAST({alias}.text AS NUMERIC)"
-        return f"{alias}.text"
+        return _value_expr(f"{alias}.text", numeric)
 
     def attr_expr(self, candidate, alias, attr, numeric):
         value = f"(SELECT value FROM attrs WHERE elem_id = {alias}.id AND name = {string_literal(attr)})"
-        if numeric:
-            return f"CAST({value} AS NUMERIC)"
-        return value
+        return _value_expr(value, numeric)
 
     def attr_condition(
         self, candidate, alias, attr, op, literal_sql, numeric, fresh_alias
@@ -311,11 +313,7 @@ class EdgeAdapter(StoreAdapter):
             RawCond(f"{inner_alias}.name = {string_literal(attr)}")
         )
         if op is not None:
-            value = (
-                f"CAST({inner_alias}.value AS NUMERIC)"
-                if numeric
-                else f"{inner_alias}.value"
-            )
+            value = _value_expr(f"{inner_alias}.value", numeric)
             sub.where.add(RawCond(f"{value} {op} {literal_sql}"))
         return ExistsCond(sub)
 

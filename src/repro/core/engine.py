@@ -330,8 +330,11 @@ class SQLXPathEngine:
         from repro.analysis.verifier import PlanVerifier
         from repro.errors import PlanVerificationError
 
-        marking = getattr(self.translator.adapter, "marking", None)
-        report = PlanVerifier(marking=marking).verify(
+        adapter = self.translator.adapter
+        report = PlanVerifier(
+            marking=getattr(adapter, "marking", None),
+            summary=getattr(adapter, "path_summary", None),
+        ).verify(
             translation.plan,
             translation.pass_reports,
             subject=translation.expression,

@@ -2,7 +2,7 @@
 
 This is the only place where plan nodes turn into SQL text fragments.
 Everything backend-specific — regex call shape, literal quoting, Dewey
-comparisons, index hints — is delegated to the
+comparisons — is delegated to the
 :class:`~repro.sqlgen.dialect.AnsiDialect` passed in, so a plan lowers
 unchanged against any dialect.
 """
@@ -71,21 +71,24 @@ def lower_condition(
     if isinstance(condition, ExistsCond):
         return Exists(lower_select(condition.subplan, dialect))
     if isinstance(condition, PathFilterCond):
-        expression = f"{condition.paths_alias}.path"
+        # A resolved filter tests the owner's path_id; only the regex
+        # has to read the `Paths` row the plan joins for it.
         if condition.mode == "equality":
             assert condition.literal is not None
-            return Raw(dialect.path_equality(expression, condition.literal))
+            return Raw(
+                dialect.path_equality(condition.alias, condition.literal)
+            )
         if condition.mode == "in":
             assert condition.literals
             return Raw(
-                dialect.path_membership(
-                    condition.paths_alias, condition.literals
-                )
+                dialect.path_membership(condition.alias, condition.literals)
             )
         pattern = compile_pattern(
             list(condition.pattern), condition.anchored
         )
-        return Raw(dialect.regexp_match(expression, pattern))
+        return Raw(
+            dialect.regexp_match(f"{condition.paths_alias}.path", pattern)
+        )
     if isinstance(condition, PathsLinkCond):
         return Raw(
             f"{condition.owner_alias}.path_id = {condition.paths_alias}.id"

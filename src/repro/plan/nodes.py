@@ -119,21 +119,26 @@ class ExistsCond(PlanCond):
 
 @dataclass
 class PathFilterCond(PlanCond):
-    """A Table 1 path filter over ``paths_alias.path``.
+    """A Table 1 path filter on the element rows of ``alias``.
 
     The planner always emits these in ``regex`` mode with the raw
-    pattern steps attached (Algorithm 1 followed literally); the
-    Section 4.5 elimination pass may drop the node entirely, and two
-    passes may replace the regex by the literal paths it denotes —
-    ``equality`` mode with a ``literal`` payload for one path, ``in``
-    mode with ``literals`` for several.  The regex→equality pass does
-    so from the pattern or the schema marking alone; the costed
-    access-strategy pass from the store's exact path summary (every
-    stored path the regex matches, for finite and I-P labels alike —
-    sound only because a stale summary is never handed out).  The
-    pattern stays attached in every mode: it is what the literals
-    stand for.  ``names`` is the candidate's covered element names
-    (``None`` in the schema-oblivious mapping).
+    pattern steps attached (Algorithm 1 followed literally): the regex
+    reads ``paths_alias.path``, the `Paths` row a :class:`PathsLinkCond`
+    joins to ``alias``.  The Section 4.5 elimination pass may drop the
+    node entirely, and two passes may replace the regex by the literal
+    paths it denotes — ``equality`` mode with a ``literal`` payload for
+    one path, ``in`` mode with ``literals`` for several.  The
+    regex→equality pass does so from the pattern or the schema marking
+    alone; the costed access-strategy pass from the store's exact path
+    summary (every stored path the regex matches, for finite and I-P
+    labels alike — sound only because a stale summary is never handed
+    out).  A filter in a literal mode tests ``alias.path_id`` against a
+    subquery over the path strings and needs no `Paths` row, so the
+    pass that resolved it takes the scan and its link out of the plan
+    (``paths_alias`` then names nothing).  The pattern stays attached
+    in every mode: it is what the literals stand for.  ``names`` is the
+    candidate's covered element names (``None`` in the
+    schema-oblivious mapping).
     """
 
     alias: str
@@ -163,17 +168,16 @@ class PathFilterCond(PlanCond):
 
     def brief(self) -> str:
         if self.mode == "equality":
-            shape: str = self.literal or "?"
-        elif self.mode == "in":
-            shape = f"in[{len(self.literals or ())}]"
-        else:
-            shape = "~regex"
-        return f"path-filter {self.paths_alias} {shape}"
+            return f"path-filter {self.alias} {self.literal or '?'}"
+        if self.mode == "in":
+            return f"path-filter {self.alias} in[{len(self.literals or ())}]"
+        return f"path-filter {self.paths_alias} ~regex"
 
 
 @dataclass
 class PathsLinkCond(PlanCond):
-    """The FK link ``owner.path_id = paths_alias.id`` behind a filter."""
+    """The FK link ``owner.path_id = paths_alias.id`` behind a regex
+    filter."""
 
     owner_alias: str
     paths_alias: str
@@ -211,7 +215,8 @@ class StructuralCond(PlanCond):
 
 @dataclass
 class DocEqCond(PlanCond):
-    """Same-document guard (rendered with the dialect's index hint)."""
+    """Same-document guard: the equality a structural join's index
+    probe leads with."""
 
     left_alias: str
     right_alias: str

@@ -18,11 +18,12 @@ The shipped passes (in default order):
     engines' ``path_filter_optimization=False`` ablation switch.
 
 ``regex-to-equality``
-    Table 3: a pattern denoting exactly one literal path becomes a plain
-    ``paths.path = '...'`` equality (syntactic rule), and a *needed*
-    filter over finitely-pathed (U-P/F-P) labels whose root paths match
-    the regex in exactly one place becomes an equality against that one
-    path (marking rule).
+    Table 3: a pattern denoting exactly one literal path becomes an
+    equality against that path (syntactic rule), and a *needed* filter
+    over finitely-pathed (U-P/F-P) labels whose root paths match the
+    regex in exactly one place becomes an equality against that one
+    path (marking rule).  An equality tests the element's ``path_id``,
+    so the filter's `Paths` join leaves the plan with the regex.
 
 ``prune-distinct-order``
     Drops ORDER BY from sub-selects (EXISTS / scalar COUNT bodies, where
@@ -43,12 +44,16 @@ The shipped passes (in default order):
     stale one), every surviving regex filter — over finite and I-P
     labels alike — is resolved here, at plan time, to the stored paths
     its regex matches: an equality for one path, an ``in`` list for
-    several, untouched when nothing matches.  Same-alias filters of one
-    conjunction intersect into a single list.  The list lowers to a
-    semi-join that probes `Paths`' unique index once per statement, so
-    the Python ``REGEXP`` UDF leaves execution; the translation cache
-    keeps the list, so a repeated query pays nothing for it.  A list
-    the backend's statement-length limit has no room for stays a regex.
+    several, untouched when nothing matches.  A regex that matches
+    *every* stored path of its candidate names restricts nothing and is
+    dropped (a :class:`TautologyWitness` records why).  Same-alias
+    filters of one conjunction intersect into a single list.  The list
+    lowers to a semi-join on the element's ``path_id`` that probes
+    `Paths`' unique index once per statement, so neither the `Paths`
+    join nor the Python ``REGEXP`` UDF is left to execute; the
+    translation cache keeps the list, so a repeated query pays nothing
+    for it.  A list the backend's statement-length limit has no room
+    for stays a regex, `Paths` join included.
 
 ``costed-join-order``
     Structural-join reordering, smallest estimated input first: scans
@@ -168,6 +173,24 @@ class EliminationWitness:
 
 
 @dataclass(frozen=True)
+class TautologyWitness:
+    """The summary evidence for one filter ``costed-access-strategy``
+    dropped: the regex matches every stored path whose last label is
+    one of the candidate's ``names``, so no row the scan can produce
+    fails it.  ``matched_paths`` is everything the regex matches in the
+    summary whose ``(epoch, generation)`` is ``summary_version``; the
+    verifier's PV004 re-derives both from a summary of that version.
+    """
+
+    alias: str
+    pattern: "tuple[object, ...]"  #: the filter's PatternStep sequence
+    anchored: bool
+    names: tuple[str, ...]
+    matched_paths: tuple[str, ...]
+    summary_version: tuple[int, int]
+
+
+@dataclass(frozen=True)
 class ReorderWitness:
     """The evidence justifying one cost-based reorder.
 
@@ -199,6 +222,9 @@ class PassReport:
     #: One :class:`EliminationWitness` per Section 4.5 rewrite (only the
     #: ``paths-join-elimination`` pass records these).
     witnesses: tuple[EliminationWitness, ...] = ()
+    #: One :class:`TautologyWitness` per filter the summary proved
+    #: redundant (only ``costed-access-strategy`` records these).
+    tautologies: tuple[TautologyWitness, ...] = ()
     #: One :class:`ReorderWitness` per cost-based reorder (only the
     #: ``costed-join-order``/``costed-union-order`` passes record these).
     reorders: tuple[ReorderWitness, ...] = ()
@@ -408,13 +434,14 @@ def _pass_paths_join_elimination(
 
 
 def _remove_orphan_paths(plan: QueryPlan) -> int:
-    """Drop `Paths` links and scans no surviving filter references."""
+    """Drop `Paths` links and scans no surviving regex filter reads (a
+    filter resolved to literal paths tests ``path_id`` instead)."""
     removed = 0
     for select in iter_selects(plan):
         referenced = {
             cond.paths_alias
             for cond in iter_conditions(select.where)
-            if isinstance(cond, PathFilterCond)
+            if isinstance(cond, PathFilterCond) and cond.mode == "regex"
         }
 
         def unlink(
@@ -479,6 +506,8 @@ def _pass_regex_to_equality(
 
     for select in iter_selects(plan):
         select.where = _rewrap(rewrite_condition(select.where, convert))
+    if converted:
+        _remove_orphan_paths(plan)
     detail = (
         f"converted {converted} regex filter(s) to path equality"
         if converted
@@ -614,8 +643,10 @@ def _fingerprint_cond(cond: PlanCond) -> str:
         return f"count({subs};{cond.op};{cond.value!r};{cond.offset})"
     if isinstance(cond, PathFilterCond):
         names = sorted(cond.names) if cond.names is not None else None
+        # A resolved filter's `Paths` alias names nothing in the plan.
+        paths_alias = cond.paths_alias if cond.mode == "regex" else ""
         return (
-            f"pathfilter({cond.alias};{cond.paths_alias};{cond.mode};"
+            f"pathfilter({cond.alias};{paths_alias};{cond.mode};"
             f"{cond.literal!r};{cond.literals!r};{cond.anchored};"
             f"{cond.pattern!r};{names})"
         )
@@ -673,14 +704,15 @@ def _pass_dedup_union_branches(
 
 
 def _intersect_same_alias(conjunction: AndCond) -> int:
-    """Fold literal filters of one conjunction that share a `Paths`
-    alias into the first of them; returns how many were folded away.
+    """Fold literal filters of one conjunction that test the same
+    element alias into the first of them; returns how many were folded
+    away.
     A group with nothing in common is left alone (the elimination
     pass's business, as with a regex nothing matches)."""
     groups: dict[str, list[PathFilterCond]] = {}
     for part in conjunction.parts:
         if isinstance(part, PathFilterCond) and part.literal_paths():
-            groups.setdefault(part.paths_alias, []).append(part)
+            groups.setdefault(part.alias, []).append(part)
     folded: set[int] = set()
     for first, *rest in groups.values():
         common = set(first.literal_paths() or ()).intersection(
@@ -708,6 +740,7 @@ def _pass_costed_access_strategy(
     # Bytes the statement may still grow by; measured on first need.
     room: Optional[int] = None
     resolved = folded = kept = 0
+    tautologies: list[TautologyWitness] = []
 
     def fits(cond: PathFilterCond, literals: tuple[str, ...]) -> bool:
         """Whether the backend's statement limit has room for the list
@@ -722,9 +755,7 @@ def _pass_costed_access_strategy(
                 if statement is not None
                 else 0
             )
-        cost = len(
-            dialect.path_membership(cond.paths_alias, literals).encode()
-        )
+        cost = len(dialect.path_membership(cond.alias, literals).encode())
         if cost > room:
             return False
         room -= cost
@@ -745,6 +776,21 @@ def _pass_costed_access_strategy(
         )
         if not matched:
             return cond  # the elimination pass's business, not ours
+        if cond.names is not None and summary.paths_named(
+            cond.names
+        ).issubset(matched):
+            # Every row the scan can produce carries a matched path.
+            tautologies.append(
+                TautologyWitness(
+                    alias=cond.alias,
+                    pattern=tuple(cond.pattern),
+                    anchored=cond.anchored,
+                    names=tuple(sorted(cond.names)),
+                    matched_paths=matched,
+                    summary_version=summary.version,
+                )
+            )
+            return TrueCond()
         if not fits(cond, matched):
             kept += 1
             return cond
@@ -754,18 +800,24 @@ def _pass_costed_access_strategy(
 
     for select in iter_selects(plan):
         select.where = _rewrap(rewrite_condition(select.where, resolve))
-    if resolved or folded:
+    dropped = len(tautologies)
+    if resolved or dropped:
+        _remove_orphan_paths(plan)
+    if resolved or folded or dropped:
         detail = (
             f"resolved {resolved} regex filter(s) against the "
-            f"{summary.path_count}-path summary, folded {folded} "
+            f"{summary.path_count}-path summary, dropped {dropped} that "
+            f"match every stored path of their names, folded {folded} "
             "same-alias filter(s)"
         )
     else:
         detail = "no regex filter matches a stored path"
     if kept:
         detail += f"; {kept} list(s) past the statement-length limit"
-    changes = resolved + folded
-    return PassReport(name, changes > 0, changes, detail)
+    changes = resolved + folded + dropped
+    return PassReport(
+        name, changes > 0, changes, detail, tautologies=tuple(tautologies)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ SelectStatement`:
 * the regular-expression predicate call (the paper uses Oracle's
   ``REGEXP_LIKE``; our SQLite registers a ``regexp_like`` user function
   of the same shape),
+* the semi-join a resolved path filter lowers to, and
 * Dewey-comparison rendering (Table 2's lexicographic conditions, the
   ``length(dewey_pos)`` level arithmetic, and the descendant
-  upper-bound concatenation), and
-* planner hints such as SQLite's unary-``+`` index-avoidance trick on
-  cross-document equality columns.
+  upper-bound concatenation).
 
-:class:`AnsiDialect` is the generic base — portable SQL with no hints —
-and :class:`SQLiteDialect` the dialect every shipped engine uses today.
+:class:`AnsiDialect` is the generic base and :class:`SQLiteDialect` the
+dialect every shipped engine uses today.
 A future backend (the ROADMAP's multi-backend direction) subclasses
 :class:`AnsiDialect` and overrides only what differs.
 """
@@ -63,22 +62,28 @@ class AnsiDialect:
         """Boolean SQL testing ``expression`` against a regex pattern."""
         return f"REGEXP_LIKE({expression}, {self.string_literal(pattern)})"
 
-    def path_equality(self, expression: str, path: str) -> str:
-        """Boolean SQL testing ``expression`` against a literal path."""
-        return f"{expression} = {self.string_literal(path)}"
+    def path_equality(self, owner_alias: str, path: str) -> str:
+        """Boolean SQL restricting the element rows of ``owner_alias``
+        to one literal path: Table 3's equality, as a test of the
+        row's ``path_id`` against an uncorrelated scalar subquery, so
+        the statement needs no `Paths` row per element."""
+        return (
+            f"{owner_alias}.path_id = "
+            f"(SELECT id FROM paths WHERE path = {self.string_literal(path)})"
+        )
 
     def path_membership(
-        self, paths_alias: str, paths: "tuple[str, ...]"
+        self, owner_alias: str, paths: "tuple[str, ...]"
     ) -> str:
-        """Boolean SQL restricting the `Paths` row bound to
-        ``paths_alias`` to a literal path set.  A semi-join on the row
-        id: the list probes the unique index on ``paths.path`` once per
-        statement, where ``path IN (...)`` would compare strings once
-        per joined element row.  The literals stay strings, so one
-        statement runs unchanged on every shard."""
+        """Boolean SQL restricting the element rows of ``owner_alias``
+        to a literal path set.  A semi-join on the path id: the list
+        probes the unique index on ``paths.path`` once per statement,
+        and each element row is tested against the ids it found.  The
+        literals stay strings, not ids, so one statement runs unchanged
+        on every shard."""
         rendered = ", ".join(self.string_literal(p) for p in paths)
         return (
-            f"{paths_alias}.id IN "
+            f"{owner_alias}.path_id IN "
             f"(SELECT id FROM paths WHERE path IN ({rendered}))"
         )
 
@@ -94,39 +99,25 @@ class AnsiDialect:
         """SQL expression for the encoded length of a Dewey position."""
         return f"length({alias}.dewey_pos)"
 
-    # -- planner hints -----------------------------------------------------
-
-    def indexed_column(self, column: str) -> str:
-        """Render a column the planner wants *kept out* of index
-        selection (no-op in ANSI SQL)."""
-        return column
-
     def doc_equality(self, left_alias: str, right_alias: str) -> str:
-        """Same-document guard between two relation aliases."""
-        left = self.indexed_column(f"{left_alias}.doc_id")
-        right = self.indexed_column(f"{right_alias}.doc_id")
-        return f"{left} = {right}"
+        """Same-document guard between two relation aliases: the
+        leading column of the ``(doc_id, dewey_pos, path_id)`` index a
+        structural join probes."""
+        return f"{left_alias}.doc_id = {right_alias}.doc_id"
 
 
 class SQLiteDialect(AnsiDialect):
     """The dialect of :mod:`repro.storage.database` connections.
 
-    Differences from the ANSI base:
-
-    * regex filtering calls the registered ``regexp_like`` user function
-      (lower-case, matching the paper's Oracle call shape),
-    * same-document equality prefixes both sides with unary ``+`` so
-      SQLite's planner never picks the low-selectivity ``doc_id`` index
-      over the Dewey/path indexes.
+    The one difference from the ANSI base: regex filtering calls the
+    registered ``regexp_like`` user function (lower-case, matching the
+    paper's Oracle call shape).
     """
 
     name = "sqlite"
 
     def regexp_match(self, expression: str, pattern: str) -> str:
         return f"regexp_like({expression}, {self.string_literal(pattern)})"
-
-    def indexed_column(self, column: str) -> str:
-        return f"+{column}"
 
 
 #: The default dialect of every shipped engine.

@@ -78,6 +78,10 @@ class PathSummary:
     _matches: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: Last label -> stored paths ending in it, built on first use.
+    _by_leaf: dict[str, list[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- totals -------------------------------------------------------------
 
@@ -162,6 +166,18 @@ class PathSummary:
                 self._matches.clear()
             self._matches[text] = matched
         return matched
+
+    def paths_named(self, names: "frozenset[str]") -> set[str]:
+        """Stored paths whose last label is one of ``names``: every
+        path a row of those elements can carry."""
+        if not self._by_leaf and self.stats:
+            for path in self.stats:
+                self._by_leaf.setdefault(
+                    path.rsplit("/", 1)[-1], []
+                ).append(path)
+        return {
+            path for name in names for path in self._by_leaf.get(name, ())
+        }
 
     def count_matching(self, pattern: "str | re.Pattern[str]") -> int:
         """Total element count over the paths a regex matches."""

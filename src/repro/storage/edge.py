@@ -23,7 +23,9 @@ from repro.xmltree.nodes import Document
 _EDGE_INDEX_DDL = {
     "idx_edge_par": "CREATE INDEX idx_edge_par ON edge(par_id)",
     "idx_edge_name": "CREATE INDEX idx_edge_name ON edge(name)",
-    "idx_edge_dewey": "CREATE INDEX idx_edge_dewey ON edge(dewey_pos, path_id)",
+    "idx_edge_dewey": (
+        "CREATE INDEX idx_edge_dewey ON edge(doc_id, dewey_pos, path_id)"
+    ),
     "idx_attrs_name": "CREATE INDEX idx_attrs_name ON attrs(name, value)",
 }
 

@@ -9,9 +9,13 @@ Mapping rules:
 Every relation carries the four descriptors of Figure 1c — ``id`` (global
 preorder element id), ``par_id`` (parent element id), ``dewey_pos``
 (binary Dewey position) and ``path_id`` (FK into the `Paths` relation) —
-plus ``doc_id``.  Indexes follow Section 3.1: the primary key on ``id``,
-an index on the parent FK and a composite index on
-``(dewey_pos, path_id)``.
+plus ``doc_id``.  Indexes follow Section 3.1 — the primary key on
+``id``, an index on the parent FK and the composite Dewey/path index —
+with ``doc_id`` leading the composite: ``(doc_id, dewey_pos, path_id)``
+is document order, so a statement's ``ORDER BY doc_id, dewey_pos`` reads
+it instead of sorting, and a structural join probes one document's
+Dewey range.  Values are stored as ``TEXT`` whatever their kind (the
+lexical form is what ``text()`` returns); a numeric comparison casts.
 
 Simplification vs. the paper (documented in DESIGN.md): element ids are
 global across all relations, so a single ``par_id`` column replaces the
@@ -207,7 +211,7 @@ class SchemaAwareMapping:
 
     def index_ddl(self) -> list[str]:
         """Only the secondary-index statements (Section 3.1's parent-FK
-        and ``(dewey_pos, path_id)`` indexes).  The bulk-load fast path
+        and Dewey/path indexes).  The bulk-load fast path
         re-runs these after the rows land, which is far cheaper than
         maintaining the trees row by row."""
         return [
@@ -237,12 +241,12 @@ class SchemaAwareMapping:
         ]
         if info.shared:
             columns.append("elname TEXT NOT NULL")
+        # TEXT whatever the kind: NUMERIC affinity would rewrite
+        # '134.20' to 134.2 on insert, and text() returns what was stored.
         if info.text_kind is not None:
-            sql_type = "NUMERIC" if info.text_kind == "number" else "TEXT"
-            columns.append(f"text {sql_type}")
-        for column, kind in info.attr_columns.values():
-            sql_type = "NUMERIC" if kind == "number" else "TEXT"
-            columns.append(f"{column} {sql_type}")
+            columns.append("text TEXT")
+        for column, _ in info.attr_columns.values():
+            columns.append(f"{column} TEXT")
         return (
             f"CREATE TABLE {info.table} (\n  "
             + ",\n  ".join(columns)
@@ -253,7 +257,7 @@ class SchemaAwareMapping:
         return [
             f"CREATE INDEX idx_{info.table}_par ON {info.table}(par_id)",
             f"CREATE INDEX idx_{info.table}_dewey "
-            f"ON {info.table}(dewey_pos, path_id)",
+            f"ON {info.table}(doc_id, dewey_pos, path_id)",
         ]
 
 
@@ -433,11 +437,9 @@ class ShreddedStore(_DocumentStore):
         if info.shared:
             row.append(element.name)
         if info.text_kind is not None:
-            text = element.direct_text
-            row.append(_convert(text, info.text_kind) if text else None)
-        for attr_name, (_, kind) in info.attr_columns.items():
-            value = element.attributes.get(attr_name)
-            row.append(None if value is None else _convert(value, kind))
+            row.append(element.direct_text or None)
+        for attr_name in info.attr_columns:
+            row.append(element.attributes.get(attr_name))
         return tuple(row)
 
     # -- id translation -------------------------------------------------------------
@@ -652,7 +654,7 @@ class ShreddedStore(_DocumentStore):
             )
         self.db.execute(  # static-ok: sql-interp
             f"UPDATE {info.table} SET text = ? WHERE id = ?",
-            (_convert(str(value), info.text_kind), global_id),
+            (str(value), global_id),
         )
         self.db.commit()
         self._mark_documents_stale()
@@ -667,11 +669,10 @@ class ShreddedStore(_DocumentStore):
             attribute is not declared for its relation.
         """
         info = self._relation_of(global_id)
-        column, kind = info.attr_column(name)
-        converted = None if value is None else _convert(str(value), kind)
+        column, _ = info.attr_column(name)
         self.db.execute(  # static-ok: sql-interp
             f"UPDATE {info.table} SET {column} = ? WHERE id = ?",
-            (converted, global_id),
+            (None if value is None else str(value), global_id),
         )
         self.db.commit()
         self._mark_documents_stale()
@@ -840,15 +841,3 @@ class ShreddedStore(_DocumentStore):
         row = self.db.query_one("SELECT COALESCE(SUM(node_count), 0) FROM docs")
         return int(row[0])
 
-
-def _convert(value: str, kind: str) -> str | int | float:
-    """Convert a raw XML value to its column representation."""
-    if kind != "number":
-        return value
-    try:
-        number = float(value)
-    except ValueError:
-        return value
-    if number == int(number):
-        return int(number)
-    return number

@@ -28,11 +28,6 @@ def translator(adapter):
     return PPFTranslator(adapter)
 
 
-@pytest.fixture(scope="module")
-def verifier(adapter):
-    return PlanVerifier(marking=adapter.marking)
-
-
 @pytest.fixture()
 def translated(translator):
     return translator.translate("/site/regions//item[@id]/name")
@@ -271,15 +266,165 @@ class TestSeededBugs:
 
 
 @pytest.fixture(scope="module")
-def costed_translator():
-    """A translator over a store *with* statistics, so the costed
-    reordering passes fire and emit :class:`ReorderWitness` records."""
+def costed_adapter():
+    """An adapter over a store *with* statistics, so the costed passes
+    fire and record their witnesses."""
     document = generate_xmark(XMarkConfig(scale=0.05, seed=3))
     store = ShreddedStore.create(Database.memory(), infer_schema([document]))
     store.load(document)
     store.collect_statistics()
-    adapter = SchemaAwareAdapter(store)
-    return PPFTranslator(adapter)
+    return SchemaAwareAdapter(store)
+
+
+@pytest.fixture(scope="module")
+def costed_translator(costed_adapter):
+    return PPFTranslator(costed_adapter)
+
+
+@pytest.fixture(scope="module")
+def verifier(costed_adapter):
+    return PlanVerifier(
+        marking=costed_adapter.marking, summary=costed_adapter.path_summary
+    )
+
+
+def _path_filters(select):
+    from repro.plan.nodes import PathFilterCond, iter_conditions
+
+    return [
+        c
+        for c in iter_conditions(select.where)
+        if isinstance(c, PathFilterCond)
+    ]
+
+
+class TestSummaryAccessPath:
+    """PV003 / PV004 over what ``costed-access-strategy`` leaves: a
+    resolved filter needs no `Paths` scan, a regex needs scan and link,
+    and a dropped tautology re-derives from the summary it cites."""
+
+    def _tautology(self, costed_translator):
+        translation = costed_translator.translate("//keyword")
+        (report,) = [
+            r for r in translation.pass_reports if r.tautologies
+        ]
+        assert report.name == "costed-access-strategy"
+        return translation, report
+
+    def test_tautology_witness_rederives(self, costed_translator, verifier):
+        translation, report = self._tautology(costed_translator)
+        assert translation.path_filter_count() == 0
+        assert not _path_filters(translation.plan.branches()[0])
+        (witness,) = report.tautologies
+        assert witness.names == ("keyword",)
+        assert verifier.verify(
+            translation.plan, translation.pass_reports
+        ).ok
+
+    def test_witness_missing_a_stored_path_caught(
+        self, costed_translator, verifier
+    ):
+        translation, report = self._tautology(costed_translator)
+        (witness,) = report.tautologies
+        tampered = dataclasses.replace(
+            witness, matched_paths=witness.matched_paths[1:]
+        )
+        bad = dataclasses.replace(report, tautologies=(tampered,))
+        findings = verifier.verify(translation.plan, (bad,))
+        assert [f.code for f in findings.errors] == ["PV004"]
+        assert "differ from re-derived" in findings.errors[0].message
+
+    def test_tautology_that_restricts_something_caught(
+        self, costed_translator, verifier
+    ):
+        """The witness of a filter that was *not* a tautology: the
+        regex of ``//listitem//keyword`` misses keywords outside a
+        list."""
+        translation, report = self._tautology(costed_translator)
+        (witness,) = report.tautologies
+        narrower = costed_translator.translate("//listitem//keyword")
+        (cond,) = _path_filters(narrower.plan.branches()[0])
+        forged = dataclasses.replace(
+            witness,
+            pattern=cond.pattern,
+            anchored=cond.anchored,
+            matched_paths=cond.literal_paths(),
+        )
+        assert len(forged.matched_paths) < len(witness.matched_paths)
+        bad = dataclasses.replace(report, tautologies=(forged,))
+        findings = verifier.verify(translation.plan, (bad,))
+        assert [f.code for f in findings.errors] == ["PV004"]
+        assert "restricts something" in findings.errors[0].message
+
+    def test_witness_of_another_summary_version_caught(
+        self, costed_translator, costed_adapter
+    ):
+        translation, _ = self._tautology(costed_translator)
+        for summary in (
+            None,
+            dataclasses.replace(costed_adapter.path_summary, version=(9, 9)),
+        ):
+            stale = PlanVerifier(
+                marking=costed_adapter.marking, summary=summary
+            )
+            findings = stale.verify(
+                translation.plan, translation.pass_reports
+            )
+            assert [f.code for f in findings.errors] == ["PV004"]
+            assert "cites summary version" in findings.errors[0].message
+
+    def test_literal_filter_needs_no_paths_scan(
+        self, costed_translator, verifier
+    ):
+        translation = costed_translator.translate("//listitem//keyword")
+        select = translation.plan.branches()[0]
+        (cond,) = _path_filters(select)
+        assert cond.mode == "in"
+        assert not any(scan.is_paths for scan in select.scans)
+        assert verifier.verify(
+            translation.plan, translation.pass_reports
+        ).ok
+
+    def test_literal_filter_on_the_wrong_owner_caught(
+        self, costed_translator, verifier
+    ):
+        """The slip the semi-join form invites: testing the alias the
+        regex used to read.  Unbound once the scan has left the plan;
+        a `Paths` scan, not an element relation, while another filter
+        keeps it."""
+        plan = copy.deepcopy(
+            costed_translator.translate("//listitem//keyword").plan
+        )
+        select = plan.branches()[0]
+        (cond,) = _path_filters(select)
+        cond.alias = cond.paths_alias
+        assert _codes(verifier.verify(plan)) == ["PV001"]
+        select.add_scan("paths", cond.paths_alias)
+        assert "PV003" in _codes(verifier.verify(plan))
+
+    def test_regex_filter_without_scan_or_link_caught(
+        self, translator, verifier
+    ):
+        from repro.plan.nodes import PathsLinkCond
+
+        plan = translator.translate("//listitem//keyword").plan
+        select = plan.branches()[0]
+        (cond,) = _path_filters(select)
+        assert cond.mode == "regex" and verifier.verify(plan).ok
+        unlinked = copy.deepcopy(plan)
+        branch = unlinked.branches()[0]
+        branch.where.parts = [
+            part
+            for part in branch.where.parts
+            if not isinstance(part, PathsLinkCond)
+        ]
+        report = verifier.verify(unlinked)
+        assert "PV003" in _codes(report)
+        assert any("no paths link" in f.message for f in report.errors)
+        unscanned = copy.deepcopy(plan)
+        branch = unscanned.branches()[0]
+        branch.scans = [s for s in branch.scans if not s.is_paths]
+        assert "PV003" in _codes(verifier.verify(unscanned))
 
 
 class TestCostedReorders:

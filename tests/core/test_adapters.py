@@ -63,23 +63,35 @@ class TestSchemaAwareAdapter:
 
     def test_path_filter_equality_payload(self, schema_adapter):
         """With 4.5 elimination off, an exact pattern still lowers to a
-        path equality instead of a regex (Table 3)."""
+        path equality instead of a regex (Table 3) — a test of the
+        element's path_id, so no `Paths` row is joined for it."""
         literal = SchemaAwareAdapter(
             schema_adapter.store, path_filter_optimization=False
         )
         result = PPFTranslator(literal).translate("/A/B")
-        assert result.path_filter_count() == 1
-        assert "= '/A/B'" in result.sql
+        assert result.path_filter_count() == 0
+        assert (
+            "B.path_id = (SELECT id FROM paths WHERE path = '/A/B')"
+            in result.sql
+        )
 
     def test_text_expr_only_with_column(self, schema_adapter):
         f = Candidate("F", frozenset({"F"}))
         b = Candidate("B", frozenset({"B"}))
         assert schema_adapter.text_expr(f, "F", False) == "F.text"
+        assert (
+            schema_adapter.text_expr(f, "F", True)
+            == "CAST(F.text AS NUMERIC)"
+        )
         assert schema_adapter.text_expr(b, "B", False) is None
 
     def test_attr_expr(self, schema_adapter):
         d = Candidate("D", frozenset({"D"}))
-        assert schema_adapter.attr_expr(d, "D", "x", True) == "D.attr_x"
+        assert schema_adapter.attr_expr(d, "D", "x", False) == "D.attr_x"
+        assert (
+            schema_adapter.attr_expr(d, "D", "x", True)
+            == "CAST(D.attr_x AS NUMERIC)"
+        )
         assert schema_adapter.attr_expr(d, "D", "nope", True) is None
 
     def test_attr_condition_missing_is_false(self, schema_adapter):
@@ -106,12 +118,16 @@ class TestEdgeAdapter:
         assert candidate.name_filter is None
 
     def test_path_filter_always_fires(self, edge_adapter):
-        """Without a schema the `Paths` join can never be dropped; exact
-        patterns still get the cheaper equality form."""
+        """Without a schema the path filter can never be dropped; exact
+        patterns still get the cheaper equality form, which needs no
+        `Paths` join."""
         translator = PPFTranslator(edge_adapter)
         exact = translator.translate("/A")
-        assert exact.path_filter_count() == 1
-        assert "= '/A'" in exact.sql
+        assert exact.path_filter_count() == 0
+        assert (
+            "edge.path_id = (SELECT id FROM paths WHERE path = '/A')"
+            in exact.sql
+        )
         fuzzy = translator.translate("//A")
         assert fuzzy.path_filter_count() == 1
         assert "regexp_like" in fuzzy.sql

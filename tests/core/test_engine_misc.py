@@ -41,6 +41,50 @@ class TestProjections:
         assert result.values == []
 
 
+class TestDecimalLeaves:
+    """A number-kinded value keeps its lexical form: ``text()`` returns
+    what the document said, and a comparison against a number casts."""
+
+    XML = "<a><p>134.20</p><p>-7.50</p><p>12</p></a>"
+
+    def engines(self):
+        document = parse_document(self.XML, name="decimals")
+        store = ShreddedStore.create(
+            Database.memory(), infer_schema([document])
+        )
+        assert store.mapping.relation_for("p").text_kind == "number"
+        store.load(document)
+        edge = EdgeStore.create(Database.memory())
+        edge.load(document)
+        return PPFEngine(store), EdgePPFEngine(edge)
+
+    def test_text_returns_the_stored_spelling(self):
+        for engine in self.engines():
+            assert engine.execute("/a/p/text()").values == [
+                "134.20", "-7.50", "12",
+            ]
+
+    def test_numeric_comparisons_still_select_it(self):
+        for engine in self.engines():
+            for xpath, expected in (
+                ("/a/p[. > 134.1]", ["134.20"]),
+                ("/a/p[. = 134.2]", ["134.20"]),
+                ("/a[p = 134.2]/p[. < 0]", ["-7.50"]),
+                ("/a/p[. = -7.5]", ["-7.50"]),
+                ("/a/p[. <= 12.0]", ["-7.50", "12"]),
+            ):
+                values = engine.execute(xpath + "/text()").values
+                assert values == expected, xpath
+
+    def test_update_text_keeps_the_spelling_too(self):
+        engine, _ = self.engines()
+        (first, *_) = engine.execute("/a/p").ids
+        engine.store.update_text(first, "0.50")
+        assert engine.execute("/a/p[. < 1]/text()").values == [
+            "0.50", "-7.50",
+        ]
+
+
 class TestQueryResult:
     def test_iteration_and_len(self, figure1_engines):
         result = figure1_engines["ppf"].execute("//F")

@@ -348,9 +348,9 @@ class TestLiftability:
 # (c) binding
 # ---------------------------------------------------------------------------
 
-# ``t/@n`` mixes numbers with a word, so its column has TEXT affinity
-# and compares *as text*: the literal 19 must not arrive as 19.0.
-# ``p`` is a numeric leaf.  The rest is spelled to look like placeholders.
+# ``t/@n`` mixes numbers with a word; ``p`` is a numeric leaf.  Both are
+# stored as the text the document had and cast for a comparison against
+# a number.  The rest is spelled to look like placeholders.
 TRICKY = (
     "<r>"
     "<a><ns:v0 k=':v0'>x'y</ns:v0><v0 k='v0'>a%b_c\\d</v0>"
@@ -385,8 +385,8 @@ class TestBinding:
             bound, inline = bound_and_inline(engine, numeric)
             assert bound == inline == oracle_rows(native, numeric)
 
-    def test_text_affinity_column_tells_19_from_19_point_0(self, tricky):
-        _, engines = tricky
+    def test_text_column_compares_with_a_number_numerically(self, tricky):
+        native, engines = tricky
         engine = engines["ppf"]
         integral = engine.translate("//t[@n = 19.00]")
         assert integral.parameters == {"v0": 19}
@@ -395,9 +395,14 @@ class TestBinding:
         fractional = engine.translate("//t[@n = 19.5]")
         assert fractional.parameters == {"v0": 19.5}
         assert integral.plan is fractional.plan
-        # Text comparison: only the attribute spelled '19' equals 19.
-        assert len(engine.execute("//t[@n = 19.00]")) == 1
-        assert len(engine.execute("//t[@n = 19.5]")) == 1
+        # The comparand is cast: '19', '19.0' and '19.00' all equal 19,
+        # as they do in XPath and on Edge.
+        for xpath, count in (("//t[@n = 19.00]", 3), ("//t[@n = 19.5]", 1)):
+            rows = oracle_rows(native, xpath)
+            assert len(rows) == count
+            for each in engines.values():
+                bound, inline = bound_and_inline(each, xpath)
+                assert bound == inline == rows
 
     def test_huge_integral_number_stays_a_float(self, tricky):
         _, engines = tricky
@@ -607,7 +612,7 @@ class TestGuardErrorsStayReproducible:
         from repro import FaultInjectingDatabase, FaultPlan
 
         plan = FaultPlan().script(
-            "delay", match="price.text >", times=1, seconds=0.2
+            "delay", match="price.text AS NUMERIC) >", times=1, seconds=0.2
         )
         db = FaultInjectingDatabase.memory(
             plan, policy=ResiliencePolicy(query_timeout=0.05)
@@ -616,7 +621,7 @@ class TestGuardErrorsStayReproducible:
         with pytest.raises(QueryTimeoutError) as raised:
             engine.execute(self.XPATH)
         self.check(engine, raised.value)
-        plan.script("delay", match="price.text >", seconds=0.2)
+        plan.script("delay", match="price.text AS NUMERIC) >", seconds=0.2)
         engine.fallback = True
         result = engine.execute(self.XPATH)
         assert result.served_by == "native" and len(result) == 2
@@ -624,7 +629,7 @@ class TestGuardErrorsStayReproducible:
     def test_retries_exhausted(self):
         from repro import FaultInjectingDatabase, FaultPlan, RetryExhaustedError
 
-        plan = FaultPlan().script("busy", match="price.text >", times=2)
+        plan = FaultPlan().script("busy", match="price.text AS NUMERIC) >", times=2)
         db = FaultInjectingDatabase.memory(
             plan,
             policy=ResiliencePolicy(max_retries=1, backoff_base=0.0),

@@ -39,8 +39,11 @@ _PASS_COMBINATIONS = [
 #: comparisons target only leaf tags, where XPath string-value equals the
 #: stored direct text (the engines' documented comparison semantics).
 _INTERNAL = ["a", "b", "c", "d"]
-_LEAVES = ["v", "w"]
+_LEAVES = ["v", "w", "p"]
 _TAGS = _INTERNAL + _LEAVES
+#: ``p`` is the decimal-typed leaf: lexical forms a numeric column would
+#: rewrite (trailing zeros, a bare sign) next to ones it would keep.
+_DECIMALS = ["134.20", "1.50", "2.0", "0.10", "-0.75", "-3", "7"]
 
 # -- documents ---------------------------------------------------------------
 
@@ -51,7 +54,10 @@ def documents(draw):
         leaf = depth >= 3 or draw(st.booleans())
         if leaf and draw(st.booleans()):
             element = ElementNode(draw(st.sampled_from(_LEAVES)))
-            element.append_text(str(draw(st.integers(0, 5))))
+            if element.name == "p":
+                element.append_text(draw(st.sampled_from(_DECIMALS)))
+            else:
+                element.append_text(str(draw(st.integers(0, 5))))
         else:
             element = ElementNode(draw(st.sampled_from(_INTERNAL)))
             if depth < 3:
@@ -89,7 +95,10 @@ _tests = st.sampled_from(_TAGS + ["*"])
 def predicates(draw):
     kind = draw(
         st.sampled_from(
-            ["attr_exists", "attr_eq", "path", "text_eq", "not", "or"]
+            [
+                "attr_exists", "attr_eq", "path", "text_eq", "decimal_cmp",
+                "not", "or",
+            ]
         )
     )
     if kind == "attr_exists":
@@ -100,6 +109,10 @@ def predicates(draw):
         return f"[{draw(_tests)}]"
     if kind == "text_eq":
         return f"[{draw(st.sampled_from(_LEAVES))}={draw(st.integers(0, 5))}]"
+    if kind == "decimal_cmp":
+        op = draw(st.sampled_from(["=", "!=", "<", ">", ">="]))
+        literals = ["134.2", "134.1", "1.5", "2", "0.1", "-0.75", "-1"]
+        return f"[p {op} {draw(st.sampled_from(literals))}]"
     if kind == "not":
         return f"[not({draw(_tests)})]"
     return f"[{draw(_tests)} or @k]"
@@ -161,6 +174,31 @@ def test_sql_engines_match_oracle(document, expression):
             f"{name} disagrees on {expression!r}: {got} != {expected}\n"
             f"{engine.explain(expression)}"
         )
+
+
+@given(documents(), st.sampled_from(_LEAVES))
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_text_projection_returns_the_lexical_form(document, leaf):
+    """``text()`` is what the document said — ``134.20``, not a
+    number's rendering of it — on every mapping."""
+    expression = f"//{leaf}/text()"
+    expected = [node.value for node in _Native(document).execute(expression)]
+    store = ShreddedStore.create(Database.memory(), infer_schema([document]))
+    store.bulk_load([document])
+    edge_store = EdgeStore.create(Database.memory())
+    edge_store.load(document)
+    accel_store = AccelStore.create(Database.memory())
+    accel_store.load(document)
+    for engine in (
+        PPFEngine(store),
+        EdgePPFEngine(edge_store),
+        AccelEngine(accel_store),
+    ):
+        assert engine.execute(expression).values == expected
 
 
 @given(documents(), queries())

@@ -31,27 +31,30 @@ class TestTable3Shapes:
         result = engine.translate("/A[@x=3]/B/C//F")
         assert tables_of(result.statement) == [["A", "F"]]
         sql = result.sql
-        assert "A.attr_x = 3" in sql
+        assert "CAST(A.attr_x AS NUMERIC) = 3" in sql
         assert "F.dewey_pos > A.dewey_pos" in sql
+        assert "F.doc_id = A.doc_id" in sql
         assert "regexp_like" not in sql
         assert result.path_filter_count() == 0
 
     def test_example1_without_optimization(self, engine_no45):
-        """Algorithm 1 followed literally: every forward PPF joins
-        `Paths`; F gets the full forward-path regex (Table 3, ex. 1)."""
+        """Algorithm 1 followed literally: every forward PPF filters on
+        its path; F gets the full forward-path regex over its joined
+        `Paths` row (Table 3, ex. 1), A's equality tests A.path_id."""
         result = engine_no45.translate("/A[@x=3]/B/C//F")
         sql = result.sql
-        assert result.path_filter_count() == 2  # A (equality) and F (regex)
+        assert result.path_filter_count() == 1  # F (regex); A is an equality
         assert "regexp_like(F_paths.path, '^/A/B/C/(.+/)?F$')" in sql
         assert "F.path_id = F_paths.id" in sql
-        assert "A_paths.path = '/A'" in sql
+        assert "A.path_id = (SELECT id FROM paths WHERE path = '/A')" in sql
 
     def test_example2_fk_join_for_child(self, engine_no45):
         """/A[@x=3]/B — path *equality* (no metacharacters) plus the
         foreign-key equijoin of Section 4.2 (Table 3, example 2)."""
         result = engine_no45.translate("/A[@x=3]/B")
         sql = result.sql
-        assert "B_paths.path = '/A/B'" in sql
+        assert "B.path_id = (SELECT id FROM paths WHERE path = '/A/B')" in sql
+        assert result.path_filter_count() == 0
         assert "B.par_id = A.id" in sql
         assert "dewey_pos >" not in sql.replace("ORDER", "")
 
@@ -91,7 +94,7 @@ class TestTable4OrderAxes:
         sql = engine.translate("//D[@x=4]/following-sibling::E").sql
         assert "E.dewey_pos > D.dewey_pos" in sql
         assert "E.par_id = D.par_id" in sql
-        assert "D.attr_x = 4" in sql
+        assert "CAST(D.attr_x AS NUMERIC) = 4" in sql
 
     def test_preceding(self, engine):
         """//D[@x=4]/preceding::G — the Table 2 row 5 condition."""
@@ -116,7 +119,7 @@ class TestTable5Predicates:
         assert "EXISTS (SELECT NULL" in sql
         assert "'^/A/B/C/[^/]+/F$'" in sql
         assert "F.dewey_pos > B.dewey_pos" in sql
-        assert "F.text = 2" in sql
+        assert "CAST(F.text AS NUMERIC) = 2" in sql
 
     def test_example2_backward_only_predicate(self, engine_no45):
         """//F[parent::E or ancestor::G] — no sub-select at all: two
@@ -190,12 +193,25 @@ class TestSection45:
             assert engine.translate(expression).path_filter_count() == 0
 
     def test_ip_relation_always_joins_paths(self, engine):
-        result = engine.translate("/A/B/G/G")
+        """An I-P label is never proved redundant: a regex keeps the
+        `Paths` join, an exact path tests G.path_id."""
+        result = engine.translate("/A/B//G")
         assert result.path_filter_count() == 1
-        assert "regexp_like" in result.sql or "G_paths.path" in result.sql
+        assert "regexp_like(G_paths.path, " in result.sql
+        exact = engine.translate("/A/B/G/G")
+        assert exact.path_filter_count() == 0
+        assert (
+            "G.path_id = (SELECT id FROM paths WHERE path = '/A/B/G/G')"
+            in exact.sql
+        )
 
     def test_algorithm1_always_filters(self, engine_no45):
-        assert engine_no45.translate("/A/B/C/D").path_filter_count() == 1
+        result = engine_no45.translate("/A/B/C/D")
+        assert (
+            "D.path_id = (SELECT id FROM paths WHERE path = '/A/B/C/D')"
+            in result.sql
+        )
+        assert engine_no45.translate("//D").path_filter_count() == 1
 
     def test_projection_and_order(self, engine):
         sql = engine.translate("//F").sql

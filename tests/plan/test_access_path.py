@@ -1,9 +1,10 @@
 """The path summary as access path (``costed-access-strategy``).
 
 With an exact summary every regex filter resolves, at plan time, to the
-stored paths it matches, and the Python ``regexp_like`` UDF leaves
-execution; without one — never collected, or stale — the translation is
-the paper-shape regex SQL, byte for byte.
+stored paths it matches — or is dropped when it matches every stored
+path of its names — and neither the `Paths` join nor the Python
+``regexp_like`` UDF is left to execute; without one — never collected,
+or stale — the translation is the paper-shape regex SQL, byte for byte.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ XM25 = [(q.qid, q.xpath) for q in XPATHMARK_QUERIES + XPATHMARK_A_QUERIES]
 REGEX_QIDS = {"Q3", "Q4", "Q6", "Q7", "Q21", "A2", "A3", "A5"}
 #: ... and those among them that are one path filter and nothing else.
 PATH_ONLY_QIDS = {"Q3", "Q4", "A2", "A3"}
+#: ... and those with a ``//keyword`` step of its own: that regex
+#: matches every stored path of its names.
+TAUTOLOGY_QIDS = {"Q3", "Q6", "Q7"}
 
 _GOLDEN = os.path.join(
     os.path.dirname(__file__), "data", "xm25_statsfree_sql.json"
@@ -104,11 +108,15 @@ class TestXM25:
             if qid in REGEX_QIDS:
                 assert "costed-access-strategy" in translation.fired_passes()
             assert "regexp_like" not in translation.sql, qid
+            assert translation.path_filter_count() == 0, qid
+            assert translation.plan_stats_after["paths_joins"] == 0, qid
             assert _agrees(fresh_engine, [(xmark_native, 0)], xpath), qid
 
     def test_statistics_free_sql_is_the_parent_commits(self, xmark_document):
-        """No summary: the SQL is what the commit before this pass body
-        emitted, for the schema-aware and the Edge mapping alike."""
+        """No summary: the SQL is the paper-shape statement of the
+        golden file, for the schema-aware and the Edge mapping alike —
+        a regex over the joined `Paths` row, an equality (Table 3) as a
+        test of the element's path_id."""
         with open(_GOLDEN, encoding="utf-8") as handle:
             golden = json.load(handle)
         edge = EdgeStore.create(Database.memory())
@@ -124,9 +132,9 @@ class TestXM25:
                 )
 
     def test_list_is_one_subquery_over_the_unique_index(self, fresh_engine):
-        """Q6 carries two filters on one `Paths` alias: they intersect
+        """Q6 carries two filters on one element alias: they intersect
         into one list, probed once per statement."""
-        for xpath in ("//keyword", "//keyword/ancestor::listitem"):
+        for xpath in ("//listitem//keyword", "//keyword/ancestor::listitem"):
             detail = fresh_engine.query_plan(xpath)
             assert sum("LIST SUBQUERY" in line for line in detail) == 1
             assert any(
@@ -141,6 +149,27 @@ class TestXM25:
         )
         assert [f.mode for f in filters] == ["in"]
         assert all("/listitem/" in path for path in filters[0].literals)
+
+    def test_filter_matching_every_stored_path_is_dropped(self, fresh_engine):
+        """``//keyword``: the list would name every path a keyword row
+        can carry, so there is no filter to run."""
+        summary = fresh_engine.store.path_summary()
+        for qid, xpath in XM25:
+            reports = [
+                r
+                for r in fresh_engine.translate(xpath).pass_reports
+                if r.tautologies
+            ]
+            assert bool(reports) == (qid in TAUTOLOGY_QIDS), qid
+        translation = fresh_engine.translate("//keyword")
+        assert not _filters(translation)
+        assert "WHERE" not in translation.sql
+        (report,) = [r for r in translation.pass_reports if r.tautologies]
+        (witness,) = report.tautologies
+        assert set(witness.matched_paths) == summary.paths_named(
+            frozenset({"keyword"})
+        )
+        assert witness.summary_version == summary.version
 
     def test_path_only_queries_estimate_exactly(self, fresh_engine):
         """The summary holds the exact per-path counts, so a query that
@@ -208,8 +237,9 @@ def test_one_statement_serves_shards_with_different_paths(tmp_path):
 
 # -- a stale summary is no summary ----------------------------------------------
 
-#: ``k`` may sit under ``r``, ``c`` and ``a``; only ``/r/c/a/k`` is stored.
-_STORED = "<r><c><a><k>1</k></a></c></r>"
+#: ``k`` may sit under ``r``, ``c`` and ``a``; ``/r/k`` and ``/r/c/a/k``
+#: are stored.
+_STORED = "<r><k>0</k><c><a><k>1</k></a></c></r>"
 _SCHEMA_ONLY = "<r><k>0</k><c><k>0</k></c></r>"
 
 
@@ -267,6 +297,25 @@ class TestStaleness:
         cond = _only_filter(engine, self.XPATH)
         assert cond.literals == ("/r/c/a/k", "/r/c/k")
         assert len(engine.execute(self.XPATH)) == 2
+
+    def test_dropped_filter_returns_when_a_load_adds_a_path_it_rejects(self):
+        """Only ``/r/c/a/k`` stored: ``/r/c//k`` restricts nothing and
+        its filter goes.  A loaded ``/r/k`` is a row the query must not
+        return, so the filter has to come back with the new summary."""
+        document = parse_document("<r><c><a><k>1</k></a></c></r>", name="d")
+        schema = infer_schema(
+            [document, parse_document(_SCHEMA_ONLY, name="schema.xml")]
+        )
+        store = ShreddedStore.create(Database.memory(), schema)
+        store.bulk_load([document])
+        engine = PPFEngine(store)
+        assert not _filters(engine.translate(self.XPATH))
+        assert len(engine.execute(self.XPATH)) == 1
+        store.load(parse_document("<r><k>2</k></r>", name="new.xml"))
+        cond = _only_filter(engine, self.XPATH)
+        assert (cond.mode, cond.literal) == ("equality", "/r/c/a/k")
+        assert len(engine.execute(self.XPATH)) == 1
+        assert len(engine.execute("//k")) == 2
 
     def test_rolled_back_load_leaves_summary_and_plan_alone(self):
         plan = FaultPlan()
@@ -340,7 +389,7 @@ class TestMemoisation:
     def test_summary_scans_its_paths_once_per_pattern(self):
         summary = _k_store().path_summary()
         first = summary.matching_paths("^/r/(.+/)?k$")
-        assert first == ("/r/c/a/k",)
+        assert first == ("/r/c/a/k", "/r/k")
         assert summary.matching_paths("^/r/(.+/)?k$") is first
 
 

@@ -38,9 +38,20 @@ class TestDialectPrimitives:
         assert AnsiDialect().string_literal("O'Brien") == "'O''Brien'"
 
     def test_doc_equality_hint(self):
-        assert AnsiDialect().doc_equality("a", "b") == "a.doc_id = b.doc_id"
-        assert SQLiteDialect().doc_equality("a", "b") == (
-            "+a.doc_id = +b.doc_id"
+        """No hint left: the guard is the plain equality the
+        ``(doc_id, dewey_pos, path_id)`` index probe leads with."""
+        for dialect in (AnsiDialect(), SQLiteDialect()):
+            assert dialect.doc_equality("a", "b") == "a.doc_id = b.doc_id"
+        assert not hasattr(AnsiDialect, "indexed_column")
+
+    def test_resolved_path_filters_test_the_path_id(self):
+        dialect = SQLiteDialect()
+        assert dialect.path_equality("B", "/A/B") == (
+            "B.path_id = (SELECT id FROM paths WHERE path = '/A/B')"
+        )
+        assert dialect.path_membership("B", ("/A/B", "/A/it's")) == (
+            "B.path_id IN (SELECT id FROM paths "
+            "WHERE path IN ('/A/B', '/A/it''s'))"
         )
 
     def test_dewey_level(self):

@@ -82,8 +82,16 @@ class TestPassEffects:
                 if n != "paths-join-elimination"
             ),
         )
-        assert with_pass.translate("/A/B/C/D").path_filter_count() == 0
-        assert without.translate("/A/B/C/D").path_filter_count() == 1
+        assert with_pass.translate("//D").path_filter_count() == 0
+        kept = without.translate("//D")
+        assert kept.path_filter_count() == 1
+        assert "regexp_like(D_paths.path, '^/(.+/)?D$')" in kept.sql
+        # An exact path keeps its filter too, as an equality on the
+        # element's path_id: nothing to join `Paths` for.
+        exact = without.translate("/A/B/C/D")
+        assert exact.path_filter_count() == 0
+        assert "D.path_id = (SELECT id FROM paths WHERE" in exact.sql
+        assert "path_id" not in with_pass.translate("/A/B/C/D").sql
 
     def test_regex_to_equality(self, figure1_store):
         engine = PPFEngine(figure1_store, passes=("regex-to-equality",))

@@ -59,9 +59,14 @@ class TestMapping:
         for column in ("id INTEGER PRIMARY KEY", "par_id", "path_id",
                        "dewey_pos BLOB", "doc_id"):
             assert column in ddl
-        # Section 3.1 indexes: parent FK + composite (dewey_pos, path_id)
+        # Section 3.1 indexes: parent FK + the composite Dewey/path
+        # index, led by doc_id so that it is document order.
         assert "ON A(par_id)" in ddl
-        assert "ON A(dewey_pos, path_id)" in ddl
+        assert "ON A(doc_id, dewey_pos, path_id)" in ddl
+        assert len(statements) == 3 * 7  # one table, two indexes each
+        # Values are stored as the text the document had.
+        assert "NUMERIC" not in ddl
+        assert "text TEXT" in ddl and "attr_x TEXT" in ddl
 
     def test_relations_for_groups(self):
         mapping = SchemaAwareMapping(figure1_schema())
@@ -99,10 +104,12 @@ class TestShredding:
         assert len(paths) == 8
 
     def test_values_stored_with_kinds(self, figure1_store):
+        """A number-kinded value is stored as written, not as SQLite
+        would normalise it; the kind only tells a comparison to cast."""
         rows = figure1_store.db.query("SELECT text FROM F ORDER BY id")
-        assert rows == [(1,), (2,)]  # numeric column
+        assert rows == [("1",), ("2",)]
         (x,) = figure1_store.db.query_one("SELECT attr_x FROM D")
-        assert x == 4
+        assert x == "4"
 
     def test_total_elements(self, figure1_store):
         assert figure1_store.total_elements() == 12
@@ -137,4 +144,4 @@ class TestShredding:
         store = ShreddedStore.create(Database.memory(), figure1_schema())
         store.load(parse_document("<A><B><C><E><F>1</F><F/></E></C></B></A>"))
         rows = store.db.query("SELECT text FROM F ORDER BY id")
-        assert rows == [(1,), (None,)]
+        assert rows == [("1",), (None,)]

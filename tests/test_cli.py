@@ -70,6 +70,15 @@ class TestCLI:
         assert "-- optimizer passes:" in out
         assert "paths-join-elimination" in out
         assert "-- SQL:" in out
+        # SQLite's own plan, so a temp B-tree shows from the CLI: a
+        # single relation is read off the index that holds the order...
+        sqlite_plan = out.split("-- sqlite plan:\n")[1]
+        assert "SCAN price USING COVERING INDEX idx_price_dewey" in sqlite_plan
+        assert "TEMP B-TREE" not in sqlite_plan
+        # ... and a statement that does sort says so.
+        main(["explain", db_path, "--plan", "//item/following-sibling::item"])
+        sqlite_plan = capsys.readouterr().out.split("-- sqlite plan:\n")[1]
+        assert "USE TEMP B-TREE FOR ORDER BY" in sqlite_plan
 
     def test_info_lists_relations(self, db_path, xml_files, capsys):
         main(["shred", db_path, *xml_files])
