@@ -292,6 +292,12 @@ class CircuitBreaker:
             self._opened_at = None
             self._probing = False
 
+    def release_probe(self) -> None:
+        """Give the half-open probe slot back without an outcome (the
+        probing call was cancelled)."""
+        with self._lock:
+            self._probing = False
+
     def record_failure(self) -> None:
         with self._lock:
             if self._opened_at is not None:

@@ -14,8 +14,9 @@ send, and these events in every order that a driver could deliver them:
 for each request ever sent — still wanted or long abandoned — an ok
 response, a response whose first or last item failed, a failed
 response, or its loss; each timer the machine set, early, late or
-stale; and ``cancel`` at any point.  About 53,000 sequences, a few
-seconds.
+stale; and ``cancel`` at any point — against a half-open breaker, so every way
+of ending is also checked for the probe slot it took.  About 53,000
+sequences, a few seconds.
 """
 
 from __future__ import annotations
@@ -40,24 +41,40 @@ RESPONSES = ("ok", "item-error", "tail-error", "failed", "lost")
 
 
 class RecordingBreaker:
+    """Half-open whenever it lets a call through: ``allow()`` hands out
+    the one probe slot, and only a recorded outcome or ``release_probe()``
+    gives it back."""
+
     def __init__(self, allows=True):
         self.allows = allows
-        self.state = "closed" if allows else "open"
+        self.state = "half-open" if allows else "open"
         self.log = []
+        self.probing = False
 
     def allow(self):
         self.log.append("allow")
-        return self.allows
+        if not self.allows or self.probing:
+            return False
+        self.probing = True
+        return True
 
     def record_success(self):
         self.log.append("success")
+        self.probing = False
 
     def record_failure(self):
         self.log.append("failure")
+        self.probing = False
+
+    def release_probe(self):
+        self.log.append("release")
+        self.probing = False
 
     @property
     def records(self):
-        return [entry for entry in self.log if entry != "allow"]
+        return [
+            entry for entry in self.log if entry in ("success", "failure")
+        ]
 
 
 def rows_of(tag, statement):
@@ -231,6 +248,13 @@ def check(harness):
         else (len(primaries),)
     ), (records, h.trace)
     assert h.breaker.log.count("allow") <= 1
+    # however the call ended — cancel included — the probe slot its
+    # allow() took is back, and a cancel is the only thing that releases
+    # one without an outcome
+    assert not h.breaker.probing, h.trace
+    assert h.breaker.log.count("release") <= int(h.cancelled)
+    if "release" in h.breaker.log:
+        assert not records
     assert records.count("success") <= 1
     if "success" in records:
         assert records[-1] == "success"
@@ -328,6 +352,34 @@ def test_expired_call_resolves_without_taking_a_probe_slot():
     assert harness.breaker.log == []
 
 
+def test_cancelled_probe_returns_its_slot_to_a_half_open_breaker():
+    from repro.serving.supervisor import CircuitBreaker
+
+    now = [0.0]
+    breaker = CircuitBreaker(
+        failure_threshold=1, cooldown=1.0, clock=lambda: now[0]
+    )
+    breaker.record_failure()
+    now[0] = 2.0
+    assert breaker.state == "half-open"
+    ladder = ShardLadder(
+        0,
+        2,
+        SimpleNamespace(hedge_delay=None, shard_retries=0),
+        breaker,
+        lambda key: None,
+    )
+    probe = ladder.call(["s0"], None, False)
+    assert [type(action) for action in probe.start(now[0])] == [Send]
+    assert not breaker.allow()  # the probe holds the only slot
+    probe.cancel()
+    # The caller went away mid-probe: the next call gets to probe
+    # instead of being short-circuited until a restart.
+    retry = ladder.call(["s0"], None, False)
+    assert [type(action) for action in retry.start(now[0])] == [Send]
+    assert breaker.state == "half-open"
+
+
 def test_deadline_is_sliced_evenly_over_the_attempts_left():
     harness = Harness(["s0"], retries=2, hedge=False)
     harness.start()
@@ -398,6 +450,7 @@ def test_successive_calls_rotate_their_first_primary():
         call = harness.ladder.call(["s0"], None, False)
         (send,) = call.start(START)
         primaries.append(send.replica)
+        call.cancel()  # hand the probe slot to the next one
     # The harness's own call took replica 0.
     assert primaries == [1, 0, 1, 0]
 
