@@ -15,10 +15,12 @@ serving layers rely on but no off-the-shelf linter knows about:
     the few identifier-quoting sites) is exempt, and a trailing
     ``# static-ok: sql-interp`` comment suppresses one call site after
     review (ERROR).
-``CA003`` **mutation without generation bump** — in classes that
-    maintain a store generation (they define ``_bump_generation``),
-    any public instance method that itself executes INSERT/UPDATE/DELETE
-    must also bump the generation, or serving-layer caches go stale.
+``CA003`` **mutation outside the mutation transaction** — in classes
+    that run the store's mutation protocol (they define or enter
+    ``self._mutation()``), any public instance method that itself
+    executes INSERT/UPDATE/DELETE must do so inside ``with
+    self._mutation(``: that is what bumps the generation and commits
+    it with the rows, or serving-layer caches go stale.
     ``# static-ok: generation-bump`` on the ``def`` line (or a
     decorator line) suppresses (ERROR).
 ``CA004`` **served_by vocabulary** — ``QueryResult.served_by`` is a
@@ -114,34 +116,36 @@ def _has_decorator(func: ast.FunctionDef, *names: str) -> bool:
     return False
 
 
-def _executes_dml(func: ast.FunctionDef) -> bool:
-    """True if the method body itself issues INSERT/UPDATE/DELETE SQL."""
-    for node in ast.walk(func):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SQL_SINKS
-        ):
-            continue
-        for child in ast.walk(node):
-            if (
-                isinstance(child, ast.Constant)
-                and isinstance(child.value, str)
-                and child.value.lstrip()[:6].upper().startswith(_DML_PREFIXES)
-            ):
-                return True
-    return False
+def _enters_mutation(node: ast.AST) -> bool:
+    """True for a ``with self._mutation(...)`` statement."""
+    return isinstance(node, ast.With) and any(
+        isinstance(item.context_expr, ast.Call)
+        and isinstance(item.context_expr.func, ast.Attribute)
+        and item.context_expr.func.attr == "_mutation"
+        for item in node.items
+    )
 
 
-def _calls_bump(func: ast.FunctionDef) -> bool:
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "_bump_generation"
-        ):
-            return True
-    return False
+def _dml_outside_mutation(node: ast.AST) -> bool:
+    """True if ``node`` itself issues INSERT/UPDATE/DELETE SQL anywhere
+    but under a ``with self._mutation(``."""
+    if _enters_mutation(node):
+        return False
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _SQL_SINKS
+        and any(
+            isinstance(child, ast.Constant)
+            and isinstance(child.value, str)
+            and child.value.lstrip()[:6].upper().startswith(_DML_PREFIXES)
+            for child in ast.walk(node)
+        )
+    ):
+        return True
+    return any(
+        _dml_outside_mutation(child) for child in ast.iter_child_nodes(node)
+    )
 
 
 class CodeLinter:
@@ -275,7 +279,10 @@ class CodeLinter:
             methods = [
                 n for n in cls.body if isinstance(n, ast.FunctionDef)
             ]
-            if not any(m.name == "_bump_generation" for m in methods):
+            if not any(
+                m.name == "_mutation" or any(map(_enters_mutation, ast.walk(m)))
+                for m in methods
+            ):
                 continue
             for method in methods:
                 if method.name.startswith("_"):
@@ -289,14 +296,15 @@ class CodeLinter:
                 )
                 if pragmas.suppresses("CA003", *anchor_lines):
                     continue
-                if _executes_dml(method) and not _calls_bump(method):
+                if _dml_outside_mutation(method):
                     report.add(
                         _ANALYZER,
                         "CA003",
                         Severity.ERROR,
                         f"{cls.name}.{method.name} mutates the store "
-                        "but never calls _bump_generation(); serving "
-                        "caches keyed on the generation go stale",
+                        "outside `with self._mutation()`; the generation "
+                        "is not bumped with the rows and serving caches "
+                        "keyed on it go stale",
                         f"{filename}:{method.lineno}",
                         "serving-layer cache invalidation contract",
                     )

@@ -272,7 +272,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     store = _open_store(args.database)
     if args.collect:
         store.collect_statistics()
-        store.db.commit()
     summary = store.path_summary()
     if summary is None:
         print(

@@ -73,6 +73,10 @@ CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 #: Rows :meth:`SQLXPathEngine.iterate` fetches and wraps at a time.
 _ITERATE_CHUNK = 256
 
+#: Times :meth:`SQLXPathEngine.execute` starts over because the store's
+#: generation moved under a running query, before it gives up.
+_MUTATION_RETRIES = 3
+
 
 class ExplainReport(str):
     """``explain()``'s return value: the SQL text (it *is* a ``str``,
@@ -576,30 +580,46 @@ class SQLXPathEngine:
         retry-exhausted SQL execution is answered by the native
         evaluator instead (``result.served_by == "native"``).  A result
         cached for the store's current generation is returned without
-        touching SQLite.
+        touching SQLite.  When the store mutates between translation
+        and the last row fetched, the query is translated and run again;
+        a store that will not hold still raises :class:`StorageError`
+        rather than answer with one state's plan over another's rows.
         """
-        translation = self.translate(expression)
-        if translation.is_empty:
-            return QueryResult([], translation.projection)
-        key = self._result_key(expression)
-        if key is not None:
-            cached = self._result_cache.get(key)
-            if cached is not None:
-                return cached
-        try:
-            raw = self._run_bound(
-                translation,
-                functools.partial(self._run_sql, deadline=deadline),
+        for _ in range(_MUTATION_RETRIES + 1):
+            # A translation bakes in what the store held when it was
+            # made (the summary's path list); rows fetched after a
+            # mutation committed belong to another state, and the two
+            # together are an answer no state of the store ever had.
+            generation = getattr(self.store, "generation", None)
+            translation = self.translate(expression)
+            if translation.is_empty:
+                return QueryResult([], translation.projection)
+            key = self._result_key(expression)
+            if key is not None:
+                cached = self._result_cache.get(key)
+                if cached is not None:
+                    return cached
+            try:
+                raw = self._run_bound(
+                    translation,
+                    functools.partial(self._run_sql, deadline=deadline),
+                )
+            except (QueryTimeoutError, RetryExhaustedError):
+                if not self.fallback:
+                    raise
+                fallback_result = self._execute_fallback(
+                    expression, translation.projection
+                )
+                if fallback_result is None:
+                    raise
+                return fallback_result
+            if getattr(self.store, "generation", None) == generation:
+                break
+        else:
+            raise StorageError(
+                f"the store kept mutating while {str(expression)!r} ran "
+                f"({_MUTATION_RETRIES + 1} attempts); no consistent answer"
             )
-        except (QueryTimeoutError, RetryExhaustedError):
-            if not self.fallback:
-                raise
-            fallback_result = self._execute_fallback(
-                expression, translation.projection
-            )
-            if fallback_result is None:
-                raise
-            return fallback_result
         # The statement's own ORDER BY / DISTINCT stand, except that a
         # UNION removes duplicate *rows* and a result holds one row per
         # *id* (translation.one_row_per_id).

@@ -174,9 +174,6 @@ class ShardCall:
         self._live: set[int] = set()
         #: This attempt's transport ids, abandoned when it ends.
         self._rids: list[int] = []
-        #: ``allow()`` said yes and no outcome has been recorded since:
-        #: a half-open breaker's one probe slot may be ours.
-        self._probing = False
         self._done = False
 
     # -- events ------------------------------------------------------------------
@@ -211,7 +208,6 @@ class ShardCall:
             self._fail_owed(
                 payload.get("error_kind", "internal"), payload.get("error")
             )
-        self._probing = False
         if self._owed:
             self._ladder.breaker.record_failure()
         else:
@@ -254,10 +250,12 @@ class ShardCall:
         if self._done:
             return []
         self._done = True
-        if self._probing:
-            # A cancelled attempt says nothing about the shard, but the
-            # slot goes back, or nobody probes again.
-            self._probing = False
+        if self._attempt == 1:
+            # The first attempt is still out, holding what ``allow()``
+            # gave it — a half-open breaker's one probe slot — and no
+            # outcome will be recorded: a cancelled attempt says nothing
+            # about the shard, but the slot goes back, or nobody probes
+            # again.
             self._ladder.breaker.release_probe()
         return self._end_attempt()
 
@@ -282,7 +280,6 @@ class ShardCall:
                 f"{ladder.breaker.state}",
             )
         else:
-            self._probing = self._attempt == 0
             return self._begin_attempt(now, remaining)
         self._done = True
         return [Resolve(self._outcomes)]
@@ -336,7 +333,6 @@ class ShardCall:
     def _fail_attempt(self, kind: str, error: str, now: float) -> list[Action]:
         actions = self._end_attempt()
         self._fail_owed(kind, error)
-        self._probing = False
         self._ladder.breaker.record_failure()
         return actions + self._advance(now)
 

@@ -94,7 +94,9 @@ def persist_summary(
     """Write ``summary`` (full replace) and its versioning record.
 
     ``path_ids`` maps path strings to `Paths` ids (the store's
-    :class:`~repro.storage.paths.PathIndex` snapshot).  Commits.
+    :class:`~repro.storage.paths.PathIndex` snapshot).  The writes
+    join the caller's transaction: a mutation commits them with the
+    rows they describe, ``collect_statistics`` on their own.
     """
     db.execute(STATS_TABLE_DDL)
     db.execute("DELETE FROM repro_path_stats")
@@ -121,7 +123,6 @@ def persist_summary(
         "INSERT OR REPLACE INTO repro_meta (key, value) VALUES (?, ?)",
         (_STATE_KEY, payload),
     )
-    db.commit()
 
 
 # ---------------------------------------------------------------------------

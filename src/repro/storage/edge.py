@@ -61,17 +61,6 @@ class EdgeStore(_DocumentStore):
 
     def __init__(self, db: Database):
         super().__init__(db, ["edge"])
-        #: Monotonic mutation counter (see ``ShreddedStore.generation``).
-        self._generation = 0
-
-    @property
-    def generation(self) -> int:
-        """Current mutation-counter value; the engines' result cache
-        keys on it."""
-        return self._generation
-
-    def _bump_generation(self) -> None:
-        self._generation += 1
 
     @classmethod
     def create(cls, db: Database) -> "EdgeStore":

@@ -1,17 +1,22 @@
 """The write path shared by the Dewey/`Paths` stores (paper Section 3).
 
-Both mappings give every element row the same four descriptors and
-fill the `Paths` relation "gradually during insertion", so loading is
-one procedure: :meth:`_DocumentStore._load_documents`.  A store supplies
-only what is its own — its element relations, its secondary-index DDL,
-:meth:`~_DocumentStore._write_document` — and may extend the integrity
-check and what follows a commit.
+Every change to a store is one transaction,
+:meth:`_DocumentStore._mutation`: the rows, the generation that versions
+them and the path summary that describes them commit together, and the
+in-memory state follows the commit.  Both mappings give every element
+row the same four descriptors and fill the `Paths` relation "gradually
+during insertion", so loading is one procedure inside it:
+:meth:`_DocumentStore._load_documents`.  A store supplies only what is
+its own — its element relations, its secondary-index DDL,
+:meth:`~_DocumentStore._write_document`, what versions its rows — and
+may extend the integrity check.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.errors import StoreIntegrityError
 from repro.resilience.integrity import (
@@ -22,6 +27,9 @@ from repro.resilience.integrity import (
 from repro.storage.database import Database
 from repro.storage.paths import PathIndex
 from repro.xmltree.nodes import Document
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stats.summary import PathSummary
 
 _DOCS_DDL = """
 CREATE TABLE IF NOT EXISTS docs (
@@ -58,10 +66,44 @@ def bulk_pragmas(db: Database) -> Iterator[None]:
         db.execute(f"PRAGMA temp_store = {int(previous_temp)}")  # static-ok: sql-interp
 
 
+#: Signed ``(elements, documents, values)`` per path, rows per relation,
+#: and documents: what one change adds to the path summary.
+_Deltas = tuple[dict[str, tuple[int, int, int]], dict[str, int], int]
+
+
+@dataclass
+class _Mutation:
+    """What the body of one :meth:`_DocumentStore._mutation` hands over
+    about the rows it wrote."""
+
+    #: The first id no row uses once the body has run.
+    next_base: int
+    #: A bulk load (statistics are collected if the store has none).
+    bulk: bool = False
+    #: The documents a load writes and, as each lands, its ``(doc_id,
+    #: base, count)``.
+    documents: Sequence[Document] = ()
+    loaded: list[tuple[int, int, int]] = field(default_factory=list)
+    #: The document removed, if one was.
+    removed: Optional[int] = None
+    #: What the change adds to the path summary, when the body knows
+    #: (loaded documents speak for themselves).  A change that reports
+    #: none leaves the summary behind — stale, hence absent — until
+    #: statistics are collected.
+    deltas: Optional[_Deltas] = None
+
+    @property
+    def whole_documents(self) -> bool:
+        """The change added or removed documents and touched nothing
+        inside one, so the in-memory documents still mirror the rows."""
+        return bool(self.loaded) or self.removed is not None
+
+
 class _DocumentStore:
     """Base of :class:`~repro.storage.schema_aware.ShreddedStore` and
     :class:`~repro.storage.edge.EdgeStore`: the ``docs`` registry, the
-    path index, the resident documents and the one load transaction."""
+    path index, the resident documents, the generation and the one
+    transaction every mutation runs in."""
 
     def __init__(self, db: Database, tables: Sequence[str]):
         self.db = db
@@ -73,6 +115,12 @@ class _DocumentStore:
             "SELECT COALESCE(MAX(base + node_count), 0), COUNT(*) FROM docs"
         )
         self._next_base = int(next_base)
+        #: Monotonic mutation counter: every :meth:`_mutation` adds one.
+        #: The engines' result cache keys on it, so a mutation
+        #: implicitly invalidates every cached answer.  Only mutations
+        #: made *through this store object* count — writers on other
+        #: connections (or processes) are invisible to it.
+        self._generation = 0
         #: In-memory copies of documents loaded through this store
         #: instance (doc_id -> Document); used by the engines'
         #: native-evaluator fallback.
@@ -81,6 +129,61 @@ class _DocumentStore:
         # Fallback answers are only trustworthy when every stored
         # document is resident and unmodified since loading.
         self._documents_resident = not stored
+
+    @property
+    def generation(self) -> int:
+        """Current mutation-counter value (see ``_generation``)."""
+        return self._generation
+
+    # -- the one transaction -----------------------------------------------------
+
+    @contextmanager
+    def _mutation(self, *, bulk: bool = False) -> Iterator[_Mutation]:
+        """One change to the store, as one transaction.
+
+        The body writes rows and fills in the :class:`_Mutation` it is
+        given.  On the way out, still inside the savepoint,
+        :meth:`_write_version` persists what versions those rows — the
+        next generation and, while it is exact, the path summary — so
+        that one commit publishes rows, generation and summary together
+        and no crash can separate them.  Memory moves only once that
+        commit has returned: a reader of this object never sees a
+        generation, a summary or a resident document the database could
+        still lose.  Any exception rolls the store back to the bytes it
+        had, leaves memory as it was and the connection outside a
+        transaction.
+
+        ``bulk`` runs the transaction under :func:`bulk_pragmas`.
+        """
+        mutation = _Mutation(self._next_base, bulk)
+        generation = self._generation + 1
+        with bulk_pragmas(self.db) if bulk else nullcontext():
+            try:
+                with self.db.savepoint("repro_mutation"):
+                    yield mutation
+                    summary = self._write_version(generation, mutation)
+                self.db.commit()
+            except BaseException:
+                # Whatever failed — the commit included — nothing stays
+                # open; paths inserted inside the aborted transaction are
+                # gone from the relation, so drop them from the cache too.
+                self.db.connection.rollback()
+                self.path_index.refresh()
+                raise
+            self._generation = generation
+            if summary is not None:
+                self._adopt_summary(summary)
+            self._next_base = mutation.next_base
+            for (doc_id, base, _), document in zip(
+                mutation.loaded, mutation.documents
+            ):
+                self.documents[doc_id] = document
+                self._document_bases[doc_id] = base
+            if mutation.removed is not None:
+                self.documents.pop(mutation.removed, None)
+                self._document_bases.pop(mutation.removed, None)
+            if not mutation.whole_documents:
+                self._documents_resident = False
 
     # -- loading -----------------------------------------------------------------
 
@@ -128,54 +231,35 @@ class _DocumentStore:
         drop_indexes, create_indexes = (
             self._index_statements() if bulk else ((), ())
         )
-        #: (doc_id, base, count) per document, in input order.
-        loaded: list[tuple[int, int, int]] = []
-        next_base = self._next_base
-        with bulk_pragmas(self.db) if bulk else nullcontext():
-            try:
-                with self.db.savepoint("repro_load"):
-                    for statement in drop_indexes:
-                        self.db.execute(statement)
-                    for document in documents:
-                        self.path_index.ensure_many(
-                            document.distinct_paths()
-                        )
-                        cursor = self.db.execute(
-                            "INSERT INTO docs (name, base, node_count) "
-                            "VALUES (?, ?, 0)",
-                            (document.name, next_base),
-                        )
-                        doc_id = int(cursor.lastrowid)
-                        count = self._write_document(
-                            document, doc_id, next_base
-                        )
-                        self.db.execute(
-                            "UPDATE docs SET node_count = ? WHERE id = ?",
-                            (count, doc_id),
-                        )
-                        loaded.append((doc_id, next_base, count))
-                        next_base += count
-                    for statement in create_indexes:
-                        self.db.execute(statement)
-                    issues = self._load_issues(loaded)
-                    if issues:
-                        raise StoreIntegrityError(
-                            "post-load integrity check failed: "
-                            + "; ".join(str(issue) for issue in issues)
-                        )
-            except BaseException:
-                # Paths inserted inside the aborted savepoint are gone
-                # from the relation; drop them from the cache too.
-                self.path_index.refresh()
-                raise
-            self.db.commit()
-        for (doc_id, base, _), document in zip(loaded, documents):
-            self.documents[doc_id] = document
-            self._document_bases[doc_id] = base
-        self._next_base = next_base
-        self._bump_generation()
-        self._after_load(documents, bulk)
-        return [doc_id for doc_id, _, _ in loaded]
+        with self._mutation(bulk=bulk) as mutation:
+            mutation.documents = documents
+            for statement in drop_indexes:
+                self.db.execute(statement)
+            for document in documents:
+                self.path_index.ensure_many(document.distinct_paths())
+                base = mutation.next_base
+                cursor = self.db.execute(
+                    "INSERT INTO docs (name, base, node_count) "
+                    "VALUES (?, ?, 0)",
+                    (document.name, base),
+                )
+                doc_id = int(cursor.lastrowid)
+                count = self._write_document(document, doc_id, base)
+                self.db.execute(
+                    "UPDATE docs SET node_count = ? WHERE id = ?",
+                    (count, doc_id),
+                )
+                mutation.loaded.append((doc_id, base, count))
+                mutation.next_base = base + count
+            for statement in create_indexes:
+                self.db.execute(statement)
+            issues = self._load_issues(mutation.loaded)
+            if issues:
+                raise StoreIntegrityError(
+                    "post-load integrity check failed: "
+                    + "; ".join(str(issue) for issue in issues)
+                )
+        return [doc_id for doc_id, _, _ in mutation.loaded]
 
     # -- what a store supplies ---------------------------------------------------
 
@@ -191,7 +275,16 @@ class _DocumentStore:
         indexes a bulk load rebuilds."""
         raise NotImplementedError
 
-    def _bump_generation(self) -> None:
+    def _write_version(
+        self, generation: int, mutation: _Mutation
+    ) -> "Optional[PathSummary]":
+        """Persist what versions the rows ``mutation`` describes — called
+        inside its savepoint, after its body.  Returns the summary
+        written, for :meth:`_adopt_summary` once the commit is through."""
+        return None
+
+    def _adopt_summary(self, summary: "PathSummary") -> None:
+        """``summary`` is committed: make it the one memory holds."""
         raise NotImplementedError
 
     def _check_conforms(self, document: Document) -> None:
@@ -203,9 +296,6 @@ class _DocumentStore:
         """Invariants violated by the ``(doc_id, base, count)`` loads
         just written (still inside their savepoint)."""
         return check_document_load(self.db, self._tables, loaded)
-
-    def _after_load(self, documents: Sequence[Document], bulk: bool) -> None:
-        """Upkeep once the load is committed and the generation bumped."""
 
     # -- diagnostics / fallback support ------------------------------------------
 

@@ -31,14 +31,14 @@ from dataclasses import dataclass, field
 
 from repro.dewey import decode, encode
 from repro.errors import SchemaError, StorageError
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.schema.marking import SchemaMarking
 from repro.schema.model import Schema
 from repro.stats import maintenance as _stats
 from repro.stats.summary import PathSummary, StatsState
 from repro.storage.database import Database
-from repro.storage.loading import _DOCS_DDL, _DocumentStore
+from repro.storage.loading import _DOCS_DDL, _DocumentStore, _Mutation
 from repro.xmltree.nodes import Document, ElementNode
 
 #: Identifiers that element names must not shadow (meta tables and SQL
@@ -283,15 +283,12 @@ class ShreddedStore(_DocumentStore):
         self.schema = schema
         self.mapping = mapping
         self.marking = marking
-        #: Monotonic mutation counter: bumps on every ``load`` /
-        #: ``bulk_load`` / ``append_subtree`` / ``delete_*`` /
-        #: ``update_*``.  The engines' result cache keys on it, so a
-        #: mutation implicitly invalidates every cached answer.  The
-        #: counter is persisted in ``repro_meta`` (so the path-summary
-        #: statistics stay versioned across reopen), but only mutations
-        #: made *through this store object* count — writers on other
-        #: connections (or processes) are invisible to it.
-        self._generation = self._initial_generation()
+        # The counter is persisted in ``repro_meta``, so the
+        # path-summary statistics stay versioned across reopen.
+        row = db.query_one(
+            "SELECT value FROM repro_meta WHERE key = 'generation'"
+        )
+        self._generation = int(row[0]) if row is not None else 0
         # Path-summary statistics (repro.stats), loaded lazily.
         self._stats_loaded = False
         self._stats_state: StatsState | None = None
@@ -335,29 +332,45 @@ class ShreddedStore(_DocumentStore):
         mapping = SchemaAwareMapping(schema)
         return cls(db, schema, mapping, SchemaMarking(schema))
 
-    def _initial_generation(self) -> int:
-        """Restore the persisted mutation counter (0 on fresh stores)."""
-        if "repro_meta" not in self.db.table_names():
-            return 0
-        row = self.db.query_one(
-            "SELECT value FROM repro_meta WHERE key = 'generation'"
+    def _write_version(
+        self, generation: int, mutation: _Mutation
+    ) -> PathSummary | None:
+        self.db.execute(
+            "INSERT OR REPLACE INTO repro_meta (key, value) "
+            "VALUES ('generation', ?)",
+            (str(generation),),
         )
-        return int(row[0]) if row is not None else 0
-
-    @property
-    def generation(self) -> int:
-        """Current mutation-counter value (see ``_generation``)."""
-        return self._generation
-
-    def _bump_generation(self) -> None:
-        self._generation += 1
-        if "repro_meta" in self.db.table_names():
-            self.db.execute(
-                "INSERT OR REPLACE INTO repro_meta (key, value) "
-                "VALUES ('generation', ?)",
-                (str(self._generation),),
+        if mutation.deltas is None and not mutation.loaded:
+            # The change did not say what it adds: the summary falls
+            # behind (stale, hence absent) until collected again.
+            return None
+        before = self.path_summary()
+        if before is not None:
+            per_path, per_relation, documents = mutation.deltas or (
+                *_stats.document_deltas(self.mapping, mutation.documents),
+                len(mutation.documents),
             )
-            self.db.commit()
+            summary = before.plus(
+                per_path,
+                per_relation,
+                documents=documents,
+                version=(before.version[0] + 1, generation),
+            )
+        elif mutation.bulk and self._stats_state is None:
+            # "Collected at shred time": a bulk load gives a store that
+            # has no statistics its first summary.  A single-document
+            # ``load`` only maintains counts that already exist, so
+            # unit-scale stores stay statistics-free — and hence
+            # byte-identical to the heuristic pipeline — until
+            # bulk-loaded or explicitly analyzed; a summary that lagged
+            # behind going in stays stale until explicitly refreshed.
+            summary = _stats.collect_summary(
+                self.db, self.mapping, (1, generation)
+            )
+        else:
+            return None
+        _stats.persist_summary(self.db, summary, self.path_index.all_paths())
+        return summary
 
     # -- loading -----------------------------------------------------------------
 
@@ -383,12 +396,6 @@ class ShreddedStore(_DocumentStore):
             )
         self._insert_rows(rows_by_relation)
         return count
-
-    def _after_load(self, documents: Sequence[Document], bulk: bool) -> None:
-        self._stats_apply_documents(documents, collect_if_missing=bulk)
-
-    def _mark_documents_stale(self) -> None:
-        self._documents_resident = False
 
     def _insert_rows(self, rows_by_relation: dict[str, list[tuple]]) -> None:
         for table, rows in rows_by_relation.items():
@@ -478,30 +485,22 @@ class ShreddedStore(_DocumentStore):
         )
         if row is None:
             raise StorageError(f"unknown doc_id {doc_id}")
-        # Capture the statistics deltas while the rows still exist; the
-        # subtraction only applies when the summary was fresh going in.
-        self._load_stats()
-        removal = (
-            _stats.removal_deltas(self.db, self.mapping, doc_id)
-            if (
-                self._stats_state is not None
-                and self._stats_state.generation == self._generation
-            )
-            else None
-        )
         removed = 0
-        for table in self.mapping.relations:
-            cursor = self.db.execute(  # static-ok: sql-interp
-                f"DELETE FROM {table} WHERE doc_id = ?", (doc_id,)
-            )
-            removed += cursor.rowcount
-        self.db.execute("DELETE FROM docs WHERE id = ?", (doc_id,))
-        self.db.commit()
-        self.documents.pop(doc_id, None)
-        self._document_bases.pop(doc_id, None)
-        self._bump_generation()
-        if removal is not None:
-            self._stats_apply_removal(*removal)
+        with self._mutation() as mutation:
+            mutation.removed = doc_id
+            # Capture the statistics deltas while the rows still exist
+            # (they only apply to a summary that is exact going in).
+            if self.path_summary() is not None:
+                mutation.deltas = (
+                    *_stats.removal_deltas(self.db, self.mapping, doc_id),
+                    -1,
+                )
+            for table in self.mapping.relations:
+                cursor = self.db.execute(  # static-ok: sql-interp
+                    f"DELETE FROM {table} WHERE doc_id = ?", (doc_id,)
+                )
+                removed += cursor.rowcount
+            self.db.execute("DELETE FROM docs WHERE id = ?", (doc_id,))
         return removed
 
     def append_subtree(self, parent_global_id: int, element: ElementNode) -> list[int]:
@@ -542,27 +541,24 @@ class ShreddedStore(_DocumentStore):
         # Index the fragment standalone, then translate its descriptors
         # into the parent's coordinate system.
         fragment = Document(element, name="fragment")
-        base = self._next_base
         new_ids = []
         rows_by_relation: dict[str, list[tuple]] = {}
-        for node in fragment.iter_elements():
-            info = self.mapping.relation_for(node.name)
-            row = self._row_for(
-                node,
-                info,
-                doc_id,
-                base,
-                par_id=parent_global_id,
-                path=parent_path + node.path,
-                dewey=parent_vector + (ordinal,) + node.dewey[1:],
-            )
-            new_ids.append(row[0])
-            rows_by_relation.setdefault(info.table, []).append(row)
-        self._insert_rows(rows_by_relation)
-        self.db.commit()
-        self._next_base = base + len(new_ids)
-        self._mark_documents_stale()
-        self._bump_generation()
+        with self._mutation() as mutation:
+            for node in fragment.iter_elements():
+                info = self.mapping.relation_for(node.name)
+                row = self._row_for(
+                    node,
+                    info,
+                    doc_id,
+                    mutation.next_base,
+                    par_id=parent_global_id,
+                    path=parent_path + node.path,
+                    dewey=parent_vector + (ordinal,) + node.dewey[1:],
+                )
+                new_ids.append(row[0])
+                rows_by_relation.setdefault(info.table, []).append(row)
+            self._insert_rows(rows_by_relation)
+            mutation.next_base += len(new_ids)
         return new_ids
 
     def _next_child_ordinal(self, parent_global_id: int) -> int:
@@ -629,16 +625,14 @@ class ShreddedStore(_DocumentStore):
         doc_id, dewey = located
         upper = dewey + b"\xff"
         removed = 0
-        for table in self.mapping.relations:
-            cursor = self.db.execute(  # static-ok: sql-interp
-                f"DELETE FROM {table} WHERE doc_id = ? "
-                f"AND dewey_pos >= ? AND dewey_pos < ?",
-                (doc_id, dewey, upper),
-            )
-            removed += cursor.rowcount
-        self.db.commit()
-        self._mark_documents_stale()
-        self._bump_generation()
+        with self._mutation():
+            for table in self.mapping.relations:
+                cursor = self.db.execute(  # static-ok: sql-interp
+                    f"DELETE FROM {table} WHERE doc_id = ? "
+                    f"AND dewey_pos >= ? AND dewey_pos < ?",
+                    (doc_id, dewey, upper),
+                )
+                removed += cursor.rowcount
         return removed
 
     def update_text(self, global_id: int, value: object) -> None:
@@ -652,13 +646,11 @@ class ShreddedStore(_DocumentStore):
             raise StorageError(
                 f"relation {info.table!r} stores no text values"
             )
-        self.db.execute(  # static-ok: sql-interp
-            f"UPDATE {info.table} SET text = ? WHERE id = ?",
-            (str(value), global_id),
-        )
-        self.db.commit()
-        self._mark_documents_stale()
-        self._bump_generation()
+        with self._mutation():
+            self.db.execute(  # static-ok: sql-interp
+                f"UPDATE {info.table} SET text = ? WHERE id = ?",
+                (str(value), global_id),
+            )
 
     def update_attribute(
         self, global_id: int, name: str, value: object | None
@@ -670,13 +662,11 @@ class ShreddedStore(_DocumentStore):
         """
         info = self._relation_of(global_id)
         column, _ = info.attr_column(name)
-        self.db.execute(  # static-ok: sql-interp
-            f"UPDATE {info.table} SET {column} = ? WHERE id = ?",
-            (None if value is None else str(value), global_id),
-        )
-        self.db.commit()
-        self._mark_documents_stale()
-        self._bump_generation()
+        with self._mutation():
+            self.db.execute(  # static-ok: sql-interp
+                f"UPDATE {info.table} SET {column} = ? WHERE id = ?",
+                (None if value is None else str(value), global_id),
+            )
 
     def _locate(self, global_id: int) -> tuple[int, bytes] | None:
         """(doc_id, dewey_pos) of an element, searching all relations."""
@@ -736,13 +726,7 @@ class ShreddedStore(_DocumentStore):
         """The :class:`~repro.stats.summary.PathSummary`, while it is
         exact for the stored rows; ``None`` when statistics were never
         collected or are stale."""
-        return None if self.statistics_stale else self._persisted_summary()
-
-    def _persisted_summary(self) -> PathSummary | None:
-        """The summary as last written, stale or not (the incremental
-        maintenance below starts from it)."""
-        self._load_stats()
-        if self._stats_state is None:
+        if self.statistics_stale:
             return None
         if (
             self._summary is None
@@ -763,11 +747,12 @@ class ShreddedStore(_DocumentStore):
         summary = _stats.collect_summary(
             self.db, self.mapping, (epoch, self._generation)
         )
-        self._persist_summary(summary)
+        _stats.persist_summary(self.db, summary, self.path_index.all_paths())
+        self.db.commit()
+        self._adopt_summary(summary)
         return summary
 
-    def _persist_summary(self, summary: PathSummary) -> None:
-        _stats.persist_summary(self.db, summary, self.path_index.all_paths())
+    def _adopt_summary(self, summary: PathSummary) -> None:
         self._stats_state = StatsState(
             epoch=summary.version[0],
             generation=summary.version[1],
@@ -775,57 +760,6 @@ class ShreddedStore(_DocumentStore):
             relation_counts=dict(summary.relation_counts),
         )
         self._summary = summary
-
-    def _stats_apply_documents(
-        self, documents: Sequence[Document], collect_if_missing: bool = False
-    ) -> None:
-        """Incremental maintenance after ``load``/``bulk_load`` (called
-        post-bump).  A bulk load on a store without statistics collects
-        them in full ("collected at shred time",
-        ``collect_if_missing=True``); a single-document ``load`` only
-        maintains counts that already exist, so unit-scale stores stay
-        statistics-free — and hence byte-identical to the heuristic
-        pipeline — until bulk-loaded or explicitly analyzed.  A store
-        whose summary already lagged behind stays stale until
-        explicitly refreshed."""
-        self._load_stats()
-        if self._stats_state is None:
-            if collect_if_missing:
-                self.collect_statistics()
-            return
-        if self._stats_state.generation != self._generation - 1:
-            return
-        summary = self._persisted_summary()
-        if summary is None:
-            self.collect_statistics()
-            return
-        self._persist_summary(
-            summary.plus(
-                *_stats.document_deltas(self.mapping, documents),
-                documents=len(documents),
-                version=(self._stats_state.epoch + 1, self._generation),
-            )
-        )
-
-    def _stats_apply_removal(
-        self,
-        per_path: dict[str, tuple[int, int, int]],
-        per_relation: dict[str, int],
-    ) -> None:
-        """Apply one deleted document's (negative) deltas (called
-        post-bump)."""
-        summary = self._persisted_summary()
-        if summary is None:
-            self.collect_statistics()
-            return
-        self._persist_summary(
-            summary.plus(
-                per_path,
-                per_relation,
-                documents=-1,
-                version=(summary.version[0] + 1, self._generation),
-            )
-        )
 
     # -- stats ------------------------------------------------------------------------
 

@@ -112,12 +112,20 @@ class TestSqlInterpolation:
 class TestGenerationBump:
     STORE_TEMPLATE = """
         class Store:
-            def _bump_generation(self):
+            def _mutation(self):
                 self.generation += 1
 
             def delete_row(self, row_id):{pragma}
-                self.db.execute("DELETE FROM t WHERE id = ?", (row_id,))
-                {bump}
+                {scope}:
+                    self.db.execute("DELETE FROM t WHERE id = ?", (row_id,))
+
+            def rename(self, row_id, name):
+                with self._mutation() as mutation:
+                    if name:
+                        self.db.execute(
+                            "UPDATE t SET name = ? WHERE id = ?",
+                            (name, row_id),
+                        )
 
             @classmethod
             def create(cls, db):
@@ -127,7 +135,7 @@ class TestGenerationBump:
 
     def test_mutation_without_bump_flagged(self):
         report = lint_text(
-            self.STORE_TEMPLATE.format(pragma="", bump="pass")
+            self.STORE_TEMPLATE.format(pragma="", scope="if row_id")
         )
         assert codes(report) == ["CA003"]
         assert "delete_row" in report.findings[0].message
@@ -135,7 +143,7 @@ class TestGenerationBump:
     def test_mutation_with_bump_is_fine(self):
         report = lint_text(
             self.STORE_TEMPLATE.format(
-                pragma="", bump="self._bump_generation()"
+                pragma="", scope="with self._mutation()"
             )
         )
         assert report.ok
@@ -143,10 +151,27 @@ class TestGenerationBump:
     def test_pragma_suppresses(self):
         report = lint_text(
             self.STORE_TEMPLATE.format(
-                pragma="  # static-ok: generation-bump", bump="pass"
+                pragma="  # static-ok: generation-bump", scope="if row_id"
             )
         )
         assert report.ok
+
+    def test_a_class_that_enters_the_protocol_anywhere_is_held_to_it(self):
+        report = lint_text(
+            """
+            class Derived(Base):
+                def touch(self, row_id):
+                    with self._mutation():
+                        self.db.execute("UPDATE t SET n = n + 1")
+
+                def purge(self):
+                    self.db.execute("DELETE FROM t")
+                    with self._mutation():
+                        pass
+            """
+        )
+        assert codes(report) == ["CA003"]
+        assert "purge" in report.findings[0].message
 
     def test_classes_without_generations_are_ignored(self):
         report = lint_text(
@@ -162,7 +187,7 @@ class TestGenerationBump:
         report = lint_text(
             """
             class Store:
-                def _bump_generation(self):
+                def _mutation(self):
                     pass
 
                 def count(self):
@@ -343,7 +368,7 @@ class TestPragmaEdgeCases:
                 return fn
 
             class Store:
-                def _bump_generation(self):
+                def _mutation(self):
                     self.generation += 1
 
                 @audited  # static-ok: generation-bump

@@ -44,9 +44,10 @@ class TestGenerationFencingRace:
         self, store
     ):
         """Reader holds a pooled connection mid-query; writer mutates
-        the store before the reader returns.  The reader's (correct,
-        pre-mutation snapshot) rows must NOT enter the cache, and the
-        next execution must see the mutation."""
+        the store before the reader returns.  The reader's
+        pre-mutation rows must NOT enter the cache — nor leave
+        ``execute``: the generation moved under the query, so it runs
+        again — and the next execution must see the mutation."""
         engine = PPFEngine(store)
         pool = ConnectionPool.for_store(store, size=2)
         engine.attach_pool(pool)
@@ -55,10 +56,14 @@ class TestGenerationFencingRace:
         mutated = threading.Barrier(2, timeout=10)
         inner_run = engine._run_sql
 
+        snapshots = []
+
         def racing_run(sql, deadline=None):
             rows = inner_run(sql)
-            in_sql.wait()   # writer: go mutate
-            mutated.wait()  # wait until the mutation committed
+            snapshots.append(len(rows))
+            if len(snapshots) == 1:
+                in_sql.wait()   # writer: go mutate
+                mutated.wait()  # wait until the mutation committed
             return rows
 
         engine._run_sql = racing_run
@@ -77,16 +82,15 @@ class TestGenerationFencingRace:
         reader.join(timeout=10)
         assert not reader.is_alive()
 
-        # The in-flight reader saw the pre-mutation snapshot: that is
-        # a correct answer for the time it executed...
-        assert len(reader_result["result"]) == 1
-        # ...but it must not have been cached for the new generation:
-        # a fresh execution reflects the mutation.
+        # The in-flight reader saw the pre-mutation snapshot, noticed
+        # the generation had moved and ran again...
+        assert snapshots == [1, 2]
+        assert len(reader_result["result"]) == 2
+        # ...so the stale row set was neither returned nor cached: a
+        # fresh execution reflects the mutation.
         engine._run_sql = inner_run
         fresh = engine.execute(self.QUERY)
         assert len(fresh) == 2
-        info = engine.result_cache_info()
-        assert info.hits == 0  # the stale row set never served anyone
         pool.close()
 
     def test_cache_hit_only_within_same_generation(self, store):
