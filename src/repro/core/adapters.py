@@ -173,13 +173,6 @@ class SchemaAwareAdapter(StoreAdapter):
         accessor = getattr(self.store, "path_summary", None)
         return accessor() if callable(accessor) else None
 
-    @property
-    def stats_version(self) -> Optional[tuple[int, int]]:
-        """``(epoch, generation)`` of the statistics the costed passes
-        would consult, for cache fingerprints (``None`` when
-        :attr:`path_summary` is)."""
-        return getattr(self.store, "stats_version", None)
-
     # -- name resolution -----------------------------------------------------
 
     def forward_names(self, pattern, start_names, anchored):

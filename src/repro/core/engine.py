@@ -92,8 +92,11 @@ class ExplainReport(str):
     Cost-model attributes (``explain --costs``): ``estimated_rows`` /
     ``branch_estimates`` carry the cardinality estimates computed from
     the store's path summary (``None`` without collected statistics),
-    ``stats_version`` the ``(epoch, generation)`` the estimates came
-    from.  ``actual_rows`` / ``branch_actual`` stay ``None`` until
+    ``stats_version`` the ``(epoch, generation)`` of the summary the
+    plan was made under, ``held_version`` the latest one it was found
+    still exact under — they differ on a plan that has outlived a
+    mutation, whose join order and estimates are then those of
+    ``stats_version``.  ``actual_rows`` / ``branch_actual`` stay ``None`` until
     :meth:`SQLXPathEngine.explain_costs` executes the statement and
     fills them in (``branch_actual`` counts raw per-branch rows before
     the union-level dedup; ``actual_rows`` is the final result size).
@@ -107,6 +110,7 @@ class ExplainReport(str):
     estimated_rows: Optional[float]
     branch_estimates: Optional[tuple[float, ...]]
     stats_version: Optional[tuple[int, int]]
+    held_version: Optional[tuple[int, int]]
     actual_rows: Optional[int]
     branch_actual: Optional[tuple[int, ...]]
 
@@ -123,6 +127,7 @@ class ExplainReport(str):
         report.estimated_rows = translation.estimated_rows
         report.branch_estimates = translation.branch_estimates
         report.stats_version = translation.stats_version
+        report.held_version = translation.held_version
         report.actual_rows = None
         report.branch_actual = None
         return report
@@ -137,7 +142,15 @@ class ExplainReport(str):
         """Human-readable estimated-vs-actual lines for the CLI."""
         if self.estimated_rows is None:
             return ["(no statistics collected; run `repro analyze`)"]
-        lines = []
+        planned = "planned under statistics epoch {} at generation {}".format(
+            *self.stats_version
+        )
+        if self.held_version != self.stats_version:
+            planned += (
+                "; its summary reads last held under epoch {} at "
+                "generation {}".format(*self.held_version)
+            )
+        lines = [planned]
         total_actual = (
             "?" if self.actual_rows is None else str(self.actual_rows)
         )
@@ -173,7 +186,10 @@ class SQLXPathEngine:
       :class:`~repro.core.translator.PlanTemplate` as SQL parameters
       instead of being translated, so a stream of never-repeating
       strings from a handful of query forms costs a handful of
-      translations (and of SQLite statement compilations);
+      translations (and of SQLite statement compilations).  A cached
+      translation is served while what it read from the path summary
+      still holds (:meth:`translate`), so a mutation retires only the
+      plans it invalidated;
     * **results** are cached in a bounded LRU keyed by ``(xpath, store
       generation)``.  The store bumps its generation on every mutation,
       so a hit is always consistent with the current data and never
@@ -263,10 +279,18 @@ class SQLXPathEngine:
         First lookup: the exact string.  Second: its shape — a hit
         binds the string's literals to the cached template and shares
         everything else with it.  Only a shape never seen before (or
-        one that is not liftable) is translated.  Both keys include the
-        translator fingerprint — which in turn includes the store's
-        statistics version — so refreshed statistics (a new cost-model
-        input) can never serve a plan built against the old summary."""
+        one that is not liftable) is translated.
+
+        Both keys carry the translator fingerprint, which says whether
+        the store hands out a path summary but not which.  What a plan
+        took from the summary it was made under travels with it
+        (:attr:`TranslationResult.summary_reads`), and a cached entry of
+        either tier is served while those reads hold under the store's
+        current summary (:meth:`_holds`) — so a mutation retires the
+        plans it invalidated, not every plan.  A plan that survives
+        keeps the join order and estimates of the summary it was
+        planned under (its ``stats_version``): statistics never change
+        what a query returns, only how it runs."""
         if not isinstance(expression, str):
             translated = self.translator.translate_inline(expression)
             if self.verify_plans:
@@ -276,7 +300,7 @@ class SQLXPathEngine:
         key = (expression, fingerprint)
         with self._lock:
             cached = self._translation_cache.get(key)
-            if cached is not None:
+            if cached is not None and self._holds(cached):
                 self._cache_hits += 1
                 self._translation_cache.move_to_end(key)
                 return cached
@@ -292,15 +316,36 @@ class SQLXPathEngine:
                 self._translation_cache.popitem(last=False)
         return translated
 
+    def _holds(self, translation: TranslationResult) -> bool:
+        """Whether a cached translation — an exact-string entry or a
+        template's — is exact for the store as it stands.
+
+        A plan that read nothing from the path summary is right in
+        every state.  One that did is right under any exact summary its
+        reads hold under, and is stamped with the version of the last
+        one found so, which makes the lookup between two mutations one
+        comparison; it is never served while the store hands out no
+        summary, because nothing then vouches for its reads."""
+        reads = translation.summary_reads
+        if not reads:
+            return True
+        summary = getattr(self.translator.adapter, "path_summary", None)
+        if summary is None:
+            return False
+        if translation.held_version != summary.version:
+            if not all(read.holds(summary) for read in reads):
+                return False
+            translation.held_version = summary.version
+        return True
+
     def _translate_by_shape(
         self, expression: str, fingerprint: tuple
     ) -> tuple[TranslationResult, bool]:
         """The translation of a string the exact-string cache missed,
         and whether a cached template supplied it."""
         # Translation runs outside the lock: it only reads the schema
-        # and the statistics snapshot pinned by the cache key, and two
-        # threads translating the same novel shape just produce equal
-        # templates.
+        # and the store's current summary, and two threads translating
+        # the same novel shape just produce equal templates.
         shape = shape_of(expression)
         if shape is None:  # does not tokenize: raises, saying where
             return self.translator.translate_inline(expression), False
@@ -308,6 +353,8 @@ class SQLXPathEngine:
         with self._lock:
             known = key in self._templates
             template = self._templates.get(key)
+            if template is not None and not self._holds(template.translation):
+                known = False  # retired: translated again, replaced below
             if known:
                 self._templates.move_to_end(key)
         if not known:

@@ -80,9 +80,18 @@ class TranslationResult:
     estimated_rows: Optional[float] = None
     #: Per-branch estimates, in the statement's branch order.
     branch_estimates: Optional[tuple[float, ...]] = None
-    #: ``(epoch, generation)`` of the statistics used (``None`` when the
-    #: store handed out none), shown by ``explain --costs``.
+    #: ``(epoch, generation)`` of the path summary the plan was made
+    #: under (``None`` when the store handed out none): whose join
+    #: order and estimates these are, however long the plan is served.
     stats_version: Optional[tuple[int, int]] = None
+    #: What the plan took from that summary and built in (one
+    #: :class:`~repro.plan.passes.SummaryRead` per filter resolved or
+    #: dropped).  The plan is exact under every summary these hold
+    #: under; with none, under every state of the store.
+    summary_reads: tuple[_passes.SummaryRead, ...] = ()
+    #: The latest summary version the engine found :attr:`summary_reads`
+    #: to hold under (:attr:`stats_version` on a fresh translation).
+    held_version: Optional[tuple[int, int]] = None
     #: Values of the statement's named parameters, by name (``None``
     #: when it has none: the literals are in the statement).  Everything
     #: above except ``expression`` is the template's, shared by every
@@ -279,20 +288,23 @@ class PPFTranslator:
 
     @property
     def fingerprint(self) -> tuple[object, ...]:
-        """Cache key component: everything that shapes the emitted SQL.
+        """Cache key component: everything but the data that shapes
+        the emitted SQL.
 
-        Includes the adapter's statistics version — ``None`` whenever
-        the store hands out no summary: the costed passes build the
-        path summary into the plan, so a cached plan must survive
-        neither a statistics refresh nor a mutation that leaves the
-        summary stale."""
+        Of the path summary it says only *whether* the store hands one
+        out — the costed passes run with one and keep quiet without, so
+        collecting statistics re-plans and a stale summary brings the
+        regex form back.  *Which* summary is not part of the key: a
+        translation records what it read from it
+        (:attr:`TranslationResult.summary_reads`) and the engine serves
+        it for as long as that still holds."""
         return (
             self.dialect.name,
             self.pass_names,
             self.prefer_fk_joins,
             self.split_every_step,
             self.use_path_index,
-            getattr(self.adapter, "stats_version", None),
+            getattr(self.adapter, "path_summary", None) is not None,
         )
 
     def translate(
@@ -389,6 +401,7 @@ class PPFTranslator:
             estimated_rows = estimate.total_rows
             branch_estimates = estimate.branch_rows
         statement = _lowering.lower_plan(plan, self.dialect)
+        version = summary.version if summary is not None else None
         return TranslationResult(
             statement,
             plan.projection,
@@ -399,7 +412,11 @@ class PPFTranslator:
             plan_stats_after=stats_after,
             estimated_rows=estimated_rows,
             branch_estimates=branch_estimates,
-            stats_version=summary.version if summary is not None else None,
+            stats_version=version,
+            summary_reads=tuple(
+                read for report in reports for read in report.reads
+            ),
+            held_version=version,
         )
 
 

@@ -50,10 +50,14 @@ The shipped passes (in default order):
     filters of one conjunction intersect into a single list.  The list
     lowers to a semi-join on the element's ``path_id`` that probes
     `Paths`' unique index once per statement, so neither the `Paths`
-    join nor the Python ``REGEXP`` UDF is left to execute; the
-    translation cache keeps the list, so a repeated query pays nothing
-    for it.  A list the backend's statement-length limit has no room
-    for stays a regex, `Paths` join included.
+    join nor the Python ``REGEXP`` UDF is left to execute.  Each list
+    built in and each filter dropped is recorded as a
+    :class:`SummaryRead`; the translation cache keeps the plan for as
+    long as those reads hold under the store's current summary, so a
+    repeated query pays nothing for the list and a mutation retires
+    only the plans it invalidated.  A list the backend's
+    statement-length limit has no room for stays a regex, `Paths` join
+    included.
 
 ``costed-join-order``
     Structural-join reordering, smallest estimated input first: scans
@@ -191,6 +195,36 @@ class TautologyWitness:
 
 
 @dataclass(frozen=True)
+class SummaryRead:
+    """One answer ``costed-access-strategy`` took from the path summary
+    and built into the plan — what a later summary must still say for
+    the plan to return what the regex would.
+
+    A *resolved* filter tests membership in ``listed``, the paths
+    ``regex`` matched at plan time; every listed path matches (that is
+    a fact about the string), so the list stands while it still names
+    every stored path the regex matches.  A path that left the store,
+    or one that comes back and is already listed, changes nothing.  A
+    *dropped* filter (``listed`` is ``None``) tests nothing; that stands
+    while the regex still matches every stored path a row of ``names``
+    can carry.
+    """
+
+    regex: str
+    listed: Optional[frozenset[str]]
+    names: Optional[frozenset[str]] = None
+
+    def holds(self, summary: PathSummary) -> bool:
+        """Whether the plan that made this read is still exact under
+        ``summary`` (itself exact for the stored rows)."""
+        matched = summary.matching_paths(self.regex)
+        if self.listed is not None:
+            return self.listed.issuperset(matched)
+        assert self.names is not None
+        return summary.paths_named(self.names).issubset(matched)
+
+
+@dataclass(frozen=True)
 class ReorderWitness:
     """The evidence justifying one cost-based reorder.
 
@@ -225,6 +259,9 @@ class PassReport:
     #: One :class:`TautologyWitness` per filter the summary proved
     #: redundant (only ``costed-access-strategy`` records these).
     tautologies: tuple[TautologyWitness, ...] = ()
+    #: One :class:`SummaryRead` per filter resolved or dropped from the
+    #: path summary (only ``costed-access-strategy`` records these).
+    reads: tuple[SummaryRead, ...] = ()
     #: One :class:`ReorderWitness` per cost-based reorder (only the
     #: ``costed-join-order``/``costed-union-order`` passes record these).
     reorders: tuple[ReorderWitness, ...] = ()
@@ -741,6 +778,7 @@ def _pass_costed_access_strategy(
     room: Optional[int] = None
     resolved = folded = kept = 0
     tautologies: list[TautologyWitness] = []
+    reads: list[SummaryRead] = []
 
     def fits(cond: PathFilterCond, literals: tuple[str, ...]) -> bool:
         """Whether the backend's statement limit has room for the list
@@ -771,9 +809,8 @@ def _pass_costed_access_strategy(
         # The summary lists every path some stored element carries, so
         # the regex accepts exactly these `Paths` rows among the ones
         # an element row can join to.
-        matched = summary.matching_paths(
-            compile_pattern(list(cond.pattern), cond.anchored)
-        )
+        regex = compile_pattern(list(cond.pattern), cond.anchored)
+        matched = summary.matching_paths(regex)
         if not matched:
             return cond  # the elimination pass's business, not ours
         if cond.names is not None and summary.paths_named(
@@ -790,11 +827,13 @@ def _pass_costed_access_strategy(
                     summary_version=summary.version,
                 )
             )
+            reads.append(SummaryRead(regex, None, cond.names))
             return TrueCond()
         if not fits(cond, matched):
             kept += 1
             return cond
         cond.set_literal_paths(matched)
+        reads.append(SummaryRead(regex, frozenset(matched)))
         resolved += 1
         return cond
 
@@ -816,7 +855,12 @@ def _pass_costed_access_strategy(
         detail += f"; {kept} list(s) past the statement-length limit"
     changes = resolved + folded + dropped
     return PassReport(
-        name, changes > 0, changes, detail, tautologies=tuple(tautologies)
+        name,
+        changes > 0,
+        changes,
+        detail,
+        tautologies=tuple(tautologies),
+        reads=tuple(reads),
     )
 
 

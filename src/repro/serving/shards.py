@@ -459,7 +459,7 @@ class ShardedStore:
 
     @property
     def stats_version(self) -> tuple[int, int] | None:
-        """Store-level statistics version for cache fingerprints:
+        """Store-level statistics version — the merged summary's:
         ``(sum of shard epochs, store generation)``, or ``None`` when
         any shard has no exact summary — never collected, or stale
         (the merged summary is then unavailable too).  An unreadable

@@ -74,7 +74,8 @@ class PathSummary:
     #: Per-path statistics, keyed by the path string.
     stats: Mapping[str, PathStats] = field(default_factory=dict)
     #: ``matching_paths`` answers by regex text.  The summary never
-    #: changes, so an answer stays right for the object's lifetime.
+    #: changes, so an answer stays right for the object's lifetime —
+    #: and :meth:`plus` derives its successor's from it.
     _matches: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -111,8 +112,13 @@ class PathSummary:
         """This summary with signed per-path ``(elements, documents,
         values)`` and per-relation row deltas applied.  No count goes
         below zero, and a path whose element count reaches zero is
-        dropped."""
+        dropped.  The successor inherits the :meth:`matching_paths`
+        answers this one holds, corrected for the paths the deltas
+        added or removed: a regex asked of every summary in a chain of
+        mutations scans the path list once, not once per mutation."""
         stats = dict(self.stats)
+        added: list[str] = []
+        removed: set[str] = set()
         for path, (elements, docs, values) in per_path.items():
             old = stats.get(path)
             if old is not None:
@@ -123,19 +129,35 @@ class PathSummary:
                 stats[path] = PathStats(
                     path, elements, max(docs, 0), max(values, 0)
                 )
-            else:
-                stats.pop(path, None)
+                if old is None:
+                    added.append(path)
+            elif stats.pop(path, None) is not None:
+                removed.add(path)
         relation_counts = dict(self.relation_counts)
         for table, rows in per_relation.items():
             relation_counts[table] = max(
                 relation_counts.get(table, 0) + rows, 0
             )
-        return PathSummary(
+        successor = PathSummary(
             version=self.version if version is None else version,
             document_count=max(self.document_count + documents, 0),
             relation_counts=relation_counts,
             stats=stats,
         )
+        # A copy first: a reader thread may be memoizing an answer on
+        # this summary while the writer derives the next one.
+        matches = dict(self._matches)
+        if added or removed:
+            for text, matched in matches.items():
+                search = re.compile(text).search
+                matches[text] = tuple(
+                    sorted(
+                        [p for p in matched if p not in removed]
+                        + [p for p in added if search(p)]
+                    )
+                )
+        successor._matches.update(matches)
+        return successor
 
     # -- per-path lookups ---------------------------------------------------
 

@@ -46,6 +46,18 @@ from repro.resilience.retry import run_with_retry
 #: Rows fetched per chunk while enforcing ``max_rows``.
 _FETCH_CHUNK = 256
 
+#: Compiled statements a connection keeps (``sqlite3``'s own default is
+#: 128).  A mutation speaks to every relation of the mapping in about
+#: five statement texts each — insert, delete, integrity counts — so one
+#: ``load`` + ``delete_document`` on the 69-relation XMark schema issues
+#: 359 distinct texts (219 of them the load's), and with a cache smaller
+#: than that every statement of every mutation, and the queries run
+#: between two mutations, are compiled again each time round.  Sized
+#: with room for a schema of ~200 relations; ``tests/storage/
+#: test_database.py::TestStatementCache`` fails when the write path
+#: outgrows it.
+_CACHED_STATEMENTS = 1024
+
 #: Statement parameters: positional (``?``) or by name (``:name``).
 Params = Union[Sequence[Any], Mapping[str, Any]]
 
@@ -198,7 +210,11 @@ class Database:
     ) -> "Database":
         """A fresh in-memory database."""
         return cls(
-            sqlite3.connect(":memory:", check_same_thread=check_same_thread),
+            sqlite3.connect(
+                ":memory:",
+                check_same_thread=check_same_thread,
+                cached_statements=_CACHED_STATEMENTS,
+            ),
             policy=policy,
         )
 
@@ -228,10 +244,14 @@ class Database:
                 uri=True,
                 timeout=timeout,
                 check_same_thread=check_same_thread,
+                cached_statements=_CACHED_STATEMENTS,
             )
         else:
             connection = sqlite3.connect(
-                path, timeout=timeout, check_same_thread=check_same_thread
+                path,
+                timeout=timeout,
+                check_same_thread=check_same_thread,
+                cached_statements=_CACHED_STATEMENTS,
             )
         db = cls(connection, policy=policy)
         if db.policy.wal and not read_only:

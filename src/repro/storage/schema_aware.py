@@ -700,10 +700,10 @@ class ShreddedStore(_DocumentStore):
     def stats_version(self) -> tuple[int, int] | None:
         """The ``(epoch, generation)`` of the summary :meth:`path_summary`
         hands out, or ``None`` when it hands out none (never collected,
-        or stale).  Cache fingerprints (the translator's, hence the
-        engine result cache's) incorporate this, so a plan built from
-        one summary is never served once that summary is refreshed or
-        goes stale."""
+        or stale).  Every statistics write moves it.  It is in no cache
+        key: a translation records the version it was planned under and
+        what it read from that summary, and the engines serve it under
+        later versions for as long as those reads hold."""
         if self.statistics_stale or self._stats_state is None:
             return None
         return self._stats_state.version

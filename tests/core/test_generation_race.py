@@ -66,15 +66,24 @@ def racing(engine, mutate):
     engine._run_sql = run_after_mutation
 
 
-def oracle(store, xpath):
-    """``(doc_id, value)`` per node of the native answer over exactly
-    the documents the store holds."""
+def native_answer(trees, xpath):
+    """``(doc_id, value)`` per node of the native answer over
+    ``trees``, a ``doc_id -> Document`` mapping."""
     rows = []
-    for doc_id, (document, _) in store.resident_documents().items():
+    for doc_id, document in trees.items():
         for node in NativeEngine(document).execute(xpath):
             value = None if isinstance(node, ElementNode) else node.value
             rows.append((doc_id, value))
     return sorted(rows, key=repr)
+
+
+def oracle(store, xpath):
+    """The native answer over exactly the documents the store holds."""
+    resident = store.resident_documents()
+    return native_answer(
+        {doc_id: document for doc_id, (document, _) in resident.items()},
+        xpath,
+    )
 
 
 def answer(engine, xpath):
@@ -113,6 +122,25 @@ def test_a_store_that_never_holds_still_is_a_typed_error():
     assert engine.result_cache_info().currsize == 0
 
 
+#: ``(parent, fragment)`` for ``append_subtree``: the first and third
+#: add a row under a path their document may already hold, the others
+#: bring paths of their own.  Either way the summary goes stale.
+APPENDS = [
+    ("/site/people", "<person id='px'><name>Eve</name></person>"),
+    (
+        "/site/people",
+        "<group><person id='py'><name>Fay</name></person></group>",
+    ),
+    (
+        "/site/regions",
+        "<item id='ix'><name>Rug</name><price>12</price></item>",
+    ),
+    (
+        "/site/regions",
+        "<zone><item id='iy'><name>Bed</name><price>3</price></item></zone>",
+    ),
+]
+
 mutations = st.one_of(
     st.tuples(st.just("load"), st.integers(0, len(POOL) - 1)),
     st.tuples(st.just("delete"), st.integers(0, 7)),
@@ -120,11 +148,65 @@ mutations = st.one_of(
 steps = st.one_of(
     mutations,
     st.tuples(
+        st.just("append"),
+        st.integers(0, 7),
+        st.integers(0, len(APPENDS) - 1),
+    ),
+    st.tuples(st.just("collect")),
+    st.tuples(
         st.just("query"),
         st.sampled_from(QUERIES),
         st.one_of(st.none(), mutations),
     ),
 )
+
+
+class Mirror:
+    """The store's documents kept as trees of their own, mutated in
+    step with it: the native oracle's input once ``append_subtree`` has
+    left the store's resident copies behind."""
+
+    def __init__(self, store, first):
+        self.store = store
+        (doc_id,) = store.documents
+        self.trees = {doc_id: parse_document(POOL[first], name="m")}
+
+    def mutate(self, kind, pick=0, which=0):
+        store = self.store
+        live = sorted(self.trees)
+        if kind == "load":
+            document = parse_document(POOL[pick], name=f"d{pick}")
+            self.trees[store.load(document)] = parse_document(
+                POOL[pick], name="m"
+            )
+        elif kind == "collect":
+            store.collect_statistics()
+        elif not live:
+            return
+        elif kind == "delete":
+            doc_id = live[pick % len(live)]
+            store.delete_document(doc_id)
+            del self.trees[doc_id]
+        else:
+            doc_id = live[pick % len(live)]
+            parent, fragment = APPENDS[which]
+            tree = self.trees[doc_id]
+            parents = NativeEngine(tree).execute(parent)
+            if not parents:
+                return
+            (parent_id,) = [
+                row.id
+                for row in PPFEngine(store).execute(parent).rows
+                if row.doc_id == doc_id
+            ]
+            store.append_subtree(
+                parent_id, parse_document(fragment, name="f").root
+            )
+            parents[0].append(parse_document(fragment, name="f").root)
+            tree.reindex()
+
+    def oracle(self, xpath):
+        return native_answer(self.trees, xpath)
 
 
 @given(st.integers(0, len(POOL) - 1), st.lists(steps, min_size=1, max_size=8))
@@ -134,28 +216,38 @@ steps = st.one_of(
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_interleaved_queries_loads_and_deletes_match_the_oracle(first, script):
-    store, documents = fresh_store(first)
+    """Whatever the store goes through — loads that add a path under a
+    ``//`` step or break a tautology, deletes that remove one, the same
+    document back again, appends that leave the summary stale, fresh
+    statistics — an engine that has been there throughout answers what
+    one with empty caches and the native oracle answer."""
+    store, _ = fresh_store(first)
+    mirror = Mirror(store, first)
     engine = PPFEngine(store)
+    cleared = PPFEngine(store)
     run_sql = engine._run_sql
 
-    def mutate(kind, pick):
-        if kind == "load":
-            store.load(documents[pick])
-        elif store.documents:
-            live = sorted(store.documents)
-            store.delete_document(live[pick % len(live)])
-
     for step in script:
-        if step[0] != "query":
-            mutate(*step)
-            continue
-        _, xpath, during = step
-        pending = [during] if during else []
-        racing(engine, lambda: pending and mutate(*pending.pop()))
-        try:
-            got = answer(engine, xpath)
-        finally:
-            engine._run_sql = run_sql
-        assert got == oracle(store, xpath), (xpath, during)
+        if step[0] == "query":
+            _, xpath, during = step
+            pending = [during] if during else []
+            racing(engine, lambda: pending and mirror.mutate(*pending.pop()))
+            try:
+                got = answer(engine, xpath)
+            finally:
+                engine._run_sql = run_sql
+            assert got == mirror.oracle(xpath), (xpath, during)
+        else:
+            mirror.mutate(*step)
+        cleared.cache_clear()
+        cleared.result_cache_clear()
+        for xpath in QUERIES:
+            expected = mirror.oracle(xpath)
+            assert answer(engine, xpath) == expected, (step, xpath)
+            assert answer(cleared, xpath) == expected, (step, xpath)
+            summary = store.path_summary()
+            assert all(
+                summary is not None and read.holds(summary)
+                for read in engine.translate(xpath).summary_reads
+            ), (step, xpath)
     assert store.verify_integrity() == []
-    assert not store.statistics_stale

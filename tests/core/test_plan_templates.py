@@ -489,21 +489,46 @@ class TestCaches:
         assert len(engine._templates) == 0
         assert engine.cache_info()[:2] == (0, 0)
 
-    def test_statistics_refresh_retires_templates(self, shop):
-        engine, native = shop
-        store = engine.store
-        before = engine.translate("//item[price > 20]")
-        assert before.stats_version is not None
-        store.load(parse_document(SHOP, name="again"))
-        stale = engine.translate("//item[price > 21]")
-        assert stale.plan is not before.plan  # a template per fingerprint
-        store.collect_statistics()
-        fresh = engine.translate("//item[price > 22]")
-        assert fresh.plan is not before.plan and fresh.plan is not stale.plan
-        assert fresh.stats_version != before.stats_version
-        assert engine.cache_info().misses == 3
-        assert len(engine.execute("//item[price > 20]")) == 4
-        assert engine.translate("//item[price > 23]").plan is fresh.plan
+    def test_statistics_refresh_retires_templates(self):
+        """A template is retired by a summary read that fails and by
+        nothing else: new statistics it still agrees with keep it."""
+        texts = (
+            SHOP,
+            "<shop><aisle><item id='a1'><price>30</price></item></aisle></shop>",
+            "<shop><back><item id='b1'><price>35</price></item></back></shop>",
+        )
+        documents = [
+            parse_document(text, name=f"d{index}")
+            for index, text in enumerate(texts)
+        ]
+        store = ShreddedStore.create(
+            Database.memory(), infer_schema(documents)
+        )
+        store.bulk_load(documents[:2])
+        engine = PPFEngine(store)
+        form = "/shop/*/item[price > {}]"
+        before = engine.translate(form.format(20))
+        assert [sorted(read.listed) for read in before.summary_reads] == [
+            ["/shop/aisle/item"], ["/shop/aisle/item/price"]
+        ]
+        store.load(parse_document(SHOP, name="again"))  # no new path
+        assert engine.translate(form.format(21)).plan is before.plan
+        store.collect_statistics()  # a new version saying the same
+        kept = engine.translate(form.format(22))
+        assert kept.plan is before.plan
+        assert kept.stats_version == before.stats_version
+        assert kept.held_version == store.stats_version
+        assert engine.cache_info().misses == 1
+        store.load(documents[2])  # a path the regex matches, not listed
+        fresh = engine.translate(form.format(23))
+        assert fresh.plan is not before.plan
+        assert fresh.stats_version == store.stats_version
+        assert fresh.summary_reads[0].listed == {
+            "/shop/aisle/item", "/shop/back/item"
+        }
+        assert engine.cache_info().misses == 2
+        assert len(engine.execute(form.format(20))) == 2
+        assert engine.translate(form.format(24)).plan is fresh.plan
 
     def test_template_lru_evicts(self, shop):
         engine, _ = shop

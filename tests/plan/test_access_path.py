@@ -354,6 +354,163 @@ class TestStaleness:
         store.close()
 
 
+# -- a mutation retires only the plans it invalidated ---------------------------
+
+#: ``k`` may sit under ``r``, ``c``, ``a``, ``b`` and ``d``: the regex of
+#: ``/r/c//k`` accepts three of its five root paths, so the marking
+#: neither drops nor pins it and the summary decides.
+_PLACES = "<r><k>0</k><c><k>0</k><a><k>0</k></a><b><k>0</k></b></c><d><k>0</k></d></r>"
+
+
+class TestSurvivingPlans:
+    """What a cached plan read from the summary decides whether a
+    mutation retires it (``TranslationResult.summary_reads``).  Each
+    test fails when ``costed-access-strategy`` stops recording reads —
+    the plan then looks valid in every state and is served stale."""
+
+    XPATH = "/r/c//k[. > 0]"
+    OTHER = "/r/c//k[. > -1]"  # not liftable: its own exact-string entry
+    SHAPED = "/r/c//k[. > 0.5]"  # the template's second string
+
+    def _engine(self, *texts):
+        documents = [
+            parse_document(text, name=f"d{index}.xml")
+            for index, text in enumerate(texts)
+        ]
+        schema = infer_schema(
+            documents + [parse_document(_PLACES, name="schema.xml")]
+        )
+        store = ShreddedStore.create(Database.memory(), schema)
+        self.doc_ids = store.bulk_load(documents)
+        self.natives = [
+            (NativeEngine(document), store.doc_base(doc_id))
+            for document, doc_id in zip(documents, self.doc_ids)
+        ]
+        return PPFEngine(store)
+
+    def _load(self, engine, text):
+        document = parse_document(text, name=f"late{len(self.natives)}.xml")
+        doc_id = engine.store.load(document)
+        self.natives.append(
+            (NativeEngine(document), engine.store.doc_base(doc_id))
+        )
+        return doc_id
+
+    def _check(self, engine):
+        for xpath in (self.XPATH, self.OTHER, self.SHAPED, "//k"):
+            assert _agrees(engine, self.natives, xpath), xpath
+
+    def test_a_path_the_resolved_regex_matches_retires_the_plan(self):
+        engine = self._engine("<r><k>1</k><c><a><k>2</k></a></c></r>")
+        before = engine.translate(self.XPATH)
+        (read,) = before.summary_reads
+        assert read.listed == {"/r/c/a/k"}
+        misses = engine.cache_info().misses
+        self._load(engine, "<r><c><b><k>3</k></b></c></r>")
+        after = engine.translate(self.XPATH)
+        assert after is not before and after.plan is not before.plan
+        assert engine.cache_info().misses == misses + 1
+        (cond,) = _filters(after)
+        assert cond.literals == ("/r/c/a/k", "/r/c/b/k")
+        assert len(engine.execute(self.XPATH)) == 2
+        self._check(engine)
+
+    def test_a_path_the_dropped_regex_rejects_brings_the_filter_back(self):
+        engine = self._engine("<r><c><a><k>2</k></a></c></r>")
+        before = engine.translate(self.XPATH)
+        assert not _filters(before)
+        (read,) = before.summary_reads
+        assert read.listed is None and read.names == {"k"}
+        self._load(engine, "<r><d><k>4</k></d></r>")
+        after = engine.translate(self.XPATH)
+        assert after is not before
+        (cond,) = _filters(after)
+        assert (cond.mode, cond.literal) == ("equality", "/r/c/a/k")
+        assert len(engine.execute(self.XPATH)) == 1
+        assert len(engine.execute("//k")) == 2
+        self._check(engine)
+
+    def test_an_unrelated_path_retires_nothing(self):
+        engine = self._engine("<r><k>1</k><c><a><k>2</k></a></c></r>")
+        before = engine.translate(self.XPATH)
+        inline = engine.translate(self.OTHER)
+        assert before.parameters and inline.parameters is None
+        info = engine.cache_info()
+        self._load(engine, "<r><d><k>4</k></d></r>")
+        assert "/r/d/k" in engine.store.path_summary().stats
+        assert engine.translate(self.XPATH) is before
+        assert engine.translate(self.OTHER) is inline
+        assert engine.translate(self.SHAPED).plan is before.plan
+        assert engine.cache_info().misses == info.misses
+        assert before.held_version == engine.store.stats_version
+        assert before.stats_version != before.held_version
+        self._check(engine)
+
+    def test_a_listed_path_may_leave_and_come_back(self):
+        late = "<r><c><b><k>3</k></b></c></r>"
+        engine = self._engine(
+            "<r><k>1</k><c><a><k>2</k></a></c></r>", late
+        )
+        before = engine.translate(self.XPATH)
+        (read,) = before.summary_reads
+        assert read.listed == {"/r/c/a/k", "/r/c/b/k"}
+        self._check(engine)
+        misses = engine.cache_info().misses
+        engine.store.delete_document(self.doc_ids[1])
+        del self.natives[1]
+        assert "/r/c/b/k" not in engine.store.path_summary().stats
+        assert engine.translate(self.XPATH) is before
+        assert len(engine.execute(self.XPATH)) == 1
+        self._check(engine)
+        self._load(engine, late)
+        assert engine.translate(self.XPATH) is before
+        assert len(engine.execute(self.XPATH)) == 2
+        assert engine.cache_info().misses == misses
+        self._check(engine)
+
+    @pytest.mark.parametrize(
+        "parent, survives", [("/r/c/a", True), ("/r/c", False)]
+    )
+    def test_a_stale_summary_serves_no_plan_with_reads(
+        self, parent, survives
+    ):
+        engine = self._engine("<r><k>1</k><c><a><k>2</k></a></c></r>")
+        store = engine.store
+        before = engine.translate(self.XPATH)
+        assert before.summary_reads
+        (parent_id,) = engine.execute(parent).ids
+        k = ElementNode("k")
+        k.append_text("5")
+        (new_id,) = store.append_subtree(parent_id, k)
+        assert store.path_summary() is None
+        assert not engine._holds(before)
+        stale = engine.translate(self.XPATH)
+        assert stale is not before and not stale.summary_reads
+        assert "regexp_like" in stale.sql
+        assert new_id in engine.execute(self.XPATH).ids
+        store.collect_statistics()
+        fresh = engine.translate(self.XPATH)
+        assert (fresh is before) == survives
+        assert all(
+            read.holds(store.path_summary()) for read in fresh.summary_reads
+        )
+        assert "regexp_like" not in fresh.sql
+        assert engine.execute(self.XPATH).ids == PPFEngine(store).execute(
+            self.XPATH
+        ).ids
+        assert new_id in engine.execute(self.XPATH).ids
+
+    def test_explain_tells_a_survivor_from_a_fresh_plan(self):
+        engine = self._engine("<r><k>1</k><c><a><k>2</k></a></c></r>")
+        planned = engine.explain(self.XPATH).cost_lines()[0]
+        assert planned == "planned under statistics epoch 1 at generation 1"
+        self._load(engine, "<r><d><k>4</k></d></r>")
+        assert engine.explain(self.XPATH).cost_lines()[0] == (
+            planned
+            + "; its summary reads last held under epoch 2 at generation 2"
+        )
+
+
 class TestMemoisation:
     def test_sharded_merge_is_built_once_per_statistics_version(
         self, tmp_path, monkeypatch
@@ -391,6 +548,30 @@ class TestMemoisation:
         first = summary.matching_paths("^/r/(.+/)?k$")
         assert first == ("/r/c/a/k", "/r/k")
         assert summary.matching_paths("^/r/(.+/)?k$") is first
+
+    def test_successor_inherits_the_answers_corrected_by_the_delta(self):
+        """``plus`` hands the memo on: what the delta added is searched,
+        what it removed is dropped, and nothing scans the path list."""
+        summary = _k_store().path_summary()
+        regexes = ("^/r/(.+/)?k$", "^/r/c/(.+/)?k$", "^/r/k$")
+        for regex in regexes:
+            summary.matching_paths(regex)
+        successor = summary.plus(
+            {"/r/c/k": (2, 1, 2), "/r/k": (-1, -1, -1)}, {"k": 1}
+        )
+        assert dict(successor._matches) == {
+            "^/r/(.+/)?k$": ("/r/c/a/k", "/r/c/k"),
+            "^/r/c/(.+/)?k$": ("/r/c/a/k", "/r/c/k"),
+            "^/r/k$": (),
+        }
+        rescanned = summary.plus({}, {}).plus(
+            {"/r/c/k": (2, 1, 2), "/r/k": (-1, -1, -1)}, {"k": 1}
+        )
+        rescanned._matches.clear()
+        for regex in regexes:
+            assert rescanned.matching_paths(regex) == successor._matches[regex]
+        unchanged = summary.plus({"/r/k": (1, 0, 1)}, {"k": 1})
+        assert unchanged._matches == summary._matches
 
 
 @pytest.mark.skipif(

@@ -225,3 +225,44 @@ class TestOpenOptions:
             reader = Database.open(path, read_only=True)
             assert reader.query("SELECT COUNT(*) FROM t") == [(2,)]
             reader.close()
+
+
+class TestStatementCache:
+    def test_a_churn_cycle_fits_the_statement_cache(self):
+        """One ``load`` + ``delete_document`` + the queries between them
+        on the XMark schema: every distinct statement text must fit the
+        connection's compiled-statement cache, or each cycle compiles
+        all of them again (and nothing says so)."""
+        from repro import PPFEngine, ShreddedStore, infer_schema
+        from repro.storage import database
+        from repro.workloads import XMarkConfig, generate_xmark
+        from repro.workloads.xpathmark import (
+            XPATHMARK_A_QUERIES,
+            XPATHMARK_QUERIES,
+        )
+
+        documents = [
+            generate_xmark(XMarkConfig(scale=0.25, seed=seed))
+            for seed in (3, 4)
+        ]
+        db = Database.memory()
+        store = ShreddedStore.create(db, infer_schema(documents))
+        store.bulk_load(documents[:1])
+        engine = PPFEngine(store)
+        texts = set()
+        for name in ("_raw_execute", "_raw_executemany"):
+            raw = getattr(db, name)
+
+            def recording(sql, *args, _raw=raw):
+                texts.add(sql)
+                return _raw(sql, *args)
+
+            setattr(db, name, recording)
+        doc_id = store.load(documents[1])
+        for query in (XPATHMARK_QUERIES + XPATHMARK_A_QUERIES)[:12]:
+            engine.execute(query.xpath)
+        store.delete_document(doc_id)
+        relations = len(store.mapping.relations)
+        assert relations > 60  # the vocabulary grows with the schema
+        assert 3 * relations < len(texts) < database._CACHED_STATEMENTS
+        db.close()

@@ -80,6 +80,22 @@ class TestCLI:
         sqlite_plan = capsys.readouterr().out.split("-- sqlite plan:\n")[1]
         assert "USE TEMP B-TREE FOR ORDER BY" in sqlite_plan
 
+    def test_explain_costs_names_the_statistics_planned_under(
+        self, db_path, xml_files, capsys
+    ):
+        """A one-shot CLI plan is always fresh, so the line names one
+        version; a long-lived engine's survivor adds the version it last
+        held under (``tests/plan/test_access_path.py``)."""
+        main(["shred", db_path, "--bulk", xml_files[0]])
+        main(["shred", db_path, xml_files[1]])  # maintained: epoch 2
+        capsys.readouterr()
+        assert main(["explain", db_path, "--costs", "//item"]) == 0
+        costs = capsys.readouterr().out.split("-- costs:\n")[1].splitlines()
+        assert costs[0] == (
+            "  planned under statistics epoch 2 at generation 2"
+        )
+        assert costs[1].startswith("  total: estimated ~3.0 rows, actual 3")
+
     def test_info_lists_relations(self, db_path, xml_files, capsys):
         main(["shred", db_path, *xml_files])
         capsys.readouterr()
