@@ -13,12 +13,12 @@ Three analyzers over one :class:`~repro.analysis.report.Report` model:
   defeating predicates, regex-scan-forcing ``//`` steps).
 * :class:`~repro.analysis.code_lint.CodeLinter` — ``ast``-based project
   rules over the Python sources (no raw sqlite3 outside the facade, no
-  interpolated SQL, no store mutation without a generation bump).
-* :class:`~repro.analysis.concurrency.ConcurrencyLinter` — CFG/dataflow
-  concurrency rules (``CC001``–``CC006``) over the serving stack: no
-  blocking calls on the event loop, thread-safe loop entry points only,
-  must-release on every path, one global lock order, no dropped
-  coroutines, no unlocked cross-context writes.
+  interpolated SQL, no store mutation outside the mutation
+  transaction).
+
+The serving stack's thread and event-loop discipline has no analyzer:
+each of its invariants is guarded by the tier-1 test that fails on its
+bug (DESIGN.md §5).
 
 :mod:`repro.analysis.sweep` drives the verifier over every workload
 query under all 2^n optimizer-pass combinations; the engines gate
@@ -26,7 +26,6 @@ translations on the verifier when built with ``verify_plans=True``.
 """
 
 from repro.analysis.code_lint import CodeLinter, lint_code
-from repro.analysis.concurrency import ConcurrencyLinter, lint_concurrency
 from repro.analysis.report import (
     Finding,
     Report,
@@ -44,7 +43,6 @@ from repro.analysis.xpath_lint import XPathLinter, lint_xpath
 
 __all__ = [
     "CodeLinter",
-    "ConcurrencyLinter",
     "Finding",
     "PlanVerifier",
     "Report",
@@ -52,7 +50,6 @@ __all__ = [
     "XPathLinter",
     "exit_code",
     "lint_code",
-    "lint_concurrency",
     "lint_workloads",
     "lint_xpath",
     "merge_reports",

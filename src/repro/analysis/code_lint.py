@@ -23,17 +23,20 @@ serving layers rely on but no off-the-shelf linter knows about:
     it with the rows, or serving-layer caches go stale.
     ``# static-ok: generation-bump`` on the ``def`` line (or a
     decorator line) suppresses (ERROR).
-``CA004`` **served_by vocabulary** — ``QueryResult.served_by`` is a
-    closed vocabulary (:data:`repro.core.engine.SERVED_BY` /
-    ``ServedBy``); any string literal constructed into, assigned to, or
-    compared against ``served_by`` that is outside it is flagged, so an
-    engine cannot invent a private value the serving layer (and the
-    oracle test matrix) does not know.  ``# static-ok: served-by``
-    suppresses one reviewed site (ERROR).
 
-Pragmas come from :mod:`repro.analysis.pragmas`: literal codes work
-everywhere an alias does (``# static-ok: CA002``), and one comment can
-suppress several rules (``# static-ok: CA002, CA003``).
+One reviewed call site opts out of one (or several) rules with a
+trailing ``# static-ok: <rule>`` comment::
+
+    db.execute(f"DROP INDEX {name}")  # static-ok: sql-interp
+    conn = sqlite3.connect(path)  # static-ok: CA001, CA002 -- bootstrap shim
+
+A pragma names rules by alias (``raw-sqlite``, ``sql-interp``,
+``generation-bump``) or by literal code (``CA002``); several rules
+separate with commas, and anything after the first word of each segment
+is a free-form justification.  Line matching is exact: a pragma
+suppresses findings *at its own line* plus, for CA003, the ``def`` line
+reached through its decorators — a pragma on a ``with`` header never
+silences findings raised inside the block.
 
 The linter is wired into the ``analysis`` CI job over ``src/`` and is
 available ad hoc via ``repro lint --code <path>``.
@@ -42,13 +45,25 @@ available ad hoc via ``repro lint --code <path>``.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 from typing import Iterable, Union
 
-from repro.analysis.pragmas import PragmaIndex
 from repro.analysis.report import Report, Severity
 
 _ANALYZER = "code-lint"
+
+#: The comment marker every suppression pragma carries.
+_PRAGMA_MARKER = "static-ok:"
+
+#: Readable aliases for rule codes.  Literal codes always work too.
+_PRAGMA_ALIASES: dict[str, str] = {
+    "raw-sqlite": "CA001",
+    "sql-interp": "CA002",
+    "generation-bump": "CA003",
+}
+
+_CODE_RE = re.compile(r"^[A-Z]{2}\d{3}$")
 
 #: Files allowed to call ``sqlite3.connect`` directly: the storage
 #: facade, and the fault-injection harness that wraps raw connections
@@ -73,12 +88,41 @@ _SQL_SINKS = frozenset(
 _DML_PREFIXES = ("INSERT", "UPDATE", "DELETE")
 
 
-def _served_by_vocabulary() -> "frozenset[str]":
-    # Imported lazily: repro.core pulls in the serving layer, which
-    # must stay importable without the analysis package and vice versa.
-    from repro.core.engine import SERVED_BY
+def _codes_in(comment: str) -> frozenset[str]:
+    """Rule codes named by one comment's pragma payload (may be empty)."""
+    marker = comment.find(_PRAGMA_MARKER)
+    if marker < 0:
+        return frozenset()
+    payload = comment[marker + len(_PRAGMA_MARKER):]
+    codes = set()
+    for segment in payload.split(","):
+        words = segment.split()
+        if not words:
+            continue
+        token = words[0].strip()
+        upper = token.upper()
+        if _CODE_RE.match(upper):
+            codes.add(upper)
+        elif token.lower() in _PRAGMA_ALIASES:
+            codes.add(_PRAGMA_ALIASES[token.lower()])
+    return frozenset(codes)
 
-    return SERVED_BY
+
+class PragmaIndex:
+    """Per-module map from rule code to the lines that suppress it."""
+
+    def __init__(self, source: str) -> None:
+        self._by_code: dict[str, set[int]] = {}
+        for number, line in enumerate(source.splitlines(), start=1):
+            if "#" not in line:
+                continue
+            for code in _codes_in(line.split("#", 1)[1]):
+                self._by_code.setdefault(code, set()).add(number)
+
+    def suppresses(self, code: str, *lines: int) -> bool:
+        """True when any of ``lines`` carries a pragma for ``code``."""
+        suppressed = self._by_code.get(code, set())
+        return any(line in suppressed for line in lines)
 
 
 def _is_interpolated_string(node: ast.expr) -> bool:
@@ -172,7 +216,6 @@ class CodeLinter:
             tree, basename, filename, pragmas, report
         )
         self._check_generation_bumps(tree, filename, pragmas, report)
-        self._check_served_by(tree, filename, pragmas, report)
         return report
 
     def lint_file(self, path: Union[str, Path]) -> Report:
@@ -308,79 +351,6 @@ class CodeLinter:
                         f"{filename}:{method.lineno}",
                         "serving-layer cache invalidation contract",
                     )
-
-
-    # -- CA004 -------------------------------------------------------------------
-
-    def _check_served_by(
-        self,
-        tree: ast.AST,
-        filename: str,
-        pragmas: PragmaIndex,
-        report: Report,
-    ) -> None:
-        vocabulary = _served_by_vocabulary()
-        for node in ast.walk(tree):
-            for literal, lineno in self._served_by_literals(node):
-                if literal in vocabulary or pragmas.suppresses(
-                    "CA004", lineno
-                ):
-                    continue
-                report.add(
-                    _ANALYZER,
-                    "CA004",
-                    Severity.ERROR,
-                    f"served_by value {literal!r} is outside the closed "
-                    f"vocabulary {sorted(vocabulary)}; extend "
-                    "repro.core.engine.SERVED_BY (and the ServedBy "
-                    "Literal) instead of inventing engine-local strings",
-                    f"{filename}:{lineno}",
-                    "QueryResult.served_by contract",
-                )
-
-    @staticmethod
-    def _served_by_literals(
-        node: ast.AST,
-    ) -> list[tuple[str, int]]:
-        """String literals flowing into ``served_by`` at ``node``:
-        constructor keywords, attribute assignments, and equality
-        comparisons."""
-        found: list[tuple[str, int]] = []
-
-        def _const_str(expr: ast.expr) -> "str | None":
-            if isinstance(expr, ast.Constant) and isinstance(
-                expr.value, str
-            ):
-                return expr.value
-            return None
-
-        if isinstance(node, ast.Call):
-            for keyword in node.keywords:
-                if keyword.arg != "served_by":
-                    continue
-                value = _const_str(keyword.value)
-                if value is not None:
-                    found.append((value, keyword.value.lineno))
-        elif isinstance(node, ast.Assign):
-            value = _const_str(node.value)
-            if value is not None and any(
-                isinstance(target, ast.Attribute)
-                and target.attr == "served_by"
-                for target in node.targets
-            ):
-                found.append((value, node.lineno))
-        elif isinstance(node, ast.Compare) and len(node.ops) == 1:
-            if isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-                left, right = node.left, node.comparators[0]
-                for attr, const in ((left, right), (right, left)):
-                    if (
-                        isinstance(attr, ast.Attribute)
-                        and attr.attr == "served_by"
-                    ):
-                        value = _const_str(const)
-                        if value is not None:
-                            found.append((value, node.lineno))
-        return found
 
 
 def lint_code(paths: Iterable[Union[str, Path]]) -> Report:

@@ -159,72 +159,6 @@ class Report:
         payload.update(extra)
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    def to_sarif(self, tool_name: str = "repro-analysis") -> str:
-        """SARIF 2.1.0 document, the schema code-review hosts ingest
-        for PR annotation.  Findings whose subject is a ``file:line``
-        location become results with a physical location; other
-        subjects (XPath expressions, plan labels) are folded into the
-        result message."""
-        levels = {"error": "error", "warning": "warning", "info": "note"}
-        rules: dict[str, dict[str, object]] = {}
-        results: list[dict[str, object]] = []
-        for finding in self.findings:
-            rules.setdefault(
-                finding.code,
-                {
-                    "id": finding.code,
-                    "shortDescription": {
-                        "text": finding.citation or finding.code
-                    },
-                    "properties": {"analyzer": finding.analyzer},
-                },
-            )
-            result: dict[str, object] = {
-                "ruleId": finding.code,
-                "level": levels[finding.severity.value],
-                "message": {"text": finding.message},
-            }
-            location = _sarif_location(finding.subject)
-            if location is not None:
-                result["locations"] = [location]
-            elif finding.subject:
-                result["message"] = {
-                    "text": f"[{finding.subject}] {finding.message}"
-                }
-            results.append(result)
-        payload: dict[str, object] = {
-            "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": tool_name,
-                            "rules": sorted(
-                                rules.values(),
-                                key=lambda rule: str(rule["id"]),
-                            ),
-                        }
-                    },
-                    "results": results,
-                }
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_location(subject: str) -> Optional[dict[str, object]]:
-    """A SARIF location for a ``file:line`` subject, else None."""
-    path, _, line = subject.rpartition(":")
-    if not path or not line.isdigit():
-        return None
-    return {
-        "physicalLocation": {
-            "artifactLocation": {"uri": path},
-            "region": {"startLine": max(int(line), 1)},
-        }
-    }
-
 
 def merge_reports(reports: Iterable[Report]) -> Report:
     """One report holding every finding of ``reports``, in order."""

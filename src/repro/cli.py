@@ -357,13 +357,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _write_report(report, output: str | None, **extra: object) -> None:
     if output:
-        payload = (
-            report.to_sarif()
-            if output.endswith(".sarif")
-            else report.to_json(**extra)
-        )
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            handle.write(report.to_json(**extra))
             handle.write("\n")
 
 
@@ -374,20 +369,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
         CodeLinter,
         XPathLinter,
         exit_code,
-        lint_concurrency,
         lint_workloads,
         merge_reports,
     )
 
-    if (
-        not args.xpaths
-        and not args.workloads
-        and not args.code
-        and not args.concurrency
-    ):
+    if not args.xpaths and not args.workloads and not args.code:
         print(
             "error: nothing to lint (pass XPath expressions, "
-            "--workloads, --code PATH, or --concurrency PATH)",
+            "--workloads, or --code PATH)",
             file=sys.stderr,
         )
         return 2
@@ -406,8 +395,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"linted {linted} workload queries", file=sys.stderr)
     if args.code:
         reports.append(CodeLinter().lint_paths(args.code))
-    if args.concurrency:
-        reports.append(lint_concurrency(args.concurrency))
     merged = merge_reports(reports)
     print(merged.render_text())
     _write_report(merged, args.output)
@@ -626,13 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the project code linter over files/directories",
     )
     lint.add_argument(
-        "--concurrency",
-        nargs="+",
-        metavar="PATH",
-        help="also run the concurrency-discipline analyzer (CC001-"
-        "CC006) over files/directories, resolved as one call graph",
-    )
-    lint.add_argument(
         "--db",
         metavar="DATABASE",
         help="schema marking source for path-index-aware lints",
@@ -645,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--output",
         metavar="FILE",
-        help="also write the findings report as JSON (or SARIF 2.1.0 "
-        "when FILE ends in .sarif)",
+        help="also write the findings report as JSON",
     )
     lint.set_defaults(handler=cmd_lint)
 

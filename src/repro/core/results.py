@@ -31,10 +31,9 @@ from typing import (
 #: in-memory evaluator answered, either as explicit baseline or as the
 #: degradation ladder's last rung) or ``"shards"`` (scatter-gather over
 #: the sharded worker fleet, including the asyncio front door).  The
-#: vocabulary is enforced three ways: :class:`QueryResult` validates at
-#: construction, the ``CA004`` code lint rejects out-of-vocabulary
-#: string literals passed as ``served_by=``, and the oracle test matrix
-#: asserts every engine's results stay inside it.
+#: vocabulary is enforced twice: :class:`QueryResult` validates at
+#: construction, and the oracle test matrix asserts every engine's
+#: results stay inside it.
 SERVED_BY: frozenset[str] = frozenset({"sql", "native", "shards"})
 
 #: Static typing twin of :data:`SERVED_BY` (keep the two in sync).

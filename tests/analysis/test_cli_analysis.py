@@ -9,6 +9,9 @@ from repro.cli import main
 
 XML = "<shop><item sku='a'><price>5</price></item></shop>"
 
+#: A module with one CA002 finding (interpolated SQL).
+INTERPOLATED = "def f(db, t):\n    db.execute(f'DELETE FROM {t}')\n"
+
 
 @pytest.fixture()
 def db_path(tmp_path):
@@ -37,20 +40,55 @@ class TestLintExitCodes:
 
     def test_no_input_is_usage_error(self, capsys):
         assert main(["lint"]) == 2
-        assert "nothing to lint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nothing to lint" in err
+        assert "--code PATH" in err
+
+    def test_concurrency_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--concurrency", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_code_lint_over_clean_tree(self, tmp_path, capsys):
         module = tmp_path / "ok.py"
         module.write_text("x = 1\n")
         assert main(["lint", "--code", str(module)]) == 0
+        assert "0 error(s)" in capsys.readouterr().out
 
     def test_code_lint_finds_violation(self, tmp_path, capsys):
         module = tmp_path / "bad.py"
-        module.write_text(
-            "def f(db, t):\n    db.execute(f'DELETE FROM {t}')\n"
-        )
+        module.write_text(INTERPOLATED)
         assert main(["lint", "--code", str(module)]) == 1
         assert "CA002" in capsys.readouterr().out
+
+    def test_xpath_and_code_findings_merge(self, tmp_path, capsys):
+        module = tmp_path / "bad.py"
+        module.write_text(INTERPOLATED)
+        assert main(["lint", "/a/b[", "--code", str(module)]) == 1
+        out = capsys.readouterr().out
+        assert "XL001" in out
+        assert "CA002" in out
+
+    def test_duplicate_paths_report_each_finding_once(
+        self, tmp_path, capsys
+    ):
+        module = tmp_path / "bad.py"
+        module.write_text(INTERPOLATED)
+        out = tmp_path / "findings.json"
+        code = main(
+            [
+                "lint",
+                "--code",
+                str(tmp_path),
+                str(module),
+                "--output",
+                str(out),
+            ]
+        )
+        assert code == 1
+        payload = json.loads(out.read_text())
+        assert payload["total"] == 1
+        assert payload["findings"][0]["code"] == "CA002"
 
     def test_db_marking_suppresses_descendant_warning(
         self, db_path, capsys
@@ -115,86 +153,3 @@ class TestVerifyPlansExitCodes:
         assert f"swept {expected} workload plan(s)" in captured.err
         assert "0 error(s)" in captured.out
 
-
-class TestConcurrencyLintExitCodes:
-    CLEAN = "import asyncio\n\n\nasync def ping():\n    await asyncio.sleep(0)\n"
-    BLOCKING = "import time\n\n\nasync def handler():\n    time.sleep(1)\n"
-
-    def test_clean_module_exits_zero(self, tmp_path, capsys):
-        module = tmp_path / "ok.py"
-        module.write_text(self.CLEAN)
-        assert main(["lint", "--concurrency", str(module)]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
-    def test_violation_exits_one(self, tmp_path, capsys):
-        module = tmp_path / "bad.py"
-        module.write_text(self.BLOCKING)
-        assert main(["lint", "--concurrency", str(module)]) == 1
-        assert "CC001" in capsys.readouterr().out
-
-    def test_combined_code_and_concurrency_merge(self, tmp_path, capsys):
-        module = tmp_path / "bad.py"
-        module.write_text(
-            "import time\n\n\n"
-            "async def handler(db, t):\n"
-            "    db.execute(f'DELETE FROM {t}')\n"
-        )
-        code = main(
-            [
-                "lint",
-                "--code",
-                str(module),
-                "--concurrency",
-                str(module),
-            ]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "CA002" in out
-        assert "CC001" in out
-
-    def test_duplicate_paths_report_each_finding_once(
-        self, tmp_path, capsys
-    ):
-        module = tmp_path / "bad.py"
-        module.write_text(self.BLOCKING)
-        out = tmp_path / "findings.json"
-        code = main(
-            [
-                "lint",
-                "--concurrency",
-                str(tmp_path),
-                str(module),
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 1
-        payload = json.loads(out.read_text())
-        assert payload["total"] == 1
-
-    def test_usage_error_mentions_concurrency(self, capsys):
-        assert main(["lint"]) == 2
-        assert "--concurrency" in capsys.readouterr().err
-
-    def test_sarif_output(self, tmp_path, capsys):
-        module = tmp_path / "bad.py"
-        module.write_text(self.BLOCKING)
-        out = tmp_path / "findings.sarif"
-        code = main(
-            ["lint", "--concurrency", str(module), "--output", str(out)]
-        )
-        assert code == 1
-        payload = json.loads(out.read_text())
-        assert payload["version"] == "2.1.0"
-        [run] = payload["runs"]
-        [result] = run["results"]
-        assert result["ruleId"] == "CC001"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == str(module)
-        assert location["region"]["startLine"] == 5
-        rule_ids = [
-            rule["id"] for rule in run["tool"]["driver"]["rules"]
-        ]
-        assert rule_ids == ["CC001"]

@@ -210,75 +210,8 @@ class TestRepositoryIsClean:
         assert codes(report) == ["CA000"]
 
 
-class TestServedByVocabulary:
-    def test_constructor_keyword_outside_vocabulary_flagged(self):
-        report = lint_text(
-            """
-            def f(rows, projection):
-                return QueryResult(rows, projection, served_by="turbo")
-            """
-        )
-        assert codes(report) == ["CA004"]
-        assert "'turbo'" in report.findings[0].message
-
-    def test_attribute_assignment_flagged(self):
-        report = lint_text(
-            """
-            def f(result):
-                result.served_by = "mystery"
-            """
-        )
-        assert codes(report) == ["CA004"]
-
-    def test_comparison_flagged_either_side(self):
-        report = lint_text(
-            """
-            def f(result):
-                if result.served_by == "warp":
-                    return True
-                return "wormhole" != result.served_by
-            """
-        )
-        assert codes(report) == ["CA004", "CA004"] or codes(report) == [
-            "CA004"
-        ]
-        assert len(report.findings) == 2
-
-    def test_vocabulary_values_are_fine(self):
-        report = lint_text(
-            """
-            def f(rows, projection, result):
-                if result.served_by == "sql":
-                    return result
-                result.served_by = "native"
-                return QueryResult(rows, projection, served_by="shards")
-            """
-        )
-        assert report.ok
-
-    def test_pragma_suppresses(self):
-        report = lint_text(
-            """
-            def f(result):
-                result.served_by = "turbo"  # static-ok: served-by
-            """
-        )
-        assert report.ok
-
-    def test_unrelated_strings_are_ignored(self):
-        report = lint_text(
-            """
-            def f(db):
-                db.execute("SELECT 1", served_by_unrelated=True)
-                kind = "turbo"
-                return kind == "turbo"
-            """
-        )
-        assert report.ok
-
-
 class TestPragmaEdgeCases:
-    """`# static-ok:` behaviour shared across CA001-CA004."""
+    """`# static-ok:` behaviour shared across CA001-CA003."""
 
     def test_literal_code_works_like_alias(self):
         report = lint_text(

@@ -4,6 +4,7 @@ deadlines, and oracle equality with the blocking engine."""
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -69,7 +70,10 @@ def serve(sharded, **overrides):
 
 
 def run(coro):
-    return asyncio.run(coro)
+    # Debug mode makes the loop raise on a call from a thread other than
+    # its own: a shard completion posted with ``call_soon`` instead of
+    # ``call_soon_threadsafe`` is then never delivered.
+    return asyncio.run(coro, debug=True)
 
 
 class TestOracleEquality:
@@ -358,16 +362,27 @@ class TestDeadline:
     def test_expired_deadline_served_by_native_fallback(self, corpus):
         _, sharded = corpus
         engine = serve(sharded, fallback=True)
+        finished_on = []
+        finish = engine._finish
+
+        def recording_finish(plan, outcomes):
+            finished_on.append(threading.get_ident())
+            return finish(plan, outcomes)
+
+        engine._finish = recording_finish
         try:
 
             async def go():
                 front = AsyncShardedEngine(engine)
-                return await front.execute("//price", deadline=0.000001)
+                result = await front.execute("//price", deadline=0.000001)
+                return result, threading.get_ident()
 
-            result = run(go())
+            result, loop_thread = run(go())
             # The store was built in-process, so its documents are
-            # resident and the last ladder rung answers natively.
+            # resident and the last ladder rung answers natively — on an
+            # executor thread, never on the loop it would block.
             assert result.served_by == "native"
+            assert finished_on and loop_thread not in finished_on
             assert result.ids == engine.execute("//price").ids
         finally:
             engine.close()

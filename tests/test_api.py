@@ -16,6 +16,7 @@ from repro import (
     Engine,
     EngineConfig,
     PPFEngine,
+    QueryLimitError,
     ShardedEngine,
     StorageError,
     connect,
@@ -152,7 +153,9 @@ class TestConnectSingle:
     ):
         """Two plain threads on an unpooled engine: the one that arrives
         while the other's guard is installed is told to attach a pool —
-        at once, not after a deadlock."""
+        at once, not after a deadlock — and once the holder is done,
+        whether its guarded query returned or raised, the next thread is
+        served."""
         with connect(single_path) as engine:
             db = engine.store.db
             entered, release = threading.Event(), threading.Event()
@@ -177,6 +180,26 @@ class TestConnectSingle:
             # The guard's owner is unaffected, and the connection serves
             # the next thread once it is free again.
             assert len(engine.execute("//item")) == 4
+
+            # A guarded query that raises (a max_rows overrun) gives the
+            # connection back too.
+            raised = []
+
+            def overrun():
+                try:
+                    db.query(
+                        "SELECT 1 UNION ALL SELECT 2", timeout=5.0, max_rows=1
+                    )
+                except QueryLimitError as exc:
+                    raised.append(exc)
+
+            holder = threading.Thread(target=overrun)
+            holder.start()
+            holder.join(5.0)
+            assert not holder.is_alive() and raised
+            # Not "//item": the result cache would answer it without
+            # touching the connection.
+            assert len(engine.execute("//price")) == 4
 
 
 class TestConnectSharded:
@@ -241,7 +264,7 @@ class TestEngineConfig:
 class TestServedByContract:
     def test_out_of_vocabulary_value_rejected(self):
         with pytest.raises(ValueError, match="served_by"):
-            QueryResult([], None, served_by="turbo")  # static-ok: served-by
+            QueryResult([], None, served_by="turbo")
 
     def test_vocabulary_values_accepted(self):
         for value in sorted(SERVED_BY):
