@@ -38,7 +38,6 @@ Building a store from scratch (and the lower-level pieces
 from repro.errors import (
     AdmissionRejectedError,
     DeweyError,
-    PlanVerificationError,
     QueryCancelledError,
     QueryLimitError,
     QueryTimeoutError,
@@ -113,11 +112,8 @@ from repro.serving import (
 from repro.analysis import (
     CodeLinter,
     Finding,
-    PlanVerifier,
     Report,
     Severity,
-    XPathLinter,
-    verify_plan,
 )
 
 __version__ = "1.0.0"
@@ -147,8 +143,6 @@ __all__ = [
     "PPFTranslator",
     "PathClass",
     "PathIndex",
-    "PlanVerificationError",
-    "PlanVerifier",
     "QueryCancelledError",
     "QueryLimitError",
     "QueryResult",
@@ -179,7 +173,6 @@ __all__ = [
     "UnsupportedXPathError",
     "WorkerCrashedError",
     "XMLParseError",
-    "XPathLinter",
     "XPathSyntaxError",
     "connect",
     "evaluate_xpath",
@@ -191,5 +184,4 @@ __all__ = [
     "parse_xpath",
     "parse_xsd",
     "serialize",
-    "verify_plan",
 ]

@@ -72,8 +72,6 @@ class EngineConfig:
     passes: Optional[tuple[str, ...]] = None
     #: SQL dialect to lower plans through (``None`` = SQLite).
     dialect: Optional["AnsiDialect"] = None
-    #: Statically verify every fresh translation (debug gate).
-    verify_plans: bool = False
 
     # -- execution (both families) --
     #: Per-query wall-clock budget in seconds (``None`` = unlimited):
@@ -251,7 +249,6 @@ def _connect_single(path: str, config: EngineConfig) -> "PPFEngine":
             result_cache_size=config.result_cache_size,
             passes=config.passes,
             dialect=config.dialect,
-            verify_plans=config.verify_plans,
         )
     except BaseException:
         db.close()
@@ -270,7 +267,6 @@ def _connect_sharded(path: str, config: EngineConfig):
             store,
             config=config.serving_config(),
             replicas=config.replicas,
-            verify_plans=config.verify_plans,
         )
     except BaseException:
         store.close()

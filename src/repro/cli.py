@@ -10,8 +10,7 @@
     python -m repro shard create store/ doc1.xml --shards 4
     python -m repro query  store/ "//item" --shards 4
     python -m repro bench  --workload xmark --scale 8
-    python -m repro lint   "//item[@id]/name" --workloads
-    python -m repro verify-plans --workloads
+    python -m repro lint   --code src
 
 ``shred`` infers the schema from the first batch of documents and
 persists it in the database; later invocations reopen the store and
@@ -23,10 +22,8 @@ is told with ``--shards N``) and serves it through the supervised
 multi-process scatter-gather engine, with ``--query-timeout`` acting
 as the per-query deadline of the degradation ladder.
 
-``lint`` and ``verify-plans`` run the static analysis layer
-(:mod:`repro.analysis`) and exit ``0`` when clean, ``1`` on findings
-(errors always; warnings too under ``--fail-on-warn``), and ``2`` on
-usage errors.
+``lint`` runs the project code rules (:mod:`repro.analysis`) and exits
+``0`` when clean, ``1`` on findings, and ``2`` on usage errors.
 """
 
 from __future__ import annotations
@@ -355,110 +352,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_report(report, output: str | None, **extra: object) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json(**extra))
-            handle.write("\n")
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
-    """``repro lint`` — static analysis of XPath queries and/or Python
-    sources, without executing anything."""
-    from repro.analysis import (
-        CodeLinter,
-        XPathLinter,
-        exit_code,
-        lint_workloads,
-        merge_reports,
-    )
+    """``repro lint`` — the project code rules over Python sources,
+    without executing anything."""
+    from repro.analysis import CodeLinter, exit_code
 
-    if not args.xpaths and not args.workloads and not args.code:
-        print(
-            "error: nothing to lint (pass XPath expressions, "
-            "--workloads, or --code PATH)",
-            file=sys.stderr,
-        )
-        return 2
-    reports = []
-    marking = None
-    if args.db:
-        marking = _open_store(args.db).marking
-    if args.xpaths:
-        linter = XPathLinter(marking=marking)
-        for xpath in args.xpaths:
-            report = linter.lint(xpath)
-            reports.append(report)
-    if args.workloads:
-        workload_report, linted = lint_workloads()
-        reports.append(workload_report)
-        print(f"linted {linted} workload queries", file=sys.stderr)
-    if args.code:
-        reports.append(CodeLinter().lint_paths(args.code))
-    merged = merge_reports(reports)
-    print(merged.render_text())
-    _write_report(merged, args.output)
-    return exit_code(merged, fail_on_warn=args.fail_on_warn)
-
-
-def cmd_verify_plans(args: argparse.Namespace) -> int:
-    """``repro verify-plans`` — check the paper's plan invariants over
-    ad-hoc queries and/or the full workload × pass-combination sweep."""
-    from repro.analysis import (
-        PlanVerifier,
-        exit_code,
-        merge_reports,
-        verify_workloads,
-    )
-    from repro.core.translator import PPFTranslator
-    from repro.core.adapters import SchemaAwareAdapter
-
-    if not args.xpaths and not args.workloads:
-        print(
-            "error: nothing to verify (pass XPath expressions against "
-            "--db, or --workloads)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.xpaths and not args.db:
-        print(
-            "error: verifying ad-hoc expressions needs --db DATABASE "
-            "(plans are built against a store's schema)",
-            file=sys.stderr,
-        )
-        return 2
-    reports = []
-    verified = 0
-    if args.xpaths:
-        store = _open_store(args.db)
-        adapter = SchemaAwareAdapter(store)
-        translator = PPFTranslator(adapter)
-        verifier = PlanVerifier(
-            marking=adapter.marking, summary=adapter.path_summary
-        )
-        for xpath in args.xpaths:
-            translation = translator.translate(xpath)
-            reports.append(
-                verifier.verify(
-                    translation.plan,
-                    translation.pass_reports,
-                    subject=xpath,
-                )
-            )
-            verified += 1
-    if args.workloads:
-        sweep_report, swept, skipped = verify_workloads()
-        reports.append(sweep_report)
-        verified += swept
-        print(
-            f"swept {swept} workload plan(s) "
-            f"({skipped} unsupported expression(s) skipped)",
-            file=sys.stderr,
-        )
-    merged = merge_reports(reports)
-    print(merged.render_text(header=f"verified {verified} plan(s)"))
-    _write_report(merged, args.output, verified=verified)
-    return exit_code(merged, fail_on_warn=args.fail_on_warn)
+    report = CodeLinter().lint_paths(args.code)
+    print(report.render_text())
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(report.to_json())
+            handle.write("\n")
+    return exit_code(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -595,32 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(handler=cmd_bench)
 
     lint = commands.add_parser(
-        "lint",
-        help="static analysis: XPath lints and project code rules",
-    )
-    lint.add_argument(
-        "xpaths", nargs="*", metavar="xpath", help="expressions to lint"
-    )
-    lint.add_argument(
-        "--workloads",
-        action="store_true",
-        help="lint every XPathMark/XMark/DBLP benchmark query",
+        "lint", help="static analysis: the project code rules"
     )
     lint.add_argument(
         "--code",
         nargs="+",
+        required=True,
         metavar="PATH",
-        help="also run the project code linter over files/directories",
-    )
-    lint.add_argument(
-        "--db",
-        metavar="DATABASE",
-        help="schema marking source for path-index-aware lints",
-    )
-    lint.add_argument(
-        "--fail-on-warn",
-        action="store_true",
-        help="exit 1 on warnings, not just errors",
+        help="Python files/directories to run the code linter over",
     )
     lint.add_argument(
         "--output",
@@ -628,40 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the findings report as JSON",
     )
     lint.set_defaults(handler=cmd_lint)
-
-    verify = commands.add_parser(
-        "verify-plans",
-        help="statically verify translated plans against the paper's "
-        "invariants",
-    )
-    verify.add_argument(
-        "xpaths",
-        nargs="*",
-        metavar="xpath",
-        help="expressions to translate and verify (needs --db)",
-    )
-    verify.add_argument(
-        "--workloads",
-        action="store_true",
-        help="sweep all workload queries under all optimizer-pass "
-        "combinations",
-    )
-    verify.add_argument(
-        "--db",
-        metavar="DATABASE",
-        help="store whose schema ad-hoc expressions translate against",
-    )
-    verify.add_argument(
-        "--fail-on-warn",
-        action="store_true",
-        help="exit 1 on warnings, not just errors",
-    )
-    verify.add_argument(
-        "--output",
-        metavar="FILE",
-        help="also write the findings report as JSON",
-    )
-    verify.set_defaults(handler=cmd_verify_plans)
     return parser
 
 

@@ -223,16 +223,10 @@ class SQLXPathEngine:
     def __init__(self, store, translator: PPFTranslator,
                  fallback: bool = False,
                  result_cache_size: int | None = 128,
-                 pool: ConnectionPool | None = None,
-                 verify_plans: bool = False):
+                 pool: ConnectionPool | None = None):
         self.store = store
         self.translator = translator
         self.fallback = fallback
-        #: Debug gate: when set, every fresh translation is checked by
-        #: the static plan verifier and an invariant violation raises
-        #: :class:`~repro.errors.PlanVerificationError` instead of
-        #: running bad SQL.
-        self.verify_plans = verify_plans
         self._translation_cache: OrderedDict[tuple, TranslationResult] = (
             OrderedDict()
         )
@@ -292,10 +286,7 @@ class SQLXPathEngine:
         planned under (its ``stats_version``): statistics never change
         what a query returns, only how it runs."""
         if not isinstance(expression, str):
-            translated = self.translator.translate_inline(expression)
-            if self.verify_plans:
-                self._verify_translation(translated)
-            return translated
+            return self.translator.translate_inline(expression)
         fingerprint = self.translator.fingerprint
         key = (expression, fingerprint)
         with self._lock:
@@ -359,8 +350,6 @@ class SQLXPathEngine:
                 self._templates.move_to_end(key)
         if not known:
             template = self.translator.template(expression, shape)
-            if template is not None and self.verify_plans:
-                self._verify_translation(template.translation)
             with self._lock:
                 self._templates[key] = template
                 self._templates.move_to_end(key)
@@ -368,34 +357,7 @@ class SQLXPathEngine:
                     self._templates.popitem(last=False)
         if template is not None:
             return template.bind(expression, shape.values), known
-        translated = self.translator.translate_inline(expression)
-        if self.verify_plans:
-            self._verify_translation(translated)
-        return translated, False
-
-    def _verify_translation(self, translation: TranslationResult) -> None:
-        """Run the static plan verifier over a fresh translation
-        (``verify_plans=True`` engines only); raise on any violation."""
-        # Imported lazily: repro.analysis imports the plan and core
-        # layers, so a module-level import would cycle.
-        from repro.analysis.verifier import PlanVerifier
-        from repro.errors import PlanVerificationError
-
-        adapter = self.translator.adapter
-        report = PlanVerifier(
-            marking=getattr(adapter, "marking", None),
-            summary=getattr(adapter, "path_summary", None),
-        ).verify(
-            translation.plan,
-            translation.pass_reports,
-            subject=translation.expression,
-        )
-        if not report.ok:
-            raise PlanVerificationError(
-                "translated plan violates static invariants:\n"
-                + report.render_text(),
-                report=report,
-            )
+        return self.translator.translate_inline(expression), False
 
     def cache_info(self) -> CacheInfo:
         """Counters of the translation cache: ``hits`` are lookups
@@ -830,9 +792,6 @@ class PPFEngine(SQLXPathEngine):
         ``path_filter_optimization``.
     :param dialect: SQL dialect to lower plans through (default:
         SQLite).
-    :param verify_plans: debug gate — statically verify every fresh
-        translation and raise
-        :class:`~repro.errors.PlanVerificationError` on violations.
     """
 
     def __init__(
@@ -845,7 +804,6 @@ class PPFEngine(SQLXPathEngine):
         pool: ConnectionPool | None = None,
         passes: "Optional[tuple[str, ...] | list[str]]" = None,
         dialect: Optional[AnsiDialect] = None,
-        verify_plans: bool = False,
     ):
         adapter = SchemaAwareAdapter(
             store, path_filter_optimization=path_filter_optimization
@@ -861,7 +819,6 @@ class PPFEngine(SQLXPathEngine):
             fallback=fallback,
             result_cache_size=result_cache_size,
             pool=pool,
-            verify_plans=verify_plans,
         )
 
 
@@ -878,7 +835,6 @@ class EdgePPFEngine(SQLXPathEngine):
         pool: ConnectionPool | None = None,
         passes: "Optional[tuple[str, ...] | list[str]]" = None,
         dialect: Optional[AnsiDialect] = None,
-        verify_plans: bool = False,
     ):
         adapter = EdgeAdapter(store)
         super().__init__(
@@ -892,5 +848,4 @@ class EdgePPFEngine(SQLXPathEngine):
             fallback=fallback,
             result_cache_size=result_cache_size,
             pool=pool,
-            verify_plans=verify_plans,
         )

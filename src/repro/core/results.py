@@ -4,8 +4,9 @@ Every execution path — single store, native fallback, accelerator
 baseline, shard fleet — ends here.  XPath results are duplicate-free and
 in document order; the translator already puts both properties into the
 plan tail (``ORDER BY doc_id, dewey_pos``, paper Section 4.3; ``UNION``
-for a split, Section 4.4) and the plan verifier's PV006 proves them per
-plan, so :func:`in_document_order` repeats in Python only the step its
+for a split, Section 4.4) and :class:`~repro.core.translator.
+TranslationResult` reads both back off the statement, so
+:func:`in_document_order` repeats in Python only the step its
 caller could not prove: ``ordered`` / ``distinct`` are arguments, never
 read off a translation here, because only the caller knows whether it
 ran the translation's SQL as one statement or piecewise.

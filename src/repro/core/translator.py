@@ -148,7 +148,7 @@ class TranslationResult:
     def distinct(self) -> bool:
         """The statement yields no row twice: its root is ``DISTINCT``,
         a ``UNION`` (Section 4.4), or a select whose plan shape proves
-        it (the condition the verifier's PV006 enforces on the plan)."""
+        it (one element scan, its `Paths` scans 1:1 links)."""
         statement = self.statement
         if isinstance(statement, UnionStatement):
             return True

@@ -164,18 +164,3 @@ class TranslationError(ReproError):
 
 class DeweyError(ReproError):
     """Raised for invalid Dewey vectors or encodings."""
-
-
-class PlanVerificationError(TranslationError):
-    """Raised by engines built with ``verify_plans=True`` when the
-    static plan verifier finds an invariant violation in a freshly
-    translated plan.
-
-    The full :class:`repro.analysis.report.Report` stays available on
-    :attr:`report` (typed ``object`` here to keep this module free of
-    circular imports).
-    """
-
-    def __init__(self, message: str, report: object = None):
-        super().__init__(message)
-        self.report = report

@@ -37,7 +37,6 @@ from repro.plan.nodes import (
 from repro.plan.passes import (
     DEFAULT_PASS_NAMES,
     PASSES,
-    EliminationWitness,
     PassContext,
     PassPipeline,
     PassReport,
@@ -52,7 +51,6 @@ __all__ = [
     "AndCond",
     "DEFAULT_PASS_NAMES",
     "DocEqCond",
-    "EliminationWitness",
     "ExistsCond",
     "FalseCond",
     "LevelCond",

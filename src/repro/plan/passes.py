@@ -46,7 +46,7 @@ The shipped passes (in default order):
     its regex matches: an equality for one path, an ``in`` list for
     several, untouched when nothing matches.  A regex that matches
     *every* stored path of its candidate names restricts nothing and is
-    dropped (a :class:`TautologyWitness` records why).  Same-alias
+    dropped.  Same-alias
     filters of one conjunction intersect into a single list.  The list
     lowers to a semi-join on the element's ``path_id`` that probes
     `Paths`' unique index once per statement, so neither the `Paths`
@@ -65,8 +65,7 @@ The shipped passes (in default order):
     estimated cardinality, preserving every structural join's binding
     orientation (CROSS JOIN order is SQLite's nested-loop order, so a
     Dewey range probe must keep its probe side inner) and join-graph
-    connectivity.  Each applied reorder records a
-    :class:`ReorderWitness` for the PV008 verifier invariant.
+    connectivity.
 
 ``costed-union-order``
     Orders UNION branches largest-estimate first (UNION output is
@@ -155,46 +154,6 @@ class PassContext:
 
 
 @dataclass(frozen=True)
-class EliminationWitness:
-    """The marking evidence justifying one Section 4.5 rewrite.
-
-    Every ``paths-join-elimination`` decision records one witness so the
-    static verifier (:mod:`repro.analysis`) can re-derive the claim:
-    ``kind`` is ``"redundant"`` (all candidate root paths provably
-    satisfy the filter, so it was dropped) or ``"unsatisfiable"`` (no
-    candidate can satisfy it, so the branch was killed); ``classes``
-    maps each candidate name to its U-P / F-P / I-P tag and
-    ``matched_paths`` lists the enumerated root paths that matched.
-    """
-
-    kind: str  #: ``redundant`` or ``unsatisfiable``
-    alias: str
-    paths_alias: str
-    pattern: "tuple[object, ...]"  #: the filter's PatternStep sequence
-    anchored: bool
-    classes: tuple[tuple[str, str], ...]  #: (name, path-class value)
-    matched_paths: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class TautologyWitness:
-    """The summary evidence for one filter ``costed-access-strategy``
-    dropped: the regex matches every stored path whose last label is
-    one of the candidate's ``names``, so no row the scan can produce
-    fails it.  ``matched_paths`` is everything the regex matches in the
-    summary whose ``(epoch, generation)`` is ``summary_version``; the
-    verifier's PV004 re-derives both from a summary of that version.
-    """
-
-    alias: str
-    pattern: "tuple[object, ...]"  #: the filter's PatternStep sequence
-    anchored: bool
-    names: tuple[str, ...]
-    matched_paths: tuple[str, ...]
-    summary_version: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class SummaryRead:
     """One answer ``costed-access-strategy`` took from the path summary
     and built into the plan — what a later summary must still say for
@@ -224,27 +183,6 @@ class SummaryRead:
         return summary.paths_named(self.names).issubset(matched)
 
 
-@dataclass(frozen=True)
-class ReorderWitness:
-    """The evidence justifying one cost-based reorder.
-
-    Every ``costed-join-order`` / ``costed-union-order`` decision
-    records one witness so the static verifier's PV008 invariant can
-    re-derive the claim: ``before``/``after`` list the reordered items
-    as ``(table, alias)`` pairs (scan order) or ``(index, signature)``
-    pairs (union-branch order), ``ordered_pairs`` lists the alias pairs
-    whose relative order the reorder was required to preserve (the
-    structural joins' binding orientations), and ``estimates`` carries
-    the per-item cardinality estimates in ``after`` order.
-    """
-
-    kind: str  #: ``join-order`` or ``union-order``
-    before: tuple[tuple[str, str], ...]
-    after: tuple[tuple[str, str], ...]
-    ordered_pairs: tuple[tuple[str, str], ...] = ()
-    estimates: tuple[float, ...] = ()
-
-
 @dataclass
 class PassReport:
     """What one pass did to one plan."""
@@ -253,18 +191,9 @@ class PassReport:
     fired: bool  #: whether the pass changed the plan at all
     changes: int  #: number of individual rewrites applied
     detail: str  #: human-readable one-liner for ``explain``
-    #: One :class:`EliminationWitness` per Section 4.5 rewrite (only the
-    #: ``paths-join-elimination`` pass records these).
-    witnesses: tuple[EliminationWitness, ...] = ()
-    #: One :class:`TautologyWitness` per filter the summary proved
-    #: redundant (only ``costed-access-strategy`` records these).
-    tautologies: tuple[TautologyWitness, ...] = ()
     #: One :class:`SummaryRead` per filter resolved or dropped from the
     #: path summary (only ``costed-access-strategy`` records these).
     reads: tuple[SummaryRead, ...] = ()
-    #: One :class:`ReorderWitness` per cost-based reorder (only the
-    #: ``costed-join-order``/``costed-union-order`` passes record these).
-    reorders: tuple[ReorderWitness, ...] = ()
 
     def summary(self) -> str:
         """``name: detail`` line for CLI output."""
@@ -414,23 +343,6 @@ def _pass_paths_join_elimination(
         return PassReport(name, False, 0, "no schema marking available")
     removed = 0
     emptied = 0
-    witnesses: list[EliminationWitness] = []
-
-    def witness(
-        kind: str, cond: PathFilterCond, matched: set[str]
-    ) -> EliminationWitness:
-        assert cond.names is not None and marking is not None
-        return EliminationWitness(
-            kind=kind,
-            alias=cond.alias,
-            paths_alias=cond.paths_alias,
-            pattern=tuple(cond.pattern),
-            anchored=cond.anchored,
-            classes=tuple(
-                (n, marking.classify(n).value) for n in sorted(cond.names)
-            ),
-            matched_paths=tuple(sorted(matched)),
-        )
 
     def decide(cond: PlanCond) -> PlanCond:
         nonlocal removed, emptied
@@ -438,14 +350,12 @@ def _pass_paths_join_elimination(
             return cond
         if cond.names is None:
             return cond
-        any_match, needed, matched = _filter_analysis(cond, marking)
+        any_match, needed, _ = _filter_analysis(cond, marking)
         if not any_match:
             emptied += 1
-            witnesses.append(witness("unsatisfiable", cond, matched))
             return FalseCond()
         if not needed:
             removed += 1
-            witnesses.append(witness("redundant", cond, matched))
             return TrueCond()
         return cond
 
@@ -461,13 +371,7 @@ def _pass_paths_join_elimination(
     )
     # An orphan `Paths` join may predate this pass (folding dropped its
     # filter): removing it alone is a change, and leaves a TRUE to fold.
-    return PassReport(
-        name,
-        changes > 0 or dropped_scans > 0,
-        changes,
-        detail,
-        witnesses=tuple(witnesses),
-    )
+    return PassReport(name, changes > 0 or dropped_scans > 0, changes, detail)
 
 
 def _remove_orphan_paths(plan: QueryPlan) -> int:
@@ -776,8 +680,7 @@ def _pass_costed_access_strategy(
     limit = context.sql_length_limit
     # Bytes the statement may still grow by; measured on first need.
     room: Optional[int] = None
-    resolved = folded = kept = 0
-    tautologies: list[TautologyWitness] = []
+    resolved = folded = kept = dropped = 0
     reads: list[SummaryRead] = []
 
     def fits(cond: PathFilterCond, literals: tuple[str, ...]) -> bool:
@@ -800,7 +703,7 @@ def _pass_costed_access_strategy(
         return True
 
     def resolve(cond: PlanCond) -> PlanCond:
-        nonlocal resolved, folded, kept
+        nonlocal resolved, folded, kept, dropped
         if isinstance(cond, AndCond):
             folded += _intersect_same_alias(cond)
             return cond
@@ -817,16 +720,7 @@ def _pass_costed_access_strategy(
             cond.names
         ).issubset(matched):
             # Every row the scan can produce carries a matched path.
-            tautologies.append(
-                TautologyWitness(
-                    alias=cond.alias,
-                    pattern=tuple(cond.pattern),
-                    anchored=cond.anchored,
-                    names=tuple(sorted(cond.names)),
-                    matched_paths=matched,
-                    summary_version=summary.version,
-                )
-            )
+            dropped += 1
             reads.append(SummaryRead(regex, None, cond.names))
             return TrueCond()
         if not fits(cond, matched):
@@ -839,7 +733,6 @@ def _pass_costed_access_strategy(
 
     for select in iter_selects(plan):
         select.where = _rewrap(rewrite_condition(select.where, resolve))
-    dropped = len(tautologies)
     if resolved or dropped:
         _remove_orphan_paths(plan)
     if resolved or folded or dropped:
@@ -854,14 +747,7 @@ def _pass_costed_access_strategy(
     if kept:
         detail += f"; {kept} list(s) past the statement-length limit"
     changes = resolved + folded + dropped
-    return PassReport(
-        name,
-        changes > 0,
-        changes,
-        detail,
-        tautologies=tuple(tautologies),
-        reads=tuple(reads),
-    )
+    return PassReport(name, changes > 0, changes, detail, reads=tuple(reads))
 
 
 # ---------------------------------------------------------------------------
@@ -942,8 +828,9 @@ _RAW_ALIAS_REF = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\.")
 
 def _reorder_select(
     select: LogicalSelect, estimator: CardinalityEstimator
-) -> Optional[ReorderWitness]:
-    """Reorder one select's scans smallest-estimate-first, or ``None``.
+) -> bool:
+    """Reorder one select's scans smallest-estimate-first; whether it
+    did.
 
     Greedy: among the element-scan groups whose ordering predecessors
     (from structural-join orientations) are already placed, prefer ones
@@ -953,7 +840,7 @@ def _reorder_select(
     """
     groups = _scan_groups(select)
     if groups is None or len(groups) < 2:
-        return None
+        return False
     ordered, adjacency = _condition_alias_pairs(select)
     aliases = [scan.alias for scan, _ in groups]
     estimates = {
@@ -986,10 +873,9 @@ def _reorder_select(
         placed.add(pick)
         remaining.remove(pick)
     if new_order == aliases:
-        return None
+        return False
     if estimates[aliases[0]] < _REORDER_FACTOR * estimates[new_order[0]]:
-        return None
-    before = tuple((s.table, s.alias) for s in select.scans)
+        return False
     by_alias = {scan.alias: (scan, paths) for scan, paths in groups}
     scans: list[Scan] = []
     for alias in new_order:
@@ -997,13 +883,7 @@ def _reorder_select(
         scans.append(scan)
         scans.extend(paths)
     select.scans = scans
-    return ReorderWitness(
-        kind="join-order",
-        before=before,
-        after=tuple((s.table, s.alias) for s in select.scans),
-        ordered_pairs=tuple(ordered),
-        estimates=tuple(estimates[a] for a in new_order),
-    )
+    return True
 
 
 def _pass_costed_join_order(
@@ -1014,36 +894,21 @@ def _pass_costed_join_order(
     if summary is None:
         return PassReport(name, False, 0, "no statistics collected")
     estimator = CardinalityEstimator(summary)
-    witnesses: list[ReorderWitness] = []
-    for select in iter_selects(plan):
-        witness = _reorder_select(select, estimator)
-        if witness is not None:
-            witnesses.append(witness)
+    reordered = sum(
+        _reorder_select(select, estimator) for select in iter_selects(plan)
+    )
     detail = (
-        f"reordered scans in {len(witnesses)} select(s), "
+        f"reordered scans in {reordered} select(s), "
         "smallest estimated input first"
-        if witnesses
+        if reordered
         else "every select already leads with its smallest input"
     )
-    return PassReport(
-        name,
-        bool(witnesses),
-        len(witnesses),
-        detail,
-        reorders=tuple(witnesses),
-    )
+    return PassReport(name, reordered > 0, reordered, detail)
 
 
 # ---------------------------------------------------------------------------
 # pass: costed-union-order (long poles first)
 # ---------------------------------------------------------------------------
-
-
-def _branch_signature(branch: LogicalSelect) -> str:
-    if branch.scans:
-        scan = branch.scans[0]
-        return f"{scan.table} {scan.alias}"
-    return "<no scans>"
 
 
 def _pass_costed_union_order(
@@ -1065,17 +930,6 @@ def _pass_costed_union_order(
         return PassReport(
             name, False, 0, "branches already run largest-estimate first"
         )
-    witness = ReorderWitness(
-        kind="union-order",
-        before=tuple(
-            (str(i), _branch_signature(b))
-            for i, b in enumerate(root.branches)
-        ),
-        after=tuple(
-            (str(i), _branch_signature(root.branches[i])) for i in order
-        ),
-        estimates=tuple(estimates[i] for i in order),
-    )
     root.branches = [root.branches[i] for i in order]
     return PassReport(
         name,
@@ -1084,7 +938,6 @@ def _pass_costed_union_order(
         "reordered union branches largest-estimate first "
         "(UNION dedup + global ORDER BY make branch order irrelevant "
         "to results)",
-        reorders=(witness,),
     )
 
 

@@ -282,7 +282,6 @@ class ShardedEngine:
         runtime: ShardRuntime,
         config: Optional[ServingConfig] = None,
         own_runtime: bool = False,
-        verify_plans: bool = False,
     ):
         if runtime.shard_count != store.shard_count:
             raise ShardUnavailableError(
@@ -301,7 +300,6 @@ class ShardedEngine:
             PPFTranslator(SchemaAwareAdapter(store)),
             fallback=self.config.fallback,
             result_cache_size=self.config.result_cache_size,
-            verify_plans=verify_plans,
         )
         self._admission = threading.BoundedSemaphore(self.config.max_inflight)
         self._stats_lock = threading.Lock()
@@ -350,7 +348,6 @@ class ShardedEngine:
         fault_plan: Optional[WorkerFaultPlan] = None,
         health_interval: Optional[float] = None,
         heartbeat_timeout: Optional[float] = None,
-        verify_plans: bool = False,
     ) -> "ShardedEngine":
         """Spawn a worker fleet over ``store`` and wrap it in an engine
         that owns it (closing the engine closes the fleet)."""
@@ -371,7 +368,6 @@ class ShardedEngine:
             runtime,
             config=config,
             own_runtime=True,
-            verify_plans=verify_plans,
         )
 
     def close(self) -> None:

@@ -589,21 +589,6 @@ class TestCaches:
         assert len(shapes) <= info.misses
         assert len(engine._templates) == len(shapes)
 
-    def test_verify_plans_checks_the_template_once(self, shop, monkeypatch):
-        engine, _ = shop
-        verifying = PPFEngine(engine.store, verify_plans=True)
-        calls = []
-        original = verifying._verify_translation
-        monkeypatch.setattr(
-            verifying,
-            "_verify_translation",
-            lambda translation: (calls.append(translation), original(translation)),
-        )
-        for value in range(5):
-            verifying.execute(f"//item[price > {value}]")
-        assert len(calls) == 1
-        assert calls[0].expression == "//item[price > $v0]"
-
 
 class TestGuardErrorsStayReproducible:
     """An error raised for a bound statement names the self-contained

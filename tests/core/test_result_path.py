@@ -51,6 +51,10 @@ EXTRA = [
     "//item/name/text() | //person/name/text()",
     "//item/name/text() | /site/regions/*/item/name/text()",
     "//item/@id | //person/@id",
+    # Two branches the passes merge: the one select left is a join, so
+    # only the DISTINCT the folder gives it back keeps its rows unique.
+    "//open_auction[bidder]/initial"
+    " | /site/open_auctions/open_auction[bidder]/initial",
 ]
 QUERIES = XM25 + EXTRA
 

@@ -30,7 +30,7 @@ from repro.core.adapters import SchemaAwareAdapter
 from repro.core.translator import PPFTranslator
 from repro.plan.cost import CardinalityEstimator
 from repro.plan.nodes import PathFilterCond, iter_conditions, iter_selects
-from repro.plan.passes import DEFAULT_PASS_NAMES
+from repro.plan.passes import DEFAULT_PASS_NAMES, SummaryRead
 from repro.resilience.faults import FaultInjectingDatabase, FaultPlan
 from repro.serving.scatter import ServingConfig, ShardedEngine
 from repro.serving.shards import ShardedStore
@@ -46,6 +46,15 @@ PATH_ONLY_QIDS = {"Q3", "Q4", "A2", "A3"}
 #: ... and those with a ``//keyword`` step of its own: that regex
 #: matches every stored path of its names.
 TAUTOLOGY_QIDS = {"Q3", "Q6", "Q7"}
+#: Two filters on one element alias that intersect into one list (no
+#: XM25 query reaches that fold): a row must carry a path both regexes
+#: match.
+FOLDS = [
+    ("F1", "/site/regions//keyword/ancestor::listitem"),
+    ("F2", "/site/regions/*/item//keyword[ancestor::mail]"),
+    ("F3", "//listitem//keyword/ancestor::parlist"),
+    ("F4", "//parlist//keyword[ancestor::listitem]"),
+]
 
 _GOLDEN = os.path.join(
     os.path.dirname(__file__), "data", "xm25_statsfree_sql.json"
@@ -103,10 +112,17 @@ class TestXM25:
     def test_udf_leaves_the_sql_and_results_match_native(
         self, fresh_engine, xmark_native
     ):
-        for qid, xpath in XM25:
+        for qid, xpath in XM25 + FOLDS:
             translation = fresh_engine.translate(xpath)
             if qid in REGEX_QIDS:
                 assert "costed-access-strategy" in translation.fired_passes()
+            if qid.startswith("F"):
+                (report,) = [
+                    r
+                    for r in translation.pass_reports
+                    if r.name == "costed-access-strategy"
+                ]
+                assert "folded 1 same-alias" in report.detail, qid
             assert "regexp_like" not in translation.sql, qid
             assert translation.path_filter_count() == 0, qid
             assert translation.plan_stats_after["paths_joins"] == 0, qid
@@ -152,24 +168,26 @@ class TestXM25:
 
     def test_filter_matching_every_stored_path_is_dropped(self, fresh_engine):
         """``//keyword``: the list would name every path a keyword row
-        can carry, so there is no filter to run."""
+        can carry, so there is no filter to run; the plan keeps the
+        read (no list) that vouches for the drop."""
         summary = fresh_engine.store.path_summary()
         for qid, xpath in XM25:
-            reports = [
-                r
-                for r in fresh_engine.translate(xpath).pass_reports
-                if r.tautologies
+            dropped = [
+                read
+                for read in fresh_engine.translate(xpath).summary_reads
+                if read.listed is None
             ]
-            assert bool(reports) == (qid in TAUTOLOGY_QIDS), qid
+            assert bool(dropped) == (qid in TAUTOLOGY_QIDS), qid
         translation = fresh_engine.translate("//keyword")
         assert not _filters(translation)
         assert "WHERE" not in translation.sql
-        (report,) = [r for r in translation.pass_reports if r.tautologies]
-        (witness,) = report.tautologies
-        assert set(witness.matched_paths) == summary.paths_named(
+        (read,) = translation.summary_reads
+        assert read == SummaryRead(
+            read.regex, None, frozenset({"keyword"})
+        )
+        assert set(summary.matching_paths(read.regex)) == summary.paths_named(
             frozenset({"keyword"})
         )
-        assert witness.summary_version == summary.version
 
     def test_path_only_queries_estimate_exactly(self, fresh_engine):
         """The summary holds the exact per-path counts, so a query that

@@ -6,6 +6,9 @@ elimination pass must actually remove `Paths` joins on the XPathMark
 workload (the acceptance criterion of the logical-plan refactor).
 """
 
+import copy
+import itertools
+
 import pytest
 
 from repro import Database, PPFEngine, ShreddedStore, figure1_schema
@@ -15,16 +18,97 @@ from repro.errors import TranslationError
 from repro.plan import (
     DEFAULT_PASS_NAMES,
     PASSES,
+    PassContext,
     PassPipeline,
+    StructuralCond,
+    iter_selects,
     plan_stats,
     resolve_pass_names,
 )
-from repro.workloads.xpathmark import XPATHMARK_QUERIES
+from repro.plan.cost import CardinalityEstimator
+from repro.schema.inference import infer_schema
+from repro.workloads import (
+    DBLP_QUERIES,
+    DBLPConfig,
+    XMarkConfig,
+    generate_dblp,
+    generate_xmark,
+)
+from repro.workloads.xpathmark import XPATHMARK_A_QUERIES, XPATHMARK_QUERIES
+from repro.xpath.parser import parse_xpath
 
 
 @pytest.fixture()
 def engine(figure1_store):
     return PPFEngine(figure1_store)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``(translator, context, [xpath, ...])`` for XM25 and the DBLP
+    queries, each over a small generated store of its workload with
+    statistics collected, so the costed passes take part."""
+    out = []
+    for document, queries in (
+        (
+            generate_xmark(XMarkConfig(scale=0.05, seed=11)),
+            list(XPATHMARK_QUERIES) + list(XPATHMARK_A_QUERIES),
+        ),
+        (generate_dblp(DBLPConfig(scale=0.05, seed=11)), list(DBLP_QUERIES)),
+    ):
+        store = ShreddedStore.create(
+            Database.memory(), infer_schema([document])
+        )
+        store.load(document)
+        store.collect_statistics()
+        adapter = SchemaAwareAdapter(store)
+        context = PassContext(
+            marking=adapter.marking,
+            summary=adapter.path_summary,
+            sql_length_limit=adapter.sql_length_limit,
+        )
+        out.append(
+            (PPFTranslator(adapter), context, [q.xpath for q in queries])
+        )
+    return out
+
+
+def pass_subsets():
+    """Every subset of the default pipeline, in pipeline order (2^7)."""
+    return [
+        combo
+        for size in range(len(DEFAULT_PASS_NAMES) + 1)
+        for combo in itertools.combinations(DEFAULT_PASS_NAMES, size)
+    ]
+
+
+def scan_orders(plan):
+    """Each select's scans as ``(table, alias)``, select by select."""
+    return [
+        [(scan.table, scan.alias) for scan in select.scans]
+        for select in iter_selects(plan)
+    ]
+
+
+def structural_orientations(plan):
+    """``(context, target) -> context scanned first`` for every
+    structural join between two scans of one select.  Aliases are
+    unique within a plan, so the pair names its select."""
+    orientations = {}
+    for select in iter_selects(plan):
+        position = {scan.alias: i for i, scan in enumerate(select.scans)}
+        for part in select.where.parts:
+            if (
+                isinstance(part, StructuralCond)
+                and part.context_alias != part.target_alias
+                and part.context_alias in position
+                and part.target_alias in position
+            ):
+                orientations[(part.context_alias, part.target_alias)] = (
+                    position[part.context_alias]
+                    < position[part.target_alias]
+                )
+    return orientations
 
 
 class TestPipelineConfig:
@@ -147,9 +231,6 @@ class TestXPathMarkAcceptance:
         """Acceptance: over the XPathMark query set the Section 4.5
         pass removes at least one `Paths` join compared to the same
         pipeline with the pass disabled."""
-        from repro.schema.inference import infer_schema
-        from repro.workloads.xmark import XMarkConfig, generate_xmark
-
         document = generate_xmark(XMarkConfig(scale=0.5, seed=7))
         store = ShreddedStore.create(
             Database.memory(), infer_schema([document])
@@ -177,9 +258,6 @@ class TestXPathMarkAcceptance:
 def xmark_store():
     """An XMark store *with* collected statistics — the costed passes
     only act when a path summary exists."""
-    from repro.schema.inference import infer_schema
-    from repro.workloads.xmark import XMarkConfig, generate_xmark
-
     document = generate_xmark(XMarkConfig(scale=0.05, seed=3))
     store = ShreddedStore.create(
         Database.memory(), infer_schema([document])
@@ -230,28 +308,28 @@ class TestCostedPasses:
         )
 
     def test_join_order_fires_with_witness(self, xmark_store):
+        """The witness is the plan itself: against the same pipeline
+        without the pass, its scans are a permutation, not the same
+        order."""
         expression = (
             "/site/open_auctions/open_auction"
             "[bidder/date = interval/start]"
         )
         costed = PPFEngine(xmark_store)
-        translation = costed.translate(expression)
-        fired = [
-            r
-            for r in translation.pass_reports
-            if r.name == "costed-join-order" and r.fired
-        ]
-        assert fired and fired[0].reorders
-        witness = fired[0].reorders[0]
-        assert witness.kind == "join-order"
-        assert witness.before != witness.after
-        assert sorted(witness.before) == sorted(witness.after)
         heuristic = PPFEngine(
             xmark_store,
             passes=tuple(
                 n for n in DEFAULT_PASS_NAMES if n != "costed-join-order"
             ),
         )
+        translation = costed.translate(expression)
+        assert "costed-join-order" in translation.fired_passes()
+        after = scan_orders(translation.plan)
+        before = scan_orders(heuristic.translate(expression).plan)
+        assert after != before
+        assert [sorted(scans) for scans in after] == [
+            sorted(scans) for scans in before
+        ]
         assert sorted(costed.execute(expression).ids) == sorted(
             heuristic.execute(expression).ids
         )
@@ -260,17 +338,13 @@ class TestCostedPasses:
         expression = "//keyword | //listitem"
         costed = PPFEngine(xmark_store)
         translation = costed.translate(expression)
-        fired = [
-            r
-            for r in translation.pass_reports
-            if r.name == "costed-union-order" and r.fired
+        assert "costed-union-order" in translation.fired_passes()
+        estimator = CardinalityEstimator(xmark_store.path_summary())
+        estimates = [
+            estimator.select_rows(branch)
+            for branch in translation.plan.root.branches
         ]
-        assert fired and fired[0].reorders
-        witness = fired[0].reorders[0]
-        assert witness.kind == "union-order"
-        assert list(witness.estimates) == sorted(
-            witness.estimates, reverse=True
-        )
+        assert estimates == sorted(estimates, reverse=True)
         heuristic = PPFEngine(
             xmark_store,
             passes=tuple(
@@ -291,6 +365,41 @@ class TestCostedPasses:
             translation.estimated_rows
         )
         assert translation.stats_version == xmark_store.stats_version
+
+    def test_join_order_keeps_every_structural_orientation(self, workloads):
+        """CROSS JOIN order is SQLite's nested-loop order, so a
+        reorder may move a structural join's probe side only where it
+        already was: under every pass subset with ``costed-join-order``,
+        each structural pair keeps the relative scan order the same
+        subset gives it without the pass.  XM25 and DBLP (whose QD2
+        turns into a one-sided probe, 9x slower, when the pass ignores
+        orientation)."""
+        compared = reordered = 0
+        for translator, context, queries in workloads:
+            plans = [
+                translator._planner.plan(parse_xpath(xpath), xpath)
+                for xpath in queries
+            ]
+            for combo in pass_subsets():
+                if "costed-join-order" not in combo:
+                    continue
+                with_pass = PassPipeline(combo)
+                without = PassPipeline(
+                    tuple(n for n in combo if n != "costed-join-order")
+                )
+                for plan in plans:
+                    mine, reports = with_pass.run(copy.deepcopy(plan), context)
+                    reference, _ = without.run(copy.deepcopy(plan), context)
+                    assert structural_orientations(
+                        mine
+                    ) == structural_orientations(reference), combo
+                    reordered += any(
+                        r.fired and r.name == "costed-join-order"
+                        for r in reports
+                    )
+                    compared += 1
+        assert compared == 64 * 30
+        assert reordered > 0
 
 
 class TestTranslatorFacade:
@@ -340,35 +449,19 @@ class TestFoldOnlyAfterFiredPasses:
             fold_plan(plan)
         return plan
 
-    @staticmethod
-    def workloads():
-        from repro.analysis.sweep import sweep_workloads
-        from repro.plan.passes import PassContext
-
-        for _, store, queries in sweep_workloads():
-            adapter = SchemaAwareAdapter(store)
-            translator = PPFTranslator(adapter)
-            context = PassContext(
-                marking=adapter.marking,
-                summary=adapter.path_summary,
-                sql_length_limit=adapter.sql_length_limit,
-            )
-            yield translator, context, [xpath for _, xpath in queries]
-
-    def test_fold_plan_is_idempotent_on_every_workload_plan(self):
-        import copy
-
+    def test_fold_plan_is_idempotent_on_every_workload_plan(
+        self, workloads
+    ):
         from repro.plan.lowering import lower_plan
         from repro.plan.passes import fold_plan
         from repro.sqlgen import render_statement
-        from repro.xpath.parser import parse_xpath
 
         def rendered(plan):
             statement = lower_plan(plan)
             return None if statement is None else render_statement(statement)
 
         checked = 0
-        for translator, context, queries in self.workloads():
+        for translator, context, queries in workloads:
             for xpath in queries:
                 raw = translator._planner.plan(parse_xpath(xpath), xpath)
                 optimized = translator.translate(xpath).plan
@@ -380,22 +473,20 @@ class TestFoldOnlyAfterFiredPasses:
                     checked += 1
         assert checked >= 60
 
-    def test_sql_is_byte_identical_to_folding_after_every_pass(self):
+    def test_sql_is_byte_identical_to_folding_after_every_pass(
+        self, workloads
+    ):
         """XM25 and the DBLP queries under all 2^7 pass subsets."""
-        import copy
-
-        from repro.analysis.sweep import pass_combinations
         from repro.plan.lowering import lower_plan
         from repro.sqlgen import render_statement
-        from repro.xpath.parser import parse_xpath
 
         compared = 0
-        for translator, context, queries in self.workloads():
+        for translator, context, queries in workloads:
             plans = [
                 translator._planner.plan(parse_xpath(xpath), xpath)
                 for xpath in queries
             ]
-            for combo in pass_combinations():
+            for combo in pass_subsets():
                 pipeline = PassPipeline(combo)
                 for plan in plans:
                     mine, _ = pipeline.run(copy.deepcopy(plan), context)
@@ -415,8 +506,6 @@ class TestFoldOnlyAfterFiredPasses:
         its own to report: an orphan `Paths` join removed with no filter
         dropped still leaves a TRUE for the folder."""
         from repro.plan.nodes import PathFilterCond, TrueCond, rewrite_plan
-        from repro.plan.passes import PassContext
-        from repro.xpath.parser import parse_xpath
 
         adapter = SchemaAwareAdapter(figure1_store)
         plan = PPFTranslator(adapter)._planner.plan(

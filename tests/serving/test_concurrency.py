@@ -133,15 +133,14 @@ class TestParallelExecution:
 
     def test_one_thread_fan_out_left_in_the_tree(self):
         """Processes are the only parallelism: the single executor under
-        ``src/repro`` (outside the analyzers, which only *name* it) is
-        the one thread behind single-store ``execute_async``."""
+        ``src/repro`` is the one thread behind single-store
+        ``execute_async``."""
         import repro
 
         root = pathlib.Path(repro.__file__).parent
         sites = [
             f"{path.relative_to(root)}:{node.lineno}"
             for path in sorted(root.rglob("*.py"))
-            if "analysis" not in path.relative_to(root).parts
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call)
             and getattr(node.func, "attr", getattr(node.func, "id", ""))

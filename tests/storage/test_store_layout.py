@@ -72,7 +72,7 @@ def test_previous_layout_store_opens_and_agrees_with_native(
         assert "text NUMERIC" in table_sql
         store = ShreddedStore.open(db)
         assert store.path_summary() is not None
-        engine = PPFEngine(store, verify_plans=True)
+        engine = PPFEngine(store)
         for qid, xpath in XM25:
             expected = [
                 (node.node_id if hasattr(node, "node_id") else node.value)
