@@ -47,6 +47,7 @@ from repro.errors import ReproError, TranslationError
 # initialization when this module loads.  Deferring attribute access to
 # runtime keeps every import order valid.
 import repro.plan.cost as _cost
+import repro.plan.graph as _graph
 import repro.plan.lowering as _lowering
 import repro.plan.nodes as _nodes
 import repro.plan.passes as _passes
@@ -147,16 +148,22 @@ class TranslationResult:
     @cached_property
     def distinct(self) -> bool:
         """The statement yields no row twice: its root is ``DISTINCT``,
-        a ``UNION`` (Section 4.4), or a select whose plan shape proves
-        it (one element scan, its `Paths` scans 1:1 links)."""
+        a ``UNION`` (Section 4.4), or a select or ``UNION ALL`` whose
+        plan proves it (:func:`repro.plan.graph.unique_rows`, and for
+        ``UNION ALL`` pairwise :func:`~repro.plan.graph.disjoint`
+        outputs)."""
         statement = self.statement
+        root = self.plan.root if self.plan is not None else None
         if isinstance(statement, UnionStatement):
-            return True
+            return not statement.all or (
+                isinstance(root, _nodes.PlanUnion)
+                and _graph.union_all_sound(root.branches)
+            )
         return isinstance(statement, SelectStatement) and (
             statement.distinct
             or (
-                self.plan is not None
-                and _passes._distinct_redundant(self.plan.root)
+                isinstance(root, _nodes.LogicalSelect)
+                and _graph.unique_rows(root)
             )
         )
 
@@ -164,9 +171,12 @@ class TranslationResult:
     def one_row_per_id(self) -> bool:
         """:attr:`distinct` rows are also distinct element *ids*: true
         of a single select, whose columns are all functions of the one
-        projected element row; a UNION removes only identical rows."""
-        return self.distinct and not isinstance(
-            self.statement, UnionStatement
+        projected element row, and of a proven ``UNION ALL``, whose
+        branches output disjoint elements; a ``UNION`` removes only
+        identical rows."""
+        statement = self.statement
+        return self.distinct and (
+            not isinstance(statement, UnionStatement) or statement.all
         )
 
     @property

@@ -19,6 +19,7 @@ from repro.plan.nodes import (
     NameFilterCond,
     NotCond,
     OrCond,
+    ParentJoinCond,
     PathFilterCond,
     PathsLinkCond,
     PlanCond,
@@ -59,6 +60,7 @@ __all__ = [
     "NotCond",
     "OrCond",
     "PASSES",
+    "ParentJoinCond",
     "PassContext",
     "PassPipeline",
     "PassReport",

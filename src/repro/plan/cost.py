@@ -27,6 +27,7 @@ from repro.plan.nodes import (
     DocEqCond,
     ExistsCond,
     LogicalSelect,
+    ParentJoinCond,
     PathFilterCond,
     PathsLinkCond,
     PlanUnion,
@@ -54,10 +55,6 @@ _DOWNWARD_AXES = {"child", "descendant", "descendant-or-self", "self"}
 _UPWARD_AXES = {"parent", "ancestor", "ancestor-or-self"}
 
 _ALIAS_REF = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\.")
-_FK_JOIN = re.compile(
-    r"^(\w+)\.par_id (?:=|IS) (\w+)\.(?:id|par_id)$"
-    r"|^(\w+)\.id = (\w+)\.par_id$"
-)
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ class CardinalityEstimator:
             )
         selectivity = 1.0
         for part in parts:
-            if not isinstance(part, RawCond) or _FK_JOIN.match(part.sql):
+            if not isinstance(part, RawCond):
                 continue
             aliases = set(_ALIAS_REF.findall(part.sql))
             if aliases != {scan.alias}:
@@ -171,17 +168,11 @@ class CardinalityEstimator:
                         self.summary.document_count, 1
                     )
                 joined.add(frozenset((context, target)))
-            elif isinstance(part, RawCond):
-                match = _FK_JOIN.match(part.sql)
-                if match is None:
-                    continue
-                groups = [g for g in match.groups() if g is not None]
-                child, parent = groups[0], groups[1]
-                if match.group(3) is not None:
-                    child, parent = parent, child
+            elif isinstance(part, ParentJoinCond):
+                parent = part.parent_alias
                 if parent in rows:
                     estimate /= card(parent)
-                joined.add(frozenset((child, parent)))
+                joined.add(frozenset((part.child_alias, parent)))
             elif isinstance(part, DocEqCond):
                 pair = frozenset((part.left_alias, part.right_alias))
                 if pair not in joined and len(pair) == 2:

@@ -23,6 +23,7 @@ from repro.plan.nodes import (
     NameFilterCond,
     NotCond,
     OrCond,
+    ParentJoinCond,
     PathFilterCond,
     PathsLinkCond,
     PlanCond,
@@ -93,6 +94,11 @@ def lower_condition(
         return Raw(
             f"{condition.owner_alias}.path_id = {condition.paths_alias}.id"
         )
+    if isinstance(condition, ParentJoinCond):
+        child, parent = condition.child_alias, condition.parent_alias
+        if condition.upward:
+            return Raw(f"{parent}.id = {child}.par_id")
+        return Raw(f"{child}.par_id = {parent}.id")
     if isinstance(condition, NameFilterCond):
         column = f"{condition.alias}.{condition.column}"
         if len(condition.names) == 1:
@@ -168,6 +174,8 @@ def lower_plan(
             statement.order_by = []
             branches.append(statement)
         return UnionStatement(
-            branches=branches, order_by=list(plan.root.order_by)
+            branches=branches,
+            order_by=list(plan.root.order_by),
+            all=plan.root.all,
         )
     return lower_select(plan.root, dialect)

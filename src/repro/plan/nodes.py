@@ -18,6 +18,7 @@ Node ↔ paper mapping (see DESIGN.md for the longer version):
   material of the Section 4.5 elimination pass;
 * :class:`StructuralCond` / :class:`LevelCond` / :class:`DocEqCond` —
   the Table 2 Dewey conditions with their level pinning;
+* :class:`ParentJoinCond` — the Section 4.2 ``par_id`` foreign-key join;
 * :class:`ExistsCond` — predicate clauses as correlated sub-selects
   (Table 5);
 * :class:`PlanUnion` — SQL splitting (Section 4.4).
@@ -136,7 +137,9 @@ class PathFilterCond(PlanCond):
     subquery over the path strings and needs no `Paths` row, so the
     pass that resolved it takes the scan and its link out of the plan
     (``paths_alias`` then names nothing).  The pattern stays attached
-    in every mode: it is what the literals stand for.  ``names`` is the
+    in every mode: it is what the literals stand for — except on a
+    filter ``dedup-union-branches`` widened with the literals of the
+    branches it merged, which keeps the first branch's.  ``names`` is the
     candidate's covered element names (``None`` in the
     schema-oblivious mapping).
     """
@@ -211,6 +214,22 @@ class StructuralCond(PlanCond):
             f"structural {self.axis}"
             f"({self.context_alias}, {self.target_alias})"
         )
+
+
+@dataclass
+class ParentJoinCond(PlanCond):
+    """The Section 4.2 foreign-key equijoin of a single child/parent
+    step: ``child_alias.par_id = parent_alias.id``.  Every ``child`` row
+    names one parent id, so the join adds at most one ``parent`` row to
+    it.  ``upward`` writes it from the parent's side, ``parent.id =
+    child.par_id``, as a ``parent::`` step does."""
+
+    child_alias: str
+    parent_alias: str
+    upward: bool = False
+
+    def brief(self) -> str:
+        return f"parent-fk {self.child_alias}→{self.parent_alias}"
 
 
 @dataclass
@@ -342,10 +361,13 @@ class LogicalSelect:
 @dataclass
 class PlanUnion:
     """SQL splitting (Section 4.4): a union of branches sharing one
-    global ORDER BY."""
+    global ORDER BY.  ``all`` lowers it to ``UNION ALL``: set only where
+    :func:`repro.plan.graph.union_all_sound` proves that no row can
+    occur twice."""
 
     branches: list[LogicalSelect]
     order_by: list[str] = field(default_factory=list)
+    all: bool = False
 
 
 @dataclass
@@ -545,8 +567,9 @@ def describe_plan(plan: QueryPlan) -> str:
     lines = [header]
     branches = plan.branches()
     if isinstance(plan.root, PlanUnion):
+        kind = "union all" if plan.root.all else "union"
         lines.append(
-            f"  union of {len(branches)} branches"
+            f"  {kind} of {len(branches)} branches"
             + (
                 f"  [order={','.join(plan.root.order_by)}]"
                 if plan.root.order_by

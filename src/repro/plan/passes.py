@@ -28,15 +28,24 @@ The shipped passes (in default order):
 ``prune-distinct-order``
     Drops ORDER BY from sub-selects (EXISTS / scalar COUNT bodies, where
     ordering is wasted work) and from union branches (the union carries
-    the global ordering), and drops DISTINCT where the plan shape proves
-    result rows unique — a single element scan whose only companions are
-    1:1 `Paths` links — or where the surrounding UNION deduplicates
-    anyway.
+    the global ordering), and drops DISTINCT where the join graph proves
+    result rows unique (:func:`~repro.plan.graph.unique_rows`: every
+    other element scan hangs off the output through child → parent
+    foreign keys, every `Paths` scan is a 1:1 link) or where the
+    surrounding UNION deduplicates anyway.  A UNION whose branches are
+    all unique and whose outputs are pairwise disjoint (different
+    element relations, or disjoint literal path sets) becomes
+    ``UNION ALL``: nothing is left for the merge to remove, so it needs
+    no temp B-tree.
 
 ``dedup-union-branches``
-    SQL splitting (Section 4.4) can emit structurally identical branches
-    — e.g. ``//C | /A/B/C`` after filter elimination — which are
-    detected by alias-canonical fingerprinting and merged.
+    SQL splitting (Section 4.4) can emit branches that differ only in
+    the path literals of their output scan — ``/a/b/item | /a/c/item``,
+    or ``//C | /A/B/C`` after filter elimination.  They are detected by
+    alias-canonical fingerprinting and merged into one select over the
+    union of the literal sets (identical branches simply go).  A merged
+    list the backend's statement-length limit has no room for leaves
+    the branches apart.
 
 ``costed-access-strategy``
     The path summary as access path.  Whenever the store hands out an
@@ -82,13 +91,13 @@ the paper-shape regex SQL — on stores with no or stale statistics.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.core.pathregex import compile_pattern, exact_path
 from repro.errors import TranslationError
+from repro.plan.graph import JoinGraph, union_all_sound, unique_rows
 from repro.plan.nodes import (
     AggregateCountCond,
     AndCond,
@@ -100,6 +109,7 @@ from repro.plan.nodes import (
     NameFilterCond,
     NotCond,
     OrCond,
+    ParentJoinCond,
     PathFilterCond,
     PathsLinkCond,
     PlanCond,
@@ -290,7 +300,7 @@ def fold_plan(plan: QueryPlan) -> QueryPlan:
             only = root.branches[0]
             if not only.order_by:
                 only.order_by = list(root.order_by)
-            if not only.distinct and not _distinct_redundant(only):
+            if not only.distinct and not unique_rows(only):
                 only.distinct = True
             plan.root = only
     elif isinstance(root, LogicalSelect) and contains_false(root.where):
@@ -462,32 +472,17 @@ def _pass_regex_to_equality(
 # ---------------------------------------------------------------------------
 
 
-def _distinct_redundant(select: LogicalSelect) -> bool:
-    """True when the select provably yields unique rows without DISTINCT:
-    one element scan, every `Paths` scan tied to it by a top-level 1:1
-    ``path_id`` link (elements reference exactly one `Paths` row)."""
-    element_scans = [s for s in select.scans if not s.is_paths]
-    if len(element_scans) != 1:
-        return False
-    linked = {
-        part.paths_alias
-        for part in select.where.parts
-        if isinstance(part, PathsLinkCond)
-    }
-    return all(
-        scan.alias in linked for scan in select.scans if scan.is_paths
-    )
-
-
 def _pass_prune_distinct_order(
     plan: QueryPlan, context: PassContext
 ) -> PassReport:
     name = "prune-distinct-order"
     branches = plan.branches()
     branch_ids = {id(b) for b in branches}
-    is_union = isinstance(plan.root, PlanUnion)
+    root = plan.root
+    is_union = isinstance(root, PlanUnion)
     orders = 0
     distincts = 0
+    union_all = 0
     for select in iter_selects(plan):
         if id(select) not in branch_ids and select.order_by:
             # Sub-select bodies (EXISTS / scalar COUNT): ordering is
@@ -500,12 +495,20 @@ def _pass_prune_distinct_order(
             # (which SQLite would reject around UNION anyway).
             branch.order_by = []
             orders += 1
-        if branch.distinct and (is_union or _distinct_redundant(branch)):
+        if branch.distinct and (is_union or unique_rows(branch)):
             branch.distinct = False
             distincts += 1
-    changes = orders + distincts
+    if (
+        isinstance(root, PlanUnion)
+        and not root.all
+        and union_all_sound(root.branches)
+    ):
+        root.all = True
+        union_all = 1
+    changes = orders + distincts + union_all
     detail = (
         f"dropped {orders} ORDER BY clause(s), {distincts} DISTINCT(s)"
+        + (", UNION -> UNION ALL" if union_all else "")
         if changes
         else "all DISTINCT/ORDER BY clauses are load-bearing"
     )
@@ -534,109 +537,167 @@ def _rename_text(text: str, mapping: dict[str, str]) -> str:
     return text
 
 
-def _rename_select(select: LogicalSelect, mapping: dict[str, str]) -> None:
-    select.columns = [_rename_text(c, mapping) for c in select.columns]
-    select.order_by = [_rename_text(o, mapping) for o in select.order_by]
-    for scan in select.scans:
-        scan.alias = mapping.get(scan.alias, scan.alias)
-    for cond in iter_conditions(select.where):
-        if isinstance(cond, RawCond):
-            cond.sql = _rename_text(cond.sql, mapping)
-        elif isinstance(cond, PathFilterCond):
-            cond.alias = mapping.get(cond.alias, cond.alias)
-            cond.paths_alias = mapping.get(cond.paths_alias, cond.paths_alias)
-        elif isinstance(cond, PathsLinkCond):
-            cond.owner_alias = mapping.get(cond.owner_alias, cond.owner_alias)
-            cond.paths_alias = mapping.get(cond.paths_alias, cond.paths_alias)
-        elif isinstance(cond, NameFilterCond):
-            cond.alias = mapping.get(cond.alias, cond.alias)
-        elif isinstance(cond, StructuralCond):
-            cond.context_alias = mapping.get(
-                cond.context_alias, cond.context_alias
-            )
-            cond.target_alias = mapping.get(
-                cond.target_alias, cond.target_alias
-            )
-        elif isinstance(cond, DocEqCond):
-            cond.left_alias = mapping.get(cond.left_alias, cond.left_alias)
-            cond.right_alias = mapping.get(cond.right_alias, cond.right_alias)
-        elif isinstance(cond, LevelCond):
-            cond.alias = mapping.get(cond.alias, cond.alias)
-            if cond.base_alias is not None:
-                cond.base_alias = mapping.get(
-                    cond.base_alias, cond.base_alias
-                )
-        for sub in child_subplans(cond):
-            _rename_select(sub, mapping)
+def _fingerprint_cond(
+    cond: PlanCond,
+    names: dict[str, str],
+    loose: Optional[PathFilterCond],
+) -> str:
+    """``cond`` as text, every alias read through ``names``; ``loose``
+    stands in without its paths (the filter a merge may widen)."""
 
+    def a(alias: str) -> str:
+        return names.get(alias, alias)
 
-def _fingerprint_cond(cond: PlanCond) -> str:
     if isinstance(cond, (AndCond, OrCond)):
         tag = "and" if isinstance(cond, AndCond) else "or"
-        inner = ",".join(_fingerprint_cond(p) for p in cond.parts)
+        inner = ",".join(_fingerprint_cond(p, names, loose) for p in cond.parts)
         return f"{tag}({inner})"
     if isinstance(cond, NotCond):
-        return f"not({_fingerprint_cond(cond.operand)})"
+        return f"not({_fingerprint_cond(cond.operand, names, loose)})"
     if isinstance(cond, ExistsCond):
-        return f"exists({_fingerprint_select(cond.subplan)})"
+        return f"exists({_fingerprint_select(cond.subplan, names, loose)})"
     if isinstance(cond, AggregateCountCond):
-        subs = ",".join(_fingerprint_select(s) for s in cond.subplans)
+        subs = ",".join(
+            _fingerprint_select(s, names, loose) for s in cond.subplans
+        )
         return f"count({subs};{cond.op};{cond.value!r};{cond.offset})"
     if isinstance(cond, PathFilterCond):
-        names = sorted(cond.names) if cond.names is not None else None
+        candidates = sorted(cond.names) if cond.names is not None else None
+        if cond is loose:
+            return f"pathfilter({a(cond.alias)};*;{candidates})"
         # A resolved filter's `Paths` alias names nothing in the plan.
-        paths_alias = cond.paths_alias if cond.mode == "regex" else ""
+        paths_alias = a(cond.paths_alias) if cond.mode == "regex" else ""
         return (
-            f"pathfilter({cond.alias};{paths_alias};{cond.mode};"
+            f"pathfilter({a(cond.alias)};{paths_alias};{cond.mode};"
             f"{cond.literal!r};{cond.literals!r};{cond.anchored};"
-            f"{cond.pattern!r};{names})"
+            f"{cond.pattern!r};{candidates})"
         )
-    # Remaining leaves fully describe themselves in their brief() line.
+    if isinstance(cond, PathsLinkCond):
+        return f"paths-link({a(cond.owner_alias)};{a(cond.paths_alias)})"
+    if isinstance(cond, NameFilterCond):
+        return f"name({a(cond.alias)};{cond.column};{cond.names!r})"
+    if isinstance(cond, StructuralCond):
+        return (
+            f"structural({cond.axis};{a(cond.context_alias)};"
+            f"{a(cond.target_alias)})"
+        )
+    if isinstance(cond, DocEqCond):
+        return f"doc({a(cond.left_alias)};{a(cond.right_alias)})"
+    if isinstance(cond, ParentJoinCond):
+        return (
+            f"fk({a(cond.child_alias)};{a(cond.parent_alias)};{cond.upward})"
+        )
+    if isinstance(cond, LevelCond):
+        base = a(cond.base_alias) if cond.base_alias is not None else None
+        return (
+            f"level({a(cond.alias)};{cond.sign};{cond.offset};{base};"
+            f"{cond.negative})"
+        )
+    if isinstance(cond, RawCond):
+        return f"raw({_rename_text(cond.sql, names)})"
+    # TRUE / FALSE describe themselves in their brief() line.
     return cond.brief()
 
 
-def _fingerprint_select(select: LogicalSelect) -> str:
-    scans = ",".join(f"{s.table} {s.alias}" for s in select.scans)
+def _fingerprint_select(
+    select: LogicalSelect,
+    names: dict[str, str],
+    loose: Optional[PathFilterCond] = None,
+) -> str:
+    scans = ",".join(
+        f"{s.table} {names.get(s.alias, s.alias)}" for s in select.scans
+    )
+    columns = [_rename_text(c, names) for c in select.columns]
+    order = [_rename_text(o, names) for o in select.order_by]
+    where = _fingerprint_cond(select.where, names, loose)
     return (
-        f"select(distinct={select.distinct};cols={select.columns!r};"
-        f"from={scans};where={_fingerprint_cond(select.where)};"
-        f"order={select.order_by!r})"
+        f"select(distinct={select.distinct};cols={columns!r};"
+        f"from={scans};where={where};order={order!r})"
     )
 
 
-def _canonical_key(select: LogicalSelect) -> str:
-    """Alias-independent fingerprint of a branch."""
-    clone = copy.deepcopy(select)
+def _canonical_key(
+    select: LogicalSelect, loose: Optional[PathFilterCond]
+) -> str:
+    """Alias-independent fingerprint of a branch: aliases are numbered
+    in order of appearance, and ``loose`` counts without its paths."""
     aliases: list[str] = []
-    _collect_aliases(clone, aliases)
-    mapping = {alias: f"§{i}§" for i, alias in enumerate(aliases)}
-    _rename_select(clone, mapping)
-    return _fingerprint_select(clone)
+    _collect_aliases(select, aliases)
+    names = {alias: f"§{i}§" for i, alias in enumerate(aliases)}
+    return _fingerprint_select(select, names, loose)
+
+
+def _output_filter(branch: LogicalSelect) -> Optional[PathFilterCond]:
+    """The one top-level literal path filter on the branch's output scan
+    (``None`` when it has none, or several)."""
+    output = JoinGraph.of(branch).output
+    filters = [
+        part
+        for part in branch.where.parts
+        if isinstance(part, PathFilterCond)
+        and part.alias == output
+        and part.literal_paths()
+    ]
+    return filters[0] if len(filters) == 1 else None
 
 
 def _pass_dedup_union_branches(
     plan: QueryPlan, context: PassContext
 ) -> PassReport:
     name = "dedup-union-branches"
-    if not isinstance(plan.root, PlanUnion):
+    root = plan.root
+    if not isinstance(root, PlanUnion):
         return PassReport(name, False, 0, "plan is not a union")
-    seen: set[str] = set()
+    limit = context.sql_length_limit
+    # Bytes the statement may still grow by; measured on first need.
+    room: Optional[int] = None
+    # Fingerprint -> the filter the first branch with it merges into.
+    firsts: dict[str, Optional[PathFilterCond]] = {}
     kept: list[LogicalSelect] = []
-    merged = 0
-    for branch in plan.root.branches:
-        key = _canonical_key(branch)
-        if key in seen:
-            merged += 1
+    merged = dropped = apart = 0
+    for branch in root.branches:
+        loose = _output_filter(branch)
+        key = _canonical_key(branch, loose)
+        if key not in firsts:
+            firsts[key] = loose
+            kept.append(branch)
             continue
-        seen.add(key)
-        kept.append(branch)
-    plan.root.branches = kept
+        into = firsts[key]
+        if into is None or loose is None:  # identical branches
+            dropped += 1
+            continue
+        have = into.literal_paths() or ()
+        paths = tuple(sorted(set(have).union(loose.literal_paths() or ())))
+        if len(paths) == len(have):  # nothing the first does not list
+            dropped += 1
+            continue
+        if limit is not None:
+            if room is None:
+                statement = lower_plan(plan, context.dialect)
+                assert statement is not None
+                room = limit - len(render_statement(statement).encode())
+            # The branch it replaces is not credited back.
+            cost = len(
+                context.dialect.path_membership(into.alias, paths).encode()
+            )
+            if cost > room:
+                apart += 1
+                kept.append(branch)
+                continue
+            room -= cost
+        into.set_literal_paths(paths)
+        merged += 1
+    root.branches = kept
+    changes = merged + dropped
     detail = (
-        f"merged {merged} duplicate branch(es)"
-        if merged
+        f"merged {merged} branch(es) into one path list, dropped "
+        f"{dropped} identical branch(es)"
+        if changes
         else "all union branches are distinct"
     )
-    return PassReport(name, merged > 0, merged, detail)
+    if apart:
+        detail += f"; {apart} merge(s) past the statement-length limit"
+    return PassReport(name, changes > 0, changes, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +872,8 @@ def _condition_alias_pairs(
                 ordered.append((a, b))
         elif isinstance(part, DocEqCond):
             edge(part.left_alias, part.right_alias)
+        elif isinstance(part, ParentJoinCond):
+            edge(part.child_alias, part.parent_alias)
         elif isinstance(part, LevelCond):
             if part.base_alias is not None:
                 edge(part.alias, part.base_alias)

@@ -48,6 +48,7 @@ from repro.plan.nodes import (
     NameFilterCond,
     NotCond,
     OrCond,
+    ParentJoinCond,
     PathFilterCond,
     PathsLinkCond,
     PlanCond,
@@ -471,10 +472,10 @@ class Planner:
 
         if self.prefer_fk_joins and ppf.is_single_step():
             if step.axis is Axis.CHILD:
-                stmt.where.add(RawCond(f"{alias}.par_id = {ctx}.id"))
+                stmt.where.add(ParentJoinCond(alias, ctx))
                 return
             if step.axis is Axis.PARENT:
-                stmt.where.add(RawCond(f"{alias}.id = {ctx}.par_id"))
+                stmt.where.add(ParentJoinCond(ctx, alias, upward=True))
                 return
 
         if all(s.axis is Axis.SELF for s in ppf.steps):

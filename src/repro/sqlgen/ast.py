@@ -146,7 +146,9 @@ class SelectStatement:
 
 @dataclass
 class UnionStatement:
-    """``stmt UNION stmt ...`` — the paper's *SQL splitting* (Section 4.4)."""
+    """``stmt UNION stmt ...`` — the paper's *SQL splitting* (Section 4.4);
+    ``UNION ALL`` with ``all``."""
 
     branches: list[SelectStatement]
     order_by: list[str] = field(default_factory=list)
+    all: bool = False

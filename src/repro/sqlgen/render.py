@@ -188,7 +188,8 @@ def render_statement(
     literal of its value."""
     if isinstance(statement, SelectStatement):
         return render_select(statement, indent, parameters)
-    rendered = "\nUNION\n".join(
+    keyword = "\nUNION ALL\n" if statement.all else "\nUNION\n"
+    rendered = keyword.join(
         render_select(branch, indent, parameters)
         for branch in statement.branches
     )

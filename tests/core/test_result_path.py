@@ -232,10 +232,35 @@ class TestPlanClaims:
                     continue
                 checked += 1
                 assert translation.ordered and translation.distinct, xpath
+                statement = translation.statement
                 assert translation.one_row_per_id == (
-                    not isinstance(translation.statement, UnionStatement)
+                    not isinstance(statement, UnionStatement) or statement.all
                 )
         assert checked > 500
+
+    @pytest.mark.parametrize(
+        "xpath, union_all",
+        [
+            # unique_rows over a child -> parent FK chain (A7).
+            ("/site/people/person[phone or homepage]/name", None),
+            # ... and across different relations: disjoint outputs.
+            ("//item/@id | //person/@id", True),
+            # disjoint literal path sets on one relation: one IN list.
+            ("/site/regions/africa/item | /site/regions/asia/item", None),
+        ],
+    )
+    def test_each_join_graph_proof_is_claimed(self, documents, xpath, union_all):
+        """The result path skips its dedupe on each new proof: no
+        ``DISTINCT`` and no UNION left to remove a duplicate."""
+        engine = PPFEngine(_shredded(documents[:1], statistics=True))
+        translation = engine.translate(xpath)
+        statement = translation.statement
+        if union_all:
+            assert isinstance(statement, UnionStatement) and statement.all
+        else:
+            assert not isinstance(statement, UnionStatement)
+            assert not statement.distinct
+        assert translation.distinct and translation.one_row_per_id
 
     def test_claims_are_read_off_the_statement(self, single):
         """``ordered`` / ``distinct`` are not constructor arguments: a

@@ -226,6 +226,86 @@ class TestPassEffects:
             assert stats[key] >= 0
 
 
+#: Two branches that differ only in the path literal of their output.
+_SIBLING_PATHS = "/site/regions/namerica/item | /site/regions/samerica/item"
+
+
+class TestDedupMerge:
+    def test_merge_is_one_path_list(self, xmark_store):
+        engine = PPFEngine(xmark_store)
+        translation = engine.translate(_SIBLING_PATHS)
+        assert translation.branch_count() == 1
+        (report,) = [
+            r
+            for r in translation.pass_reports
+            if r.name == "dedup-union-branches"
+        ]
+        assert report.fired and "merged 1 branch(es)" in report.detail
+        assert (
+            "item.path_id IN (SELECT id FROM paths WHERE path IN "
+            "('/site/regions/namerica/item', '/site/regions/samerica/item'))"
+        ) in translation.sql
+        unmerged = PPFEngine(
+            xmark_store,
+            passes=tuple(
+                n for n in DEFAULT_PASS_NAMES if n != "dedup-union-branches"
+            ),
+        )
+        assert unmerged.translate(_SIBLING_PATHS).branch_count() == 2
+        assert engine.execute(_SIBLING_PATHS).ids == unmerged.execute(
+            _SIBLING_PATHS
+        ).ids
+
+    def test_merged_filter_keeps_every_summary_read(self, xmark_store):
+        """Resolved from the summary first, then merged: the plan keeps
+        both reads, so it is retired when either list stops holding."""
+        xpath = "//namerica/item | //samerica/item"
+        engine = PPFEngine(
+            xmark_store,
+            passes=("costed-access-strategy", "dedup-union-branches"),
+        )
+        translation = engine.translate(xpath)
+        assert translation.branch_count() == 1
+        assert {read.listed for read in translation.summary_reads} == {
+            frozenset({"/site/regions/namerica/item"}),
+            frozenset({"/site/regions/samerica/item"}),
+        }
+        assert sorted(engine.execute(xpath).ids) == sorted(
+            PPFEngine(xmark_store, passes=()).execute(xpath).ids
+        )
+
+    def test_list_past_the_statement_length_limit_keeps_the_union(
+        self, xmark_store
+    ):
+        translator = PPFEngine(xmark_store).translator
+        pipeline = PassPipeline(DEFAULT_PASS_NAMES)
+
+        def plan(limit):
+            context = PassContext(
+                marking=xmark_store.marking,
+                summary=xmark_store.path_summary(),
+                sql_length_limit=limit,
+            )
+            ast = parse_xpath(_SIBLING_PATHS)
+            planned = translator._planner.plan(ast, _SIBLING_PATHS)
+            return pipeline.run(planned, context)
+
+        merged, _ = plan(None)
+        assert len(merged.branches()) == 1
+        # Room for the statement as it is, none for the longer list.
+        union_sql = PPFEngine(
+            xmark_store,
+            passes=tuple(
+                n for n in DEFAULT_PASS_NAMES if n != "dedup-union-branches"
+            ),
+        ).translate(_SIBLING_PATHS).sql
+        kept, reports = plan(len(union_sql.encode()))
+        assert len(kept.branches()) == 2
+        (report,) = [r for r in reports if r.name == "dedup-union-branches"]
+        assert not report.fired
+        assert "1 merge(s) past the statement-length limit" in report.detail
+
+
 class TestXPathMarkAcceptance:
     def test_elimination_removes_joins_on_workload(self):
         """Acceptance: over the XPathMark query set the Section 4.5

@@ -21,12 +21,17 @@ from repro.workloads.xpathmark import XPATHMARK_A_QUERIES, XPATHMARK_QUERIES
 
 XM25 = [(q.qid, q.xpath) for q in XPATHMARK_QUERIES + XPATHMARK_A_QUERIES]
 
-#: Reviewed: the statements that may still sort their result.  Either a
-#: UNION (Q13, Q22: the merge orders by every column, the index by two)
-#: or a join whose output alias is not the outer loop — the selective
-#: side drives and a handful of rows is sorted (Q9, Q10, Q21, A4–A8).
-#: Everything else reads its rows off the index in document order.
-MAY_SORT = {"Q9", "Q10", "Q13", "Q21", "Q22", "A4", "A5", "A6", "A7", "A8"}
+#: Reviewed: the statements that may still sort their result — a join
+#: whose output alias is not the outer loop: the selective side drives
+#: and a handful of rows is sorted (Q9, Q10, Q21, A4–A8).  Everything
+#: else reads its rows off the index in document order, Q13's
+#: ``UNION ALL`` as a merge of index scans and Q22 as one ``IN``.
+MAY_SORT = {"Q9", "Q10", "Q21", "A4", "A5", "A6", "A7", "A8"}
+#: Reviewed: the statements that keep a ``DISTINCT`` SQLite dedupes in a
+#: temp B-tree — a join that no child -> parent FK chain from the output
+#: proves unique (structural joins: Q6, Q7, Q11, Q21; a sibling or
+#: following join: Q9, Q10).  A4–A8 are FK chains and have none.
+MAY_DEDUPE = {"Q6", "Q7", "Q9", "Q10", "Q11", "Q21"}
 
 _PATHS_ROW = re.compile(r"^(SCAN|SEARCH) \w+_paths\b")
 _DEWEY_PROBE = re.compile(r"dewey_pos[<>]")
@@ -64,6 +69,20 @@ def test_order_comes_from_the_index(engine):
         )
     }
     assert sorting <= MAY_SORT, sorted(sorting - MAY_SORT)
+
+
+def test_distinct_is_deduped_only_where_reviewed(engine):
+    deduping = {
+        qid
+        for qid, xpath in XM25
+        if "USE TEMP B-TREE FOR DISTINCT" in engine.query_plan(xpath)
+    }
+    assert deduping <= MAY_DEDUPE, sorted(deduping - MAY_DEDUPE)
+    for qid in ("Q13", "Q22"):
+        assert not any(
+            "TEMP B-TREE" in line
+            for line in engine.query_plan(dict(XM25)[qid])
+        ), qid
 
 
 def test_no_paths_row_is_joined_when_the_summary_is_exact(engine):

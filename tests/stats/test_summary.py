@@ -14,6 +14,7 @@ from repro.plan.cost import (
 from repro.plan.nodes import (
     DocEqCond,
     LogicalSelect,
+    ParentJoinCond,
     PathFilterCond,
     PathsLinkCond,
     PlanUnion,
@@ -155,14 +156,16 @@ class TestCardinalityEstimator:
         )
 
     def test_fk_join_not_misread_as_local_predicate(self):
-        # par_id equi-joins reference two aliases, so they never shrink
-        # a single scan; guard the regex that tells them apart.
+        # A par_id equi-join is a typed edge between two aliases: it
+        # never shrinks a single scan, and divides the join by the
+        # parent side once (each child row has one parent).
         estimator = CardinalityEstimator(build_summary())
         select = LogicalSelect(columns=["v.id"])
         scan = select.add_scan("v")
         select.add_scan("a")
-        select.where.add(RawCond("v.par_id = a.id"))
+        select.where.add(ParentJoinCond("v", "a"))
         assert estimator.scan_rows(select, scan) == pytest.approx(40.0)
+        assert estimator.select_rows(select) == pytest.approx(40.0)
 
     def test_select_rows_downward_join(self):
         # a JOIN v via child: 10 * 40 / card(a) = 40.
