@@ -2,10 +2,10 @@
 
 The paper models an XML document as a rooted, ordered, labeled tree whose
 nodes are elements and text values (Section 2.1).  This package provides
-that tree (:mod:`repro.xmltree.nodes`), a from-scratch non-validating XML
-parser (:mod:`repro.xmltree.parser`), a serializer back to markup
-(:mod:`repro.xmltree.serializer`) and a small fluent builder used heavily
-by tests and the synthetic workload generators
+that tree (:mod:`repro.xmltree.nodes`), a non-validating XML parser on
+the standard library's expat (:mod:`repro.xmltree.parser`), a serializer
+back to markup (:mod:`repro.xmltree.serializer`) and a small fluent
+builder used heavily by tests and the synthetic workload generators
 (:mod:`repro.xmltree.builder`).
 """
 

@@ -1,271 +1,100 @@
-"""A from-scratch, non-validating XML parser.
+"""XML parsing with the standard library's expat, into this package's tree.
 
-The parser supports the XML features the reproduction needs: the XML
-declaration, comments, processing instructions, CDATA sections, character
-and predefined entity references, attributes with single or double quotes
-and self-closing tags.  DTDs are tolerated (skipped), namespaces are left
-as plain colonized names.
+The parse is non-validating: a DOCTYPE is read but adds no default
+attributes, and namespaces are left as plain colonized names.  Adjacent
+character data (split by a comment, a processing instruction, a CDATA
+section or expat's buffer) becomes one text node, and whitespace-only text
+is dropped, matching the data-oriented documents of the paper's workloads.
+Expat applies XML 1.0 normalization: CRLF becomes LF, and a tab or newline
+in an attribute value becomes a space.
 
-Whitespace-only text between elements is dropped by default, matching the
-data-oriented documents of the paper's workloads; pass
-``keep_whitespace=True`` to retain it.
+Hostile input ends in :class:`XMLParseError` as soon as it is seen: an
+entity declaration (which covers entity-expansion bombs), an entity
+reference expat has to skip, or nesting deeper than :data:`MAX_DEPTH`.
 """
 
 from __future__ import annotations
 
+from xml.parsers import expat
+
 from repro.errors import XMLParseError
 from repro.xmltree.nodes import Document, ElementNode, TextNode
 
-_PREDEFINED_ENTITIES = {
-    "amp": "&",
-    "lt": "<",
-    "gt": ">",
-    "quot": '"',
-    "apos": "'",
-}
-
-_NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:.-")
+#: Deepest element accepted; the root element is at depth 1.
+#: ``Document.reindex`` stores a Dewey vector and a path per element, so a
+#: chain costs memory quadratic in its depth.
+MAX_DEPTH = 512
 
 
-def _is_name_start(char: str) -> bool:
-    return char.isalpha() or char in _NAME_START_EXTRA
-
-
-def _is_name_char(char: str) -> bool:
-    return char.isalnum() or char in _NAME_EXTRA
-
-
-class _Scanner:
-    """Cursor over the input text with line/column tracking for errors."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    def location(self) -> tuple[int, int]:
-        consumed = self.text[: self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
-        return line, column
-
-    def error(self, message: str) -> XMLParseError:
-        line, column = self.location()
-        return XMLParseError(message, line, column)
-
-    def at_end(self) -> bool:
-        return self.pos >= self.length
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < self.length else ""
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
-
-    def skip_whitespace(self) -> None:
-        while self.pos < self.length and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def expect(self, literal: str) -> None:
-        if not self.startswith(literal):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def read_until(self, terminator: str, what: str) -> str:
-        index = self.text.find(terminator, self.pos)
-        if index < 0:
-            raise self.error(f"unterminated {what}")
-        chunk = self.text[self.pos : index]
-        self.pos = index + len(terminator)
-        return chunk
-
-    def read_name(self) -> str:
-        start = self.pos
-        if self.at_end() or not _is_name_start(self.text[self.pos]):
-            raise self.error("expected a name")
-        self.pos += 1
-        while self.pos < self.length and _is_name_char(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-
-def _decode_entities(raw: str, scanner: _Scanner) -> str:
-    """Replace entity and character references in ``raw``."""
-    if "&" not in raw:
-        return raw
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        char = raw[i]
-        if char != "&":
-            out.append(char)
-            i += 1
-            continue
-        end = raw.find(";", i + 1)
-        if end < 0:
-            raise scanner.error("unterminated entity reference")
-        entity = raw[i + 1 : end]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            try:
-                out.append(chr(int(entity[2:], 16)))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{entity};")
-        elif entity.startswith("#"):
-            try:
-                out.append(chr(int(entity[1:])))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{entity};")
-        elif entity in _PREDEFINED_ENTITIES:
-            out.append(_PREDEFINED_ENTITIES[entity])
-        else:
-            raise scanner.error(f"unknown entity &{entity};")
-        i = end + 1
-    return "".join(out)
-
-
-def _skip_misc(scanner: _Scanner) -> None:
-    """Skip whitespace, comments, PIs and a DOCTYPE outside the root."""
-    while True:
-        scanner.skip_whitespace()
-        if scanner.startswith("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->", "comment")
-        elif scanner.startswith("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>", "processing instruction")
-        elif scanner.startswith("<!DOCTYPE"):
-            _skip_doctype(scanner)
-        else:
-            return
-
-
-def _skip_doctype(scanner: _Scanner) -> None:
-    scanner.expect("<!DOCTYPE")
-    depth = 0
-    while not scanner.at_end():
-        char = scanner.peek()
-        scanner.advance()
-        if char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-        elif char == ">" and depth <= 0:
-            return
-    raise scanner.error("unterminated DOCTYPE")
-
-
-def _parse_attributes(scanner: _Scanner, element: ElementNode) -> None:
-    while True:
-        scanner.skip_whitespace()
-        char = scanner.peek()
-        if char in (">", "/", ""):
-            return
-        name = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise scanner.error("attribute value must be quoted")
-        scanner.advance()
-        raw = scanner.read_until(quote, "attribute value")
-        if name in element.attributes:
-            raise scanner.error(f"duplicate attribute {name!r}")
-        element.set(name, _decode_entities(raw, scanner))
-
-
-def _parse_element(scanner: _Scanner, keep_whitespace: bool) -> ElementNode:
-    scanner.expect("<")
-    name = scanner.read_name()
-    element = ElementNode(name)
-    _parse_attributes(scanner, element)
-    if scanner.startswith("/>"):
-        scanner.advance(2)
-        return element
-    scanner.expect(">")
-    _parse_content(scanner, element, keep_whitespace)
-    closing = scanner.read_name()
-    if closing != name:
-        raise scanner.error(
-            f"mismatched closing tag </{closing}>, expected </{name}>"
-        )
-    scanner.skip_whitespace()
-    scanner.expect(">")
-    return element
-
-
-def _parse_content(
-    scanner: _Scanner, element: ElementNode, keep_whitespace: bool
-) -> None:
-    """Parse children until the matching ``</`` is consumed."""
-    text_parts: list[str] = []
-
-    def flush_text() -> None:
-        if not text_parts:
-            return
-        text = "".join(text_parts)
-        text_parts.clear()
-        if text.strip() or keep_whitespace:
-            element.append(TextNode(text))
-
-    while True:
-        if scanner.at_end():
-            raise scanner.error(f"unexpected end of input inside <{element.name}>")
-        if scanner.startswith("</"):
-            flush_text()
-            scanner.advance(2)
-            return
-        if scanner.startswith("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->", "comment")
-        elif scanner.startswith("<![CDATA["):
-            scanner.advance(9)
-            text_parts.append(scanner.read_until("]]>", "CDATA section"))
-        elif scanner.startswith("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>", "processing instruction")
-        elif scanner.peek() == "<":
-            flush_text()
-            element.append(_parse_element(scanner, keep_whitespace))
-        else:
-            start = scanner.pos
-            index = scanner.text.find("<", start)
-            if index < 0:
-                raise scanner.error(
-                    f"unexpected end of input inside <{element.name}>"
-                )
-            raw = scanner.text[start:index]
-            scanner.pos = index
-            text_parts.append(_decode_entities(raw, scanner))
-
-
-def parse_fragment(text: str, keep_whitespace: bool = False) -> ElementNode:
+def parse_fragment(text: str) -> ElementNode:
     """Parse a single element (with content) and return it, unindexed."""
-    scanner = _Scanner(text)
-    _skip_misc(scanner)
-    if scanner.peek() != "<":
-        raise scanner.error("expected an element")
-    element = _parse_element(scanner, keep_whitespace)
-    _skip_misc(scanner)
-    if not scanner.at_end():
-        raise scanner.error("trailing content after the element")
-    return element
+    # Expat gets UTF-8 bytes whatever the XML declaration says.  Encoding
+    # here with surrogates passed through turns a lone surrogate into a
+    # located "invalid token" error instead of a UnicodeEncodeError.
+    parser = expat.ParserCreate("utf-8")
+    parser.buffer_text = True
+    parser.specified_attributes = True
+    stack: list[ElementNode] = []
+    roots: list[ElementNode] = []
+    pending: list[str] = []
+
+    def refuse(message: str) -> XMLParseError:
+        return XMLParseError(
+            message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+        )
+
+    def flush() -> None:
+        value = "".join(pending)
+        pending.clear()
+        if value.strip():
+            stack[-1].append(TextNode(value))
+
+    def start(name: str, attributes: dict[str, str]) -> None:
+        if pending:
+            flush()
+        if len(stack) == MAX_DEPTH:
+            raise refuse(f"<{name}> nests deeper than {MAX_DEPTH} elements")
+        element = ElementNode(name)
+        element.attributes = attributes
+        if stack:
+            stack[-1].append(element)
+        else:
+            roots.append(element)
+        stack.append(element)
+
+    def end(name: str) -> None:
+        if pending:
+            flush()
+        stack.pop()
+
+    def entity_declaration(name: str, *_: object) -> None:
+        raise refuse(f"entity declaration {name!r} refused")
+
+    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
+        raise refuse(f"entity reference {name!r} cannot be expanded")
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = pending.append
+    parser.EntityDeclHandler = entity_declaration
+    parser.SkippedEntityHandler = skipped_entity
+    try:
+        parser.Parse(text.encode("utf-8", "surrogatepass"), True)
+    except expat.ExpatError as exc:
+        raise XMLParseError(
+            expat.ErrorString(exc.code), exc.lineno, exc.offset + 1
+        ) from None
+    return roots[0]
 
 
-def parse_document(
-    text: str, name: str = "document", keep_whitespace: bool = False
-) -> Document:
+def parse_document(text: str, name: str = "document") -> Document:
     """Parse a complete XML document into an indexed :class:`Document`.
 
     :param text: the document markup.
     :param name: a label stored on the document (used as the relational
         ``doc`` name when shredding).
-    :param keep_whitespace: keep whitespace-only text nodes.
+    :raises XMLParseError: for markup that is not well formed, declares an
+        entity, uses one it cannot expand or nests deeper than
+        :data:`MAX_DEPTH`.
     """
-    root = parse_fragment(text, keep_whitespace)
-    return Document(root, name=name)
+    return Document(parse_fragment(text), name=name)

@@ -7,14 +7,20 @@ from typing import Union
 from repro.xmltree.nodes import Document, ElementNode, TextNode
 
 
+# A parser normalizes a raw CR to LF, and a tab, CR or LF in an attribute
+# value to a space; written as character references they survive.
 def _escape_text(value: str) -> str:
     return (
         value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        .replace("\r", "&#13;")
     )
 
 
 def _escape_attribute(value: str) -> str:
-    return _escape_text(value).replace('"', "&quot;")
+    return (
+        _escape_text(value).replace('"', "&quot;").replace("\t", "&#9;")
+        .replace("\n", "&#10;")
+    )
 
 
 def _write_element(element: ElementNode, out: list[str], indent: int,

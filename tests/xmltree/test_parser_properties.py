@@ -6,11 +6,13 @@ from repro import parse_document, serialize
 from repro.xmltree.nodes import Document, ElementNode
 
 _NAMES = st.from_regex(r"[a-zA-Z_][a-zA-Z0-9_.-]{0,8}", fullmatch=True)
-# Printable text without leading/trailing whitespace loss concerns.
+# Printable text without leading/trailing whitespace loss concerns.  Tabs,
+# newlines and carriage returns inside it must survive the parser's
+# line-end and attribute-value normalization.
 _TEXT = st.text(
     alphabet=st.characters(
         whitelist_categories=("Lu", "Ll", "Nd", "Po", "Zs"),
-        whitelist_characters="&<>\"'",
+        whitelist_characters="&<>\"'\t\n\r",
     ),
     min_size=1,
     max_size=20,

@@ -1,9 +1,40 @@
-"""Unit tests for the from-scratch XML parser."""
+"""Unit tests for the expat-driven XML parser."""
+
+import time
 
 import pytest
 
-from repro import XMLParseError, parse_document, parse_fragment
+from repro import (
+    Database,
+    NativeEngine,
+    PPFEngine,
+    ShreddedStore,
+    XMLParseError,
+    infer_schema,
+    parse_document,
+    parse_fragment,
+    serialize,
+)
 from repro.xmltree.nodes import ElementNode, TextNode
+from repro.xmltree.parser import MAX_DEPTH
+
+#: Ten levels of tenfold entity expansion: 10**9 "lol"s if expanded.
+BILLION_LAUGHS = (
+    "<!DOCTYPE lolz [<!ENTITY lol0 'lol'>"
+    + "".join(
+        f"<!ENTITY lol{n} '{f'&lol{n - 1};' * 10}'>" for n in range(1, 10)
+    )
+    + "]><lolz>&lol9;</lolz>"
+)
+ENTITY_DECLARED = "<!DOCTYPE a [<!ENTITY e 'x'>]><a>&e;</a>"
+#: With an external DTD expat skips a reference it cannot expand; the text
+#: must not vanish silently.
+ENTITY_SKIPPED = "<!DOCTYPE a SYSTEM 'x.dtd'><a>&e;</a>"
+
+
+def chain(depth: int) -> str:
+    """``depth`` nested ``a`` elements, the deepest holding ``<b>x</b>``."""
+    return "<a>" * (depth - 1) + "<b>x</b>" + "</a>" * (depth - 1)
 
 
 class TestBasicParsing:
@@ -107,10 +138,6 @@ class TestWhitespace:
         doc = parse_document("<a>\n  <b/>\n</a>")
         assert all(isinstance(c, ElementNode) for c in doc.root.children)
 
-    def test_whitespace_kept_when_requested(self):
-        doc = parse_document("<a>\n  <b/>\n</a>", keep_whitespace=True)
-        assert any(isinstance(c, TextNode) for c in doc.root.children)
-
     def test_significant_whitespace_preserved(self):
         doc = parse_document("<a> x </a>")
         assert doc.root.direct_text == " x "
@@ -134,11 +161,17 @@ class TestErrors:
             "just text",  # no element
             "<a><!-- unterminated</a>",
             "<a><![CDATA[open</a>",
+            pytest.param(BILLION_LAUGHS, id="billion-laughs"),
+            pytest.param(ENTITY_DECLARED, id="entity-declared"),
+            pytest.param(ENTITY_SKIPPED, id="entity-skipped"),
+            pytest.param("<a>\ud800</a>", id="lone-surrogate"),
         ],
     )
     def test_malformed_raises(self, markup):
-        with pytest.raises(XMLParseError):
+        with pytest.raises(XMLParseError) as caught:
             parse_document(markup)
+        assert caught.value.line >= 1
+        assert caught.value.column >= 1
 
     def test_error_carries_location(self):
         try:
@@ -159,3 +192,56 @@ class TestFragment:
     def test_fragment_rejects_trailing_garbage(self):
         with pytest.raises(XMLParseError):
             parse_fragment("<a/>garbage")
+
+
+class TestNormalization:
+    def test_line_ends_become_line_feeds(self):
+        doc = parse_document("<a>x\r\ny\rz</a>")
+        assert doc.root.direct_text == "x\ny\nz"
+
+    def test_attribute_whitespace_becomes_spaces(self):
+        doc = parse_document("<a t='x\ty\nz'/>")
+        assert doc.root.get("t") == "x y z"
+
+    def test_character_references_survive_normalization(self):
+        doc = parse_document("<a t='&#9;&#10;&#13;'>x&#13;y</a>")
+        assert doc.root.get("t") == "\t\n\r"
+        assert doc.root.direct_text == "x\ry"
+
+    def test_dtd_adds_no_default_attributes(self):
+        doc = parse_document("<!DOCTYPE a [<!ATTLIST a x CDATA 'd'>]><a/>")
+        assert doc.root.attributes == {}
+
+
+class TestDepthLimit:
+    def test_document_at_the_limit_parses_loads_queries_and_serializes(self):
+        doc = parse_document(chain(MAX_DEPTH))
+        (leaf,) = doc.root.find_all("b")
+        assert leaf.level == MAX_DEPTH
+        assert doc.root.string_value == "x"
+        store = ShreddedStore.create(Database.memory(), infer_schema([doc]))
+        store.load(doc)
+        native = NativeEngine(doc)
+        engine = PPFEngine(store)
+        for xpath in ("//b", "//a[b]", "//b/ancestor::a"):
+            result = engine.execute(xpath)
+            assert result.served_by != "native", xpath
+            expected = [node.node_id for node in native.execute(xpath)]
+            assert result.ids == expected, xpath
+        assert serialize(doc, pretty=False) == chain(MAX_DEPTH)
+
+    @pytest.mark.parametrize(
+        "markup",
+        [
+            pytest.param(chain(MAX_DEPTH + 1), id="limit+1"),
+            pytest.param(chain(100_000), id="100000-deep"),
+            pytest.param(BILLION_LAUGHS, id="billion-laughs"),
+            pytest.param(ENTITY_DECLARED, id="entity-declared"),
+            pytest.param(ENTITY_SKIPPED, id="entity-skipped"),
+        ],
+    )
+    def test_hostile_input_fails_fast(self, markup):
+        start = time.perf_counter()
+        with pytest.raises(XMLParseError):
+            parse_document(markup)
+        assert time.perf_counter() - start < 1.0
