@@ -38,6 +38,7 @@ Building a store from scratch (and the lower-level pieces
 from repro.errors import (
     AdmissionRejectedError,
     DeweyError,
+    DocumentDepthError,
     QueryCancelledError,
     QueryLimitError,
     QueryTimeoutError,
@@ -127,6 +128,7 @@ __all__ = [
     "ConnectionPool",
     "Database",
     "DeweyError",
+    "DocumentDepthError",
     "Document",
     "DocumentBuilder",
     "EdgePPFEngine",

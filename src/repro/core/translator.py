@@ -53,7 +53,13 @@ import repro.plan.nodes as _nodes
 import repro.plan.passes as _passes
 import repro.plan.planner as _planner
 
-from repro.sqlgen import SelectStatement, UnionStatement, render_statement
+from repro.sqlgen import (
+    DerivedTable,
+    SelectStatement,
+    TableRef,
+    UnionStatement,
+    render_statement,
+)
 from repro.sqlgen.dialect import DEFAULT_DIALECT, AnsiDialect
 from repro.sqlgen.render import BoundValue, number_value, parameter_name
 from repro.xpath.ast import XPathExpr
@@ -199,7 +205,8 @@ class TranslationResult:
         return 1
 
     def table_count(self) -> int:
-        """Total FROM entries across branches (incl. `Paths` aliases)."""
+        """Total FROM entries across branches (incl. `Paths` aliases and
+        the entries of derived tables)."""
         return sum(len(s.tables) for s in self._selects())
 
     def path_filter_count(self) -> int:
@@ -208,15 +215,28 @@ class TranslationResult:
             1
             for s in self._selects()
             for ref in s.tables
-            if ref.table == "paths"
+            if isinstance(ref, TableRef) and ref.table == "paths"
         )
 
     def _selects(self) -> list[SelectStatement]:
+        """Every select of the statement, derived-table bodies included
+        (each after the select whose FROM clause holds it)."""
         if self.statement is None:
             return []
         if isinstance(self.statement, UnionStatement):
-            return list(self.statement.branches)
-        return [self.statement]
+            pending = list(self.statement.branches)
+        else:
+            pending = [self.statement]
+        selects: list[SelectStatement] = []
+        while pending:
+            select = pending.pop(0)
+            selects.append(select)
+            pending[:0] = [
+                ref.statement
+                for ref in select.tables
+                if isinstance(ref, DerivedTable)
+            ]
+        return selects
 
 
 def _number_value(text: str) -> BoundValue:

@@ -19,6 +19,7 @@ from repro.dewey.codec import (
 )
 from repro.dewey.relations import (
     Relationship,
+    bound_axes,
     is_ancestor,
     is_descendant,
     is_following,
@@ -26,6 +27,8 @@ from repro.dewey.relations import (
     is_preceding,
     is_preceding_sibling,
     relationship,
+    sql_bound,
+    sql_bound_condition,
     sql_condition,
 )
 
@@ -34,6 +37,7 @@ __all__ = [
     "DESCENDANT_SUFFIX",
     "MAX_ORDINAL",
     "Relationship",
+    "bound_axes",
     "decode",
     "descendant_upper_bound",
     "encode",
@@ -46,5 +50,7 @@ __all__ = [
     "level_of",
     "parent_of",
     "relationship",
+    "sql_bound",
+    "sql_bound_condition",
     "sql_condition",
 ]

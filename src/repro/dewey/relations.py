@@ -8,6 +8,8 @@ condition the translator emits, byte for byte.
 :func:`sql_condition` produces the SQL text of those same conditions for
 two relation aliases; the translator and the tests both use it, which
 keeps the Python predicates and the generated SQL provably in sync.
+:func:`sql_bound` and :func:`sql_bound_condition` state the four
+ordering axes against one grouped bound instead of every context row.
 """
 
 from __future__ import annotations
@@ -166,3 +168,60 @@ def sql_condition(axis: str, context_alias: str, target_alias: str) -> str:
     """
     template = _AXIS_CONDITIONS[axis]
     return template.format(c=context_alias, t=target_alias)
+
+
+#: The ordering axes against one bound per group of context rows: the
+#: XPath Accelerator's staircase pruning — a target stands in the axis
+#: to *some* context row of its document (of its parent, for the
+#: sibling axes) exactly when it stands in it to the extreme one.
+#: Per axis: the group key, the aggregate over the context rows ``{c}``,
+#: and the condition a target ``{t}`` meets against the bound row
+#: ``{b}``.  ``b`` precedes some ``a`` iff ``b || 0xFF < max(a)``; it
+#: follows some ``a`` iff ``b > min(a || 0xFF)`` (the minimum of the
+#: upper bounds, not the bound of the minimum: an ancestor is smaller
+#: than its descendants but its upper bound is larger).  Siblings share
+#: one ``par_id`` and are never each other's prefix, so a plain
+#: comparison with the group's extreme position decides.  The unary
+#: plus on the document key keeps SQLite from building an automatic
+#: index over the few bound rows, one per document.
+_BOUNDS = {
+    "preceding": (
+        "doc_id",
+        "MAX({c}.dewey_pos)",
+        "+{b}.doc_id = {t}.doc_id AND {b}.bound > " + _UPPER.format(x="{t}"),
+    ),
+    "following": (
+        "doc_id",
+        "MIN(" + _UPPER.format(x="{c}") + ")",
+        "+{b}.doc_id = {t}.doc_id AND {t}.dewey_pos > {b}.bound",
+    ),
+    "preceding-sibling": (
+        "par_id",
+        "MAX({c}.dewey_pos)",
+        "{t}.par_id = {b}.par_id AND {t}.dewey_pos < {b}.bound",
+    ),
+    "following-sibling": (
+        "par_id",
+        "MIN({c}.dewey_pos)",
+        "{t}.par_id = {b}.par_id AND {t}.dewey_pos > {b}.bound",
+    ),
+}
+
+
+def bound_axes() -> frozenset[str]:
+    """The ordering axes :func:`sql_bound` states as a grouped bound."""
+    return frozenset(_BOUNDS)
+
+
+def sql_bound(axis: str, context_alias: str) -> tuple[str, str]:
+    """``(key column, aggregate)`` of the grouped bound of ``axis`` over
+    the context rows ``context_alias``: the select lists
+    ``{context}.{key}`` and the aggregate, grouped by the former."""
+    key, aggregate, _ = _BOUNDS[axis]
+    return key, aggregate.format(c=context_alias)
+
+
+def sql_bound_condition(axis: str, bound_alias: str, target_alias: str) -> str:
+    """SQL joining ``target_alias`` to the bound row ``bound_alias`` of
+    its group so the target stands in ``axis`` to some context row."""
+    return _BOUNDS[axis][2].format(b=bound_alias, t=target_alias)

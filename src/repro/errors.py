@@ -26,6 +26,12 @@ class XMLParseError(ReproError):
         self.column = column
 
 
+class DocumentDepthError(ReproError):
+    """Raised when a document tree nests elements deeper than
+    :data:`repro.xmltree.nodes.MAX_DEPTH` — a built tree, where the
+    parser's located :class:`XMLParseError` cannot apply."""
+
+
 class XPathSyntaxError(ReproError):
     """Raised when an XPath expression cannot be parsed."""
 

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.pathregex import compile_pattern
+from repro.plan.graph import condition_reads
 from repro.plan.nodes import (
     AggregateCountCond,
+    BoundCond,
     DocEqCond,
     ExistsCond,
+    GroupedBound,
     LogicalSelect,
     ParentJoinCond,
     PathFilterCond,
@@ -53,8 +56,6 @@ _DOWNWARD_AXES = {"child", "descendant", "descendant-or-self", "self"}
 #: Axes where each context row has few matching targets
 #: (output ~ card(context), so selectivity is 1/card(target)).
 _UPWARD_AXES = {"parent", "ancestor", "ancestor-or-self"}
-
-_ALIAS_REF = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\.")
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,13 @@ class CardinalityEstimator:
     def scan_rows(self, select: LogicalSelect, scan: Scan) -> float:
         """Base cardinality of one scan after its local predicates."""
         parts = select.where.parts
+        if isinstance(scan, GroupedBound):
+            # One row per group: per document, or per parent (at most
+            # one per context row).
+            rows = self.select_rows(scan.body)
+            if scan.axis.endswith("sibling"):
+                return rows
+            return min(rows, float(max(self.summary.document_count, 1)))
         if scan.is_paths:
             for part in parts:
                 if (
@@ -122,8 +130,7 @@ class CardinalityEstimator:
         for part in parts:
             if not isinstance(part, RawCond):
                 continue
-            aliases = set(_ALIAS_REF.findall(part.sql))
-            if aliases != {scan.alias}:
+            if condition_reads(part) != {scan.alias}:
                 continue
             if "IS NOT NULL" in part.sql:
                 selectivity *= NOTNULL_SELECTIVITY
@@ -173,6 +180,17 @@ class CardinalityEstimator:
                 if parent in rows:
                     estimate /= card(parent)
                 joined.add(frozenset((part.child_alias, parent)))
+            elif isinstance(part, BoundCond):
+                # Each target meets at most its group's bound row, and
+                # lies on the axis side of it about half the time; a
+                # sibling bound reaches the targets of its parents only.
+                bound = card(part.bound_alias)
+                target = card(part.target_alias)
+                if part.axis.endswith("sibling"):
+                    estimate *= 0.5 * min(bound, target) / (bound * target)
+                else:
+                    estimate *= 0.5 / bound
+                joined.add(frozenset((part.bound_alias, part.target_alias)))
             elif isinstance(part, DocEqCond):
                 pair = frozenset((part.left_alias, part.right_alias))
                 if pair not in joined and len(pair) == 2:

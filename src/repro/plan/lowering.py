@@ -15,9 +15,11 @@ from repro.core.pathregex import compile_pattern
 from repro.plan.nodes import (
     AggregateCountCond,
     AndCond,
+    BoundCond,
     DocEqCond,
     ExistsCond,
     FalseCond,
+    GroupedBound,
     LevelCond,
     LogicalSelect,
     NameFilterCond,
@@ -36,6 +38,7 @@ from repro.plan.nodes import (
 from repro.sqlgen.ast import (
     And,
     Condition,
+    DerivedTable,
     Exists,
     Not,
     Or,
@@ -117,6 +120,12 @@ def lower_condition(
                 condition.target_alias,
             )
         )
+    if isinstance(condition, BoundCond):
+        return Raw(
+            dialect.bound_condition(
+                condition.axis, condition.bound_alias, condition.target_alias
+            )
+        )
     if isinstance(condition, DocEqCond):
         return Raw(
             dialect.doc_equality(condition.left_alias, condition.right_alias)
@@ -151,9 +160,25 @@ def lower_select(
         order_by=list(select.order_by),
     )
     for scan in select.scans:
-        statement.add_table(scan.table, scan.alias)
+        if isinstance(scan, GroupedBound):
+            statement.tables.append(
+                DerivedTable(lower_bound(scan, dialect), scan.alias)
+            )
+        else:
+            statement.add_table(scan.table, scan.alias)
     for part in select.where.parts:
         statement.where.add(lower_condition(part, dialect))
+    return statement
+
+
+def lower_bound(bound: GroupedBound, dialect: AnsiDialect) -> SelectStatement:
+    """The body of a grouped bound: its select, projecting the group key
+    and the aggregate (``bound``), grouped by the key."""
+    statement = lower_select(bound.body, dialect)
+    key, aggregate = dialect.grouped_bound(bound.axis, bound.context_alias)
+    column = f"{bound.context_alias}.{key}"
+    statement.columns = [f"{column} AS {key}", f"{aggregate} AS bound"]
+    statement.group_by = [column]
     return statement
 
 

@@ -19,6 +19,9 @@ Node ↔ paper mapping (see DESIGN.md for the longer version):
 * :class:`StructuralCond` / :class:`LevelCond` / :class:`DocEqCond` —
   the Table 2 Dewey conditions with their level pinning;
 * :class:`ParentJoinCond` — the Section 4.2 ``par_id`` foreign-key join;
+* :class:`GroupedBound` + :class:`BoundCond` — an ordering-axis join
+  whose context side is only tested for existence, as one bound per
+  document (or parent);
 * :class:`ExistsCond` — predicate clauses as correlated sub-selects
   (Table 5);
 * :class:`PlanUnion` — SQL splitting (Section 4.4).
@@ -233,6 +236,21 @@ class ParentJoinCond(PlanCond):
 
 
 @dataclass
+class BoundCond(PlanCond):
+    """An ordering-axis join of ``target_alias`` to the bound row of its
+    group in the :class:`GroupedBound` ``bound_alias``: the group key
+    matches, and the target stands in ``axis`` to the group's extreme
+    context row (hence to some context row)."""
+
+    axis: str
+    bound_alias: str
+    target_alias: str
+
+    def brief(self) -> str:
+        return f"bound {self.axis}({self.bound_alias}, {self.target_alias})"
+
+
+@dataclass
 class DocEqCond(PlanCond):
     """Same-document guard: the equality a structural join's index
     probe leads with."""
@@ -311,6 +329,21 @@ class Scan:
     def is_paths(self) -> bool:
         """Whether this scans the `Paths` relation."""
         return self.table == "paths"
+
+
+@dataclass
+class GroupedBound(Scan):
+    """A FROM entry that is a grouped aggregate over a select: the
+    extreme Dewey position of the ``body``'s ``context_alias`` rows per
+    document (per parent for the sibling axes).  ``prune-distinct-order``
+    puts it in place of the context side of an ordering-axis join that
+    reaches the output only through that join; each target row meets at
+    most one bound row, the one of its group (:class:`BoundCond`).
+    ``table`` names the context's relation."""
+
+    axis: str
+    context_alias: str
+    body: LogicalSelect
 
 
 @dataclass
@@ -434,7 +467,8 @@ def iter_selects(
     root: Union[LogicalSelect, PlanUnion, QueryPlan, None],
 ) -> Iterator[LogicalSelect]:
     """Every select in the plan, outer branches first, then (recursively)
-    the sub-selects hanging off their conditions."""
+    the bodies of their grouped bounds and the sub-selects hanging off
+    their conditions."""
     if root is None:
         return
     if isinstance(root, QueryPlan):
@@ -445,6 +479,9 @@ def iter_selects(
     )
     for branch in branches:
         yield branch
+        for scan in branch.scans:
+            if isinstance(scan, GroupedBound):
+                yield from iter_selects(scan.body)
         for condition in iter_conditions(branch.where):
             for subplan in child_subplans(condition):
                 yield from iter_selects(subplan)
@@ -538,6 +575,13 @@ def _describe_select(select: LogicalSelect, indent: str) -> list[str]:
     suffix = f"  [{' '.join(flags)}]" if flags else ""
     lines = [f"{indent}select{suffix}"]
     for scan in select.scans:
+        if isinstance(scan, GroupedBound):
+            lines.append(
+                f"{indent}  bound {scan.alias} = {scan.axis} bound of "
+                f"{scan.context_alias}"
+            )
+            lines.extend(_describe_select(scan.body, indent + "    "))
+            continue
         kind = " (paths)" if scan.is_paths else ""
         name = (
             scan.table

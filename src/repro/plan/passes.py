@@ -28,10 +28,16 @@ The shipped passes (in default order):
 ``prune-distinct-order``
     Drops ORDER BY from sub-selects (EXISTS / scalar COUNT bodies, where
     ordering is wasted work) and from union branches (the union carries
-    the global ordering), and drops DISTINCT where the join graph proves
-    result rows unique (:func:`~repro.plan.graph.unique_rows`: every
-    other element scan hangs off the output through child → parent
-    foreign keys, every `Paths` scan is a 1:1 link) or where the
+    the global ordering).  Puts a :class:`~repro.plan.nodes.GroupedBound`
+    in place of the context side of an ordering-axis join that only has
+    to exist (:func:`~repro.plan.graph.existential_context`): the extreme
+    context position per document (per parent for the sibling axes),
+    joined to the target on the group key, so the join reads each target
+    row once instead of every (context, target) pair.  Then drops
+    DISTINCT where the join graph proves result rows unique
+    (:func:`~repro.plan.graph.unique_rows`: every other element scan
+    hangs off the output through child → parent foreign keys or target
+    → bound edges, every `Paths` scan is a 1:1 link) or where the
     surrounding UNION deduplicates anyway.  A UNION whose branches are
     all unique and whose outputs are pairwise disjoint (different
     element relations, or disjoint literal path sets) becomes
@@ -97,13 +103,21 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.pathregex import compile_pattern, exact_path
 from repro.errors import TranslationError
-from repro.plan.graph import JoinGraph, union_all_sound, unique_rows
+from repro.plan.graph import (
+    JoinGraph,
+    condition_reads,
+    existential_context,
+    union_all_sound,
+    unique_rows,
+)
 from repro.plan.nodes import (
     AggregateCountCond,
     AndCond,
+    BoundCond,
     DocEqCond,
     ExistsCond,
     FalseCond,
+    GroupedBound,
     LevelCond,
     LogicalSelect,
     NameFilterCond,
@@ -289,6 +303,11 @@ def fold_plan(plan: QueryPlan) -> QueryPlan:
         select.where = _rewrap(
             rewrite_condition(select.where, _fold_condition)
         )
+        if any(
+            isinstance(scan, GroupedBound) and contains_false(scan.body.where)
+            for scan in select.scans
+        ):
+            select.where = AndCond([FalseCond()])
     root = plan.root
     if isinstance(root, PlanUnion):
         root.branches = [
@@ -472,6 +491,62 @@ def _pass_regex_to_equality(
 # ---------------------------------------------------------------------------
 
 
+def _bound_ordering_axes(
+    select: LogicalSelect, output: str, taken: set[str]
+) -> int:
+    """Replace, while one is left, the context side of an ordering-axis
+    join that only has to exist by its grouped bound (bodies included:
+    a chain of ordering steps nests); how many were replaced."""
+    bounds = 0
+    found = existential_context(select, output)
+    while found is not None:
+        join, side = found
+        alias = f"{join.context_alias}_bound"
+        while alias in taken:
+            alias += "_"
+        taken.add(alias)
+        guard = {join.context_alias, join.target_alias}
+        aliases = {scan.alias for scan in select.scans}
+        inner: list[PlanCond] = []
+        outer: list[PlanCond] = []
+        for part in select.where.parts:
+            if part is join:
+                outer.append(BoundCond(join.axis, alias, join.target_alias))
+            elif not (
+                isinstance(part, DocEqCond)
+                and {part.left_alias, part.right_alias} == guard
+            ):
+                reads = condition_reads(part) & aliases
+                (inner if reads and reads <= side else outer).append(part)
+        body = LogicalSelect(
+            scans=[scan for scan in select.scans if scan.alias in side],
+            where=AndCond(inner),
+        )
+        table = next(
+            scan.table
+            for scan in body.scans
+            if scan.alias == join.context_alias
+        )
+        bound = GroupedBound(
+            table,
+            alias,
+            axis=join.axis,
+            context_alias=join.context_alias,
+            body=body,
+        )
+        kept = [scan for scan in select.scans if scan.alias not in side]
+        # The sibling bound drives (its rows are few and the target's
+        # par_id index finds each group's siblings); the document bound
+        # is probed per target row, which is read in index order.
+        select.scans = (
+            [bound] + kept if join.axis.endswith("sibling") else kept + [bound]
+        )
+        select.where = AndCond(outer)
+        bounds += 1 + _bound_ordering_axes(body, join.context_alias, taken)
+        found = existential_context(select, output)
+    return bounds
+
+
 def _pass_prune_distinct_order(
     plan: QueryPlan, context: PassContext
 ) -> PassReport:
@@ -483,6 +558,12 @@ def _pass_prune_distinct_order(
     orders = 0
     distincts = 0
     union_all = 0
+    bounds = 0
+    taken = {scan.alias for select in iter_selects(plan) for scan in select.scans}
+    for branch in branches:
+        output = JoinGraph.of(branch).output
+        if output is not None:
+            bounds += _bound_ordering_axes(branch, output, taken)
     for select in iter_selects(plan):
         if id(select) not in branch_ids and select.order_by:
             # Sub-select bodies (EXISTS / scalar COUNT): ordering is
@@ -505,10 +586,11 @@ def _pass_prune_distinct_order(
     ):
         root.all = True
         union_all = 1
-    changes = orders + distincts + union_all
+    changes = orders + distincts + union_all + bounds
     detail = (
         f"dropped {orders} ORDER BY clause(s), {distincts} DISTINCT(s)"
         + (", UNION -> UNION ALL" if union_all else "")
+        + (f", bounded {bounds} ordering-axis context(s)" if bounds else "")
         if changes
         else "all DISTINCT/ORDER BY clauses are load-bearing"
     )
@@ -524,6 +606,8 @@ def _collect_aliases(select: LogicalSelect, out: list[str]) -> None:
     for scan in select.scans:
         if scan.alias not in out:
             out.append(scan.alias)
+        if isinstance(scan, GroupedBound):
+            _collect_aliases(scan.body, out)
     for cond in iter_conditions(select.where):
         for sub in child_subplans(cond):
             _collect_aliases(sub, out)
@@ -583,6 +667,11 @@ def _fingerprint_cond(
         )
     if isinstance(cond, DocEqCond):
         return f"doc({a(cond.left_alias)};{a(cond.right_alias)})"
+    if isinstance(cond, BoundCond):
+        return (
+            f"bound({cond.axis};{a(cond.bound_alias)};"
+            f"{a(cond.target_alias)})"
+        )
     if isinstance(cond, ParentJoinCond):
         return (
             f"fk({a(cond.child_alias)};{a(cond.parent_alias)};{cond.upward})"
@@ -605,7 +694,12 @@ def _fingerprint_select(
     loose: Optional[PathFilterCond] = None,
 ) -> str:
     scans = ",".join(
-        f"{s.table} {names.get(s.alias, s.alias)}" for s in select.scans
+        f"bound({s.axis};{names.get(s.context_alias, s.context_alias)};"
+        f"{_fingerprint_select(s.body, names, loose)}) "
+        f"{names.get(s.alias, s.alias)}"
+        if isinstance(s, GroupedBound)
+        else f"{s.table} {names.get(s.alias, s.alias)}"
+        for s in select.scans
     )
     columns = [_rename_text(c, names) for c in select.columns]
     order = [_rename_text(o, names) for o in select.order_by]
@@ -865,8 +959,11 @@ def _condition_alias_pairs(
             adjacency.add(frozenset((a, b)))
 
     for part in select.where.parts:
-        if isinstance(part, StructuralCond):
-            a, b = part.context_alias, part.target_alias
+        if isinstance(part, (StructuralCond, BoundCond)):
+            if isinstance(part, BoundCond):
+                a, b = part.bound_alias, part.target_alias
+            else:
+                a, b = part.context_alias, part.target_alias
             edge(a, b)
             if a in local and b in local and a != b:
                 ordered.append((a, b))
@@ -878,15 +975,11 @@ def _condition_alias_pairs(
             if part.base_alias is not None:
                 edge(part.alias, part.base_alias)
         elif isinstance(part, RawCond):
-            refs = set(_RAW_ALIAS_REF.findall(part.sql))
-            refs &= local
+            refs = condition_reads(part) & local
             if len(refs) == 2:
                 first, second = sorted(refs)
                 edge(first, second)
     return ordered, adjacency
-
-
-_RAW_ALIAS_REF = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\.")
 
 
 def _reorder_select(

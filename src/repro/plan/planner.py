@@ -22,7 +22,8 @@ import copy
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from repro.core.fragments import (
     PPF,
@@ -152,8 +153,8 @@ class Planner:
         """Plan ``ast``; raises on unsupported features.
 
         :raises UnsupportedXPathError: for features outside the SQL
-            subset (positional predicates on non-child steps, standalone
-            arithmetic results).
+            subset (positional predicates on steps other than child and
+            the ordering axes, standalone arithmetic results).
         :raises TranslationError: when no relation can host a step.
         :raises NotLiftable: when ``ast`` holds a
             :class:`~repro.xpath.ast.Parameter` where the plan depends
@@ -390,7 +391,7 @@ class Planner:
             positional = _positional_form(predicate)
             if positional is not None:
                 condition = self._positional_condition(
-                    predicate_branch, ppf, positional, index
+                    predicate_branch, ppf, positional, index, branch
                 )
             else:
                 condition = self._predicate_condition(
@@ -527,6 +528,7 @@ class Planner:
         ppf: PPF,
         form: "_Positional",
         predicate_index: int,
+        context: _Branch,
     ) -> PlanCond:
         """Translate ``[k]`` / ``[position() op k]`` / ``[last()]``.
 
@@ -534,6 +536,8 @@ class Planner:
         position equals one plus the number of earlier siblings under the
         same parent that satisfy the same node test, which a scalar
         COUNT sub-plan (one per sibling candidate relation) computes.
+        An ordering-axis step counts the nodes on its axis from
+        ``context`` instead (:meth:`_order_position`).
         """
         step = ppf.prominent_step
         if predicate_index != 0:
@@ -541,10 +545,12 @@ class Planner:
                 "a positional predicate must be the step's first "
                 "predicate in the SQL engines"
             )
+        if ppf.kind is PPFKind.ORDER:
+            return self._order_position(branch, step, form, context)
         if step.axis is not Axis.CHILD or ppf.kind is not PPFKind.FORWARD:
             raise UnsupportedXPathError(
                 "positional predicates are only translated for child-axis "
-                "steps (use the native engine otherwise)"
+                "and ordering-axis steps (use the native engine otherwise)"
             )
         alias = branch.ctx_alias
         candidate = branch.ctx_candidate
@@ -562,20 +568,71 @@ class Planner:
                 n for n in own if _matches_test(step, n)
             )
         candidates = self.adapter.candidates(names, _concrete_name(step))
-        if form.kind == "last":
-            following: list[PlanCond] = [
-                ExistsCond(self._sibling_subplan(sib, alias, ">"))
-                for sib in candidates
-            ]
-            return NotCond(OrCond(following)) if following else TrueCond()
-        if form.op == "=" and form.value != int(form.value):
-            return FalseCond()
-        counts = [
-            self._sibling_count_subplan(sib, alias) for sib in candidates
-        ]
-        return AggregateCountCond(
-            counts, _SQL_OPS[form.op], form.value, offset=1
+        return _position(
+            form,
+            [
+                partial(self._sibling_subplan, sibling, alias)
+                for sibling in candidates
+            ],
+            before="<",
         )
+
+    def _order_position(
+        self,
+        branch: _Branch,
+        step: Step,
+        form: "_Positional",
+        context: _Branch,
+    ) -> PlanCond:
+        """A positional predicate on a ``following`` / ``preceding`` /
+        ``*-sibling`` step: the nodes counted are those on the same axis
+        from the same context that pass the node test — before the
+        target in document order on a forward axis, after it on a
+        reverse one.  The count reads the context *and* the target row,
+        so the context can never be reduced to a bound."""
+        target = branch.ctx_alias
+        assert target is not None and context.ctx_alias is not None
+        context_names = (
+            context.ctx_candidate.names
+            if context.ctx_candidate is not None
+            else None
+        )
+        names = self.adapter.order_names(step, context_names)
+        candidates = self.adapter.candidates(names, _concrete_name(step))
+        reverse = step.axis in (Axis.PRECEDING, Axis.PRECEDING_SIBLING)
+        return _position(
+            form,
+            [
+                partial(
+                    self._axis_subplan, candidate, step, context.ctx_alias,
+                    target,
+                )
+                for candidate in candidates
+            ],
+            before=">" if reverse else "<",
+        )
+
+    def _axis_subplan(
+        self,
+        candidate: "Candidate",
+        step: Step,
+        context: str,
+        target: str,
+        dewey_cmp: str,
+    ) -> LogicalSelect:
+        """The ``candidate`` rows on ``step``'s axis from ``context`` whose
+        position compares by ``dewey_cmp`` with ``target``'s."""
+        inner = self._fresh_alias(candidate.table)
+        sub = LogicalSelect(columns=["1"])
+        sub.add_scan(candidate.table, inner)
+        sub.where.add(StructuralCond(step.axis.value, context, inner))
+        if step.axis in (Axis.FOLLOWING, Axis.PRECEDING):
+            sub.where.add(DocEqCond(inner, context))
+        sub.where.add(
+            RawCond(f"{inner}.dewey_pos {dewey_cmp} {target}.dewey_pos")
+        )
+        self._add_name_filter(sub, candidate, inner)
+        return sub
 
     def _sibling_subplan(
         self, candidate: "Candidate", alias: str, dewey_cmp: str
@@ -599,13 +656,6 @@ class Planner:
                     tuple(candidate.name_filter),
                 )
             )
-        return sub
-
-    def _sibling_count_subplan(
-        self, candidate: "Candidate", alias: str
-    ) -> LogicalSelect:
-        sub = self._sibling_subplan(candidate, alias, "<")
-        sub.columns = ["COUNT(*)"]
         return sub
 
     # -- predicates ----------------------------------------------------------
@@ -1051,6 +1101,33 @@ class _Positional:
     kind: str  #: ``cmp`` or ``last``
     op: str = "="
     value: float = 0.0
+
+
+def _position(
+    form: _Positional,
+    candidates: list[Callable[[str], LogicalSelect]],
+    before: str,
+) -> PlanCond:
+    """``[k]`` / ``[position() op k]`` / ``[last()]`` from the rows that
+    share a target's axis: each candidate relation's ``select(cmp)`` is
+    its rows whose ``dewey_pos`` compares by ``cmp`` with the target's,
+    and ``before`` is the comparison of the rows ahead of the target on
+    the axis.  The proximity position is one plus their count; the last
+    node has none behind it."""
+    if form.kind == "last":
+        behind = "<" if before == ">" else ">"
+        beyond: list[PlanCond] = [
+            ExistsCond(select(behind)) for select in candidates
+        ]
+        return NotCond(OrCond(beyond)) if beyond else TrueCond()
+    if form.op == "=" and form.value != int(form.value):
+        return FalseCond()
+    counts = []
+    for select in candidates:
+        count = select(before)
+        count.columns = ["COUNT(*)"]
+        counts.append(count)
+    return AggregateCountCond(counts, _SQL_OPS[form.op], form.value, offset=1)
 
 
 def _concrete_name(step: Step) -> Optional[str]:

@@ -11,6 +11,7 @@ from repro.sqlgen.ast import (
     And,
     Comparison,
     Condition,
+    DerivedTable,
     Exists,
     Not,
     Or,
@@ -38,6 +39,7 @@ __all__ = [
     "Comparison",
     "Condition",
     "DEFAULT_DIALECT",
+    "DerivedTable",
     "Exists",
     "SQLiteDialect",
     "Not",

@@ -92,14 +92,23 @@ class TableRef:
 
 
 @dataclass
+class DerivedTable:
+    """A FROM-clause entry that is a sub-select: ``(SELECT ...) alias``."""
+
+    statement: "SelectStatement"
+    alias: str
+
+
+@dataclass
 class SelectStatement:
     """A flat select with comma-joined tables, per the paper's examples."""
 
     columns: list[str] = field(default_factory=list)
-    tables: list[TableRef] = field(default_factory=list)
+    tables: list[TableRef | DerivedTable] = field(default_factory=list)
     where: And = field(default_factory=And)
     distinct: bool = False
     order_by: list[str] = field(default_factory=list)
+    group_by: list[str] = field(default_factory=list)
 
     def add_table(self, table: str, alias: str | None = None) -> TableRef:
         """Add a FROM entry (idempotent per alias) and return its ref."""

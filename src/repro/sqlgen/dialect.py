@@ -24,7 +24,11 @@ from __future__ import annotations
 
 import re
 
-from repro.dewey.relations import sql_condition
+from repro.dewey.relations import (
+    sql_bound,
+    sql_bound_condition,
+    sql_condition,
+)
 from repro.sqlgen.render import blob_literal, number_literal, string_literal
 
 _SAFE_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -94,6 +98,19 @@ class AnsiDialect:
     ) -> str:
         """Table 2 structural condition joining target to context rows."""
         return sql_condition(axis, context_alias, target_alias)
+
+    def grouped_bound(self, axis: str, context_alias: str) -> tuple[str, str]:
+        """``(key column, aggregate)`` of an ordering axis's bound over
+        the context rows: one row per document (per parent for the
+        sibling axes)."""
+        return sql_bound(axis, context_alias)
+
+    def bound_condition(
+        self, axis: str, bound_alias: str, target_alias: str
+    ) -> str:
+        """The ordering axis as a test of a target row against the bound
+        row of its group."""
+        return sql_bound_condition(axis, bound_alias, target_alias)
 
     def dewey_level(self, alias: str) -> str:
         """SQL expression for the encoded length of a Dewey position."""

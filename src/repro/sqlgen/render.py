@@ -22,6 +22,7 @@ from repro.sqlgen.ast import (
     And,
     Comparison,
     Condition,
+    DerivedTable,
     Exists,
     Not,
     Or,
@@ -159,7 +160,12 @@ def render_select(
     # CROSS JOIN pins the binding order (semantically identical to a
     # comma join in SQLite); the translator ordered the FROM clause so
     # each Dewey range probe sees its driving relation first.
-    tables = " CROSS JOIN ".join(ref.sql() for ref in statement.tables)
+    tables = " CROSS JOIN ".join(
+        f"({render_select(ref.statement, indent + 1, parameters)}) {ref.alias}"
+        if isinstance(ref, DerivedTable)
+        else ref.sql()
+        for ref in statement.tables
+    )
     parts = [f"{head} {columns}", f"FROM {tables}"]
     if statement.where.parts:
         where = render_condition(statement.where, indent, parameters)
@@ -172,6 +178,8 @@ def render_select(
         ):
             where = where[1:-1]
         parts.append(f"WHERE {where}")
+    if statement.group_by:
+        parts.append("GROUP BY " + ", ".join(statement.group_by))
     if statement.order_by:
         parts.append("ORDER BY " + ", ".join(statement.order_by))
     pad = "\n" + "  " * indent

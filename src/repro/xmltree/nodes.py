@@ -17,6 +17,13 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from repro.errors import DocumentDepthError
+
+#: Deepest element a document may hold; the root element is at depth 1.
+#: ``Document.reindex`` stores a Dewey vector and a path per element, so a
+#: chain costs memory quadratic in its depth.
+MAX_DEPTH = 512
+
 
 class Node:
     """Common base for element and text nodes."""
@@ -206,6 +213,10 @@ class Document:
         follow a preorder traversal of element nodes (Figure 1b); Dewey
         ordinals are 1-based positions among *element* siblings (Figure 1c);
         the root element has Dewey vector ``(1,)``.
+
+        :raises DocumentDepthError: when an element nests deeper than
+            :data:`MAX_DEPTH`, as soon as the walk reaches it (the
+            descriptors are then as stale as before the call).
         """
         counter = 0
         stack: list[tuple[ElementNode, tuple[int, ...], str]] = [
@@ -213,6 +224,10 @@ class Document:
         ]
         while stack:
             element, dewey, path = stack.pop()
+            if len(dewey) > MAX_DEPTH:
+                raise DocumentDepthError(
+                    f"<{element.name}> nests deeper than {MAX_DEPTH} elements"
+                )
             counter += 1
             element.node_id = counter
             element.dewey = dewey

@@ -18,12 +18,7 @@ from __future__ import annotations
 from xml.parsers import expat
 
 from repro.errors import XMLParseError
-from repro.xmltree.nodes import Document, ElementNode, TextNode
-
-#: Deepest element accepted; the root element is at depth 1.
-#: ``Document.reindex`` stores a Dewey vector and a path per element, so a
-#: chain costs memory quadratic in its depth.
-MAX_DEPTH = 512
+from repro.xmltree.nodes import MAX_DEPTH, Document, ElementNode, TextNode
 
 
 def parse_fragment(text: str) -> ElementNode:

@@ -5,6 +5,7 @@ relation is (not) touched, and how SQL splitting behaves."""
 import pytest
 
 from repro import PPFEngine, UnsupportedXPathError
+from repro.plan.passes import DEFAULT_PASS_NAMES
 from repro.sqlgen.ast import SelectStatement, UnionStatement
 
 
@@ -88,18 +89,44 @@ class TestTable3Shapes:
 
 
 class TestTable4OrderAxes:
-    def test_following_sibling(self, engine):
+    """Table 4's conditions as the planner writes them (``paper``: the
+    pipeline without ``prune-distinct-order``); the default pipeline
+    states a join whose context side only has to exist as one bound per
+    parent or document."""
+
+    @pytest.fixture()
+    def paper(self, figure1_store):
+        return PPFEngine(
+            figure1_store,
+            passes=tuple(
+                name
+                for name in DEFAULT_PASS_NAMES
+                if name != "prune-distinct-order"
+            ),
+        )
+
+    def test_following_sibling(self, paper, engine):
         """//D[@x=4]/following-sibling::E — Dewey order plus shared
         parent (Table 4, example 1; C's children D and E)."""
-        sql = engine.translate("//D[@x=4]/following-sibling::E").sql
+        sql = paper.translate("//D[@x=4]/following-sibling::E").sql
         assert "E.dewey_pos > D.dewey_pos" in sql
         assert "E.par_id = D.par_id" in sql
         assert "CAST(D.attr_x AS NUMERIC) = 4" in sql
+        bound = engine.translate("//D[@x=4]/following-sibling::E").sql
+        assert "SELECT D.par_id AS par_id, MIN(D.dewey_pos) AS bound" in bound
+        assert "CAST(D.attr_x AS NUMERIC) = 4" in bound
+        assert "GROUP BY D.par_id) D_bound CROSS JOIN E" in bound
+        assert "E.par_id = D_bound.par_id AND E.dewey_pos > D_bound.bound" in (
+            bound
+        )
 
-    def test_preceding(self, engine):
+    def test_preceding(self, paper, engine):
         """//D[@x=4]/preceding::G — the Table 2 row 5 condition."""
-        sql = engine.translate("//D[@x=4]/preceding::G").sql
+        sql = paper.translate("//D[@x=4]/preceding::G").sql
         assert "D.dewey_pos > CAST(G.dewey_pos || X'FF' AS BLOB)" in sql
+        bound = engine.translate("//D[@x=4]/preceding::G").sql
+        assert "SELECT D.doc_id AS doc_id, MAX(D.dewey_pos) AS bound" in bound
+        assert "D_bound.bound > CAST(G.dewey_pos || X'FF' AS BLOB)" in bound
 
     def test_order_axis_skips_path_filter_when_schema_aware(self, engine):
         result = engine.translate("//D/following-sibling::E")

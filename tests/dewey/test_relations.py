@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dewey import (
     Relationship,
+    bound_axes,
     encode,
     is_ancestor,
     is_descendant,
@@ -17,6 +18,8 @@ from repro.dewey import (
     is_preceding,
     is_preceding_sibling,
     relationship,
+    sql_bound,
+    sql_bound_condition,
     sql_condition,
 )
 
@@ -153,3 +156,61 @@ class TestSQLConditionsAgree:
             ) != same_parent:
                 return  # hash collision would muddy the emulation; skip
         assert _sql_truth(sql_db, axis, c_vec, t_vec) == expected
+
+
+#: Positions under one document element ``(1,)``, which has no siblings.
+rooted = st.lists(st.integers(1, 4), max_size=4).map(lambda v: (1, *v))
+nodes = st.tuples(st.integers(1, 2), rooted)  # (doc_id, vector)
+
+
+class TestGroupedBoundsAgree:
+    """One bound per document (per parent for the sibling axes) accepts
+    a target exactly when some context row does, pairwise — the bound
+    form of each ordering axis against the tree ground truth."""
+
+    @pytest.mark.parametrize("axis", sorted(bound_axes()))
+    @given(
+        contexts=st.lists(nodes, min_size=1, max_size=6),
+        targets=st.lists(nodes, min_size=1, max_size=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bound_condition(self, axis, contexts, targets):
+        parents: dict = {}
+
+        def row(node):
+            doc, vector = node
+            parent = (
+                None
+                if len(vector) == 1
+                else parents.setdefault((doc, vector[:-1]), len(parents))
+            )
+            return (doc, parent, encode(vector))
+
+        db = sqlite3.connect(":memory:")
+        for name, rows in (("c", contexts), ("t", targets)):
+            db.execute(
+                f"CREATE TABLE {name} (doc_id INTEGER, par_id INTEGER, "
+                "dewey_pos BLOB)"
+            )
+            db.executemany(
+                f"INSERT INTO {name} VALUES (?, ?, ?)", map(row, rows)
+            )
+        key, aggregate = sql_bound(axis, "c")
+        got = {
+            rowid
+            for (rowid,) in db.execute(
+                f"SELECT t.rowid FROM t CROSS JOIN (SELECT c.{key} AS {key}, "
+                f"{aggregate} AS bound FROM c GROUP BY c.{key}) b "
+                f"WHERE {sql_bound_condition(axis, 'b', 't')}"
+            )
+        }
+        want = {
+            index
+            for index, (doc, vector) in enumerate(targets, start=1)
+            if any(
+                context_doc == doc
+                and axis in _REL_TO_AXES[ground_truth(vector, context)]
+                for context_doc, context in contexts
+            )
+        }
+        assert got == want

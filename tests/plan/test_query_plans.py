@@ -23,15 +23,21 @@ XM25 = [(q.qid, q.xpath) for q in XPATHMARK_QUERIES + XPATHMARK_A_QUERIES]
 
 #: Reviewed: the statements that may still sort their result — a join
 #: whose output alias is not the outer loop: the selective side drives
-#: and a handful of rows is sorted (Q9, Q10, Q21, A4–A8).  Everything
-#: else reads its rows off the index in document order, Q13's
-#: ``UNION ALL`` as a merge of index scans and Q22 as one ``IN``.
-MAY_SORT = {"Q9", "Q10", "Q21", "A4", "A5", "A6", "A7", "A8"}
+#: and a handful of rows is sorted (Q9's per-parent bound, Q21, A4–A8).
+#: Everything else reads its rows off the index in document order,
+#: Q13's ``UNION ALL`` as a merge of index scans, Q22 as one ``IN`` and
+#: Q10 / Q11 probing their per-document bound once per output row.
+MAY_SORT = {"Q9", "Q21", "A4", "A5", "A6", "A7", "A8"}
 #: Reviewed: the statements that keep a ``DISTINCT`` SQLite dedupes in a
-#: temp B-tree — a join that no child -> parent FK chain from the output
-#: proves unique (structural joins: Q6, Q7, Q11, Q21; a sibling or
-#: following join: Q9, Q10).  A4–A8 are FK chains and have none.
-MAY_DEDUPE = {"Q6", "Q7", "Q9", "Q10", "Q11", "Q21"}
+#: temp B-tree — a structural join that no child -> parent FK chain or
+#: grouped bound from the output proves unique (Q6, Q7, Q21).  A4–A8
+#: are FK chains; Q9, Q10 and Q11 join their output to one bound row.
+MAY_DEDUPE = {"Q6", "Q7", "Q21"}
+#: The ordering-axis queries whose context side is a grouped bound.
+BOUNDED = ("Q9", "Q10", "Q11")
+#: The statements with a Dewey range probe (Q10 and Q11 read their
+#: output in index order instead, testing it against the bound).
+PROBING = {"Q6", "Q7", "Q21", "QA", "A4", "A5", "A6"}
 
 _PATHS_ROW = re.compile(r"^(SCAN|SEARCH) \w+_paths\b")
 _DEWEY_PROBE = re.compile(r"dewey_pos[<>]")
@@ -85,6 +91,17 @@ def test_distinct_is_deduped_only_where_reviewed(engine):
         ), qid
 
 
+def test_ordering_axes_read_one_bound_row_per_output_row(engine):
+    for qid in BOUNDED:
+        xpath = dict(XM25)[qid]
+        translation = engine.translate(xpath)
+        assert not translation.statement.distinct, qid
+        assert translation.one_row_per_id, qid
+        detail = engine.query_plan(xpath)
+        assert "USE TEMP B-TREE FOR DISTINCT" not in detail, qid
+        assert not any("AUTOMATIC" in line for line in detail), (qid, detail)
+
+
 def test_no_paths_row_is_joined_when_the_summary_is_exact(engine):
     for qid, xpath in XM25:
         translation = engine.translate(xpath)
@@ -97,11 +114,11 @@ def test_no_paths_row_is_joined_when_the_summary_is_exact(engine):
 
 
 def test_structural_probes_stay_inside_one_document(engine):
-    probes = 0
+    probing = set()
     for qid, xpath in XM25:
         for line in engine.query_plan(xpath):
             assert "ANY(doc_id)" not in line, (qid, line)
             if _DEWEY_PROBE.search(line):
-                probes += 1
+                probing.add(qid)
                 assert "(doc_id=? AND dewey_pos" in line, (qid, line)
-    assert probes >= 10
+    assert probing == PROBING

@@ -1,14 +1,25 @@
 """Unit tests for the XML node model and document descriptors."""
 
+import time
+
 import pytest
 
 from repro.xmltree.nodes import (
+    MAX_DEPTH,
     AttributeNode,
     Document,
     ElementNode,
     TextNode,
 )
-from repro import parse_document
+from repro import (
+    Database,
+    DocumentDepthError,
+    PPFEngine,
+    ShreddedStore,
+    infer_schema,
+    parse_document,
+    serialize,
+)
 
 
 def small_doc() -> Document:
@@ -168,11 +179,57 @@ class TestIterOrder:
         assert ids == sorted(ids)
 
     def test_deep_tree_does_not_recurse(self):
+        """Iteration walks a 5000-deep built tree without recursing; as a
+        document it is refused (``MAX_DEPTH``), see TestDepthBound."""
         root = ElementNode("n0")
         current = root
         for i in range(1, 5000):
             current = current.append_element(f"n")
-        doc = Document(root)
-        assert doc.element_count() == 5000
-        deepest = max(doc.iter_elements(), key=lambda e: e.level)
-        assert deepest.level == 5000
+        elements = list(root.iter())
+        assert len(elements) == 5000
+        assert elements[-1] is current
+        with pytest.raises(DocumentDepthError):
+            Document(root)
+
+
+def built_chain(depth: int) -> ElementNode:
+    """``depth`` nested ``a`` elements built with ``append``, the deepest
+    holding the text ``x``."""
+    root = node = ElementNode("a")
+    for _ in range(depth - 1):
+        node = node.append_element("a")
+    node.append_text("x")
+    return root
+
+
+class TestDepthBound:
+    """A built tree is held to the parser's ``MAX_DEPTH``: past it,
+    indexing ends in a typed error before the Dewey vectors and paths it
+    would store grow quadratic."""
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 100_000])
+    def test_too_deep_ends_in_the_typed_error_fast(self, depth):
+        root = built_chain(depth)
+        start = time.perf_counter()
+        with pytest.raises(DocumentDepthError, match=f"deeper than {MAX_DEPTH}"):
+            Document(root)
+        assert time.perf_counter() - start < 1.0
+        shallow = Document(ElementNode("r"))
+        shallow.root.append(root)
+        start = time.perf_counter()
+        with pytest.raises(DocumentDepthError):
+            shallow.reindex()
+        assert time.perf_counter() - start < 1.0
+
+    def test_at_the_limit_loads_and_serializes(self):
+        document = Document(built_chain(MAX_DEPTH))
+        (leaf,) = [e for e in document.iter_elements() if e.direct_text]
+        assert leaf.level == MAX_DEPTH
+        assert document.root.string_value == "x"
+        text = serialize(document, pretty=False)
+        assert text == "<a>" * MAX_DEPTH + "x" + "</a>" * MAX_DEPTH
+        store = ShreddedStore.create(
+            Database.memory(), infer_schema([document])
+        )
+        store.load(document)
+        assert PPFEngine(store).execute("//a[not(a)]").ids == [MAX_DEPTH]
