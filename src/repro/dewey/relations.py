@@ -181,19 +181,17 @@ def sql_condition(axis: str, context_alias: str, target_alias: str) -> str:
 #: upper bounds, not the bound of the minimum: an ancestor is smaller
 #: than its descendants but its upper bound is larger).  Siblings share
 #: one ``par_id`` and are never each other's prefix, so a plain
-#: comparison with the group's extreme position decides.  The unary
-#: plus on the document key keeps SQLite from building an automatic
-#: index over the few bound rows, one per document.
+#: comparison with the group's extreme position decides.
 _BOUNDS = {
     "preceding": (
         "doc_id",
         "MAX({c}.dewey_pos)",
-        "+{b}.doc_id = {t}.doc_id AND {b}.bound > " + _UPPER.format(x="{t}"),
+        "{b}.doc_id = {t}.doc_id AND {b}.bound > " + _UPPER.format(x="{t}"),
     ),
     "following": (
         "doc_id",
         "MIN(" + _UPPER.format(x="{c}") + ")",
-        "+{b}.doc_id = {t}.doc_id AND {t}.dewey_pos > {b}.bound",
+        "{b}.doc_id = {t}.doc_id AND {t}.dewey_pos > {b}.bound",
     ),
     "preceding-sibling": (
         "par_id",

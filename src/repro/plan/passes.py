@@ -537,7 +537,7 @@ def _bound_ordering_axes(
         kept = [scan for scan in select.scans if scan.alias not in side]
         # The sibling bound drives (its rows are few and the target's
         # par_id index finds each group's siblings); the document bound
-        # is probed per target row, which is read in index order.
+        # is looked up per target row, which is read in index order.
         select.scans = (
             [bound] + kept if join.axis.endswith("sibling") else kept + [bound]
         )
