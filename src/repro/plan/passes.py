@@ -303,11 +303,6 @@ def fold_plan(plan: QueryPlan) -> QueryPlan:
         select.where = _rewrap(
             rewrite_condition(select.where, _fold_condition)
         )
-        if any(
-            isinstance(scan, GroupedBound) and contains_false(scan.body.where)
-            for scan in select.scans
-        ):
-            select.where = AndCond([FalseCond()])
     root = plan.root
     if isinstance(root, PlanUnion):
         root.branches = [
