@@ -105,7 +105,6 @@ from repro.serving import (
     AsyncShardedEngine,
     ConnectionPool,
     ResultCache,
-    ServingConfig,
     ShardRuntime,
     ShardedEngine,
     ShardedStore,
@@ -159,7 +158,6 @@ __all__ = [
     "SchemaError",
     "SchemaMarking",
     "ServedBy",
-    "ServingConfig",
     "Severity",
     "ShardError",
     "ShardRuntime",

@@ -1,10 +1,7 @@
 """The one public entry point: :func:`connect` + :class:`EngineConfig`.
 
-Engine construction has drifted across PRs: ``PPFEngine(store,
-passes=..., dialect=..., result_cache_size=...)``,
-``ShardedEngine.serve(store, config=ServingConfig(...))``, pools
-attached by hand, and per-call kwargs that differ between the two.
-:func:`connect` replaces all of that for the common cases::
+:func:`connect` opens a store and builds its engine from one
+:class:`EngineConfig`::
 
     import repro
 
@@ -28,9 +25,11 @@ object satisfying the :class:`Engine` protocol either way: ``execute``
 the context-manager surface.  Everything the engine opened on your
 behalf (database, worker fleet) is released by ``close``.
 
-:class:`EngineConfig` consolidates the tuning surface of both engine
-families in one frozen dataclass; fields that do not apply to the
-detected store kind are simply unused (a single store has no hedging).
+:class:`EngineConfig` is the only tunables object of both engine
+families.  Both plan through the engine :meth:`EngineConfig.
+planning_engine` builds, so the same config translates an XPath to the
+same SQL on a single store and on a fleet; the serving fields are read
+by the fleet alone (a single store has no hedging).
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from repro.errors import StorageError
 from repro.resilience.policy import ResiliencePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sqlgen.dialect import AnsiDialect
     from repro.xpath.ast import XPathExpr
 
 
@@ -58,27 +56,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class EngineConfig:
     """Every engine tunable, in one place.
 
-    The same config object drives both engine families; see each field
-    for which family consumes it.  ``EngineConfig()`` reproduces the
-    defaults the individual constructors always had.
+    Both engine families read the planning and execution fields; the
+    sharded-serving fields are read by the fleet alone.
+    ``EngineConfig()`` reproduces the defaults the individual
+    constructors always had.
     """
 
-    # -- planning / translation (both families) --
+    # -- planning (both families) --
     #: Section 4.5 — omit provably redundant `Paths` joins.
     path_filter_optimization: bool = True
     #: Section 4.2 — foreign-key equijoins for single-step PPFs.
     prefer_fk_joins: bool = True
     #: Explicit optimizer-pass selection (``None`` = default pipeline).
     passes: Optional[tuple[str, ...]] = None
-    #: SQL dialect to lower plans through (``None`` = SQLite).
-    dialect: Optional["AnsiDialect"] = None
 
     # -- execution (both families) --
     #: Per-query wall-clock budget in seconds (``None`` = unlimited):
     #: the resilience policy's query timeout on a single store, the
     #: serving deadline over a sharded one.
     deadline: Optional[float] = 5.0
-    #: Per-query row cap (``None`` = unlimited).
+    #: Per-query row cap (``None`` = unlimited): the single store's
+    #: policy, forwarded to every shard's worker on a fleet.
     max_rows: Optional[int] = None
     #: Degrade to the native evaluator when SQL cannot answer (needs
     #: resident documents; silently inert for disk-opened stores).
@@ -86,43 +84,46 @@ class EngineConfig:
     #: Entries in the generation-keyed result cache (``None`` = off).
     result_cache_size: Optional[int] = 128
 
-    # -- sharded serving (ServingConfig fields + fleet shape) --
+    # -- sharded serving (the fleet only) --
     #: Worker replicas per shard.
     replicas: int = 2
-    #: Seconds of silence before a hedged duplicate request
-    #: (``None`` disables hedging).
+    #: Seconds a shard may stay silent before a hedged duplicate
+    #: request goes to a second replica (``None`` disables hedging).
     hedge_delay: Optional[float] = 0.05
-    #: Costed hedge gate: estimated results below this skip hedging.
+    #: Cost-model gate on hedging: a query whose estimated result is
+    #: below this many rows skips hedged duplicates (a cheap query's
+    #: tail latency is dominated by the duplicate's own overhead, not
+    #: by stragglers).  Only consulted when the store has collected
+    #: statistics; estimate-less queries hedge as before.
     hedge_min_rows: float = 16.0
-    #: Extra attempts per shard after the first failure.
+    #: Extra attempts per shard after the first failed/crashed one.
     shard_retries: int = 1
-    #: Maximum queries in flight (admission control).
+    #: Maximum queries in flight; the admission queue rejects beyond it.
     max_inflight: int = 8
     #: Seconds to wait for an admission slot before
-    #: :class:`~repro.errors.AdmissionRejectedError`; ``None`` waits
-    #: without limit (awaitable backpressure on the async front door).
+    #: :class:`~repro.errors.AdmissionRejectedError`.  ``None`` waits
+    #: without limit — on the async front door this is the *awaitable
+    #: backpressure* mode: submitted queries park on the admission
+    #: semaphore (a pending future each, not a thread each) until a
+    #: slot frees.
     admission_timeout: Optional[float] = 0.5
-    #: Consecutive per-shard failures that trip the circuit breaker.
+    #: Consecutive per-shard failures that trip the shard's breaker.
     breaker_threshold: int = 3
-    #: Seconds a tripped breaker stays open.
+    #: Seconds a tripped breaker stays open before half-open probing.
     breaker_cooldown: float = 1.0
 
-    def serving_config(self):
-        """This config's sharded-serving slice, as the
-        :class:`~repro.serving.scatter.ServingConfig` the scatter
-        engine consumes."""
-        from repro.serving.scatter import ServingConfig
-
-        return ServingConfig(
-            deadline=self.deadline,
-            hedge_delay=self.hedge_delay,
-            hedge_min_rows=self.hedge_min_rows,
-            shard_retries=self.shard_retries,
-            max_inflight=self.max_inflight,
-            admission_timeout=self.admission_timeout,
-            breaker_threshold=self.breaker_threshold,
-            breaker_cooldown=self.breaker_cooldown,
-            max_rows=self.max_rows,
+    def planning_engine(self, store) -> PPFEngine:
+        """The engine that translates for ``store`` under the planning
+        fields, with this config's ``fallback`` and result cache.
+        :func:`connect` returns it for a single store; a
+        :class:`~repro.serving.scatter.ShardedEngine` keeps one over its
+        sharded store for translation, ``explain``, the result cache and
+        the native fallback."""
+        return PPFEngine(
+            store,
+            path_filter_optimization=self.path_filter_optimization,
+            prefer_fk_joins=self.prefer_fk_joins,
+            passes=self.passes,
             fallback=self.fallback,
             result_cache_size=self.result_cache_size,
         )
@@ -241,15 +242,7 @@ def _connect_single(path: str, config: EngineConfig) -> "PPFEngine":
         path, policy=config.policy(), check_same_thread=False
     )
     try:
-        engine = PPFEngine(
-            ShreddedStore.open(db),
-            path_filter_optimization=config.path_filter_optimization,
-            prefer_fk_joins=config.prefer_fk_joins,
-            fallback=config.fallback,
-            result_cache_size=config.result_cache_size,
-            passes=config.passes,
-            dialect=config.dialect,
-        )
+        engine = config.planning_engine(ShreddedStore.open(db))
     except BaseException:
         db.close()
         raise
@@ -263,11 +256,7 @@ def _connect_sharded(path: str, config: EngineConfig):
 
     store = ShardedStore.open(path)
     try:
-        engine = ShardedEngine.serve(
-            store,
-            config=config.serving_config(),
-            replicas=config.replicas,
-        )
+        engine = ShardedEngine.serve(store, config=config)
     except BaseException:
         store.close()
         raise

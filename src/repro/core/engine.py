@@ -59,7 +59,6 @@ import repro.plan.passes as _plan_passes
 from repro.serving.cache import ResultCache
 from repro.serving.pool import ConnectionPool
 from repro.sqlgen.ast import SelectStatement, UnionStatement
-from repro.sqlgen.dialect import AnsiDialect
 from repro.sqlgen.render import render_statement
 from repro.storage.database import Params
 from repro.storage.edge import EdgeStore
@@ -222,8 +221,7 @@ class SQLXPathEngine:
 
     def __init__(self, store, translator: PPFTranslator,
                  fallback: bool = False,
-                 result_cache_size: int | None = 128,
-                 pool: ConnectionPool | None = None):
+                 result_cache_size: int | None = 128):
         self.store = store
         self.translator = translator
         self.fallback = fallback
@@ -242,7 +240,7 @@ class SQLXPathEngine:
         self._result_cache = (
             ResultCache(result_cache_size) if result_cache_size else None
         )
-        self._pool = pool
+        self._pool: ConnectionPool | None = None
         #: The one thread behind :meth:`execute_async` (lazy).
         self._async_executor: ThreadPoolExecutor | None = None
         #: Cleanup hooks run by :meth:`close` — :func:`repro.connect`
@@ -405,8 +403,8 @@ class SQLXPathEngine:
         generation = getattr(self.store, "generation", None)
         if generation is None:
             return None
-        # The translator fingerprint keys results on the active dialect
-        # and optimizer-pass set, so engines with different pass
+        # The translator fingerprint keys results on the optimizer-pass
+        # set and the translation switches, so engines with different pass
         # configurations sharing a cache never serve each other's rows.
         return (expression, generation, self.translator.fingerprint)
 
@@ -783,15 +781,10 @@ class PPFEngine(SQLXPathEngine):
         documents to be resident in memory).
     :param result_cache_size: entries in the generation-keyed result
         cache (``None`` disables it).
-    :param pool: serve queries from this read-only connection pool
-        (equivalent to calling :meth:`attach_pool` afterwards) — for
-        callers that query from several threads.
     :param passes: explicit optimizer-pass selection (names from
         :data:`repro.plan.passes.PASSES`, run in the given order);
         ``None`` uses the default pipeline, honouring
         ``path_filter_optimization``.
-    :param dialect: SQL dialect to lower plans through (default:
-        SQLite).
     """
 
     def __init__(
@@ -801,9 +794,7 @@ class PPFEngine(SQLXPathEngine):
         prefer_fk_joins: bool = True,
         fallback: bool = False,
         result_cache_size: int | None = 128,
-        pool: ConnectionPool | None = None,
         passes: "Optional[tuple[str, ...] | list[str]]" = None,
-        dialect: Optional[AnsiDialect] = None,
     ):
         adapter = SchemaAwareAdapter(
             store, path_filter_optimization=path_filter_optimization
@@ -814,11 +805,9 @@ class PPFEngine(SQLXPathEngine):
                 adapter,
                 prefer_fk_joins=prefer_fk_joins,
                 passes=passes,
-                dialect=dialect,
             ),
             fallback=fallback,
             result_cache_size=result_cache_size,
-            pool=pool,
         )
 
 
@@ -832,9 +821,7 @@ class EdgePPFEngine(SQLXPathEngine):
         prefer_fk_joins: bool = True,
         fallback: bool = False,
         result_cache_size: int | None = 128,
-        pool: ConnectionPool | None = None,
         passes: "Optional[tuple[str, ...] | list[str]]" = None,
-        dialect: Optional[AnsiDialect] = None,
     ):
         adapter = EdgeAdapter(store)
         super().__init__(
@@ -843,9 +830,7 @@ class EdgePPFEngine(SQLXPathEngine):
                 adapter,
                 prefer_fk_joins=prefer_fk_joins,
                 passes=passes,
-                dialect=dialect,
             ),
             fallback=fallback,
             result_cache_size=result_cache_size,
-            pool=pool,
         )

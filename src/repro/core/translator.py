@@ -11,7 +11,7 @@ it wires the three pipeline layers together:
    elimination, Table 3 regex→equality, DISTINCT/ORDER pruning,
    union-branch dedup);
 3. :func:`repro.plan.lowering.lower_plan` renders the survivor through a
-   :class:`~repro.sqlgen.dialect.AnsiDialect` (SQLite by default).
+   :class:`~repro.sqlgen.dialect.SQLiteDialect`.
 
 **Translation is per shape.**  Algorithm 1 is a function of steps, axes,
 name tests and predicate structure; the constants of value predicates
@@ -60,7 +60,7 @@ from repro.sqlgen import (
     UnionStatement,
     render_statement,
 )
-from repro.sqlgen.dialect import DEFAULT_DIALECT, AnsiDialect
+from repro.sqlgen.dialect import DEFAULT_DIALECT
 from repro.sqlgen.render import BoundValue, number_value, parameter_name
 from repro.xpath.ast import XPathExpr
 from repro.xpath.lexer import NUMBER_SLOT, STRING_SLOT, Shape, shape_of
@@ -276,7 +276,6 @@ class PPFTranslator:
         split_every_step: bool = False,
         use_path_index: bool = True,
         passes: Optional[Sequence[str]] = None,
-        dialect: Optional[AnsiDialect] = None,
     ):
         self.adapter = adapter
         #: Section 4.2: use foreign-key equijoins for single-step
@@ -300,7 +299,7 @@ class PPFTranslator:
                 "correctness"
             )
         #: The SQL dialect statements are lowered through.
-        self.dialect = dialect if dialect is not None else DEFAULT_DIALECT
+        self.dialect = DEFAULT_DIALECT
         #: Active optimizer pass names, in run order.  An explicit
         #: ``passes`` wins; otherwise the default pipeline, minus the
         #: Section 4.5 elimination pass when the adapter's
@@ -329,7 +328,6 @@ class PPFTranslator:
         (:attr:`TranslationResult.summary_reads`) and the engine serves
         it for as long as that still holds."""
         return (
-            self.dialect.name,
             self.pass_names,
             self.prefer_fk_joins,
             self.split_every_step,
@@ -418,7 +416,6 @@ class PPFTranslator:
             sql_length_limit=getattr(
                 self.adapter, "sql_length_limit", None
             ),
-            dialect=self.dialect,
         )
         plan, reports = self._pipeline.run(plan, context)
         stats_after = _nodes.plan_stats(plan)

@@ -3,7 +3,7 @@
 Pipeline: :class:`~repro.plan.planner.Planner` produces a
 :class:`~repro.plan.nodes.QueryPlan`, a
 :class:`~repro.plan.passes.PassPipeline` optimizes it, and
-:func:`~repro.plan.lowering.lower_plan` renders the survivor through a
+:func:`~repro.plan.lowering.lower_plan` renders the survivor through the
 SQL dialect.  :class:`repro.core.translator.PPFTranslator` is the facade
 that wires the three together.
 """

@@ -1,10 +1,9 @@
-"""Lowering: logical plan → SQL statement AST, through a dialect.
+"""Lowering: logical plan → SQL statement AST, through the dialect.
 
 This is the only place where plan nodes turn into SQL text fragments.
 Everything backend-specific — regex call shape, literal quoting, Dewey
 comparisons — is delegated to the
-:class:`~repro.sqlgen.dialect.AnsiDialect` passed in, so a plan lowers
-unchanged against any dialect.
+:class:`~repro.sqlgen.dialect.SQLiteDialect` passed in.
 """
 
 from __future__ import annotations
@@ -46,12 +45,12 @@ from repro.sqlgen.ast import (
     SelectStatement,
     UnionStatement,
 )
-from repro.sqlgen.dialect import DEFAULT_DIALECT, AnsiDialect
+from repro.sqlgen.dialect import DEFAULT_DIALECT, SQLiteDialect
 from repro.sqlgen.render import render_statement
 
 
 def lower_condition(
-    condition: PlanCond, dialect: AnsiDialect
+    condition: PlanCond, dialect: SQLiteDialect
 ) -> Condition:
     """Render one logical condition to a SQL AST condition."""
     if isinstance(condition, TrueCond):
@@ -151,7 +150,7 @@ def lower_condition(
 
 
 def lower_select(
-    select: LogicalSelect, dialect: AnsiDialect
+    select: LogicalSelect, dialect: SQLiteDialect
 ) -> SelectStatement:
     """Render one logical select (branch or sub-select body)."""
     statement = SelectStatement(
@@ -171,7 +170,9 @@ def lower_select(
     return statement
 
 
-def lower_bound(bound: GroupedBound, dialect: AnsiDialect) -> SelectStatement:
+def lower_bound(
+    bound: GroupedBound, dialect: SQLiteDialect
+) -> SelectStatement:
     """The body of a grouped bound: its select, projecting the group key
     and the aggregate (``bound``), grouped by the key."""
     statement = lower_select(bound.body, dialect)
@@ -183,7 +184,7 @@ def lower_bound(bound: GroupedBound, dialect: AnsiDialect) -> SelectStatement:
 
 
 def lower_plan(
-    plan: QueryPlan, dialect: Optional[AnsiDialect] = None
+    plan: QueryPlan, dialect: Optional[SQLiteDialect] = None
 ) -> Union[SelectStatement, UnionStatement, None]:
     """Render a whole plan; ``None`` for statically empty plans."""
     if dialect is None:

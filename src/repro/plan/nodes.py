@@ -7,7 +7,7 @@ here is SQL text yet: path filters carry their pattern steps, structural
 joins carry their axis, and Dewey level arithmetic carries its offsets,
 so optimizer passes (:mod:`repro.plan.passes`) can inspect and rewrite
 them before :mod:`repro.plan.lowering` renders the survivors through a
-:class:`~repro.sqlgen.dialect.AnsiDialect`.
+:class:`~repro.sqlgen.dialect.SQLiteDialect`.
 
 Node ↔ paper mapping (see DESIGN.md for the longer version):
 

@@ -142,7 +142,7 @@ from repro.plan.nodes import (
 from repro.plan.cost import CardinalityEstimator
 from repro.plan.lowering import lower_plan
 from repro.schema.marking import PathClass, SchemaMarking
-from repro.sqlgen.dialect import DEFAULT_DIALECT, AnsiDialect
+from repro.sqlgen.dialect import DEFAULT_DIALECT
 from repro.sqlgen.render import render_statement
 from repro.stats.summary import PathSummary
 
@@ -167,14 +167,12 @@ class PassContext:
     the stored rows (``None`` when statistics were never collected, are
     stale, or the adapter has none — the costed passes then keep
     quiet).  ``sql_length_limit`` is the longest statement, in bytes,
-    the backend accepts when rendered through ``dialect`` (``None``:
-    unknown, not checked).
+    the backend accepts (``None``: unknown, not checked).
     """
 
     marking: Optional[SchemaMarking] = None
     summary: Optional[PathSummary] = None
     sql_length_limit: Optional[int] = None
-    dialect: AnsiDialect = DEFAULT_DIALECT
 
 
 @dataclass(frozen=True)
@@ -762,12 +760,12 @@ def _pass_dedup_union_branches(
             continue
         if limit is not None:
             if room is None:
-                statement = lower_plan(plan, context.dialect)
+                statement = lower_plan(plan)
                 assert statement is not None
                 room = limit - len(render_statement(statement).encode())
             # The branch it replaces is not credited back.
             cost = len(
-                context.dialect.path_membership(into.alias, paths).encode()
+                DEFAULT_DIALECT.path_membership(into.alias, paths).encode()
             )
             if cost > room:
                 apart += 1
@@ -826,7 +824,6 @@ def _pass_costed_access_strategy(
     summary = context.summary
     if summary is None:
         return PassReport(name, False, 0, "no exact path summary")
-    dialect = context.dialect
     limit = context.sql_length_limit
     # Bytes the statement may still grow by; measured on first need.
     room: Optional[int] = None
@@ -840,13 +837,15 @@ def _pass_costed_access_strategy(
         if limit is None:
             return True
         if room is None:
-            statement = lower_plan(plan, dialect)
+            statement = lower_plan(plan)
             room = limit - (
                 len(render_statement(statement).encode())
                 if statement is not None
                 else 0
             )
-        cost = len(dialect.path_membership(cond.alias, literals).encode())
+        cost = len(
+            DEFAULT_DIALECT.path_membership(cond.alias, literals).encode()
+        )
         if cost > room:
             return False
         room -= cost

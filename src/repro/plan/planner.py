@@ -501,8 +501,15 @@ class Planner:
             axis_name = "ancestor" if minimum > 0 else "ancestor-or-self"
         stmt.where.add(StructuralCond(axis_name, ctx, alias))
         stmt.where.add(DocEqCond(alias, ctx))
-        if ppf.kind is PPFKind.FORWARD and ppf.anchored:
-            # Root-anchored patterns already pin the fragment's interior.
+        if (
+            ppf.kind is PPFKind.FORWARD
+            and ppf.anchored
+            and all(s.sep == "child" for s in branch.ctx_pattern or ())
+        ):
+            # A root-anchored pattern pins the fragment's interior only
+            # when the context's own pattern has no `//` gap: after one,
+            # a recursive name (`//a[@k]/a/a`) can match the fragment at
+            # more than one distance below the context.
             return
         if minimum > 1 or (exact and minimum != 1):
             sign = (

@@ -1,12 +1,13 @@
 """Per-query wall-clock guard built on SQLite progress handlers.
 
 A :class:`QueryGuard` is installed on a connection for the duration of
-one statement.  SQLite invokes the handler every ``interval`` virtual
-machine instructions; when the deadline has passed (or a cooperative
-cancellation event is set) the handler returns non-zero, which makes
-SQLite abort the running statement with an ``interrupted`` error.  The
-:class:`~repro.storage.database.Database` wrapper then maps that abort to
-:class:`~repro.errors.QueryTimeoutError` or
+one statement.  SQLite invokes the handler every
+:data:`PROGRESS_INTERVAL` virtual machine instructions; when the
+deadline has passed (or a cooperative cancellation event is set) the
+handler returns non-zero, which makes SQLite abort the running
+statement with an ``interrupted`` error.  The
+:class:`~repro.storage.database.Database` wrapper then maps that abort
+to :class:`~repro.errors.QueryTimeoutError` or
 :class:`~repro.errors.QueryCancelledError` depending on which condition
 fired.
 """
@@ -18,6 +19,9 @@ import threading
 import time
 from typing import Callable
 
+#: SQLite VM instructions between progress-handler callbacks.
+PROGRESS_INTERVAL = 1000
+
 
 class QueryGuard:
     """Deadline (and cancellation) watcher for one running statement."""
@@ -28,10 +32,8 @@ class QueryGuard:
         *,
         cancel_event: threading.Event | None = None,
         clock: Callable[[], float] = time.monotonic,
-        interval: int = 1000,
     ):
         self.timeout = timeout
-        self.interval = interval
         self._clock = clock
         self._cancel_event = cancel_event
         self._deadline: float | None = None
@@ -43,7 +45,7 @@ class QueryGuard:
         """Arm the deadline and register the progress handler."""
         if self.timeout is not None:
             self._deadline = self._clock() + self.timeout
-        connection.set_progress_handler(self._tick, self.interval)
+        connection.set_progress_handler(self._tick, PROGRESS_INTERVAL)
 
     def uninstall(self, connection: sqlite3.Connection) -> None:
         """Remove the progress handler from ``connection``."""

@@ -1,7 +1,7 @@
 """The knobs of the resilience layer, bundled in one value object.
 
 A :class:`ResiliencePolicy` travels with a :class:`repro.storage.database.
-Database` and controls the three protective mechanisms the execution path
+Database` and controls the protective mechanisms the execution path
 runs under:
 
 * **query guards** — per-statement wall-clock timeout (enforced through a
@@ -10,7 +10,8 @@ runs under:
 * **retry** — exponential backoff with jitter for transient
   ``SQLITE_BUSY`` / ``database is locked`` errors,
 * **concurrency pragmas** — WAL journaling and ``busy_timeout`` so
-  concurrent readers of a file-backed store work at all.
+  concurrent readers of a file-backed store work at all (always on:
+  :class:`~repro.storage.database.Database` sets them on open).
 
 The dataclass is frozen; derive variants with :meth:`replace`.
 """
@@ -39,14 +40,6 @@ class ResiliencePolicy:
     backoff_multiplier: float = 2.0
     #: Random extra fraction added to each delay (0.25 = up to +25%).
     jitter: float = 0.25
-    #: ``PRAGMA busy_timeout`` in milliseconds (SQLite-level blocking
-    #: wait below our retry loop).
-    busy_timeout_ms: int = 5000
-    #: Switch file-backed databases to WAL journaling on open.
-    wal: bool = True
-    #: SQLite VM instructions between progress-handler callbacks while a
-    #: query guard is active.
-    progress_interval: int = 1000
 
     def replace(self, **changes) -> "ResiliencePolicy":
         """A copy of this policy with ``changes`` applied."""

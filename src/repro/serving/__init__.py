@@ -39,7 +39,6 @@ _LAZY = {
     "ShardRuntime": "supervisor",
     "WorkerConfig": "supervisor",
     "WorkerHandle": "supervisor",
-    "ServingConfig": "scatter",
     "ShardOutcome": "ladder",
     "ShardedEngine": "scatter",
     "AsyncShardedEngine": "frontdoor",
@@ -63,7 +62,6 @@ __all__ = [
     "ConnectionPool",
     "DocEntry",
     "ResultCache",
-    "ServingConfig",
     "ShardOutcome",
     "ShardRuntime",
     "ShardedEngine",

@@ -43,11 +43,11 @@ from __future__ import annotations
 import asyncio
 from typing import AsyncIterator, Optional, Union
 
+from repro.api import EngineConfig
 from repro.core.engine import QueryResult
 from repro.core.translator import TranslationResult
 from repro.serving.scatter import (
     Scatter,
-    ServingConfig,
     ShardedEngine,
     ShardOutcome,
     _Planned,
@@ -154,7 +154,7 @@ class AsyncShardedEngine:
     async def serve(
         cls,
         store,
-        config: Optional[ServingConfig] = None,
+        config: Optional[EngineConfig] = None,
         **kwargs,
     ) -> "AsyncShardedEngine":
         """Spawn a worker fleet over ``store`` (forking happens off-loop
@@ -168,7 +168,7 @@ class AsyncShardedEngine:
         return cls(engine, own_engine=True)
 
     @property
-    def config(self) -> ServingConfig:
+    def config(self) -> EngineConfig:
         return self._engine.config
 
     @property

@@ -108,8 +108,7 @@ class Breaker(Protocol):
 
 
 class Rungs(Protocol):
-    """The :class:`~repro.serving.scatter.ServingConfig` fields the
-    ladder reads."""
+    """The :class:`~repro.api.EngineConfig` fields the ladder reads."""
 
     @property
     def hedge_delay(self) -> Optional[float]: ...

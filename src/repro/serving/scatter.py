@@ -49,15 +49,15 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Union
 
-from repro.core.adapters import SchemaAwareAdapter
-from repro.core.engine import ExplainReport, SQLXPathEngine
+from repro.api import EngineConfig
+from repro.core.engine import ExplainReport
 from repro.core.results import (
     QueryResult,
     ResultRow,
     merge_document_runs,
     remapped_rows,
 )
-from repro.core.translator import PPFTranslator, TranslationResult
+from repro.core.translator import TranslationResult
 from repro.errors import (
     AdmissionRejectedError,
     ShardError,
@@ -75,46 +75,6 @@ from repro.serving.ladder import (
 )
 from repro.serving.supervisor import CircuitBreaker, ShardRuntime
 from repro.xpath.ast import XPathExpr
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Tunables of the sharded serving ladder."""
-
-    #: Default per-query wall-clock deadline in seconds, budgeted over a
-    #: shard's attempts (``None`` = no deadline).
-    deadline: Optional[float] = 5.0
-    #: Seconds a shard may stay silent before a hedged duplicate request
-    #: goes to a second replica (``None`` disables hedging).
-    hedge_delay: Optional[float] = 0.05
-    #: Cost-model gate on hedging: a query whose estimated result is
-    #: below this many rows skips hedged duplicates (a cheap query's
-    #: tail latency is dominated by the duplicate's own overhead, not
-    #: by stragglers).  Only consulted when the store has collected
-    #: statistics; estimate-less queries hedge as before.
-    hedge_min_rows: float = 16.0
-    #: Extra attempts per shard after the first failed/crashed one.
-    shard_retries: int = 1
-    #: Maximum queries in flight; the admission queue rejects beyond it.
-    max_inflight: int = 8
-    #: Seconds :meth:`ShardedEngine.execute` waits for an admission slot
-    #: before raising :class:`AdmissionRejectedError`.  ``None`` waits
-    #: without limit — on the async front door this is the *awaitable
-    #: backpressure* mode: submitted queries park on the admission
-    #: semaphore (a pending future each, not a thread each) until a
-    #: slot frees.
-    admission_timeout: Optional[float] = 0.5
-    #: Consecutive per-shard failures that trip the shard's breaker.
-    breaker_threshold: int = 3
-    #: Seconds a tripped breaker stays open before half-open probing.
-    breaker_cooldown: float = 1.0
-    #: Per-request row cap forwarded to the workers (``None`` = none).
-    max_rows: Optional[int] = None
-    #: Allow the final native-evaluator rung when every shard failed.
-    fallback: bool = True
-    #: Entries in the generation-keyed result cache (``None`` disables).
-    result_cache_size: Optional[int] = 128
-
 
 
 @dataclass
@@ -280,7 +240,7 @@ class ShardedEngine:
         self,
         store,
         runtime: ShardRuntime,
-        config: Optional[ServingConfig] = None,
+        config: Optional[EngineConfig] = None,
         own_runtime: bool = False,
     ):
         if runtime.shard_count != store.shard_count:
@@ -290,17 +250,12 @@ class ShardedEngine:
             )
         self.store = store
         self.runtime = runtime
-        self.config = config if config is not None else ServingConfig()
+        self.config = config if config is not None else EngineConfig()
         self._own_runtime = own_runtime
         # The planner wraps translation caching, explain() and the
         # native-fallback evaluation; its SQL-execution paths are never
         # used (a ShardedStore has no single `.db` to run them on).
-        self._planner = SQLXPathEngine(
-            store,
-            PPFTranslator(SchemaAwareAdapter(store)),
-            fallback=self.config.fallback,
-            result_cache_size=self.config.result_cache_size,
-        )
+        self._planner = self.config.planning_engine(store)
         self._admission = threading.BoundedSemaphore(self.config.max_inflight)
         self._stats_lock = threading.Lock()
         #: Degradation counters: queries, hedges, retries, partials,
@@ -342,15 +297,16 @@ class ShardedEngine:
     def serve(
         cls,
         store,
-        config: Optional[ServingConfig] = None,
-        replicas: int = 2,
+        config: Optional[EngineConfig] = None,
         policy: Optional[ResiliencePolicy] = None,
         fault_plan: Optional[WorkerFaultPlan] = None,
         health_interval: Optional[float] = None,
         heartbeat_timeout: Optional[float] = None,
     ) -> "ShardedEngine":
-        """Spawn a worker fleet over ``store`` and wrap it in an engine
-        that owns it (closing the engine closes the fleet)."""
+        """Spawn a worker fleet of ``config.replicas`` workers per shard
+        over ``store`` and wrap it in an engine that owns it (closing
+        the engine closes the fleet)."""
+        config = config if config is not None else EngineConfig()
         kwargs = {}
         if health_interval is not None:
             kwargs["health_interval"] = health_interval
@@ -358,17 +314,12 @@ class ShardedEngine:
             kwargs["heartbeat_timeout"] = heartbeat_timeout
         runtime = ShardRuntime(
             store.shard_paths,
-            replicas=replicas,
+            replicas=config.replicas,
             policy=policy if policy is not None else store.policy,
             fault_plan=fault_plan,
             **kwargs,
         ).start()
-        return cls(
-            store,
-            runtime,
-            config=config,
-            own_runtime=True,
-        )
+        return cls(store, runtime, config=config, own_runtime=True)
 
     def close(self) -> None:
         """Shut down the worker fleet when this engine owns it, and

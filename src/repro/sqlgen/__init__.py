@@ -22,7 +22,6 @@ from repro.sqlgen.ast import (
 )
 from repro.sqlgen.dialect import (
     DEFAULT_DIALECT,
-    AnsiDialect,
     SQLiteDialect,
 )
 from repro.sqlgen.render import (
@@ -35,7 +34,6 @@ from repro.sqlgen.render import (
 
 __all__ = [
     "And",
-    "AnsiDialect",
     "Comparison",
     "Condition",
     "DEFAULT_DIALECT",

@@ -1,9 +1,9 @@
-"""SQL dialects: the backend-specific half of statement lowering.
+"""The SQL dialect: the backend-specific half of statement lowering.
 
 The logical plan (:mod:`repro.plan`) is backend-neutral; everything that
-depends on the concrete relational system is funnelled through a
-:class:`Dialect` when the plan is lowered to a :class:`~repro.sqlgen.
-SelectStatement`:
+depends on the concrete relational system is funnelled through
+:class:`SQLiteDialect` when the plan is lowered to a
+:class:`~repro.sqlgen.SelectStatement`:
 
 * literal and identifier quoting,
 * the regular-expression predicate call (the paper uses Oracle's
@@ -14,10 +14,10 @@ SelectStatement`:
   ``length(dewey_pos)`` level arithmetic, and the descendant
   upper-bound concatenation).
 
-:class:`AnsiDialect` is the generic base and :class:`SQLiteDialect` the
-dialect every shipped engine uses today.
-A future backend (the ROADMAP's multi-backend direction) subclasses
-:class:`AnsiDialect` and overrides only what differs.
+There is one dialect and no option to choose another: SQLite function
+names ignore case, so an upper-case ``REGEXP_LIKE`` spelling would call
+the same user function.  A second backend would pick its dialect from
+the :class:`~repro.storage.database.Database` it runs on.
 """
 
 from __future__ import annotations
@@ -34,11 +34,8 @@ from repro.sqlgen.render import blob_literal, number_literal, string_literal
 _SAFE_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-class AnsiDialect:
-    """Generic ANSI-flavoured SQL rendering (no backend hints)."""
-
-    #: Dialect name, used in cache fingerprints and ``explain`` output.
-    name: str = "ansi"
+class SQLiteDialect:
+    """The SQL fragments of :mod:`repro.storage.database` connections."""
 
     # -- quoting -----------------------------------------------------------
 
@@ -63,8 +60,10 @@ class AnsiDialect:
     # -- path filters ------------------------------------------------------
 
     def regexp_match(self, expression: str, pattern: str) -> str:
-        """Boolean SQL testing ``expression`` against a regex pattern."""
-        return f"REGEXP_LIKE({expression}, {self.string_literal(pattern)})"
+        """Boolean SQL testing ``expression`` against a regex pattern:
+        the registered ``regexp_like`` user function, in the shape of
+        the paper's Oracle call."""
+        return f"regexp_like({expression}, {self.string_literal(pattern)})"
 
     def path_equality(self, owner_alias: str, path: str) -> str:
         """Boolean SQL restricting the element rows of ``owner_alias``
@@ -123,19 +122,5 @@ class AnsiDialect:
         return f"{left_alias}.doc_id = {right_alias}.doc_id"
 
 
-class SQLiteDialect(AnsiDialect):
-    """The dialect of :mod:`repro.storage.database` connections.
-
-    The one difference from the ANSI base: regex filtering calls the
-    registered ``regexp_like`` user function (lower-case, matching the
-    paper's Oracle call shape).
-    """
-
-    name = "sqlite"
-
-    def regexp_match(self, expression: str, pattern: str) -> str:
-        return f"regexp_like({expression}, {self.string_literal(pattern)})"
-
-
-#: The default dialect of every shipped engine.
+#: The dialect every engine lowers through.
 DEFAULT_DIALECT = SQLiteDialect()

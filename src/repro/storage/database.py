@@ -46,6 +46,10 @@ from repro.resilience.retry import run_with_retry
 #: Rows fetched per chunk while enforcing ``max_rows``.
 _FETCH_CHUNK = 256
 
+#: ``PRAGMA busy_timeout`` in milliseconds: SQLite's own blocking wait
+#: below the policy's retry loop.
+_BUSY_TIMEOUT_MS = 5000
+
 #: Compiled statements a connection keeps (``sqlite3``'s own default is
 #: 128).  A mutation speaks to every relation of the mapping in about
 #: five statement texts each — insert, delete, integrity counts — so one
@@ -195,10 +199,7 @@ class Database:
             deterministic=True,
         )
         connection.execute("PRAGMA foreign_keys = ON")
-        if self.policy.busy_timeout_ms:
-            connection.execute(
-                f"PRAGMA busy_timeout = {int(self.policy.busy_timeout_ms)}"
-            )
+        connection.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
 
     # -- constructors -----------------------------------------------------------
 
@@ -254,7 +255,7 @@ class Database:
                 cached_statements=_CACHED_STATEMENTS,
             )
         db = cls(connection, policy=policy)
-        if db.policy.wal and not read_only:
+        if not read_only:
             try:
                 connection.execute("PRAGMA journal_mode = WAL")
             except sqlite3.Error:  # pragma: no cover - e.g. network FS
@@ -356,11 +357,7 @@ class Database:
                 "(engine.attach_pool) so each thread gets its own"
             )
         try:
-            guard = QueryGuard(
-                timeout,
-                cancel_event=self._cancel_event,
-                interval=self.policy.progress_interval,
-            )
+            guard = QueryGuard(timeout, cancel_event=self._cancel_event)
             previous = self._active_guard
             self._active_guard = guard
             guard.install(self.connection)

@@ -9,7 +9,7 @@ emission far beyond the hand-written cases.
 
 import itertools
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import (
     Database,
@@ -22,6 +22,7 @@ from repro import (
     AccelStore,
     ShreddedStore,
     infer_schema,
+    parse_document,
 )
 from repro.baselines.native import NativeEngine as _Native
 from repro.plan.passes import DEFAULT_PASS_NAMES
@@ -141,6 +142,14 @@ def _oracle_ids(document, expression):
     max_examples=120,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+)
+# A multi-step fragment after a `//` context over a recursive name: the
+# path regex alone lets the last `a` sit three levels below the context.
+@example(
+    document=parse_document(
+        "<a k='1'><a k='1'><a><a k='1'><a><a/></a></a></a></a></a>"
+    ),
+    expression="/descendant::a[@k]/a/a",
 )
 def test_sql_engines_match_oracle(document, expression):
     expected = _oracle_ids(document, expression)

@@ -27,13 +27,14 @@ from repro import (
     ShreddedStore,
     infer_schema,
 )
+from repro.api import EngineConfig
 from repro.core.engine import ResultRow
 from repro.core.results import in_document_order, merge_document_runs
 from repro.plan.passes import PASSES
 from repro.resilience.faults import FaultInjectingDatabase, FaultPlan
 from repro.serving.ladder import ShardOutcome
 from repro.serving.pool import ConnectionPool
-from repro.serving.scatter import ServingConfig, ShardedEngine
+from repro.serving.scatter import ShardedEngine
 from repro.serving.shards import ShardedStore
 from repro.sqlgen.ast import UnionStatement
 from repro.workloads import XMarkConfig, generate_xmark
@@ -329,8 +330,7 @@ def fleet(documents, tmp_path_factory):
     store.bulk_load(documents)
     engine = ShardedEngine.serve(
         store,
-        config=ServingConfig(deadline=30.0, result_cache_size=None),
-        replicas=1,
+        config=EngineConfig(deadline=30.0, result_cache_size=None, replicas=1),
     )
     yield store, engine
     engine.close()

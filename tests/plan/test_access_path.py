@@ -26,13 +26,14 @@ from repro import (
     infer_schema,
     parse_document,
 )
+from repro.api import EngineConfig
 from repro.core.adapters import SchemaAwareAdapter
 from repro.core.translator import PPFTranslator
 from repro.plan.cost import CardinalityEstimator
 from repro.plan.nodes import PathFilterCond, iter_conditions, iter_selects
 from repro.plan.passes import DEFAULT_PASS_NAMES, SummaryRead
 from repro.resilience.faults import FaultInjectingDatabase, FaultPlan
-from repro.serving.scatter import ServingConfig, ShardedEngine
+from repro.serving.scatter import ShardedEngine
 from repro.serving.shards import ShardedStore
 from repro.workloads import XMarkConfig, generate_xmark
 from repro.workloads.xpathmark import XPATHMARK_A_QUERIES, XPATHMARK_QUERIES
@@ -245,7 +246,7 @@ def test_one_statement_serves_shards_with_different_paths(tmp_path):
         for document, entry in zip(documents, store.doc_entries)
     ]
     with ShardedEngine.serve(
-        store, config=ServingConfig(deadline=30.0), replicas=1
+        store, config=EngineConfig(deadline=30.0, replicas=1)
     ) as engine:
         for qid, xpath in XM25:
             assert "regexp_like" not in engine.translate(xpath).sql, qid

@@ -29,12 +29,13 @@ from repro import (
     infer_schema,
     parse_document,
 )
+from repro.api import EngineConfig
 from repro.core.results import in_document_order, rows_from_records
 from repro.dewey.codec import decode
 from repro.plan.graph import JoinGraph, disjoint, union_all_sound, unique_rows
 from repro.plan.nodes import PlanUnion
 from repro.plan.passes import PASSES
-from repro.serving.scatter import ServingConfig, ShardedEngine
+from repro.serving.scatter import ShardedEngine
 from repro.serving.shards import ShardedStore
 from repro.sqlgen.ast import UnionStatement
 
@@ -216,8 +217,7 @@ def test_fleet_sync_and_async(documents, schema, tmp_path):
     store.bulk_load(documents)
     engine = ShardedEngine.serve(
         store,
-        config=ServingConfig(deadline=30.0, result_cache_size=None),
-        replicas=1,
+        config=EngineConfig(deadline=30.0, result_cache_size=None, replicas=1),
     )
     try:
         want = [expected(documents, xpath) for xpath in CASES]

@@ -32,6 +32,7 @@ from repro import (
     infer_schema,
     parse_document,
 )
+from repro.api import EngineConfig
 from repro.core.results import in_document_order, rows_from_records
 from repro.dewey.codec import decode
 from repro.plan.graph import existential_context, unique_rows
@@ -46,7 +47,7 @@ from repro.plan.nodes import (
 )
 from repro.plan.passes import PASSES, PassPipeline
 from repro.plan.planner import Planner
-from repro.serving.scatter import ServingConfig, ShardedEngine
+from repro.serving.scatter import ShardedEngine
 from repro.serving.shards import ShardedStore
 from repro.sqlgen.ast import UnionStatement
 from repro.workloads import XMarkConfig, generate_xmark
@@ -262,8 +263,7 @@ def test_fleet_sync_and_async(documents, schema, tmp_path):
     store.bulk_load(documents)
     engine = ShardedEngine.serve(
         store,
-        config=ServingConfig(deadline=30.0, result_cache_size=None),
-        replicas=1,
+        config=EngineConfig(deadline=30.0, result_cache_size=None, replicas=1),
     )
     try:
         want = [expected(documents, xpath) for xpath in CASES]

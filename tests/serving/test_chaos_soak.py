@@ -32,8 +32,9 @@ from repro import (
     ShreddedStore,
     infer_schema,
 )
+from repro.api import EngineConfig
 from repro.resilience.faults import WorkerFaultPlan, corrupt_shard_file
-from repro.serving.scatter import ServingConfig, ShardedEngine
+from repro.serving.scatter import ShardedEngine
 from repro.serving.shards import ShardedStore
 from repro.workloads.xmark import XMarkConfig, generate_xmark
 
@@ -130,18 +131,18 @@ class TestChaosSoak:
             .script("slow", shard=3, after=0, times=3, seconds=0.3)
             .script("kill", shard=3, replica=0, after=6, generation=None)
         )
-        config = ServingConfig(
+        config = EngineConfig(
             deadline=8.0,
             hedge_delay=0.05,
             shard_retries=1,
             result_cache_size=None,
+            replicas=2,
         )
         tally = {"complete": 0, "partial": 0, "native": 0, "error": 0}
         outcomes = []
         engine = ShardedEngine.serve(
             sharded,
             config=config,
-            replicas=2,
             fault_plan=plan,
             health_interval=0.1,
             heartbeat_timeout=0.5,
@@ -208,16 +209,17 @@ class TestChaosSoak:
         corrupt_shard_file(
             reopened.shard_path(victim), seed=SEED, bytes_to_flip=512
         )
-        config = ServingConfig(
+        config = EngineConfig(
             deadline=8.0,
             shard_retries=1,
             breaker_threshold=3,
             breaker_cooldown=0.2,
             result_cache_size=None,
+            replicas=1,
         )
         flagged = 0
         with reopened, ShardedEngine.serve(
-            reopened, config=config, replicas=1
+            reopened, config=config
         ) as engine:
             for _ in range(3):
                 for query in QUERIES:
@@ -257,18 +259,18 @@ class TestAsyncChaosSoak:
             .script("kill", shard=0, replica=0, after=0)
             .script("kill", shard=1, replica=1, after=2)
         )
-        config = ServingConfig(
+        config = EngineConfig(
             deadline=8.0,
             hedge_delay=0.05,
             shard_retries=1,
             result_cache_size=None,
             max_inflight=16,
             admission_timeout=None,
+            replicas=2,
         )
         engine = ShardedEngine.serve(
             sharded,
             config=config,
-            replicas=2,
             fault_plan=plan,
             health_interval=0.1,
             heartbeat_timeout=0.5,

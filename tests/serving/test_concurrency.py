@@ -52,7 +52,8 @@ class TestReadersWithLiveWriter:
 
     def test_reads_stay_consistent_while_writer_appends(self, file_store):
         with ConnectionPool.for_store(file_store, size=self.N_READERS) as pool:
-            engine = PPFEngine(file_store, pool=pool)
+            engine = PPFEngine(file_store)
+            engine.attach_pool(pool)
             lib_id = engine.execute("/lib").ids[0]
             initial = set(engine.execute("//book").ids)
 
@@ -117,7 +118,8 @@ class TestParallelExecution:
         serial = PPFEngine(file_store, result_cache_size=None)
         expected = [serial.execute(q).ids for q in self.QUERIES]
         with ConnectionPool.for_store(file_store, size=4) as pool:
-            engine = PPFEngine(file_store, result_cache_size=None, pool=pool)
+            engine = PPFEngine(file_store, result_cache_size=None)
+            engine.attach_pool(pool)
             got = engine.execute_many(self.QUERIES)
             assert [r.ids for r in got] == expected
             assert pool.checkouts >= len(self.QUERIES)

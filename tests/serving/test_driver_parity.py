@@ -24,9 +24,10 @@ import marshal
 import pytest
 
 from repro import ShardUnavailableError, infer_schema, parse_document
+from repro.api import EngineConfig
 from repro.errors import ShardError
 from repro.serving.frontdoor import AsyncShardedEngine
-from repro.serving.scatter import ServingConfig, ShardedEngine
+from repro.serving.scatter import ShardedEngine
 from repro.serving.shards import ShardedStore
 from repro.storage.database import Database
 
@@ -185,7 +186,7 @@ def make_engine(store, script, overrides):
     )
     settings.update(overrides)
     transport = ScriptedTransport(store, script)
-    engine = ShardedEngine(store, transport, config=ServingConfig(**settings))
+    engine = ShardedEngine(store, transport, config=EngineConfig(**settings))
     observed = []
     finish = engine._finish
 

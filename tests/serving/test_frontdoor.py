@@ -9,10 +9,11 @@ import threading
 import pytest
 
 from repro import AdmissionRejectedError, ShardUnavailableError
+from repro.api import EngineConfig
 from repro.core.engine import PPFEngine
 from repro.schema.inference import infer_schema
 from repro.serving.frontdoor import AsyncShardedEngine
-from repro.serving.scatter import ServingConfig, ShardedEngine
+from repro.serving.scatter import ShardedEngine
 from repro.serving.shards import ShardedStore
 from repro.storage.database import Database
 from repro.storage.schema_aware import ShreddedStore
@@ -65,7 +66,7 @@ def serve(sharded, **overrides):
     defaults = dict(deadline=10.0, result_cache_size=None)
     defaults.update(overrides)
     return ShardedEngine.serve(
-        sharded, config=ServingConfig(**defaults), replicas=2
+        sharded, config=EngineConfig(replicas=2, **defaults)
     )
 
 

@@ -103,7 +103,8 @@ class TestPooledQueries:
         serial = PPFEngine(file_store, result_cache_size=None)
         expected = serial.execute("//book").ids
         with ConnectionPool.for_store(file_store, size=2) as pool:
-            engine = PPFEngine(file_store, result_cache_size=None, pool=pool)
+            engine = PPFEngine(file_store, result_cache_size=None)
+            engine.attach_pool(pool)
             assert engine.execute("//book").ids == expected
             engine.detach_pool()
             assert engine.pool is None
@@ -113,7 +114,8 @@ class TestPooledQueries:
         self, file_store
     ):
         with ConnectionPool.for_store(file_store, size=3) as pool:
-            engine = PPFEngine(file_store, result_cache_size=None, pool=pool)
+            engine = PPFEngine(file_store, result_cache_size=None)
+            engine.attach_pool(pool)
             expected = engine.execute("//book").ids
             errors, results = [], []
 

@@ -18,8 +18,9 @@ from repro import (
     infer_schema,
     parse_document,
 )
+from repro.api import EngineConfig
 from repro.resilience.faults import WorkerFaultPlan, corrupt_shard_file
-from repro.serving.scatter import ServingConfig, ShardedEngine
+from repro.serving.scatter import ShardedEngine
 from repro.serving.shards import ShardedStore
 
 pytestmark = pytest.mark.filterwarnings(
@@ -81,7 +82,7 @@ class TestOracleEquivalence:
         single, sharded = corpus
         oracle = PPFEngine(single)
         with ShardedEngine.serve(
-            sharded, config=ServingConfig(deadline=15.0)
+            sharded, config=EngineConfig(deadline=15.0)
         ) as engine:
             for query in QUERIES:
                 expected = oracle.execute(query)
@@ -94,7 +95,7 @@ class TestOracleEquivalence:
         single, sharded = corpus
         oracle = PPFEngine(single)
         with ShardedEngine.serve(
-            sharded, config=ServingConfig(deadline=15.0)
+            sharded, config=EngineConfig(deadline=15.0)
         ) as engine:
             results = engine.execute_many(QUERIES)
             for query, result in zip(QUERIES, results):
@@ -121,7 +122,7 @@ class TestOracleEquivalence:
         single, sharded = corpus
         oracle = PPFEngine(single)
         with ShardedEngine.serve(
-            sharded, config=ServingConfig(deadline=15.0), replicas=1
+            sharded, config=EngineConfig(deadline=15.0, replicas=1)
         ) as engine:
             assert engine.execute("//item").rows == oracle.execute("//item").rows
             extra = make_docs(7)[6]
@@ -139,7 +140,7 @@ class TestOracleEquivalence:
     def test_result_cache_serves_repeat(self, corpus):
         _, sharded = corpus
         with ShardedEngine.serve(
-            sharded, config=ServingConfig(deadline=15.0)
+            sharded, config=EngineConfig(deadline=15.0)
         ) as engine:
             first = engine.execute("//item")
             second = engine.execute("//item")
@@ -152,7 +153,7 @@ class TestDegradationLadder:
         plan = WorkerFaultPlan().script("kill", shard=0, replica=0)
         with ShardedEngine.serve(
             sharded,
-            config=ServingConfig(deadline=15.0, hedge_delay=0.05),
+            config=EngineConfig(deadline=15.0, hedge_delay=0.05),
             fault_plan=plan,
             health_interval=0.1,
         ) as engine:
@@ -168,7 +169,7 @@ class TestDegradationLadder:
         )
         with ShardedEngine.serve(
             sharded,
-            config=ServingConfig(deadline=15.0, hedge_delay=0.05),
+            config=EngineConfig(deadline=15.0, hedge_delay=0.05),
             fault_plan=plan,
         ) as engine:
             result = engine.execute("//item")
@@ -187,8 +188,7 @@ class TestDegradationLadder:
         corrupt_shard_file(reopened.shard_path(0), seed=11, bytes_to_flip=512)
         with reopened, ShardedEngine.serve(
             reopened,
-            config=ServingConfig(deadline=10.0, shard_retries=1),
-            replicas=1,
+            config=EngineConfig(deadline=10.0, shard_retries=1, replicas=1),
         ) as engine:
             result = engine.execute("//item")
             assert not result.complete
@@ -209,10 +209,9 @@ class TestDegradationLadder:
         )
         with ShardedEngine.serve(
             sharded,
-            config=ServingConfig(
-                deadline=5.0, shard_retries=0, hedge_delay=None
+            config=EngineConfig(
+                deadline=5.0, shard_retries=0, hedge_delay=None, replicas=1
             ),
-            replicas=1,
             health_interval=30.0,
             fault_plan=plan,
         ) as engine:
@@ -228,11 +227,11 @@ class TestDegradationLadder:
         )
         with ShardedEngine.serve(
             sharded,
-            config=ServingConfig(
+            config=EngineConfig(
                 deadline=5.0, shard_retries=0, hedge_delay=None,
                 fallback=False,
+                replicas=1,
             ),
-            replicas=1,
             health_interval=30.0,
             fault_plan=plan,
         ) as engine:
@@ -251,10 +250,9 @@ class TestDegradationLadder:
         )
         with reopened, ShardedEngine.serve(
             reopened,
-            config=ServingConfig(
-                deadline=5.0, shard_retries=0, hedge_delay=None
+            config=EngineConfig(
+                deadline=5.0, shard_retries=0, hedge_delay=None, replicas=1
             ),
-            replicas=1,
             health_interval=30.0,
             fault_plan=plan,
         ) as engine:
@@ -268,14 +266,15 @@ class TestBackpressure:
         plan = WorkerFaultPlan().script(
             "slow", seconds=2.0, times=10**6, generation=None
         )
-        config = ServingConfig(
+        config = EngineConfig(
             deadline=10.0,
             hedge_delay=None,
             max_inflight=1,
             admission_timeout=0.05,
+            replicas=1,
         )
         with ShardedEngine.serve(
-            sharded, config=config, replicas=1, fault_plan=plan
+            sharded, config=config, fault_plan=plan
         ) as engine:
             outcome = {}
 
@@ -299,15 +298,16 @@ class TestBackpressure:
         plan = WorkerFaultPlan().script(
             "kill", shard=0, generation=None, times=10**6
         )
-        config = ServingConfig(
+        config = EngineConfig(
             deadline=3.0,
             shard_retries=0,
             hedge_delay=None,
             breaker_threshold=2,
             breaker_cooldown=60.0,
+            replicas=1,
         )
         with ShardedEngine.serve(
-            sharded, config=config, replicas=1, health_interval=0.1,
+            sharded, config=config, health_interval=0.1,
             fault_plan=plan,
         ) as engine:
             for _ in range(2):

@@ -208,14 +208,6 @@ class TestOpenOptions:
             mode = db.query_one("PRAGMA journal_mode")[0]
             assert mode == "wal"
 
-    def test_wal_disabled_by_policy(self, tmp_path):
-        from repro import ResiliencePolicy
-
-        with Database.open(
-            str(tmp_path / "store.db"), ResiliencePolicy(wal=False)
-        ) as db:
-            assert db.query_one("PRAGMA journal_mode")[0] == "delete"
-
     def test_concurrent_readers_share_a_wal_store(self, tmp_path):
         path = str(tmp_path / "store.db")
         with Database.open(path) as writer:

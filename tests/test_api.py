@@ -15,6 +15,7 @@ import repro
 from repro import (
     Engine,
     EngineConfig,
+    NativeEngine,
     PPFEngine,
     QueryLimitError,
     ShardedEngine,
@@ -24,9 +25,12 @@ from repro import (
     parse_document,
 )
 from repro.core.engine import SERVED_BY, QueryResult
+from repro.dewey.codec import decode
 from repro.serving.shards import ShardedStore
 from repro.storage.database import Database
 from repro.storage.schema_aware import ShreddedStore
+from repro.workloads.xmark import XMarkConfig, generate_xmark
+from repro.workloads.xpathmark import XPATHMARK_A_QUERIES, XPATHMARK_QUERIES
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning"),
@@ -218,14 +222,12 @@ class TestConnectSharded:
         assert not engine.runtime._pending
         engine.close()  # idempotent
 
-    def test_serving_config_mapping(self, shard_dir):
+    def test_engine_config_reaches_the_fleet(self, shard_dir):
         config = EngineConfig(
             deadline=7.5, replicas=1, max_inflight=3, hedge_delay=0.2
         )
         with connect(shard_dir, config=config) as engine:
-            assert engine.config.deadline == 7.5
-            assert engine.config.max_inflight == 3
-            assert engine.config.hedge_delay == 0.2
+            assert engine.config is config
             assert engine.runtime.replicas == 1
 
     def test_execute_async_is_wired(self, shard_dir):
@@ -235,6 +237,88 @@ class TestConnectSharded:
                 return await engine.execute_async("//item")
 
             assert len(asyncio.run(go())) == 4
+
+
+#: What a fleet and a single store must translate alike.  Each config
+#: also sets a deadline no loaded machine reaches, one replica and no
+#: result cache, so every answer comes from the shards.
+PARITY_CONFIGS = [
+    {},
+    {"passes": ()},
+    {"path_filter_optimization": False},
+    {"prefer_fk_joins": False},
+]
+
+
+@pytest.fixture(scope="module")
+def xmark_pair(tmp_path_factory):
+    """The same three XMark documents in a single store file and in a
+    2-shard store, plus the native oracle's answer per XM25 query."""
+    documents = [
+        generate_xmark(XMarkConfig(scale=0.3, seed=seed)) for seed in (5, 6, 7)
+    ]
+    for index, document in enumerate(documents):
+        document.name = f"xmark{index}.xml"
+    schema = infer_schema(documents)
+    root = tmp_path_factory.mktemp("parity")
+    single = str(root / "single.db")
+    db = Database.open(single)
+    ShreddedStore.create(db, schema).bulk_load(documents)
+    db.close()
+    fleet = str(root / "shards")
+    store = ShardedStore.create(fleet, schema, shards=2)
+    store.bulk_load(documents)
+    store.close()
+    oracle = {}
+    for query in XPATHMARK_QUERIES + XPATHMARK_A_QUERIES:
+        rows = []
+        for doc_id, document in enumerate(documents, start=1):
+            for node in NativeEngine(document).execute(query.xpath):
+                owner = node if hasattr(node, "dewey") else node.parent
+                value = None if owner is node else node.value
+                rows.append((doc_id, owner.dewey, value))
+        oracle[query.xpath] = rows
+    assert sum(bool(rows) for rows in oracle.values()) >= 20
+    return single, fleet, oracle
+
+
+def _answer(result):
+    return [(r.doc_id, decode(r.dewey_pos), r.value) for r in result.rows]
+
+
+class TestFleetSingleParity:
+    @pytest.mark.parametrize(
+        "overrides",
+        PARITY_CONFIGS,
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default",
+    )
+    def test_fleet_plans_and_answers_like_a_single_store(
+        self, xmark_pair, overrides
+    ):
+        """Every planning field reaches the fleet: the SQL it scatters
+        is the single store's, byte for byte, and its answers are the
+        native oracle's on both drivers."""
+        single, fleet, oracle = xmark_pair
+        config = EngineConfig(
+            deadline=60.0, replicas=1, result_cache_size=None, **overrides
+        )
+        with connect(single, config=config) as one, connect(
+            fleet, config=config
+        ) as many:
+            for xpath in oracle:
+                assert many.translate(xpath).sql == one.translate(xpath).sql
+
+            async def drive():
+                return [await many.execute_async(x) for x in oracle]
+
+            for results in (
+                [many.execute(x) for x in oracle],
+                asyncio.run(drive()),
+            ):
+                for xpath, result in zip(oracle, results):
+                    assert result.served_by == "shards", xpath
+                    assert result.complete, xpath
+                    assert _answer(result) == oracle[xpath], xpath
 
 
 class TestConnectErrors:
