@@ -181,7 +181,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
         with store:
             doc_ids = store.bulk_load(documents)
             for document, doc_id in zip(documents, doc_ids):
-                entry = store.doc_entries[doc_id - 1]
+                entry = store.registry[doc_id]
                 print(
                     f"loaded {document.name!r} as doc {doc_id} -> "
                     f"shard {entry.shard} "

@@ -190,36 +190,6 @@ def in_document_order(
     return rows
 
 
-def remapped_rows(
-    records: Iterable[Sequence[Any]],
-    wants_value: bool,
-    id_offset: int,
-    doc_id: int,
-) -> list[ResultRow]:
-    """:func:`rows_from_records` for one shard-local document run being
-    lifted into the global id space: ids shift by ``id_offset`` and the
-    local document id is replaced by ``doc_id``.  (``marshal``, the
-    fleet's IPC, delivers BLOBs as ``bytes`` like ``sqlite3`` does.)
-    """
-    if wants_value:
-        return [
-            _new_row(
-                ResultRow,
-                (
-                    row_id + id_offset,
-                    doc_id,
-                    dewey,
-                    None if value is None else str(value),
-                ),
-            )
-            for row_id, _, dewey, value in records
-        ]
-    return [
-        _new_row(ResultRow, (row_id + id_offset, doc_id, dewey, None))
-        for row_id, _, dewey in records
-    ]
-
-
 def merge_document_runs(
     runs: list[tuple[int, list[ResultRow]]],
     *,

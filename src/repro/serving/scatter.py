@@ -4,9 +4,10 @@
 :class:`~repro.core.engine.PPFEngine`: translate once (all shards share
 one schema, and the generated SQL filters `Paths` by string, never by
 shard-local ids), scatter the statement to every shard's worker via the
-:class:`~repro.serving.supervisor.ShardRuntime`, remap shard-local row
-ids to global ids through the store's document registry, and merge in
-Dewey document order — bit-identical to single-store execution.
+:class:`~repro.serving.supervisor.ShardRuntime`, and merge the shards'
+per-document runs in Dewey document order.  Shards store each document
+under the ids the store's registry assigned, so their rows need no
+translation and the answer is bit-identical to single-store execution.
 
 What happens between "scatter" and "merge" — deadline slices, hedged
 duplicates, retries on the next replica, circuit breaking — is decided
@@ -55,7 +56,7 @@ from repro.core.results import (
     QueryResult,
     ResultRow,
     merge_document_runs,
-    remapped_rows,
+    rows_from_records,
 )
 from repro.core.translator import TranslationResult
 from repro.errors import (
@@ -517,22 +518,21 @@ class ShardedEngine:
         translation: TranslationResult,
         outcomes: list[ShardOutcome],
     ) -> QueryResult:
-        """Remap shard-local rows to global ids through the document
-        registry and concatenate the per-document runs in global
-        document order.
+        """Concatenate the shards' per-document runs in document order.
 
-        A row naming a document the registry does not know means the
-        shard file and the manifest disagree (corruption, swapped
-        file): that shard's rows are *discarded* and the shard is
-        reported failed — wrong attribution must never look like a
-        correct answer.  So is a shard whose records are not the
-        three (``nodes``) or four columns the projection selects.
+        A run whose document the registry does not place on the shard
+        that returned it means the shard file and the manifest disagree
+        (corruption, a swapped or misplaced file): that shard's rows are
+        *discarded* and the shard is reported failed — wrong attribution
+        must never look like a correct answer.  So is a shard whose
+        records are not the three (``nodes``) or four columns the
+        projection selects.
         """
-        remap = self.store.remap_table()
+        registry = self.store.registry
         failed = {
             outcome.shard for outcome in outcomes if not outcome.ok
         }
-        #: (global doc_id, that document's rows) per document run.
+        #: (doc_id, that document's rows) per document run.
         runs: list[tuple[int, list[ResultRow]]] = []
         wants_value = translation.projection != "nodes"
         for outcome in outcomes:
@@ -541,30 +541,26 @@ class ShardedEngine:
             shard_runs: list[tuple[int, list[ResultRow]]] = []
             try:
                 # Shard responses arrive ordered by document, so the
-                # registry lookup and id offset are resolved once per
-                # document run instead of once per row.
-                for local_doc, records in itertools.groupby(
+                # placement is checked once per document run instead
+                # of once per row.
+                for doc_id, records in itertools.groupby(
                     outcome.rows, key=operator.itemgetter(1)
                 ):
-                    entry = remap[(outcome.shard, local_doc)]
-                    shard_runs.append(
-                        (
-                            entry.doc_id,
-                            remapped_rows(
-                                records,
-                                wants_value,
-                                entry.base - entry.local_base,
-                                entry.doc_id,
-                            ),
+                    entry = registry.get(doc_id)
+                    if entry is None or entry.shard != outcome.shard:
+                        raise ShardError(
+                            f"shard {outcome.shard} returned rows for doc "
+                            f"{doc_id}, which the manifest does not place "
+                            f"on it",
+                            shard=outcome.shard,
                         )
+                    shard_runs.append(
+                        (doc_id, rows_from_records(records, wants_value))
                     )
-            except KeyError as exc:
+            except ShardError as exc:
                 failed.add(outcome.shard)
                 outcome.kind = "registry-mismatch"
-                outcome.error = (
-                    f"shard {outcome.shard} returned rows for local "
-                    f"doc {exc.args[0][1]}, unknown to the manifest"
-                )
+                outcome.error = str(exc)
                 continue
             except (ValueError, TypeError, IndexError) as exc:
                 failed.add(outcome.shard)
@@ -578,7 +574,7 @@ class ShardedEngine:
             runs.extend(shard_runs)
         # Every shard ran ``translation.sql`` as one statement, so its
         # runs are as ordered and duplicate-free as the statement says
-        # (global ids never collide across shards).
+        # (shards hold disjoint documents, so ids never collide).
         ordered = merge_document_runs(
             runs,
             ordered=translation.ordered,

@@ -21,19 +21,20 @@ Layout of a sharded store directory::
       ...
 
 The top-level manifest carries the **document registry**: for each
-loaded document its global ``doc_id`` and global element-id ``base``
-(assigned sequentially in load order, exactly as a single
-:class:`~repro.storage.schema_aware.ShreddedStore` would) plus the
-shard-local ids the shard file assigned.  Scatter-gather execution
-remaps shard-local rows through this registry, so a sharded store's
-results are **bit-identical** to a single store loaded with the same
-documents in the same order — which is what lets the chaos tests verify
-every degraded answer against the native oracle.
+loaded document its ``doc_id``, its element-id ``base`` (assigned in
+load order, exactly as a single
+:class:`~repro.storage.schema_aware.ShreddedStore` would) and the shard
+holding it.  The shard file stores the document under those very ids,
+so there is one id space: a shard answers a query with the rows a
+single store loaded with the same documents in the same order would
+return for those documents, and the scatter-gather merge only
+concatenates — which is what lets the chaos tests verify every degraded
+answer against the native oracle.  The merge checks that each document
+run comes from the shard the registry places it on, so a misplaced or
+swapped shard file serves no rows.
 
 Per-shard manifests carry a content digest (document registry plus
-relation row counts) recomputed by :meth:`ShardedStore.verify_shard`;
-a corrupt or swapped shard file is detected before it can serve wrong
-rows.
+relation row counts) recomputed by :meth:`ShardedStore.verify_shard`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from repro.errors import ShardError, StorageError, StoreIntegrityError
 from repro.resilience.policy import ResiliencePolicy
@@ -54,8 +56,9 @@ from repro.storage.database import Database
 from repro.storage.schema_aware import SchemaAwareMapping, ShreddedStore
 from repro.xmltree.nodes import Document
 
-#: Manifest format version (bumped on incompatible layout changes).
-MANIFEST_VERSION = 1
+#: Manifest format version (bumped on incompatible layout changes; 2:
+#: shard files store the registry's ids).
+MANIFEST_VERSION = 2
 
 #: Default shard count for :meth:`ShardedStore.create`.
 DEFAULT_SHARDS = 4
@@ -64,9 +67,9 @@ DEFAULT_SHARDS = 4
 def shard_of(ordinal: int, name: str, shards: int) -> int:
     """Deterministic hash placement of one document.
 
-    ``ordinal`` is the document's global load ordinal (its global
-    ``doc_id``), ``name`` its document name; together they spread
-    repeated names and keep placement stable across reopenings.
+    ``ordinal`` is the document's ``doc_id``, ``name`` its document
+    name; together they spread repeated names and keep placement
+    stable across reopenings.
     """
     return zlib.crc32(f"{ordinal}:{name}".encode()) % shards
 
@@ -83,19 +86,16 @@ def shard_manifest_filename(index: int) -> str:
 
 @dataclass(frozen=True)
 class DocEntry:
-    """Registry entry of one loaded document."""
+    """Registry entry of one loaded document; the shard file stores it
+    under these ids."""
 
-    #: Global document id (sequential in load order, 1-based).
+    #: Document id (one more than the largest registered, 1-based).
     doc_id: int
     name: str
     #: Shard index holding the document's rows.
     shard: int
-    #: ``doc_id`` the shard file assigned locally.
-    local_doc_id: int
-    #: Global element-id base (cumulative node count in load order).
+    #: Element-id base (cumulative node count in load order).
     base: int
-    #: Element-id base the shard file assigned locally.
-    local_base: int
     node_count: int
 
     def to_json(self) -> dict:
@@ -103,9 +103,7 @@ class DocEntry:
             "doc": self.doc_id,
             "name": self.name,
             "shard": self.shard,
-            "local_doc": self.local_doc_id,
             "base": self.base,
-            "local_base": self.local_base,
             "nodes": self.node_count,
         }
 
@@ -115,9 +113,7 @@ class DocEntry:
             doc_id=int(payload["doc"]),
             name=str(payload["name"]),
             shard=int(payload["shard"]),
-            local_doc_id=int(payload["local_doc"]),
             base=int(payload["base"]),
-            local_base=int(payload["local_base"]),
             node_count=int(payload["nodes"]),
         )
 
@@ -139,7 +135,7 @@ class ShardedStore:
         directory: str,
         schema: Schema,
         shard_count: int,
-        entries: list[DocEntry],
+        entries: dict[int, DocEntry],
         generation: int,
         policy: ResiliencePolicy | None = None,
         fresh: bool = True,
@@ -152,9 +148,8 @@ class ShardedStore:
         self.marking = SchemaMarking(schema)
         self.shard_count = shard_count
         self.policy = policy
+        #: The registry: ``doc_id -> DocEntry``, in load order.
         self._entries = entries
-        #: :meth:`remap_table`'s answer, kept until the registry changes.
-        self._remap: dict[tuple[int, int], DocEntry] | None = None
         self._generation = generation
         self._shards: dict[int, ShreddedStore] = {}
         #: The merged path summary, kept while ``stats_version`` holds.
@@ -190,7 +185,7 @@ class ShardedStore:
             raise StorageError(
                 f"{directory!r} already holds a sharded store manifest"
             )
-        store = cls(directory, schema, shards, [], 0, policy=policy)
+        store = cls(directory, schema, shards, {}, 0, policy=policy)
         for index in range(shards):
             shard = ShreddedStore.create(
                 Database.open(store.shard_path(index), policy=policy),
@@ -232,7 +227,10 @@ class ShardedStore:
                 f"{manifest.get('version')!r}"
             )
         schema = Schema.from_dict(manifest["schema"])
-        entries = [DocEntry.from_json(doc) for doc in manifest["docs"]]
+        entries = {
+            entry.doc_id: entry
+            for entry in map(DocEntry.from_json, manifest["docs"])
+        }
         return cls(
             directory,
             schema,
@@ -288,19 +286,14 @@ class ShardedStore:
 
     @property
     def doc_entries(self) -> list[DocEntry]:
-        """The document registry, in global load order."""
-        return list(self._entries)
+        """The document registry, in load order."""
+        return list(self._entries.values())
 
-    def remap_table(self) -> dict[tuple[int, int], DocEntry]:
-        """``(shard, local_doc_id) -> DocEntry`` lookup used by the
-        scatter-gather merge to translate shard-local row ids into
-        global ids."""
-        if self._remap is None:
-            self._remap = {
-                (entry.shard, entry.local_doc_id): entry
-                for entry in self._entries
-            }
-        return self._remap
+    @property
+    def registry(self) -> Mapping[int, DocEntry]:
+        """The document registry as a read-only ``doc_id -> DocEntry``
+        view (the scatter-gather merge checks placements against it)."""
+        return MappingProxyType(self._entries)
 
     def document_count(self) -> int:
         return len(self._entries)
@@ -308,7 +301,7 @@ class ShardedStore:
     def to_document_node_id(self, element_id: int) -> tuple[int, int]:
         """Split a global element id into ``(doc_id, node_id)`` — the
         same contract as :meth:`ShreddedStore.to_document_node_id`."""
-        for entry in self._entries:
+        for entry in self._entries.values():
             if entry.base <= element_id < entry.base + entry.node_count:
                 return entry.doc_id, element_id - entry.base
         raise StorageError(
@@ -317,15 +310,17 @@ class ShardedStore:
 
     def total_elements(self) -> int:
         """Total element count across all registered documents."""
-        return sum(entry.node_count for entry in self._entries)
+        return sum(entry.node_count for entry in self._entries.values())
 
     def _next_doc_id(self) -> int:
-        return len(self._entries) + 1
+        # Like a single store's rowid: past the largest id in use, so a
+        # delete never frees an id a live document still holds.
+        return max(self._entries, default=0) + 1
 
     def _next_base(self) -> int:
         if not self._entries:
             return 0
-        last = self._entries[-1]
+        last = next(reversed(self._entries.values()))
         return last.base + last.node_count
 
     # -- loading ------------------------------------------------------------------
@@ -347,52 +342,44 @@ class ShardedStore:
     ) -> list[int]:
         if not documents:
             return []
-        placements: list[tuple[int, int, int, Document]] = []
+        entries: list[DocEntry] = []
+        by_shard: dict[int, list[tuple[DocEntry, Document]]] = {}
         doc_id = self._next_doc_id()
         base = self._next_base()
         for document in documents:
             shard = shard_of(doc_id, document.name, self.shard_count)
-            placements.append((doc_id, base, shard, document))
-            doc_id += 1
-            base += document.element_count()
-        by_shard: dict[int, list[tuple[int, int, Document]]] = {}
-        for global_doc, global_base, shard, document in placements:
-            by_shard.setdefault(shard, []).append(
-                (global_doc, global_base, document)
+            entry = DocEntry(
+                doc_id, document.name, shard, base, document.element_count()
             )
-        new_entries: dict[int, DocEntry] = {}
-        touched: list[int] = []
-        for shard, plan in sorted(by_shard.items()):
-            store = self.shard_store(shard)
-            docs = [document for _, _, document in plan]
-            if bulk:
-                local_ids = store.bulk_load(docs)
-            else:
-                local_ids = [store.load(document) for document in docs]
-            for (global_doc, global_base, document), local_id in zip(
-                plan, local_ids
-            ):
-                new_entries[global_doc] = DocEntry(
-                    doc_id=global_doc,
-                    name=document.name,
-                    shard=shard,
-                    local_doc_id=local_id,
-                    base=global_base,
-                    local_base=store.doc_base(local_id),
-                    node_count=document.element_count(),
+            entries.append(entry)
+            by_shard.setdefault(shard, []).append((entry, document))
+            doc_id += 1
+            base += entry.node_count
+        loaded: list[int] = []
+        try:
+            for shard, placed in sorted(by_shard.items()):
+                self.shard_store(shard)._load_documents(
+                    [document for _, document in placed],
+                    bulk=bulk,
+                    ids=[(entry.doc_id, entry.base) for entry, _ in placed],
                 )
-            touched.append(shard)
-        # Registry entries join in global load order regardless of the
-        # per-shard grouping above.
-        for global_doc, _, _, document in placements:
-            self._entries.append(new_entries[global_doc])
-            self.documents[global_doc] = document
-        self._remap = None
+                loaded.append(shard)
+        except BaseException:
+            # Each shard commits on its own: take back what the shards
+            # before the failing one stored, so no shard keeps rows under
+            # ids the registry never took.
+            for shard in loaded:
+                for entry, _ in by_shard[shard]:
+                    self.shard_store(shard).delete_document(entry.doc_id)
+            raise
+        for entry, document in zip(entries, documents):
+            self._entries[entry.doc_id] = entry
+            self.documents[entry.doc_id] = document
         self._bump_generation()
-        for shard in touched:
+        for shard in sorted(by_shard):
             self._write_shard_manifest(shard)
         self._write_manifest()
-        return [global_doc for global_doc, _, _, _ in placements]
+        return [entry.doc_id for entry in entries]
 
     def delete_document(self, doc_id: int) -> int:
         """Remove one document's rows from its shard and the registry.
@@ -402,16 +389,11 @@ class ShardedStore:
 
         :returns: the number of element rows removed.
         """
-        entry = next(
-            (e for e in self._entries if e.doc_id == doc_id), None
-        )
+        entry = self._entries.get(doc_id)
         if entry is None:
             raise StorageError(f"unknown doc_id {doc_id}")
-        removed = self.shard_store(entry.shard).delete_document(
-            entry.local_doc_id
-        )
-        self._entries.remove(entry)
-        self._remap = None
+        removed = self.shard_store(entry.shard).delete_document(doc_id)
+        del self._entries[doc_id]
         self.documents.pop(doc_id, None)
         self._documents_resident = False
         self._bump_generation()
@@ -518,13 +500,13 @@ class ShardedStore:
         instance); ``None`` otherwise.  Same contract as
         :meth:`ShreddedStore.resident_documents` — the degraded native
         fallback declines rather than serve stale answers."""
-        if not self._documents_resident:
-            return None
-        by_id = {entry.doc_id: entry for entry in self._entries}
-        if set(by_id) != set(self.documents):
+        if (
+            not self._documents_resident
+            or self._entries.keys() != self.documents.keys()
+        ):
             return None
         return {
-            doc_id: (document, by_id[doc_id].base)
+            doc_id: (document, self._entries[doc_id].base)
             for doc_id, document in self.documents.items()
         }
 
@@ -603,7 +585,7 @@ class ShardedStore:
             "shards": self.shard_count,
             "generation": self._generation,
             "schema": self.schema.to_dict(),
-            "docs": [entry.to_json() for entry in self._entries],
+            "docs": [entry.to_json() for entry in self._entries.values()],
         }
         self._write_json(os.path.join(self.directory, "manifest.json"), payload)
 
@@ -644,7 +626,7 @@ class ShardedStore:
         self.close()
 
     def __iter__(self) -> Iterator[DocEntry]:
-        return iter(self._entries)
+        return iter(self._entries.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -221,8 +221,19 @@ class _DocumentStore:
         return self._load_documents(documents, bulk=True)
 
     def _load_documents(
-        self, documents: Sequence[Document], *, bulk: bool
+        self,
+        documents: Sequence[Document],
+        *,
+        bulk: bool,
+        ids: Optional[Sequence[tuple[int, int]]] = None,
     ) -> list[int]:
+        """Write ``documents`` as one mutation.
+
+        ``ids`` gives each document its ``(doc_id, base)``: the fleet
+        stores a document under the ids its registry assigned, so a
+        shard file holds exactly the rows a single store would.  Without
+        it the store allocates both itself.
+        """
         documents = list(documents)
         if not documents:
             return []
@@ -235,13 +246,17 @@ class _DocumentStore:
             mutation.documents = documents
             for statement in drop_indexes:
                 self.db.execute(statement)
-            for document in documents:
+            for index, document in enumerate(documents):
                 self.path_index.ensure_many(document.distinct_paths())
-                base = mutation.next_base
+                doc_id, base = (
+                    ids[index] if ids is not None
+                    else (None, mutation.next_base)
+                )
+                # A NULL id makes SQLite allocate the next rowid.
                 cursor = self.db.execute(
-                    "INSERT INTO docs (name, base, node_count) "
-                    "VALUES (?, ?, 0)",
-                    (document.name, base),
+                    "INSERT INTO docs (id, name, base, node_count) "
+                    "VALUES (?, ?, ?, 0)",
+                    (doc_id, document.name, base),
                 )
                 doc_id = int(cursor.lastrowid)
                 count = self._write_document(document, doc_id, base)

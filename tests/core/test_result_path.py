@@ -402,7 +402,7 @@ class TestFleet:
         result = engine._merge(translation, outcomes)
         assert not result.complete and result.failed_shards == [1]
         assert outcomes[1].kind == "registry-mismatch"
-        assert "local doc 99" in outcomes[1].error
+        assert "doc 99" in outcomes[1].error
         kept = {entry.doc_id for entry in store.doc_entries if entry.shard == 0}
         assert as_tuples(result) == [
             row

@@ -4,6 +4,8 @@ fallback, admission control, circuit breaking."""
 
 from __future__ import annotations
 
+import asyncio
+import os
 import threading
 import time
 
@@ -21,7 +23,7 @@ from repro import (
 from repro.api import EngineConfig
 from repro.resilience.faults import WorkerFaultPlan, corrupt_shard_file
 from repro.serving.scatter import ShardedEngine
-from repro.serving.shards import ShardedStore
+from repro.serving.shards import ShardedStore, shard_filename
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*fork.*:DeprecationWarning"
@@ -117,8 +119,8 @@ class TestOracleEquivalence:
     def test_document_loaded_after_the_first_query_is_remapped(
         self, corpus
     ):
-        """The merge's (shard, local doc) table is memoised per
-        registry change, not per engine."""
+        """The merge reads the registry as it is at each query, not as
+        it was when the engine started."""
         single, sharded = corpus
         oracle = PPFEngine(single)
         with ShardedEngine.serve(
@@ -196,11 +198,47 @@ class TestDegradationLadder:
             assert result.served_by == "shards"
             # The healthy shard's rows are still correct: every id maps
             # back to a registered document outside the failed shard.
-            remap = {
-                entry.doc_id: entry for entry in reopened.doc_entries
-            }
             for row in result:
-                assert remap[row.doc_id].shard != 0
+                assert reopened.registry[row.doc_id].shard != 0
+
+    def test_swapped_shard_files_serve_no_rows(self, tmp_path):
+        """Two shard files swapped on disk: each shard answers with
+        documents the registry places on the other, so both drivers
+        flag both shards and attribute no row to a document."""
+        docs = make_docs()
+        directory = str(tmp_path / "w")
+        with ShardedStore.create(
+            directory, infer_schema(docs), shards=2
+        ) as sharded:
+            sharded.bulk_load(docs)
+            assert {e.shard for e in sharded.doc_entries} == {0, 1}
+        a = os.path.join(directory, shard_filename(0))
+        b = os.path.join(directory, shard_filename(1))
+        os.replace(a, a + ".swap")
+        os.replace(b, a)
+        os.replace(a + ".swap", b)
+        with ShardedStore.open(directory) as swapped, ShardedEngine.serve(
+            swapped, config=EngineConfig(deadline=10.0, replicas=1)
+        ) as engine:
+            kinds = []
+            merge = engine._merge
+
+            def spy(translation, outcomes):
+                result = merge(translation, outcomes)
+                kinds.append([outcome.kind for outcome in outcomes])
+                return result
+
+            engine._merge = spy
+            query = "//item/price/text()"
+            for result in (
+                engine.execute(query),
+                asyncio.run(engine.execute_async(query)),
+            ):
+                assert not result.complete
+                assert result.failed_shards == [0, 1]
+                assert result.served_by == "shards"
+                assert result.rows == []
+            assert kinds == [["registry-mismatch"] * 2] * 2
 
     def test_all_shards_down_falls_back_to_native(self, corpus):
         single, sharded = corpus

@@ -101,28 +101,97 @@ class TestGlobalIdRegistry:
             assert entry.node_count == doc.element_count()
             expected += doc.element_count()
 
-    def test_remap_table_keys(self, store):
-        remap = store.remap_table()
-        for entry in store.doc_entries:
-            assert remap[(entry.shard, entry.local_doc_id)] is entry
+    def test_shard_docs_rows_are_the_registry_entries(self, store):
+        """Each shard file stores its documents under the registry's
+        ids: one id space, nothing to translate."""
 
-    def test_remap_table_is_rebuilt_only_when_the_registry_changes(
-        self, store
-    ):
-        before = store.remap_table()
-        assert store.remap_table() is before
+        def check():
+            for shard in range(store.shard_count):
+                rows = store.shard_store(shard).db.query(
+                    "SELECT id, base, node_count FROM docs ORDER BY id"
+                )
+                assert [tuple(row) for row in rows] == [
+                    (entry.doc_id, entry.base, entry.node_count)
+                    for entry in store.doc_entries
+                    if entry.shard == shard
+                ]
+
+        check()
         extra = parse_document(
             "<shop><item sku='x'><price>1</price></item></shop>",
             name="extra.xml",
         )
         new_id = store.load(extra)
-        remap = store.remap_table()
-        assert remap is not before
-        entry = store.doc_entries[-1]
-        assert entry.doc_id == new_id
-        assert remap[(entry.shard, entry.local_doc_id)] is entry
-        store.delete_document(new_id)
-        assert (entry.shard, entry.local_doc_id) not in store.remap_table()
+        assert store.registry[new_id] == store.doc_entries[-1]
+        check()
+        store.delete_document(2)
+        assert 2 not in store.registry
+        check()
+
+    def test_failed_load_leaves_no_shard_rows_behind(self, store):
+        """A load that fails on one shard takes back what the shards
+        before it stored, so a retry gets the same ids."""
+        good = make_docs(count=2)
+        # A non-conforming document placed on the last shard, so that at
+        # least one shard before it has committed when it fails.
+        bad = next(
+            parse_document("<shop><gadget/></shop>", name=f"bad{k}.xml")
+            for k in range(100)
+            if shard_of(9, f"bad{k}.xml", store.shard_count) == 2
+        )
+        assert {
+            shard_of(7 + i, doc.name, store.shard_count)
+            for i, doc in enumerate(good)
+        } - {2}
+        before = store.doc_entries
+        with pytest.raises(StorageError):
+            store.bulk_load(good + [bad])
+        assert store.doc_entries == before
+        for shard in range(store.shard_count):
+            assert store.shard_store(shard).db.query(
+                "SELECT id FROM docs ORDER BY id"
+            ) == [
+                (entry.doc_id,) for entry in before if entry.shard == shard
+            ]
+        assert store.bulk_load(good) == [7, 8]
+        assert store.verify_integrity() == []
+
+    def test_doc_ids_after_a_middle_delete_match_single_store(
+        self, tmp_path, docs, schema
+    ):
+        """A load after a delete takes the ids a single store gives it,
+        never one a live document holds; each delete removes exactly
+        the document it names."""
+        single = ShreddedStore.create(
+            Database.open(str(tmp_path / "single.db")), schema
+        )
+        sharded = ShardedStore.create(
+            str(tmp_path / "sharded"), schema, shards=3
+        )
+        extra = parse_document(
+            "<shop><item sku='x'><price>1</price></item></shop>",
+            name="extra.xml",
+        )
+        for target in (single, sharded):
+            target.bulk_load(docs[:3])
+            target.delete_document(2)
+        new_id = sharded.load(extra)
+        assert new_id == single.load(extra) == 4
+        assert sharded.doc_entries[-1].base == single.doc_base(new_id)
+        assert single.doc_base(new_id) == sum(
+            doc.element_count() for doc in docs[:3]
+        )
+        assert [e.doc_id for e in sharded.doc_entries] == [1, 3, 4]
+        sharded.delete_document(3)
+        assert [e.doc_id for e in sharded.doc_entries] == [1, 4]
+        assert [e.name for e in sharded.doc_entries] == [
+            docs[0].name,
+            extra.name,
+        ]
+        sharded.delete_document(4)
+        assert [e.doc_id for e in sharded.doc_entries] == [1]
+        single.db.close()
+        sharded.close()
 
     def test_to_document_node_id(self, store):
         entry = store.doc_entries[2]
@@ -160,6 +229,18 @@ class TestManifests:
         with pytest.raises(StorageError, match="manifest"):
             ShardedStore.open(str(tmp_path / "nothere"))
 
+    def test_version_1_manifest_refused(self, store):
+        """Version 1 shard files numbered their own documents; such a
+        directory is rebuilt, not read."""
+        path = os.path.join(store.directory, "manifest.json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["version"] = 1
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(StorageError, match="manifest version 1"):
+            ShardedStore.open(store.directory)
+
     def test_create_refuses_existing(self, store, schema):
         with pytest.raises(StorageError, match="already holds"):
             ShardedStore.create(store.directory, schema, shards=3)
@@ -177,7 +258,7 @@ class TestManifests:
         assert store.generation == before + 2
 
     def test_docentry_json_roundtrip(self):
-        entry = DocEntry(3, "a.xml", 1, 2, 100, 40, 17)
+        entry = DocEntry(3, "a.xml", 1, 100, 17)
         assert DocEntry.from_json(entry.to_json()) == entry
 
 
