@@ -101,32 +101,66 @@ class TestGlobalIdRegistry:
             assert entry.node_count == doc.element_count()
             expected += doc.element_count()
 
-    def test_shard_docs_rows_are_the_registry_entries(self, store):
-        """Each shard file stores its documents under the registry's
-        ids: one id space, nothing to translate."""
-
-        def check():
-            for shard in range(store.shard_count):
-                rows = store.shard_store(shard).db.query(
+    @staticmethod
+    def _shard_rows(store):
+        return {
+            shard: [
+                tuple(row)
+                for row in store.shard_store(shard).db.query(
                     "SELECT id, base, node_count FROM docs ORDER BY id"
                 )
-                assert [tuple(row) for row in rows] == [
-                    (entry.doc_id, entry.base, entry.node_count)
-                    for entry in store.doc_entries
-                    if entry.shard == shard
-                ]
+            ]
+            for shard in range(store.shard_count)
+        }
 
-        check()
+    def test_remap_table_keys(self, store):
+        """Shard files key their docs rows by the registry's ids, so the
+        (shard, doc id) a row carries resolves in the registry to the
+        entry placed on that shard: the remap table is the identity."""
+        for shard, rows in self._shard_rows(store).items():
+            for doc_id, base, node_count in rows:
+                entry = store.registry[doc_id]
+                assert (entry.shard, entry.base, entry.node_count) == (
+                    shard,
+                    base,
+                    node_count,
+                )
+            assert [row[0] for row in rows] == [
+                entry.doc_id
+                for entry in store.doc_entries
+                if entry.shard == shard
+            ]
+
+    def test_remap_table_is_rebuilt_only_when_the_registry_changes(
+        self, store
+    ):
+        """Only a registry change moves shard rows: a load adds exactly
+        its own row on the shard the registry places it on, and a
+        delete takes exactly that row away again."""
+        before = self._shard_rows(store)
+        assert self._shard_rows(store) == before
         extra = parse_document(
             "<shop><item sku='x'><price>1</price></item></shop>",
             name="extra.xml",
         )
         new_id = store.load(extra)
-        assert store.registry[new_id] == store.doc_entries[-1]
-        check()
+        entry = store.doc_entries[-1]
+        assert store.registry[new_id] == entry
+        after_load = self._shard_rows(store)
+        expected = {shard: list(rows) for shard, rows in before.items()}
+        expected[entry.shard].append(
+            (entry.doc_id, entry.base, entry.node_count)
+        )
+        assert after_load == expected
+        store.delete_document(new_id)
+        assert new_id not in store.registry
+        assert self._shard_rows(store) == before
         store.delete_document(2)
         assert 2 not in store.registry
-        check()
+        assert all(
+            2 not in [row[0] for row in rows]
+            for rows in self._shard_rows(store).values()
+        )
 
     def test_failed_load_leaves_no_shard_rows_behind(self, store):
         """A load that fails on one shard takes back what the shards
