@@ -11,6 +11,19 @@ processes get separate page caches and true CPU parallelism for the
 Python-side row handling; more throughput per shard means more
 ``replicas``, not threads inside a worker.
 
+The transport is one ``socket.socketpair()`` per worker incarnation,
+framed by hand: a 4-byte little-endian length, then one ``marshal``
+payload.  A caller's thread writes its request frame itself, under the
+handle's send lock and without blocking: whatever the kernel does not
+take waits, in order, in the handle's outbox, and the dispatcher thread
+flushes it when the socket turns writable.  The dispatcher waits on
+every worker socket with one selector and completes requests as their
+responses arrive.  EOF on a worker's socket is the crash signal: the
+requests waiting on that worker are reported lost at once.  A worker
+blocks on its socket and exits on EOF, so it never outlives the process
+that started it; for that EOF to arrive, a forked child closes every
+parent-side socket end it inherited (:func:`_close_parent_ends`).
+
 The robustness machinery lives here:
 
 * **supervision** — a :class:`ShardRuntime` background thread health-
@@ -41,9 +54,11 @@ from __future__ import annotations
 import marshal
 import multiprocessing
 import os
-import queue as queue_mod
+import selectors
+import socket
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -68,6 +83,45 @@ DEFAULT_HEARTBEAT_TIMEOUT = 2.0
 
 #: Exit code workers use for scripted kill faults (mirrors SIGKILL).
 _KILL_EXIT_CODE = 137
+
+#: Bytes of the length prefix in front of every frame.
+_HEADER = 4
+
+#: Initial size of a worker's receive buffer in the parent; it grows to
+#: the largest response frame.
+_INBOX_BYTES = 1 << 16
+
+#: Every parent-side socket end of every runtime in this process.  It is
+#: per process, not per runtime, because a worker forked by one runtime
+#: inherits the ends of all of them.
+_PARENT_ENDS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+
+def _close_parent_ends() -> None:
+    """Runs in every forked child: a worker that kept a copy of its own
+    parent end, or of an earlier sibling's, would never see EOF when
+    the parent dies."""
+    for sock in list(_PARENT_ENDS):
+        sock.close()
+
+
+os.register_at_fork(after_in_child=_close_parent_ends)
+
+
+def _frame(message: dict) -> bytes:
+    payload = marshal.dumps(message)
+    return len(payload).to_bytes(_HEADER, "little") + payload
+
+
+def _read_frame(reader: Any) -> dict | None:
+    """The next message from a blocking buffered reader, ``None`` at
+    EOF."""
+    header = reader.read(_HEADER)
+    if len(header) < _HEADER:
+        return None
+    size = int.from_bytes(header, "little")
+    payload = reader.read(size)
+    return marshal.loads(payload) if len(payload) == size else None
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +156,15 @@ def _classify_error(exc: Exception) -> str:
 
 
 def worker_main(
-    config: WorkerConfig,
-    requests: "multiprocessing.queues.Queue[dict]",
-    responses: "multiprocessing.queues.Queue[dict]",
-    heartbeat: Any,
+    config: WorkerConfig, conn: socket.socket, heartbeat: Any
 ) -> None:
     """Entry point of one shard worker process.
 
-    Serves ``batch``/``ping`` requests from ``requests``, one at a
-    time on this thread, until a ``stop`` message arrives, stamping
-    ``heartbeat`` from a side thread so long-running queries never look
-    like a hang.  Scripted process faults (kill / hang / slow) apply
-    per request.
+    Serves ``batch``/``ping`` requests framed on ``conn``, one at a
+    time on this thread, until a ``stop`` message or EOF arrives,
+    stamping ``heartbeat`` from a side thread so long-running queries
+    never look like a hang.  Scripted process faults (kill / hang /
+    slow) apply per request.
     """
     from repro.storage.database import Database
 
@@ -144,16 +195,18 @@ def worker_main(
     except Exception as exc:  # pragma: no cover - open failures are rare
         open_error = str(exc)
 
+    reader = conn.makefile("rb")
+
     def respond(payload: dict) -> None:
         payload.setdefault("shard", config.shard)
         payload.setdefault("replica", config.replica)
         payload["gen"] = config.generation
-        responses.put(payload)
+        conn.sendall(_frame(payload))
 
     def run_batch(message: dict, fault: Any) -> None:
         # Pipelined statements: one request/response round-trip carries
         # a whole batch (a single query is a batch of one), amortizing
-        # queue + pickle overhead that would otherwise be paid per
+        # the framing and system calls that would otherwise be paid per
         # query.  Item failures are reported per item; the batch
         # response itself is always "ok" once the shard file is open.
         # A "slow" fault delays this worker — the affected request and
@@ -187,19 +240,19 @@ def worker_main(
                         "error": str(exc)[:500],
                     }
                 )
-        # SQLite rows hold only marshal-able scalars, and marshal of a
-        # big nested list beats the queue deep-pickling 10k+ tuples —
-        # the queue then ships one flat bytes payload.
+        # SQLite rows hold only marshal-able scalars.  The items travel
+        # as their own marshal bytes inside the response frame: the
+        # parent decodes the frame on its dispatcher thread and leaves
+        # the rows to the ladder.
         respond(
             {"id": message["id"], "ok": True, "items": marshal.dumps(items)}
         )
 
     try:
         while True:
-            try:
-                message = requests.get(timeout=0.2)
-            except queue_mod.Empty:
-                continue
+            message = _read_frame(reader)
+            if message is None:
+                break  # EOF: the parent closed its end or died
             op = message.get("op")
             if op == "stop":
                 break
@@ -219,6 +272,8 @@ def worker_main(
                     time.sleep(fault.seconds if fault.seconds > 0 else 3600.0)
                     continue
             run_batch(message, fault)
+    except ConnectionError:
+        pass  # the parent went away mid-frame
     finally:
         # Reached between requests only: no statement is running on the
         # connection being closed.
@@ -316,17 +371,32 @@ class CircuitBreaker:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class WorkerHandle:
-    """Parent-side view of one worker incarnation."""
+    """Parent-side view of one worker incarnation and its socket."""
 
     shard: int
     replica: int
     generation: int
     process: Any
-    requests: Any
+    #: The parent's end of the worker's socket, non-blocking.
+    conn: socket.socket
     heartbeat: Any
     started_at: float = field(default_factory=time.time)
+    #: Held to write to ``conn``, touch ``outbox`` or close the socket.
+    send_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False
+    )
+    #: Frame bytes the kernel has not taken yet, in send order.
+    outbox: bytearray = field(default_factory=bytearray, repr=False)
+    #: The socket is closed: EOF, a broken write, replacement or close.
+    closed: bool = False
+    #: Dispatcher thread only: ``inbox[:filled]`` holds the start of
+    #: the frames not yet delivered.
+    inbox: bytearray = field(
+        default_factory=lambda: bytearray(_INBOX_BYTES), repr=False
+    )
+    filled: int = 0
 
 
 class _Pending:
@@ -374,8 +444,8 @@ class ShardRuntime:
     ``replicas`` workers serve each shard (two by default, so hedged
     duplicate requests have somewhere to go).  A supervisor thread
     respawns dead workers and terminates hung ones; a dispatcher thread
-    routes responses — dropping any whose worker generation is stale —
-    to the threads waiting on them.
+    reads every worker socket and routes responses — dropping any whose
+    worker generation is stale — to the requests waiting on them.
 
     The runtime is transport only: :meth:`submit_batch` moves SQL out
     and ``on_complete`` (or :meth:`wait`) brings raw rows back.
@@ -407,7 +477,6 @@ class ShardRuntime:
         if start_method is None:
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(start_method)
-        self._responses = self._ctx.Queue()
         self._workers: dict[tuple[int, int], WorkerHandle] = {}
         self._lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
@@ -429,6 +498,18 @@ class ShardRuntime:
         if self._started:
             return self
         self._started = True
+        self._selector = selectors.DefaultSelector()
+        # Any thread wakes the dispatcher with a byte here when the set
+        # of sockets to watch, or the events to watch them for, changes.
+        self._wake_r, self._wake_w = socket.socketpair()
+        for end in (self._wake_r, self._wake_w):
+            end.setblocking(False)
+            _PARENT_ENDS.add(end)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        #: Dispatcher thread only: the events each watched socket is
+        #: registered for.
+        self._watched: dict[WorkerHandle, int] = {}
+        self._dispatching = True
         for shard in range(self.shard_count):
             for replica in range(self.replicas):
                 self._spawn(shard, replica, generation=0, reason="start")
@@ -453,16 +534,24 @@ class ShardRuntime:
             handles = list(self._workers.values())
         for handle in handles:
             try:
-                handle.requests.put_nowait({"op": "stop"})
-            except Exception:  # pragma: no cover - queue torn down
-                pass
+                self._write(handle, {"op": "stop"})
+            except OSError:
+                pass  # already gone
         deadline = time.monotonic() + 2.0
         for handle in handles:
             handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
+        # The dispatcher ran through the grace period, delivering late
+        # answers; it closes the sockets it watched on its way out.
+        self._dispatching = False
+        self._wake()
         self._dispatcher.join(timeout=2.0)
+        for handle in handles:
+            self._close_socket(handle)
+        self._wake_r.close()
+        self._wake_w.close()
         with self._lock:
             self._workers.clear()
         self._lose()
@@ -488,21 +577,25 @@ class ShardRuntime:
             policy=self.policy,
             fault_plan=self.fault_plan,
         )
-        requests = self._ctx.Queue()
+        conn, child_end = socket.socketpair()
+        conn.setblocking(False)
+        _PARENT_ENDS.add(conn)
         heartbeat = self._ctx.Value("d", time.time(), lock=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(config, requests, self._responses, heartbeat),
+            args=(config, child_end, heartbeat),
             daemon=True,
             name=f"shard-{shard}-r{replica}-g{generation}",
         )
         process.start()
+        # Only the worker holds its end now: its exit is EOF here.
+        child_end.close()
         handle = WorkerHandle(
             shard=shard,
             replica=replica,
             generation=generation,
             process=process,
-            requests=requests,
+            conn=conn,
             heartbeat=heartbeat,
         )
         with self._lock:
@@ -517,6 +610,7 @@ class ShardRuntime:
                     "generation": generation,
                 }
             )
+        self._wake()
         return handle
 
     def _supervise_loop(self) -> None:
@@ -551,9 +645,8 @@ class ShardRuntime:
         """Complete with ``None`` every unanswered request whose worker
         incarnation is gone — dead, respawned one generation up, or
         shut down — so callers fail over now instead of waiting out
-        their deadline budget.  Runs after every respawn, and whenever
-        the dispatcher idles, which catches a crash before the next
-        health sweep does."""
+        their deadline budget.  Runs on EOF of a worker's socket, after
+        every respawn and at close."""
         with self._lock:
             lost = []
             for pending in self._pending.values():
@@ -561,6 +654,7 @@ class ShardRuntime:
                 if not pending.done and (
                     handle is None
                     or handle.generation != pending.expected_gen
+                    or handle.closed
                     or not handle.process.is_alive()
                 ):
                     pending.done = True
@@ -597,25 +691,157 @@ class ShardRuntime:
 
     # -- request plumbing --------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while not (self._stop.is_set() and not self._pending):
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # full, so a wake-up is pending anyway; or closed
+
+    def _write(self, handle: WorkerHandle, message: dict) -> None:
+        """Send one frame to ``handle``'s worker without blocking: what
+        the kernel does not take now waits in the outbox, behind what
+        is already there, for the dispatcher to flush.  Raises
+        ``OSError`` when the socket is closed or broken."""
+        frame = _frame(message)
+        with handle.send_lock:
+            if handle.closed:
+                raise ConnectionError("worker socket closed")
+            if handle.outbox:
+                handle.outbox += frame
+                return
             try:
-                response = self._responses.get(timeout=0.1)
-            except queue_mod.Empty:
-                if self._stop.is_set():
-                    break
-                self._lose()
+                sent = handle.conn.send(frame)
+            except BlockingIOError:
+                sent = 0
+            if sent == len(frame):
+                return
+            handle.outbox += memoryview(frame)[sent:]
+        self._wake()  # the dispatcher now watches for writability
+
+    def _dispatch_loop(self) -> None:
+        try:
+            while self._dispatching:
+                for key, events in self._selector.select():
+                    handle = key.data
+                    if handle is None:
+                        self._watch()
+                        continue
+                    if events & selectors.EVENT_WRITE:
+                        self._flush(handle)
+                    if events & selectors.EVENT_READ:
+                        self._read(handle)
+        finally:
+            for handle in list(self._watched):
+                self._drop(handle)
+            self._selector.close()
+
+    def _watch(self) -> None:
+        """Bring the selector in line with the fleet: watch every live
+        incarnation, for writability too while its outbox holds bytes,
+        and drop the sockets of replaced ones."""
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except BlockingIOError:
+            pass
+        with self._lock:
+            live = set(self._workers.values())
+        for handle in [h for h in self._watched if h not in live]:
+            self._drop(handle)
+        for handle in live:
+            if handle.closed:
                 continue
-            with self._lock:
-                pending = self._pending.get(response.get("id"))
-                if pending is None or pending.done:
-                    continue  # already abandoned (hedge lost the race)
-                if response.get("gen") != pending.expected_gen:
-                    # Generation fence: a reply from a stale worker
-                    # incarnation must never satisfy a fresh request.
-                    continue
-                pending.done = True
-            self._complete(pending, response)
+            events = selectors.EVENT_READ
+            if handle.outbox:
+                events |= selectors.EVENT_WRITE
+            watched = self._watched.get(handle)
+            if watched is None:
+                self._selector.register(handle.conn, events, handle)
+            elif watched != events:
+                self._selector.modify(handle.conn, events, handle)
+            self._watched[handle] = events
+
+    def _drop(self, handle: WorkerHandle) -> None:
+        if self._watched.pop(handle, None) is not None:
+            self._selector.unregister(handle.conn)
+        self._close_socket(handle)
+
+    @staticmethod
+    def _close_socket(handle: WorkerHandle) -> None:
+        with handle.send_lock:
+            handle.closed = True
+            handle.outbox.clear()
+            handle.conn.close()
+
+    def _flush(self, handle: WorkerHandle) -> None:
+        """Hand the kernel what it takes of ``handle``'s outbox."""
+        with handle.send_lock:
+            if handle.closed:
+                return
+            try:
+                del handle.outbox[: handle.conn.send(handle.outbox)]
+            except BlockingIOError:
+                return
+            except OSError:
+                pass  # broken: the worker is gone, as on EOF
+            else:
+                if not handle.outbox:
+                    self._selector.modify(
+                        handle.conn, selectors.EVENT_READ, handle
+                    )
+                    self._watched[handle] = selectors.EVENT_READ
+                return
+        self._drop(handle)
+        self._lose()
+
+    def _read(self, handle: WorkerHandle) -> None:
+        """Receive into ``handle``'s inbox and deliver every whole
+        frame; on EOF, report the requests waiting on the worker lost."""
+        if handle.closed:
+            return
+        inbox, start = handle.inbox, 0
+        try:
+            end = handle.filled + handle.conn.recv_into(
+                memoryview(inbox)[handle.filled :]
+            )
+        except BlockingIOError:
+            return
+        except OSError:
+            end = handle.filled
+        if end == handle.filled:
+            self._drop(handle)
+            self._lose()
+            return
+        while end - start >= _HEADER:
+            stop = start + _HEADER + int.from_bytes(
+                inbox[start : start + _HEADER], "little"
+            )
+            if stop > end:
+                break
+            self._deliver(
+                marshal.loads(memoryview(inbox)[start + _HEADER : stop])
+            )
+            start = stop
+        handle.filled = end - start
+        if start and handle.filled:
+            inbox[: handle.filled] = inbox[start:end]
+        if handle.filled >= _HEADER:
+            # Room for the whole next frame, so it is received in place.
+            size = _HEADER + int.from_bytes(inbox[:_HEADER], "little")
+            if size > len(inbox):
+                inbox.extend(bytes(size - len(inbox)))
+
+    def _deliver(self, response: dict) -> None:
+        with self._lock:
+            pending = self._pending.get(response.get("id"))
+            if pending is None or pending.done:
+                return  # already abandoned (hedge lost the race)
+            if response.get("gen") != pending.expected_gen:
+                # Generation fence: a reply from a stale worker
+                # incarnation must never satisfy a fresh request.
+                return
+            pending.done = True
+        self._complete(pending, response)
 
     def _send(
         self,
@@ -624,7 +850,7 @@ class ShardRuntime:
         message: dict,
         on_complete: Callable[[Optional[dict]], None] | None,
     ) -> int:
-        """Register a pending request and enqueue ``message`` to the
+        """Register a pending request and send ``message`` to the
         worker of ``(shard, replica)``; returns the request id."""
         with self._lock:
             # Looked up and registered under one lock hold: a respawn
@@ -645,11 +871,14 @@ class ShardRuntime:
                 on_complete if on_complete is not None else _Parked(),
             )
         try:
-            handle.requests.put_nowait(message)
-        except Exception as exc:
-            self.abandon(request_id)
+            self._write(handle, message)
+        except OSError as exc:
+            with self._lock:
+                pending = self._pending.pop(request_id, None)
+            if pending is None or pending.done:
+                return request_id  # already reported lost
             raise ShardError(
-                f"could not enqueue {message['op']} to shard {shard} "
+                f"could not send {message['op']} to shard {shard} "
                 f"replica {replica}: {exc}",
                 shard=shard,
             ) from exc
@@ -668,7 +897,7 @@ class ShardRuntime:
         """Send a pipelined batch of statements to one worker in a
         single request/response round-trip.  The response carries one
         ``items`` entry per statement (``ok`` + rows, or a per-item
-        error), marshal-encoded; queue and pickle overhead is paid once
+        error), marshal-encoded; framing and system calls are paid once
         per batch instead of once per statement.  ``on_complete`` is
         fired once from a runtime thread with the response dict — or
         ``None`` when the request became unanswerable; without it the

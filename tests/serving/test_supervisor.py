@@ -3,15 +3,24 @@ respawns, generation fencing, and the circuit-breaker state machine."""
 
 from __future__ import annotations
 
+import asyncio
 import marshal
+import os
 import queue
 import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 
+import repro
 from repro import ShardError, infer_schema, parse_document
+from repro.api import EngineConfig
 from repro.resilience.faults import WorkerFaultPlan
+from repro.serving.frontdoor import _Tick
+from repro.serving.scatter import ShardedEngine
 from repro.serving.shards import ShardedStore
 from repro.serving.supervisor import CircuitBreaker, ShardRuntime
 
@@ -263,11 +272,12 @@ class TestGenerationFencing:
             assert response["ok"] and response["gen"] == 0
             runtime.abandon(request)
             # Same id, wrong generation: register a request bound to
-            # generation 0 and hand the dispatcher a generation-7 reply.
+            # generation 0 and hand the receive path a generation-7
+            # reply, as the dispatcher does with each decoded frame.
             fenced = runtime.submit_batch(
                 0, [COUNT_SQL], on_complete=completions.put
             )
-            runtime._responses.put(
+            runtime._deliver(
                 {"id": fenced, "ok": True, "items": b"", "gen": 7}
             )
             assert completions.get(timeout=5.0)["gen"] == 0
@@ -309,6 +319,220 @@ class TestGenerationFencing:
             response = runtime.wait(request, timeout=5.0)
             assert response is not None and response["ok"]
             assert response["gen"] == 1
+        finally:
+            runtime.close()
+        store.close()
+
+
+#: One ~80 KB statement: 112 of them are over 8 MB of request frames,
+#: far more than a socket buffers.
+BIG_SQL = "SELECT 1, 1, x'00' -- " + "x" * 80_000
+BIG_BATCHES = 112
+
+#: Started in a child interpreter that the orphan test SIGKILLs: brings
+#: a fleet up, prints its worker pids, and waits to be killed.
+ORPHAN_SCRIPT = """
+import sys, time
+from repro.serving.supervisor import ShardRuntime
+runtime = ShardRuntime(sys.argv[1:], replicas=1).start()
+for shard in range(runtime.shard_count):
+    assert runtime.ping(shard, 0, timeout=30.0)
+print(*(runtime.worker(s, 0).process.pid for s in range(runtime.shard_count)))
+sys.stdout.flush()
+time.sleep(120)
+"""
+
+
+def running(pid):
+    """Is ``pid`` a live process (a zombie left for init to reap is not)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.chaos  # also runs in CI's chaos-smoke job
+class TestTransport:
+    """One socket per worker incarnation: sends never wait for the
+    worker, EOF is the crash signal both ways, and nothing relies on
+    fork inheritance."""
+
+    def test_sends_never_block_on_a_hung_worker(self, tmp_path):
+        """Over 8 MB of batches to a worker frozen for two seconds: the
+        kernel takes a few hundred KB, the handle's outbox keeps the
+        rest in order, and neither a blocking caller nor an event loop
+        waits for the worker."""
+        store = make_store(tmp_path, shards=1)
+        plan = WorkerFaultPlan().script(
+            "hang", shard=0, replica=0, seconds=2.0
+        )
+        runtime = ShardRuntime(
+            store.shard_paths,
+            replicas=1,
+            heartbeat_timeout=30.0,
+            fault_plan=plan,
+        ).start()
+        try:
+            runtime.submit_batch(0, [COUNT_SQL])  # freezes the worker
+            completions = queue.SimpleQueue()
+            slowest = 0.0
+            for _ in range(BIG_BATCHES):
+                started = time.monotonic()
+                runtime.submit_batch(
+                    0, [BIG_SQL], on_complete=completions.put
+                )
+                slowest = max(slowest, time.monotonic() - started)
+            assert slowest < 0.05, slowest
+            assert runtime.worker(0, 0).outbox  # the kernel took only part
+            # The worker thaws and the outbox drains: all answered.
+            for _ in range(BIG_BATCHES):
+                response = completions.get(timeout=30.0)
+                assert response is not None and response["ok"]
+        finally:
+            runtime.close()
+
+        engine = ShardedEngine.serve(
+            store,
+            config=EngineConfig(replicas=1),
+            fault_plan=plan,
+            heartbeat_timeout=30.0,
+        )
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            lateness = []
+
+            def tick(due):
+                # A timer every 5 ms across the sends: a send that
+                # blocks the loop makes the next one late.
+                lateness.append(loop.time() - due)
+                if len(ticks) < BIG_BATCHES:
+                    loop.call_later(0.005, tick, loop.time() + 0.005)
+
+            freeze = _Tick(engine, loop)
+            freeze.start([COUNT_SQL], None, False)
+            ticks, slowest = [], 0.0
+            loop.call_later(0.005, tick, loop.time() + 0.005)
+            for _ in range(BIG_BATCHES):
+                batch = _Tick(engine, loop)
+                started = time.monotonic()
+                batch.start([BIG_SQL], None, False)
+                slowest = max(slowest, time.monotonic() - started)
+                ticks.append(batch)
+                await asyncio.sleep(0.002)
+            deadline = loop.time() + 30.0
+            while not all(batch.outcomes for batch in ticks):
+                assert loop.time() < deadline
+                await asyncio.sleep(0.02)
+            freeze.cancel()
+            return slowest, max(lateness), ticks
+
+        try:
+            slowest, late, ticks = asyncio.run(drive())
+        finally:
+            engine.close()
+        assert late < 0.05, late
+        assert slowest < 0.05, slowest
+        assert all(batch.outcomes[0][0].ok for batch in ticks)
+        store.close()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="needs /proc"
+    )
+    def test_orphaned_workers_exit(self, tmp_path):
+        """SIGKILL the process holding a started runtime: every worker
+        sees EOF on its socket and exits within 2 s.  The second worker
+        was forked after the first, so this also needs each child to
+        close the parent ends it inherited."""
+        store = make_store(tmp_path, shards=2)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        holder = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_SCRIPT, *store.shard_paths],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in holder.stdout.readline().split()]
+            assert len(pids) == 2 and all(running(pid) for pid in pids)
+            holder.kill()
+            holder.wait(timeout=10.0)
+            assert wait_for(
+                lambda: not any(running(pid) for pid in pids), timeout=2.0
+            ), [pid for pid in pids if running(pid)]
+        finally:
+            holder.kill()
+            holder.stdout.close()
+            holder.wait(timeout=10.0)
+            for pid in pids:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+        store.close()
+
+    def test_crash_is_seen_on_eof(self, tmp_path):
+        """A worker killed mid-request is reported lost within 0.5 s
+        while the dispatcher is kept busy by another shard and the next
+        health sweep is 30 s away: EOF on its socket is the signal."""
+        store = make_store(tmp_path, shards=2)
+        runtime = ShardRuntime(
+            store.shard_paths, replicas=1, health_interval=30.0
+        ).start()
+        stop = threading.Event()
+
+        def stream():
+            # Shard 1 answers every ~10 ms: the dispatcher never idles.
+            while not stop.is_set():
+                runtime.wait(runtime.submit_batch(1, [COUNT_SQL]), 5.0)
+                time.sleep(0.01)
+
+        streamer = threading.Thread(target=stream, daemon=True)
+        streamer.start()
+        try:
+            completions = queue.SimpleQueue()
+            runtime.submit_batch(
+                0, [ENDLESS_SQL], timeout=30.0, on_complete=completions.put
+            )
+            time.sleep(0.3)  # the statement is running
+            os.kill(runtime.worker(0, 0).process.pid, signal.SIGKILL)
+            killed = time.monotonic()
+            assert completions.get(timeout=5.0) is None
+            assert time.monotonic() - killed < 0.5
+        finally:
+            stop.set()
+            streamer.join(timeout=10.0)
+            runtime.close()
+        store.close()
+
+    def test_spawn_start_method(self, tmp_path):
+        """Workers started with ``spawn`` inherit nothing but their
+        arguments: the socket travels with them, they answer a batch
+        and a ping, and a killed one is reported lost."""
+        store = make_store(tmp_path, shards=2)
+        runtime = ShardRuntime(
+            store.shard_paths,
+            replicas=1,
+            health_interval=30.0,
+            start_method="spawn",
+        ).start()
+        try:
+            response = runtime.wait(
+                runtime.submit_batch(0, [COUNT_SQL]), timeout=60.0
+            )
+            assert response is not None and response["ok"]
+            (item,) = marshal.loads(response["items"])
+            assert item["ok"] and item["rows"]
+            assert runtime.ping(1, 0, timeout=60.0)
+            completions = queue.SimpleQueue()
+            runtime.submit_batch(
+                1, [ENDLESS_SQL], timeout=30.0, on_complete=completions.put
+            )
+            time.sleep(0.3)
+            os.kill(runtime.worker(1, 0).process.pid, signal.SIGKILL)
+            assert completions.get(timeout=5.0) is None
         finally:
             runtime.close()
         store.close()
