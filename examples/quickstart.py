@@ -3,7 +3,11 @@
 Run with::
 
     python examples/quickstart.py
+
+It exits 1 when a node count disagrees with the native oracle.
 """
+
+import sys
 
 from repro import (
     Database,
@@ -29,7 +33,7 @@ CATALOG = """
 """
 
 
-def main() -> None:
+def main() -> int:
     # 1. Parse and inspect the document tree.
     document = parse_document(CATALOG, name="catalog")
     print(f"parsed {document.element_count()} elements")
@@ -52,17 +56,20 @@ def main() -> None:
         "/catalog/department[product/review]/@code",
     ]
     oracle = NativeEngine(document)
+    all_agree = True
     for xpath in queries:
         result = engine.execute(xpath)
         expected = len(oracle.execute(xpath))
         print(f"\n=== {xpath}")
         print(engine.explain(xpath))
         if result.projection == "nodes":
-            print(f"--> {len(result)} nodes (oracle agrees: "
-                  f"{len(result) == expected})")
+            agrees = len(result) == expected
+            all_agree = all_agree and agrees
+            print(f"--> {len(result)} nodes (oracle agrees: {agrees})")
         else:
             print(f"--> values {result.values}")
+    return 0 if all_agree else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -51,7 +51,6 @@ from repro.errors import (
     StoreIntegrityError,
     TranslationError,
     UnsupportedXPathError,
-    WorkerCrashedError,
     XMLParseError,
     XPathSyntaxError,
 )
@@ -171,7 +170,6 @@ __all__ = [
     "TranslationError",
     "TranslationResult",
     "UnsupportedXPathError",
-    "WorkerCrashedError",
     "XMLParseError",
     "XPathSyntaxError",
     "connect",

@@ -311,11 +311,6 @@ class EdgeAdapter(StoreAdapter):
         return ExistsCond(sub)
 
 
-def names_of(candidate: Candidate) -> Optional[frozenset[str]]:
-    """The candidate's covered names (``None`` when open)."""
-    return candidate.names
-
-
 def combine_names(
     candidates: Iterable[Candidate],
 ) -> Optional[frozenset[str]]:

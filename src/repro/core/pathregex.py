@@ -241,11 +241,6 @@ def exact_path(pattern: Sequence[PatternStep], anchored: bool) -> Optional[str]:
     return "".join(parts)
 
 
-def pattern_matches(pattern_regex: str, path: str) -> bool:
-    """Python-side equivalent of the SQL ``regexp_like`` filter."""
-    return re.search(pattern_regex, path) is not None
-
-
 def depth_offset(pattern: Sequence[PatternStep]) -> tuple[int, bool]:
     """(minimum level offset, is-exact) a pattern spans.
 

@@ -154,12 +154,6 @@ _AXIS_CONDITIONS = {
 }
 
 
-def axis_names() -> frozenset[str]:
-    """Axes with a Table 2 Dewey formulation (the valid
-    :class:`~repro.plan.nodes.StructuralCond` axis values)."""
-    return frozenset(_AXIS_CONDITIONS)
-
-
 def sql_condition(axis: str, context_alias: str, target_alias: str) -> str:
     """SQL condition joining ``target_alias`` to ``context_alias`` so the
     target rows stand in the given structural ``axis`` to the context rows.

@@ -145,12 +145,6 @@ class ShardError(StorageError):
         self.shard = shard
 
 
-class WorkerCrashedError(ShardError):
-    """Raised (or recorded per shard) when a shard worker process died
-    while a request was in flight.  The supervisor respawns the worker;
-    the request itself is retried or reported failed."""
-
-
 class ShardUnavailableError(ShardError):
     """Raised when a shard cannot serve at all: its circuit breaker is
     open, its worker fleet is down, or every attempt within the query

@@ -366,10 +366,6 @@ class LogicalSelect:
         self.scans.append(scan)
         return scan
 
-    def has_alias(self, alias: str) -> bool:
-        """Whether the FROM clause already binds ``alias``."""
-        return any(scan.alias == alias for scan in self.scans)
-
     def move_scan_before(self, alias: str, reference: str) -> None:
         """Reorder scans so ``alias`` precedes ``reference`` (to the
         front when ``reference`` is a correlated outer alias)."""

@@ -140,7 +140,6 @@ class WorkerConfig:
     shard_path: str
     policy: ResiliencePolicy | None = None
     fault_plan: WorkerFaultPlan | None = None
-    heartbeat_interval: float = HEARTBEAT_INTERVAL
 
 
 def _classify_error(exc: Exception) -> str:
@@ -174,7 +173,7 @@ def worker_main(
     def beat() -> None:
         while not stop_beating.is_set() and not frozen.is_set():
             heartbeat.value = time.time()
-            stop_beating.wait(config.heartbeat_interval)
+            stop_beating.wait(HEARTBEAT_INTERVAL)
 
     beater = threading.Thread(target=beat, daemon=True)
     beater.start()

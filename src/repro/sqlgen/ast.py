@@ -120,10 +120,6 @@ class SelectStatement:
         self.tables.append(ref)
         return ref
 
-    def has_alias(self, alias: str) -> bool:
-        """Whether the FROM clause already binds ``alias``."""
-        return any(ref.alias == alias for ref in self.tables)
-
     def move_before(self, alias: str, reference: str) -> None:
         """Reorder the FROM clause so ``alias`` precedes ``reference``.
 

@@ -29,7 +29,7 @@ from repro.dewey.relations import (
     sql_bound_condition,
     sql_condition,
 )
-from repro.sqlgen.render import blob_literal, number_literal, string_literal
+from repro.sqlgen.render import number_literal, string_literal
 
 _SAFE_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -52,10 +52,6 @@ class SQLiteDialect:
     def number_literal(self, value: float) -> str:
         """A numeric literal; integers render without a decimal point."""
         return number_literal(value)
-
-    def blob_literal(self, value: bytes) -> str:
-        """A binary-string literal (``X'..'`` hex form)."""
-        return blob_literal(value)
 
     # -- path filters ------------------------------------------------------
 

@@ -24,12 +24,12 @@ On top of that, every statement runs under a
 
 from __future__ import annotations
 
+import functools
 import re
 import sqlite3
 import sys
 import threading
 import time
-from collections import OrderedDict, namedtuple
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -65,65 +65,13 @@ _CACHED_STATEMENTS = 1024
 #: Statement parameters: positional (``?``) or by name (``:name``).
 Params = Union[Sequence[Any], Mapping[str, Any]]
 
-#: Hit/miss statistics of :class:`RegexCache` (same shape as
-#: ``functools.lru_cache``'s info tuple).
-RegexCacheInfo = namedtuple(
-    "RegexCacheInfo", ["hits", "misses", "maxsize", "currsize"]
-)
-
-
-class RegexCache:
-    """Process-global, thread-safe compiled-pattern LRU.
-
-    Every :class:`Database` — including the read-only connections a
-    :class:`repro.serving.ConnectionPool` hands out — funnels its
-    ``regexp_like`` patterns through one shared instance, so a pattern
-    compiled on any connection is a hit on all of them.  Lookups take a
-    lock (safe under free-threaded Python, where unsynchronized dict
-    mutation is a race); compilation itself happens outside the lock, so
-    two threads may compile the same novel pattern once each — both
-    results are equivalent and the second simply wins the slot.
-    """
-
-    def __init__(self, maxsize: int = 512):
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, re.Pattern] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-
-    def __call__(self, pattern: str) -> re.Pattern:
-        with self._lock:
-            entry = self._entries.get(pattern)
-            if entry is not None:
-                self._hits += 1
-                self._entries.move_to_end(pattern)
-                return entry
-            self._misses += 1
-        compiled = re.compile(pattern)
-        with self._lock:
-            self._entries[pattern] = compiled
-            self._entries.move_to_end(pattern)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return compiled
-
-    def cache_info(self) -> RegexCacheInfo:
-        with self._lock:
-            return RegexCacheInfo(
-                self._hits, self._misses, self.maxsize, len(self._entries)
-            )
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-
-
-#: The one shared pattern cache (kept under the historical name —
-#: callers treat it like the ``lru_cache``-wrapped function it replaced).
-_compiled = RegexCache(maxsize=512)
+@functools.lru_cache(maxsize=512)
+def _compiled(pattern: str) -> re.Pattern[str]:
+    """The one process-wide compiled-pattern cache every ``regexp_like``
+    call goes through, on every connection; ``cache_info()`` counts the
+    calls.  (A ``str`` signature, not the overloaded ``re.compile``, so
+    the type checker knows what it returns.)"""
+    return re.compile(pattern)
 
 
 def _as_text(value: Any) -> str | None:
@@ -225,14 +173,11 @@ class Database:
         path: str,
         policy: ResiliencePolicy | None = None,
         *,
-        timeout: float = 5.0,
         check_same_thread: bool = True,
         read_only: bool = False,
     ) -> "Database":
         """Open (or create) a database file.
 
-        :param timeout: seconds :mod:`sqlite3` blocks on a locked
-            database before raising (passed to ``sqlite3.connect``).
         :param check_same_thread: set False to share the connection
             across threads (callers must serialize access themselves).
         :param read_only: open via a ``mode=ro`` URI; writes then raise
@@ -243,14 +188,12 @@ class Database:
             connection = sqlite3.connect(
                 f"file:{path}?mode=ro",
                 uri=True,
-                timeout=timeout,
                 check_same_thread=check_same_thread,
                 cached_statements=_CACHED_STATEMENTS,
             )
         else:
             connection = sqlite3.connect(
                 path,
-                timeout=timeout,
                 check_same_thread=check_same_thread,
                 cached_statements=_CACHED_STATEMENTS,
             )

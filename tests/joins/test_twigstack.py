@@ -1,15 +1,29 @@
-"""TwigStack tests: unit cases, XPath equivalences, brute-force property."""
+"""TwigStack tests: unit cases, XPath equivalences, brute-force property.
 
+TwigStack lives in ``examples/twig_patterns.py``, the script that
+measures it against the PPF SQL; these tests load it from there."""
+
+import importlib.util
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import parse_document
 from repro.baselines.native import NativeEngine
 from repro.errors import TranslationError
-from repro.joins import TwigPattern, twig_join
 from repro.xmltree.nodes import Document, ElementNode
+
+_EXAMPLE = (
+    pathlib.Path(__file__).resolve().parents[2] / "examples" / "twig_patterns.py"
+)
+_spec = importlib.util.spec_from_file_location("twig_patterns", _EXAMPLE)
+twig_patterns = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = twig_patterns  # dataclasses look their module up
+_spec.loader.exec_module(twig_patterns)
+TwigPattern = twig_patterns.TwigPattern
+twig_join = twig_patterns.twig_join
 
 
 def brute_force_twig(document, pattern):

@@ -6,6 +6,7 @@ tree, and the process-global regex cache under contention."""
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
 import re
 import sqlite3
@@ -23,7 +24,7 @@ from repro import (
     parse_document,
     parse_fragment,
 )
-from repro.storage.database import RegexCache, _compiled
+from repro.storage.database import _compiled
 
 XML = (
     "<lib>"
@@ -172,7 +173,7 @@ class TestSharedRegexCache:
         assert info.hits >= 1
 
     def test_contention_with_eviction_stays_correct(self):
-        cache = RegexCache(maxsize=4)
+        cache = functools.lru_cache(maxsize=4)(re.compile)
         patterns = [f"^p{i}[0-9]+$" for i in range(8)]  # 2x maxsize
         errors: list[Exception] = []
 

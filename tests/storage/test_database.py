@@ -199,10 +199,6 @@ class TestOpenOptions:
         worker.join()
         assert seen == [[(0,)]]
 
-    def test_timeout_accepted(self, tmp_path):
-        with Database.open(str(tmp_path / "store.db"), timeout=0.25) as db:
-            assert db.query("SELECT 1") == [(1,)]
-
     def test_wal_mode_enabled_for_files(self, tmp_path):
         with Database.open(str(tmp_path / "store.db")) as db:
             mode = db.query_one("PRAGMA journal_mode")[0]

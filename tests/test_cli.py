@@ -104,6 +104,22 @@ class TestCLI:
         assert "item" in out and "price" in out
         assert "U-P" in out
 
+    def test_stats_needs_collected_statistics(self, db_path, xml_files, capsys):
+        main(["shred", db_path, xml_files[0]])
+        capsys.readouterr()
+        assert main(["stats", db_path]) == 1
+        assert "no usable statistics" in capsys.readouterr().out
+        assert main(["stats", db_path, "--collect", "--top", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "documents:     1" in out
+        assert "elements:      3" in out
+        assert "paths:         3" in out
+        path_lines = out.split("top 1 paths by element count:\n")[1]
+        assert path_lines.splitlines() == [
+            line for line in path_lines.splitlines() if "elems" in line
+        ]
+        assert len(path_lines.splitlines()) == 1
+
     def test_bad_xpath_reports_error(self, db_path, xml_files, capsys):
         main(["shred", db_path, *xml_files])
         capsys.readouterr()
