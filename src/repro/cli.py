@@ -29,9 +29,9 @@ as the per-query deadline of the degradation ladder.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
+from repro.api import _is_sharded_dir
 from repro.core.engine import PPFEngine
 from repro.errors import ReproError
 from repro.resilience.policy import ResiliencePolicy
@@ -100,12 +100,6 @@ def _print_result(store, result) -> None:
     print(
         f"-- {len(result)} result(s) via {result.served_by}",
         file=sys.stderr,
-    )
-
-
-def _is_sharded_dir(path: str) -> bool:
-    return os.path.isdir(path) and os.path.exists(
-        os.path.join(path, "manifest.json")
     )
 
 

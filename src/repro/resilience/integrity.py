@@ -15,10 +15,11 @@ on, per document:
   document order, so any divergence means a corrupted shred.
 
 All four are read back from the database — the rows of the id range the
-load assigned, fetched once per relation — not from the in-memory tree
-or the path cache.  A failed check raises inside the savepoint, which
-rolls the whole load back — the store is left byte-identical to its
-pre-load state.
+load assigned, one statement across every relation
+(:meth:`~repro.storage.database.Database.query_across`) — not from the
+in-memory tree or the path cache.  A failed check raises inside the
+savepoint, which rolls the whole load back — the store is left
+byte-identical to its pre-load state.
 """
 
 from __future__ import annotations
@@ -49,15 +50,11 @@ def _element_rows(
 ) -> list[_Row]:
     """The descriptor columns of the element rows ``where`` selects,
     across ``tables`` (the one place the checks read element rows)."""
-    return [
-        (table, *row)
-        for table in tables
-        for row in db.query(  # static-ok: sql-interp
-            f"SELECT id, par_id, path_id, dewey_pos, doc_id "
-            f"FROM {table} {where}",
-            params,
-        )
-    ]
+    return db.query_across(
+        dict.fromkeys(tables, "id, par_id, path_id, dewey_pos, doc_id"),
+        where,
+        params,
+    )
 
 
 def _path_ids(db) -> set[int]:
@@ -107,22 +104,18 @@ def check_document_load(
     # rows outside its id range is a count mismatch too.
     stored: Counter[int] = Counter()
     doc_ids = [doc_id for doc_id, _, _ in loaded]
-    for table in tables:
-        stored.update(
-            dict(
-                db.query(  # static-ok: sql-interp
-                    f"SELECT doc_id, COUNT(*) FROM {table} "
-                    f"WHERE doc_id BETWEEN ? AND ? GROUP BY doc_id",
-                    (min(doc_ids), max(doc_ids)),
-                )
-            )
-        )
+    for _, doc_id, found in db.query_across(
+        dict.fromkeys(tables, "doc_id, COUNT(*)"),
+        "WHERE doc_id BETWEEN ?1 AND ?2 GROUP BY doc_id",
+        (min(doc_ids), max(doc_ids)),
+    ):
+        stored[doc_id] += found
     path_ids = _path_ids(db)
     issues: list[IntegrityIssue] = []
     everything = "+".join(tables)
     for doc_id, base, count in loaded:
         rows = _element_rows(
-            db, tables, "WHERE id > ? AND id <= ?", (base, base + count)
+            db, tables, "WHERE id > ?1 AND id <= ?2", (base, base + count)
         )
         in_range = sum(row[5] == doc_id for row in rows)
         if not stored[doc_id] == in_range == count:

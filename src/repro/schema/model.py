@@ -175,18 +175,13 @@ class Schema:
             )
 
     def conforms(self, document: Document) -> bool:
-        """True if every element of ``document`` fits this schema's graph
-        (names, nesting, root)."""
-        root = document.root
-        if root.name not in self.roots:
-            return False
-        for element in document.iter_elements():
-            if element.name not in self.declarations:
-                return False
-            parent = element.parent
-            if parent is not None and element.name not in self[parent.name].children:
-                return False
-        return True
+        """True if ``document`` fits this schema: root, element names,
+        nesting and attributes (the checks of
+        :func:`~repro.schema.validate.iter_violations`)."""
+        # Imported here: the walker's module builds on this one.
+        from repro.schema.validate import iter_violations
+
+        return next(iter_violations(self, document), None) is None
 
     # -- iteration -----------------------------------------------------------------
 

@@ -5,10 +5,11 @@ regex-vs-equality choice with cardinality arguments; this package gives
 the optimizer those cardinalities.  A :class:`PathSummary` — per-path
 element counts, distinct-document counts, child fan-out and
 value-presence ratios, in the spirit of Arion et al.'s path summaries —
-is collected at shred/bulk-load time from the `Paths` relation and the
-mapping relations, persisted in the store (``repro_path_stats`` +
-``repro_meta``), versioned against ``store.generation`` and maintained
-incrementally by ``bulk_load`` / ``delete_document``.
+is counted at shred/bulk-load time from the stored rows of the mapping
+relations and the `Paths` relation, persisted in the store
+(``repro_path_stats`` + ``repro_meta``), versioned against
+``store.generation`` and maintained by ``load`` / ``bulk_load`` /
+``delete_document`` from the rows each adds or removes.
 
 The summary never changes *what* a query returns.  Its counts only
 steer performance decisions (join order, union-branch order, hedge
@@ -21,11 +22,10 @@ from repro.stats.summary import PathStats, PathSummary, StatsState
 from repro.stats.maintenance import (
     STATS_TABLE_DDL,
     collect_summary,
-    document_deltas,
+    count_rows,
     load_state,
     load_summary,
     persist_summary,
-    removal_deltas,
 )
 
 __all__ = [
@@ -34,9 +34,8 @@ __all__ = [
     "StatsState",
     "STATS_TABLE_DDL",
     "collect_summary",
-    "document_deltas",
+    "count_rows",
     "load_state",
     "load_summary",
     "persist_summary",
-    "removal_deltas",
 ]

@@ -13,14 +13,13 @@ generation it was true for.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro.stats.summary import PathStats, PathSummary, StatsState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.storage.database import Database
     from repro.storage.schema_aware import SchemaAwareMapping
-    from repro.xmltree.nodes import Document
 
 STATS_TABLE_DDL = """
 CREATE TABLE IF NOT EXISTS repro_path_stats (
@@ -126,8 +125,62 @@ def persist_summary(
 
 
 # ---------------------------------------------------------------------------
-# collection
+# counting
 # ---------------------------------------------------------------------------
+
+
+def count_rows(
+    db: "Database",
+    mapping: "SchemaAwareMapping",
+    doc_ids: Optional[Sequence[int]] = None,
+    sign: int = 1,
+) -> tuple[dict[str, tuple[int, int, int]], dict[str, int], int]:
+    """What stored rows add to a path summary, times ``sign``: per path
+    ``(elements, documents, values)``, rows per relation (every
+    relation, zero included) and documents.
+
+    Counts the rows of every document in one ``GROUP BY`` read across
+    all relations, or those of ``doc_ids`` in one such read per
+    document (value counts only where the relation has a text column).
+    A load counts its documents after writing them and a removal before
+    deleting them (``sign=-1``), so a maintained summary is always
+    counted from the stored rows, the same way a full recompute is.
+    """
+
+    def read(documents: str, where: str, params: tuple[int, ...]) -> list[tuple]:
+        return db.query_across(
+            {
+                table: f"paths.path, COUNT(*), {documents}, "
+                + ("COUNT(text)" if info.text_kind is not None else "0")
+                for table, info in mapping.relations.items()
+            },
+            f"JOIN paths ON paths.id = path_id {where} GROUP BY path_id",
+            params,
+        )
+
+    if doc_ids is None:
+        [(documents,)] = db.query("SELECT COUNT(*) FROM docs")
+        rows = read("COUNT(DISTINCT doc_id)", "", ())
+    else:
+        # Per document: `doc_id = ?` needs no DISTINCT and plans better
+        # than an IN list, which also runs out of parameters.
+        documents = len(doc_ids)
+        rows = [
+            row
+            for doc_id in doc_ids
+            for row in read("1", "WHERE doc_id = ?1", (doc_id,))
+        ]
+    per_path: dict[str, tuple[int, int, int]] = {}
+    per_relation = dict.fromkeys(mapping.relations, 0)
+    for table, path, elements, docs, values in rows:
+        before = per_path.get(path, (0, 0, 0))
+        per_path[path] = (
+            before[0] + sign * elements,
+            before[1] + sign * docs,
+            before[2] + sign * values,
+        )
+        per_relation[table] += sign * elements
+    return per_path, per_relation, sign * documents
 
 
 def collect_summary(
@@ -135,92 +188,6 @@ def collect_summary(
     mapping: "SchemaAwareMapping",
     version: tuple[int, int],
 ) -> PathSummary:
-    """Full recompute of the summary from the mapping relations.
-
-    One GROUP BY per relation (value counts only where the relation has
-    a text column), joined against `Paths` for the path strings.
-    """
-    doc_row = (
-        db.query_one("SELECT COUNT(*) FROM docs")
-        if "docs" in db.table_names()
-        else None
-    )
-    summary = PathSummary(
-        version=version,
-        document_count=int(doc_row[0]) if doc_row else 0,
-        relation_counts={},
-    )
-    for table, info in mapping.relations.items():
-        value_term = (
-            "COUNT(t.text)" if info.text_kind is not None else "0"
-        )
-        per_path = {
-            str(path): (int(elements), int(docs), int(values))
-            for path, elements, docs, values in db.query(  # static-ok: sql-interp
-                f"SELECT p.path, COUNT(*), COUNT(DISTINCT t.doc_id), "
-                f"{value_term} FROM {table} t "
-                f"JOIN paths p ON t.path_id = p.id GROUP BY t.path_id"
-            )
-        }
-        total = sum(elements for elements, _, _ in per_path.values())
-        summary = summary.plus(per_path, {table: total})
-    return summary
-
-
-# ---------------------------------------------------------------------------
-# incremental deltas
-# ---------------------------------------------------------------------------
-
-
-def document_deltas(
-    mapping: "SchemaAwareMapping", documents: Iterable["Document"]
-) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
-    """Per-path ``(elements, documents, values)`` and per-relation row
-    deltas ``documents`` contribute, computed from the in-memory trees
-    (the same walk the shredder does, so the counts match the stored
-    rows exactly)."""
-    per_path: dict[str, list[int]] = {}
-    per_relation: dict[str, int] = {}
-    for document in documents:
-        seen: set[str] = set()
-        for element in document.iter_elements():
-            info = mapping.relation_for(element.name)
-            entry = per_path.setdefault(element.path, [0, 0, 0])
-            entry[0] += 1
-            if element.path not in seen:
-                seen.add(element.path)
-                entry[1] += 1
-            if info.text_kind is not None and element.direct_text:
-                entry[2] += 1
-            per_relation[info.table] = per_relation.get(info.table, 0) + 1
-    return (
-        {path: tuple(entry) for path, entry in per_path.items()},
-        per_relation,
-    )
-
-
-def removal_deltas(
-    db: "Database", mapping: "SchemaAwareMapping", doc_id: int
-) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
-    """The (negative) per-path and per-relation deltas of removing one
-    stored document — queried *before* its rows are deleted, so
-    ``delete_document`` can apply them to the summary."""
-    per_path: dict[str, tuple[int, int, int]] = {}
-    per_relation: dict[str, int] = {}
-    for table, info in mapping.relations.items():
-        value_term = (
-            "COUNT(t.text)" if info.text_kind is not None else "0"
-        )
-        rows = db.query(  # static-ok: sql-interp
-            f"SELECT p.path, COUNT(*), {value_term} FROM {table} t "
-            f"JOIN paths p ON t.path_id = p.id "
-            f"WHERE t.doc_id = ? GROUP BY t.path_id",
-            (doc_id,),
-        )
-        total = 0
-        for path, elements, values in rows:
-            total += int(elements)
-            per_path[str(path)] = (-int(elements), -1, -int(values))
-        if total:
-            per_relation[table] = -total
-    return per_path, per_relation
+    """Full recompute of the summary from the mapping relations."""
+    empty = PathSummary(version=version, document_count=0, relation_counts={})
+    return empty.plus(*count_rows(db, mapping))

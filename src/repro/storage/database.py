@@ -51,16 +51,22 @@ _FETCH_CHUNK = 256
 _BUSY_TIMEOUT_MS = 5000
 
 #: Compiled statements a connection keeps (``sqlite3``'s own default is
-#: 128).  A mutation speaks to every relation of the mapping in about
-#: five statement texts each — insert, delete, integrity counts — so one
-#: ``load`` + ``delete_document`` on the 69-relation XMark schema issues
-#: 359 distinct texts (219 of them the load's), and with a cache smaller
-#: than that every statement of every mutation, and the queries run
-#: between two mutations, are compiled again each time round.  Sized
-#: with room for a schema of ~200 relations; ``tests/storage/
-#: test_database.py::TestStatementCache`` fails when the write path
-#: outgrows it.
+#: 128).  A mutation writes to every relation of the mapping in its own
+#: statement text — an ``INSERT`` per relation on a load, a ``DELETE``
+#: per relation on a removal; reads span all relations in one text
+#: (:meth:`Database.query_across`) — so one ``load`` +
+#: ``delete_document`` on the 69-relation XMark schema issues ~160
+#: distinct texts, and with a cache smaller than that every statement
+#: of every mutation, and the queries run between two mutations, are
+#: compiled again each time round.  Sized with room for a schema of
+#: ~400 relations; ``tests/storage/test_database.py::TestStatementCache``
+#: fails when the write path outgrows it.
 _CACHED_STATEMENTS = 1024
+
+#: Most simple SELECTs SQLite joins into one compound SELECT
+#: (``SQLITE_MAX_COMPOUND_SELECT``, compiled in; ``Connection.getlimit``
+#: cannot read it before Python 3.11).
+COMPOUND_SELECT_LIMIT = 500
 
 #: Statement parameters: positional (``?``) or by name (``:name``).
 Params = Union[Sequence[Any], Mapping[str, Any]]
@@ -373,6 +379,33 @@ class Database:
     def query_one(self, sql: str, params: Sequence = ()) -> tuple | None:
         """Execute and fetch the first row, if any."""
         return self.execute(sql, params).fetchone()
+
+    def query_across(
+        self, arms: Mapping[str, str], rest: str = "", params: Params = ()
+    ) -> list[tuple]:
+        """One read over many tables: ``SELECT '<table>', <columns> FROM
+        <table> <rest>`` for each ``table -> columns`` of ``arms``, joined
+        by ``UNION ALL`` — one statement per :data:`COMPOUND_SELECT_LIMIT`
+        arms.  Every row leads with the name of the table it came from.
+
+        ``rest`` (joins, ``WHERE``, ``GROUP BY``) goes inside every arm,
+        so it binds its parameters by number (``?1``): each is given
+        once, whatever the number of arms.  The table names are SQL
+        identifiers the caller vouches for (a mapping's relations).
+        """
+        tables = list(arms)
+        rows: list[tuple] = []
+        for start in range(0, len(tables), COMPOUND_SELECT_LIMIT):
+            rows.extend(
+                self.query(
+                    " UNION ALL ".join(
+                        f"SELECT '{table}', {arms[table]} FROM {table} {rest}"
+                        for table in tables[start:start + COMPOUND_SELECT_LIMIT]
+                    ),
+                    params,
+                )
+            )
+        return rows
 
     def cancel(self) -> None:
         """Cooperatively interrupt the statement currently running on

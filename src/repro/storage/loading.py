@@ -197,7 +197,8 @@ class _DocumentStore:
 
         :returns: the assigned ``doc_id``.
         :raises StorageError: if the store has a schema and the document
-            does not conform to it.
+            does not conform to it, or carries an attribute or text its
+            relation has no column for (nothing is written).
         :raises StoreIntegrityError: if the freshly written rows violate
             a store invariant (the load is rolled back first).
         """

@@ -28,13 +28,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Collection, Iterable, NamedTuple
 
 from repro.dewey import decode, encode
 from repro.errors import SchemaError, StorageError
-from typing import Iterable
-
 from repro.schema.marking import SchemaMarking
 from repro.schema.model import Schema
+from repro.schema.validate import iter_violations
 from repro.stats import maintenance as _stats
 from repro.stats.summary import PathSummary, StatsState
 from repro.storage.database import Database
@@ -127,6 +127,9 @@ class SchemaAwareMapping:
         self.schema = schema
         self.relations: dict[str, RelationInfo] = {}
         self._by_element: dict[str, RelationInfo] = {}
+        #: Element name -> (attributes, stores text?) of its relation:
+        #: what a row of that element keeps (the storability check).
+        self.holds: dict[str, tuple[Collection[str], bool]] = {}
         taken: set[str] = set()
         by_type: dict[str, list[str]] = {}
         reachable = schema.reachable_from_roots()
@@ -175,6 +178,7 @@ class SchemaAwareMapping:
         self.relations[table] = info
         for name in names:
             self._by_element[name] = info
+            self.holds[name] = (attr_columns.keys(), text_kind is not None)
 
     # -- lookup ------------------------------------------------------------
 
@@ -259,6 +263,16 @@ class SchemaAwareMapping:
             f"CREATE INDEX idx_{info.table}_dewey "
             f"ON {info.table}(doc_id, dewey_pos, path_id)",
         ]
+
+
+class _Located(NamedTuple):
+    """Where one stored element is: :meth:`ShreddedStore._locate`."""
+
+    info: RelationInfo
+    doc_id: int
+    dewey: bytes
+    path: str
+    name: str
 
 
 _META_DDL = """
@@ -346,9 +360,14 @@ class ShreddedStore(_DocumentStore):
             return None
         before = self.path_summary()
         if before is not None:
-            per_path, per_relation, documents = mutation.deltas or (
-                *_stats.document_deltas(self.mapping, mutation.documents),
-                len(mutation.documents),
+            # A load counts its rows now that they are written.
+            per_path, per_relation, documents = (
+                mutation.deltas
+                or _stats.count_rows(
+                    self.db,
+                    self.mapping,
+                    [doc_id for doc_id, _, _ in mutation.loaded],
+                )
             )
             summary = before.plus(
                 per_path,
@@ -374,11 +393,30 @@ class ShreddedStore(_DocumentStore):
 
     # -- loading -----------------------------------------------------------------
 
-    def _check_conforms(self, document: Document) -> None:
-        if not self.schema.conforms(document):
-            raise StorageError(
-                f"document {document.name!r} does not conform to the schema"
-            )
+    def _check_conforms(
+        self, document: Document, parent: _Located | None = None
+    ) -> None:
+        """Refuse, naming the first offending node, a document — or a
+        fragment to append under ``parent`` — that the schema does not
+        allow or whose rows would drop an attribute or text."""
+        violation = next(
+            iter_violations(
+                self.schema,
+                document,
+                parent=None if parent is None else parent.name,
+                holds=self.mapping.holds,
+            ),
+            None,
+        )
+        if violation is None:
+            return
+        what = (
+            f"document {document.name!r}" if parent is None
+            else f"fragment <{document.root.name}> under {parent.path}"
+        )
+        raise StorageError(
+            f"{what} does not conform to the schema: {violation}"
+        )
 
     def _index_statements(self) -> tuple[list[str], list[str]]:
         return self.mapping.drop_index_ddl(), self.mapping.index_ddl()
@@ -488,12 +526,11 @@ class ShreddedStore(_DocumentStore):
         removed = 0
         with self._mutation() as mutation:
             mutation.removed = doc_id
-            # Capture the statistics deltas while the rows still exist
-            # (they only apply to a summary that is exact going in).
+            # Count what goes while the rows still exist (the counts
+            # only apply to a summary that is exact going in).
             if self.path_summary() is not None:
-                mutation.deltas = (
-                    *_stats.removal_deltas(self.db, self.mapping, doc_id),
-                    -1,
+                mutation.deltas = _stats.count_rows(
+                    self.db, self.mapping, [doc_id], sign=-1
                 )
             for table in self.mapping.relations:
                 cursor = self.db.execute(  # static-ok: sql-interp
@@ -517,30 +554,28 @@ class ShreddedStore(_DocumentStore):
         :meth:`to_document_node_id` does not cover them (result rows
         still carry the right ``doc_id``).
 
-        :raises StorageError: unknown parent or non-conforming fragment.
+        :raises StorageError: unknown parent, or a fragment that does
+            not conform or whose rows would drop an attribute or text.
         """
-        located = self._locate_with_info(parent_global_id)
-        if located is None:
-            raise StorageError(f"no element with id {parent_global_id}")
-        doc_id, parent_dewey_blob, parent_info = located
-        parent_name = self._element_name_of(parent_global_id, parent_info)
-        if not self._subtree_conforms(parent_name, element):
-            raise StorageError(
-                f"fragment <{element.name}> does not conform to the "
-                f"schema under {parent_name!r}"
-            )
-        parent_vector = decode(parent_dewey_blob)
-        ordinal = self._next_child_ordinal(parent_global_id)
-        parent_path_row = self.db.query_one(  # static-ok: sql-interp
-            f"SELECT p.path FROM {parent_info.table} t, paths p "
-            f"WHERE t.id = ? AND t.path_id = p.id",
-            (parent_global_id,),
-        )
-        parent_path = parent_path_row[0]
-
+        parent = self._locate(parent_global_id)
         # Index the fragment standalone, then translate its descriptors
         # into the parent's coordinate system.
         fragment = Document(element, name="fragment")
+        self._check_conforms(fragment, parent)
+        parent_vector = decode(parent.dewey)
+        # 1 + the largest child ordinal under the parent.
+        ordinal = 1 + max(
+            (
+                decode(bytes(highest))[-1]
+                for _, highest in self.db.query_across(
+                    dict.fromkeys(self.mapping.relations, "MAX(dewey_pos)"),
+                    "WHERE par_id = ?1",
+                    (parent_global_id,),
+                )
+                if highest is not None
+            ),
+            default=0,
+        )
         new_ids = []
         rows_by_relation: dict[str, list[tuple]] = {}
         with self._mutation() as mutation:
@@ -549,10 +584,10 @@ class ShreddedStore(_DocumentStore):
                 row = self._row_for(
                     node,
                     info,
-                    doc_id,
+                    parent.doc_id,
                     mutation.next_base,
                     par_id=parent_global_id,
-                    path=parent_path + node.path,
+                    path=parent.path + node.path,
                     dewey=parent_vector + (ordinal,) + node.dewey[1:],
                 )
                 new_ids.append(row[0])
@@ -561,52 +596,29 @@ class ShreddedStore(_DocumentStore):
             mutation.next_base += len(new_ids)
         return new_ids
 
-    def _next_child_ordinal(self, parent_global_id: int) -> int:
-        """1 + the largest existing child ordinal under the parent."""
-        highest = 0
-        for table in self.mapping.relations:
-            row = self.db.query_one(  # static-ok: sql-interp
-                f"SELECT MAX(dewey_pos) FROM {table} WHERE par_id = ?",
-                (parent_global_id,),
-            )
-            if row and row[0] is not None:
-                ordinal = decode(bytes(row[0]))[-1]
-                highest = max(highest, ordinal)
-        return highest + 1
+    def _locate(self, global_id: int) -> _Located:
+        """Relation, document, Dewey position, path and name of one
+        stored element: one read across every relation.
 
-    def _element_name_of(self, global_id: int, info: RelationInfo) -> str:
-        if not info.shared:
-            return info.element_names[0]
-        row = self.db.query_one(  # static-ok: sql-interp
-            f"SELECT elname FROM {info.table} WHERE id = ?", (global_id,)
+        :raises StorageError: when no element has that id.
+        """
+        rows = self.db.query_across(
+            {
+                table: "doc_id, dewey_pos, "
+                "(SELECT path FROM paths WHERE paths.id = path_id), "
+                + ("elname" if info.shared else "NULL")
+                for table, info in self.mapping.relations.items()
+            },
+            "WHERE id = ?1",
+            (global_id,),
         )
-        return row[0]
-
-    def _subtree_conforms(self, parent_name: str, element: ElementNode) -> bool:
-        if element.name not in self.schema.children_of(parent_name):
-            return False
-        stack = [element]
-        while stack:
-            node = stack.pop()
-            if node.name not in self.schema.declarations:
-                return False
-            for child in node.element_children:
-                if child.name not in self.schema.children_of(node.name):
-                    return False
-                stack.append(child)
-        return True
-
-    def _locate_with_info(
-        self, global_id: int
-    ) -> tuple[int, bytes, RelationInfo] | None:
-        for info in self.mapping.relations.values():
-            row = self.db.query_one(  # static-ok: sql-interp
-                f"SELECT doc_id, dewey_pos FROM {info.table} WHERE id = ?",
-                (global_id,),
-            )
-            if row is not None:
-                return int(row[0]), bytes(row[1]), info
-        return None
+        if not rows:
+            raise StorageError(f"no element with id {global_id}")
+        table, doc_id, dewey, path, name = rows[0]
+        info = self.mapping.relations[table]
+        return _Located(
+            info, int(doc_id), bytes(dewey), path, name or info.element_names[0]
+        )
 
     def delete_subtree(self, global_id: int) -> int:
         """Remove one element and its whole subtree from every relation.
@@ -620,17 +632,14 @@ class ShreddedStore(_DocumentStore):
         :raises StorageError: when ``global_id`` does not exist.
         """
         located = self._locate(global_id)
-        if located is None:
-            raise StorageError(f"no element with id {global_id}")
-        doc_id, dewey = located
-        upper = dewey + b"\xff"
+        bounds = (located.doc_id, located.dewey, located.dewey + b"\xff")
         removed = 0
         with self._mutation():
             for table in self.mapping.relations:
                 cursor = self.db.execute(  # static-ok: sql-interp
                     f"DELETE FROM {table} WHERE doc_id = ? "
                     f"AND dewey_pos >= ? AND dewey_pos < ?",
-                    (doc_id, dewey, upper),
+                    bounds,
                 )
                 removed += cursor.rowcount
         return removed
@@ -641,7 +650,7 @@ class ShreddedStore(_DocumentStore):
         :raises StorageError: when the element does not exist or its
             relation has no text column.
         """
-        info = self._relation_of(global_id)
+        info = self._locate(global_id).info
         if info.text_kind is None:
             raise StorageError(
                 f"relation {info.table!r} stores no text values"
@@ -660,33 +669,13 @@ class ShreddedStore(_DocumentStore):
         :raises StorageError: when the element does not exist or the
             attribute is not declared for its relation.
         """
-        info = self._relation_of(global_id)
+        info = self._locate(global_id).info
         column, _ = info.attr_column(name)
         with self._mutation():
             self.db.execute(  # static-ok: sql-interp
                 f"UPDATE {info.table} SET {column} = ? WHERE id = ?",
                 (None if value is None else str(value), global_id),
             )
-
-    def _locate(self, global_id: int) -> tuple[int, bytes] | None:
-        """(doc_id, dewey_pos) of an element, searching all relations."""
-        for table in self.mapping.relations:
-            row = self.db.query_one(  # static-ok: sql-interp
-                f"SELECT doc_id, dewey_pos FROM {table} WHERE id = ?",
-                (global_id,),
-            )
-            if row is not None:
-                return int(row[0]), bytes(row[1])
-        return None
-
-    def _relation_of(self, global_id: int) -> RelationInfo:
-        for table, info in self.mapping.relations.items():
-            row = self.db.query_one(  # static-ok: sql-interp
-                f"SELECT 1 FROM {table} WHERE id = ?", (global_id,)
-            )
-            if row is not None:
-                return info
-        raise StorageError(f"no element with id {global_id}")
 
     # -- path-summary statistics (repro.stats) -----------------------------------------
 
@@ -764,11 +753,15 @@ class ShreddedStore(_DocumentStore):
     # -- stats ------------------------------------------------------------------------
 
     def relation_counts(self) -> dict[str, int]:
-        """Row count per mapping relation (diagnostics / tests)."""
-        return {
-            table: self.db.query_one(f"SELECT COUNT(*) FROM {table}")[0]  # static-ok: sql-interp
-            for table in sorted(self.mapping.relations)
-        }
+        """Row count per mapping relation, in table-name order
+        (diagnostics, tests and the fleet's shard digest)."""
+        return dict(
+            sorted(
+                self.db.query_across(
+                    dict.fromkeys(self.mapping.relations, "COUNT(*)")
+                )
+            )
+        )
 
     def total_elements(self) -> int:
         """Total element count across all loaded documents."""

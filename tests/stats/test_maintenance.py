@@ -43,6 +43,46 @@ def _recomputed(store):
     return collect_summary(store.db, store.mapping, maintained.version)
 
 
+def _from_trees(store, documents):
+    """Per-path ``(elements, documents, values)`` and rows per relation
+    of the in-memory ``documents``, walked by the mapping rules: a
+    reference that shares no code with the store's counting."""
+    per_path: dict[str, tuple[int, int, int]] = {}
+    per_relation = dict.fromkeys(store.mapping.relations, 0)
+    for document in documents:
+        seen: set[str] = set()
+        for element in document.iter_elements():
+            info = store.mapping.relation_for(element.name)
+            elements, docs, values = per_path.get(element.path, (0, 0, 0))
+            per_path[element.path] = (
+                elements + 1,
+                docs + (element.path not in seen),
+                values + bool(info.text_kind and element.direct_text),
+            )
+            seen.add(element.path)
+            per_relation[info.table] += 1
+    return per_path, per_relation
+
+
+def _assert_exact(store, documents):
+    """The maintained summary equals a full recompute and the counts
+    walked from the documents the store holds."""
+    maintained = store.path_summary()
+    assert maintained is not None
+    assert not store.statistics_stale
+    recomputed = _recomputed(store)
+    assert maintained.stats == recomputed.stats
+    assert dict(maintained.relation_counts) == dict(recomputed.relation_counts)
+    assert maintained.document_count == recomputed.document_count
+    per_path, per_relation = _from_trees(store, documents)
+    assert {
+        path: (s.element_count, s.doc_count, s.value_count)
+        for path, s in maintained.stats.items()
+    } == per_path
+    assert dict(maintained.relation_counts) == per_relation
+    assert maintained.document_count == len(documents)
+
+
 class TestLifecycle:
     def test_bulk_load_collects_at_shred_time(self):
         store = _store([_doc("a.xml", 3)])
@@ -58,30 +98,50 @@ class TestLifecycle:
         assert store.statistics_stale
 
     def test_incremental_load_matches_full_recompute(self):
-        store = _store([_doc("a.xml", 3)])
-        store.load(_doc("b.xml", 5, items=2))
-        maintained = store.path_summary()
-        assert maintained is not None
-        assert not store.statistics_stale
-        recomputed = _recomputed(store)
-        assert maintained.stats == recomputed.stats
-        assert dict(maintained.relation_counts) == dict(
-            recomputed.relation_counts
-        )
-        assert maintained.document_count == recomputed.document_count
+        documents = [_doc("a.xml", 3), _doc("b.xml", 5, items=2)]
+        store = _store(documents[:1])
+        store.load(documents[1])
+        _assert_exact(store, documents)
 
     def test_delete_matches_full_recompute(self):
-        store = _store([_doc("a.xml", 3), _doc("b.xml", 5, items=2)])
+        documents = [_doc("a.xml", 3), _doc("b.xml", 5, items=2)]
+        store = _store(documents)
         store.delete_document(1)
-        maintained = store.path_summary()
-        assert maintained is not None
-        assert not store.statistics_stale
-        recomputed = _recomputed(store)
-        assert maintained.stats == recomputed.stats
-        assert dict(maintained.relation_counts) == dict(
-            recomputed.relation_counts
-        )
-        assert maintained.document_count == recomputed.document_count
+        _assert_exact(store, documents[1:])
+
+    def test_every_load_and_delete_keeps_the_summary_exact(self):
+        """Bulk loads onto a store with a summary, single loads and
+        deletes in turn, with paths that come and go: after each the
+        summary equals a recompute and the walked trees."""
+        held = {}
+        pending = [
+            _doc("a.xml", 3),
+            _doc("b.xml", 0, items=2),
+            _doc("c.xml", 5, items=0),
+            _doc("d.xml", 1, items=4),
+            _doc("e.xml", 2, items=1),
+            _doc("f.xml", 0, items=0),
+        ]
+        store = ShreddedStore.create(Database.memory(), infer_schema(pending))
+        held.update(zip(store.bulk_load(pending[:2]), pending))
+        _assert_exact(store, list(held.values()))
+        steps = [
+            ("load", pending[2]),
+            ("delete", 1),
+            ("bulk", pending[3:5]),
+            ("delete", 2),
+            ("load", pending[5]),
+            ("delete", 3),
+        ]
+        for kind, argument in steps:
+            if kind == "load":
+                held[store.load(argument)] = argument
+            elif kind == "bulk":
+                held.update(zip(store.bulk_load(argument), argument))
+            else:
+                store.delete_document(argument)
+                del held[argument]
+            _assert_exact(store, list(held.values()))
 
     def test_collect_bumps_epoch_and_clears_staleness(self):
         store = _store([_doc("a.xml", 2)])

@@ -251,6 +251,7 @@ class TestStatementCache:
             engine.execute(query.xpath)
         store.delete_document(doc_id)
         relations = len(store.mapping.relations)
-        assert relations > 60  # the vocabulary grows with the schema
-        assert 3 * relations < len(texts) < database._CACHED_STATEMENTS
+        assert relations > 60  # the vocabulary grows with the schema:
+        # an INSERT and a DELETE per relation, every read across all
+        assert 2 * relations < len(texts) < database._CACHED_STATEMENTS
         db.close()

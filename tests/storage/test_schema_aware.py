@@ -4,10 +4,14 @@ import pytest
 
 from repro import (
     Database,
+    NativeEngine,
+    Schema,
     ShreddedStore,
     StorageError,
     figure1_schema,
+    infer_schema,
     parse_document,
+    parse_fragment,
 )
 from repro.dewey import decode
 from repro.storage.schema_aware import SchemaAwareMapping, sanitize_identifier
@@ -145,3 +149,99 @@ class TestShredding:
         store.load(parse_document("<A><B><C><E><F>1</F><F/></E></C></B></A>"))
         rows = store.db.query("SELECT text FROM F ORDER BY id")
         assert rows == [("1",), (None,)]
+
+
+class TestStorability:
+    """A load refuses, naming the node and the reason, what its rows
+    could not hold, instead of storing the document without it."""
+
+    @staticmethod
+    def _store(xml: str) -> ShreddedStore:
+        return ShreddedStore.create(
+            Database.memory(), infer_schema([parse_document(xml)])
+        )
+
+    @staticmethod
+    def _native(document, xpath: str) -> list[str]:
+        return [node.value for node in NativeEngine(document).execute(xpath)]
+
+    def test_undeclared_attribute_refused(self):
+        store = self._store("<a><b k='1'>x</b></a>")
+        xml = "<a><b k='2' extra='E'>y</b></a>"
+        assert self._native(parse_document(xml), "//b/@extra") == ["E"]
+        reason = (
+            r"'extra\.xml' does not conform to the schema: \[attribute\] "
+            r"node 2 at /a/b: attribute 'extra' is not declared for 'b'"
+        )
+        for method in (store.load, lambda d: store.bulk_load([d])):
+            with pytest.raises(StorageError, match=reason):
+                method(parse_document(xml, name="extra.xml"))
+        assert store.total_elements() == 0
+        assert store.generation == 0
+
+    def test_text_without_column_refused(self):
+        store = self._store("<a><c/></a>")
+        xml = "<a><c>hello</c></a>"
+        assert self._native(parse_document(xml), "//c/text()") == ["hello"]
+        reason = (
+            r"\[text\] node 2 at /a/c: 'c' is declared without text, "
+            r"so 'hello' has no column"
+        )
+        for method in (store.load, lambda d: store.bulk_load([d])):
+            with pytest.raises(StorageError, match=reason):
+                method(parse_document(xml))
+        assert store.total_elements() == 0
+
+    def test_whitespace_only_text_is_no_data(self):
+        """The parser drops whitespace-only text and inference ignores
+        it, so a built tree that carries some still loads."""
+        store = self._store("<a><c/></a>")
+        document = parse_document("<a><c/></a>")
+        document.root.element_children[0].append_text("\n  ")
+        store.load(document)
+        assert store.total_elements() == 2
+
+    def test_fragment_refused_the_same_way(self):
+        store = self._store("<a><b k='1'>x</b><c/></a>")
+        store.load(parse_document("<a><b k='1'>x</b><c/></a>"))
+        with pytest.raises(
+            StorageError,
+            match=r"fragment <c> under /a does not conform .*\[text\] "
+            r"node 1 at /c",
+        ):
+            store.append_subtree(1, parse_fragment("<c>hello</c>"))
+        with pytest.raises(
+            StorageError, match=r"\[attribute\] node 1 at /b: attribute 'extra'"
+        ):
+            store.append_subtree(1, parse_fragment("<b extra='E'>y</b>"))
+        with pytest.raises(StorageError, match=r"\[nesting\] node 1 at /a"):
+            store.append_subtree(1, parse_fragment("<a/>"))
+        assert store.generation == 1
+        (new_id,) = store.append_subtree(1, parse_fragment("<b k='3'>z</b>"))
+        assert store.db.query_one(
+            "SELECT text, attr_k FROM b WHERE id = ?", (new_id,)
+        ) == ("z", "3")
+
+    def test_shared_relation_holds_what_any_of_its_names_declares(self):
+        """Two names of one type share a relation, so each keeps the
+        attributes and text either declares: exactly what the rows
+        hold, wider than the declaration."""
+        schema = Schema()
+        schema.add_root("r")
+        for name in ("p", "q"):
+            schema.declare(name, type_name="T")
+            schema.add_edge("r", name)
+        schema["p"].add_attribute("k")
+        schema["q"].text_kind = "string"
+        store = ShreddedStore.create(Database.memory(), schema)
+        document = parse_document("<r><p>text</p><q k='1'/></r>")
+        assert not schema.conforms(document)
+        store.load(document)
+        assert store.db.query(
+            "SELECT elname, text, attr_k FROM T ORDER BY id"
+        ) == [("p", "text", None), ("q", None, "1")]
+
+    def test_conforms_checks_attributes(self):
+        schema = infer_schema([parse_document("<a><b k='1'>x</b></a>")])
+        assert schema.conforms(parse_document("<a><b k='2'>y</b></a>"))
+        assert not schema.conforms(parse_document("<a><b extra='E'/></a>"))

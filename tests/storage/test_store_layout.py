@@ -84,9 +84,10 @@ def test_previous_layout_store_opens_and_agrees_with_native(
 
 
 def test_per_document_statements_search_the_doc_id_led_index():
-    """``delete_document`` runs one ``DELETE … WHERE doc_id = ?`` and
-    one ``GROUP BY`` (the statistics delta) per relation; each is an
-    index range on a store created now, where it was a full scan."""
+    """``delete_document`` runs one ``DELETE … WHERE doc_id = ?`` per
+    relation and one ``GROUP BY`` read across every relation (the
+    statistics delta); each searches the relation's ``doc_id``-led
+    index on a store created now, where it was a full scan."""
     documents = [
         generate_xmark(XMarkConfig(scale=0.2, seed=seed)) for seed in (3, 4)
     ]
@@ -97,17 +98,23 @@ def test_per_document_statements_search_the_doc_id_led_index():
     store.delete_document(doc_ids[0])
     store.db.connection.set_trace_callback(None)
     relations = set(store.mapping.relations)
-    per_document = [
+    deletes = [
         s
         for s in statements
-        if "GROUP BY t.path_id" in s
-        or (s.startswith("DELETE FROM") and s.split()[2] in relations)
+        if s.startswith("DELETE FROM") and s.split()[2] in relations
     ]
-    assert len(per_document) == 2 * len(relations)
-    for statement in per_document:
+    (counting,) = [s for s in statements if "GROUP BY path_id" in s]
+    assert len(deletes) == len(relations)
+    for statement in deletes:
         table = statement.split(" FROM ")[1].split()[0]
         (first, *_) = store.db.query_plan(statement)
         assert first.startswith("SEARCH "), (statement, first)
         assert f"idx_{table}_dewey (doc_id=?)" in first, (statement, first)
+    searched = [
+        line
+        for line in store.db.query_plan(counting)
+        if line.startswith("SEARCH ") and "_dewey (doc_id=?)" in line
+    ]
+    assert sorted(line.split()[1] for line in searched) == sorted(relations)
     assert not store.statistics_stale
     assert store.path_summary().document_count == 1
