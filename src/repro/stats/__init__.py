@@ -26,6 +26,7 @@ from repro.stats.maintenance import (
     load_state,
     load_summary,
     persist_summary,
+    tally_rows,
 )
 
 __all__ = [
@@ -38,4 +39,5 @@ __all__ = [
     "load_state",
     "load_summary",
     "persist_summary",
+    "tally_rows",
 ]

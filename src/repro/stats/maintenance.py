@@ -13,7 +13,9 @@ generation it was true for.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from collections import Counter
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from repro.stats.summary import PathStats, PathSummary, StatsState
 
@@ -129,58 +131,73 @@ def persist_summary(
 # ---------------------------------------------------------------------------
 
 
-def count_rows(
-    db: "Database",
-    mapping: "SchemaAwareMapping",
-    doc_ids: Optional[Sequence[int]] = None,
-    sign: int = 1,
-) -> tuple[dict[str, tuple[int, int, int]], dict[str, int], int]:
-    """What stored rows add to a path summary, times ``sign``: per path
-    ``(elements, documents, values)``, rows per relation (every
-    relation, zero included) and documents.
+#: Signed ``(elements, documents, values)`` per path, rows per relation,
+#: and documents: what stored rows add to (or take from) a path summary.
+Deltas = tuple[dict[str, tuple[int, int, int]], dict[str, int], int]
 
-    Counts the rows of every document in one ``GROUP BY`` read across
-    all relations, or those of ``doc_ids`` in one such read per
-    document (value counts only where the relation has a text column).
-    A load counts its documents after writing them and a removal before
-    deleting them (``sign=-1``), so a maintained summary is always
-    counted from the stored rows, the same way a full recompute is.
-    """
 
-    def read(documents: str, where: str, params: tuple[int, ...]) -> list[tuple]:
-        return db.query_across(
-            {
-                table: f"paths.path, COUNT(*), {documents}, "
-                + ("COUNT(text)" if info.text_kind is not None else "0")
-                for table, info in mapping.relations.items()
-            },
-            f"JOIN paths ON paths.id = path_id {where} GROUP BY path_id",
-            params,
-        )
-
-    if doc_ids is None:
-        [(documents,)] = db.query("SELECT COUNT(*) FROM docs")
-        rows = read("COUNT(DISTINCT doc_id)", "", ())
-    else:
-        # Per document: `doc_id = ?` needs no DISTINCT and plans better
-        # than an IN list, which also runs out of parameters.
-        documents = len(doc_ids)
-        rows = [
-            row
-            for doc_id in doc_ids
-            for row in read("1", "WHERE doc_id = ?1", (doc_id,))
-        ]
+def count_rows(db: "Database", mapping: "SchemaAwareMapping") -> Deltas:
+    """What the stored rows of every document make of a path summary:
+    per path ``(elements, documents, values)``, rows per relation (every
+    relation, zero included) and documents — one ``GROUP BY`` read
+    across all relations (value counts only where the relation has a
+    text column)."""
+    [(documents,)] = db.query("SELECT COUNT(*) FROM docs")
+    rows = db.query_across(
+        {
+            table: "paths.path, COUNT(*), COUNT(DISTINCT doc_id), "
+            + ("COUNT(text)" if info.text_kind is not None else "0")
+            for table, info in mapping.relations.items()
+        },
+        "JOIN paths ON paths.id = path_id GROUP BY path_id",
+    )
     per_path: dict[str, tuple[int, int, int]] = {}
     per_relation = dict.fromkeys(mapping.relations, 0)
     for table, path, elements, docs, values in rows:
         before = per_path.get(path, (0, 0, 0))
         per_path[path] = (
-            before[0] + sign * elements,
-            before[1] + sign * docs,
-            before[2] + sign * values,
+            before[0] + elements,
+            before[1] + docs,
+            before[2] + values,
         )
-        per_relation[table] += sign * elements
-    return per_path, per_relation, sign * documents
+        per_relation[table] += elements
+    return per_path, per_relation, documents
+
+
+def tally_rows(
+    rows: Sequence[Sequence],
+    paths: Mapping[int, str],
+    relations: Iterable[str],
+    sign: int = 1,
+) -> Deltas:
+    """What ``rows`` add to a path summary, times ``sign``, in the form
+    :func:`count_rows` returns.  Each row leads with ``(table, path_id,
+    doc_id, valued)`` — ``valued`` 1 when the row stores a text value —
+    and ``paths`` names the path ids.
+
+    A load tallies the rows its integrity check read back, inside its
+    savepoint; a delete the rows its ``DELETE … RETURNING`` statements
+    return (``sign=-1``): a maintained summary is counted from the
+    stored rows, as a recompute is, at no extra read.
+    """
+    # Rows per (table, path, document) and valued rows per path, counted
+    # in C: a path lies in one relation, so the groups are few.
+    groups = Counter(map(itemgetter(0, 1, 2), rows))
+    values = Counter(map(itemgetter(1), filter(itemgetter(3), rows)))
+    per_relation = dict.fromkeys(relations, 0)
+    per_path: dict[str, tuple[int, int, int]] = {}
+    documents: set[int] = set()
+    for (table, path_id, doc_id), count in groups.items():
+        per_relation[table] += sign * count
+        path = paths[path_id]
+        elements, docs, _ = per_path.get(path, (0, 0, 0))
+        per_path[path] = (
+            elements + sign * count,
+            docs + sign,
+            sign * values[path_id],
+        )
+        documents.add(doc_id)
+    return per_path, per_relation, sign * len(documents)
 
 
 def collect_summary(

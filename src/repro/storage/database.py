@@ -68,6 +68,10 @@ _CACHED_STATEMENTS = 1024
 #: cannot read it before Python 3.11).
 COMPOUND_SELECT_LIMIT = 500
 
+#: Oldest SQLite the stores run on: 3.35 added ``DELETE … RETURNING``,
+#: which ``delete_document`` counts its rows with.
+MIN_SQLITE_VERSION = (3, 35, 0)
+
 #: Statement parameters: positional (``?``) or by name (``:name``).
 Params = Union[Sequence[Any], Mapping[str, Any]]
 
@@ -131,6 +135,11 @@ class Database:
         connection: sqlite3.Connection,
         policy: ResiliencePolicy | None = None,
     ):
+        if sqlite3.sqlite_version_info < MIN_SQLITE_VERSION:
+            raise StorageError(
+                f"SQLite {sqlite3.sqlite_version} is too old: the stores "
+                f"need 3.35 or newer (DELETE … RETURNING)"
+            )
         self.connection = connection
         self.policy = policy if policy is not None else DEFAULT_POLICY
         self._cancel_event = threading.Event()

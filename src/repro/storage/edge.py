@@ -11,10 +11,9 @@ compares against.
 
 from __future__ import annotations
 
-from repro.dewey import encode
 from typing import Sequence
 
-from repro.resilience.integrity import IntegrityIssue
+from repro.resilience.integrity import IntegrityIssue, LoadCheck
 from repro.storage.database import Database
 from repro.storage.loading import _DOCS_DDL, _DocumentStore
 from repro.storage.paths import PathIndex
@@ -60,7 +59,7 @@ class EdgeStore(_DocumentStore):
     """A schema-oblivious shredded XML store over one :class:`Database`."""
 
     def __init__(self, db: Database):
-        super().__init__(db, ["edge"])
+        super().__init__(db, {"edge": True})
 
     @classmethod
     def create(cls, db: Database) -> "EdgeStore":
@@ -84,19 +83,19 @@ class EdgeStore(_DocumentStore):
     ) -> int:
         edge_rows = []
         attr_rows = []
-        for element in document.iter_elements():
+        for element, par_id, path_id, dewey in self._descriptors(
+            document, base
+        ):
             global_id = base + element.node_id
-            parent = element.parent
-            text = element.direct_text
             edge_rows.append(
                 (
                     global_id,
                     doc_id,
-                    base + parent.node_id if parent is not None else None,
+                    par_id,
                     element.name,
-                    self.path_index.ensure(element.path),
-                    encode(element.dewey),
-                    text if text else None,
+                    path_id,
+                    dewey,
+                    element.direct_text or None,
                 )
             )
             for attr_name, value in element.attributes.items():
@@ -112,10 +111,8 @@ class EdgeStore(_DocumentStore):
         )
         return len(edge_rows)
 
-    def _load_issues(
-        self, loaded: Sequence[tuple[int, int, int]]
-    ) -> list[IntegrityIssue]:
-        issues = super()._load_issues(loaded)
+    def _check_load(self, loaded: Sequence[tuple[int, int, int]]) -> LoadCheck:
+        check = super()._check_load(loaded)
         # One load's id ranges are adjacent: first base to last end.
         first, last = loaded[0], loaded[-1]
         orphan_attrs = self.db.query_one(
@@ -124,7 +121,7 @@ class EdgeStore(_DocumentStore):
             (first[1], last[1] + last[2]),
         )
         if orphan_attrs[0]:
-            issues.append(
+            check.issues.append(
                 IntegrityIssue(
                     "orphan-parent",
                     "attrs",
@@ -132,7 +129,7 @@ class EdgeStore(_DocumentStore):
                     f"a missing element",
                 )
             )
-        return issues
+        return check
 
     def total_elements(self) -> int:
         """Number of stored element rows."""

@@ -16,19 +16,22 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
+from repro.dewey import COMPONENT_BYTES, encode
 from repro.errors import StoreIntegrityError
 from repro.resilience.integrity import (
     IntegrityIssue,
+    LoadCheck,
     check_document_load,
     check_referential_integrity,
 )
 from repro.storage.database import Database
 from repro.storage.paths import PathIndex
-from repro.xmltree.nodes import Document
+from repro.xmltree.nodes import Document, ElementNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stats.maintenance import Deltas
     from repro.stats.summary import PathSummary
 
 _DOCS_DDL = """
@@ -66,9 +69,8 @@ def bulk_pragmas(db: Database) -> Iterator[None]:
         db.execute(f"PRAGMA temp_store = {int(previous_temp)}")  # static-ok: sql-interp
 
 
-#: Signed ``(elements, documents, values)`` per path, rows per relation,
-#: and documents: what one change adds to the path summary.
-_Deltas = tuple[dict[str, tuple[int, int, int]], dict[str, int], int]
+#: The Dewey code of a document's root element, ``(1,)``.
+_ROOT_CODE = encode((1,))
 
 
 @dataclass
@@ -86,11 +88,11 @@ class _Mutation:
     loaded: list[tuple[int, int, int]] = field(default_factory=list)
     #: The document removed, if one was.
     removed: Optional[int] = None
-    #: What the change adds to the path summary, when the body knows
-    #: (loaded documents speak for themselves).  A change that reports
-    #: none leaves the summary behind — stale, hence absent — until
-    #: statistics are collected.
-    deltas: Optional[_Deltas] = None
+    #: What the change adds to the path summary, counted from the rows
+    #: it wrote or deleted while that summary is exact.  A change that
+    #: reports none leaves the summary behind — stale, hence absent —
+    #: until statistics are collected (a first bulk load collects it).
+    deltas: "Optional[Deltas]" = None
 
     @property
     def whole_documents(self) -> bool:
@@ -105,11 +107,12 @@ class _DocumentStore:
     path index, the resident documents, the generation and the one
     transaction every mutation runs in."""
 
-    def __init__(self, db: Database, tables: Sequence[str]):
+    def __init__(self, db: Database, tables: Mapping[str, bool]):
         self.db = db
         #: The element relations (every one carries ``id``, ``par_id``,
-        #: ``path_id``, ``dewey_pos`` and ``doc_id``).
-        self._tables = list(tables)
+        #: ``path_id``, ``dewey_pos`` and ``doc_id``), each to whether it
+        #: has a ``text`` column.
+        self._tables = dict(tables)
         self.path_index = PathIndex(db)
         next_base, stored = db.query_one(
             "SELECT COALESCE(MAX(base + node_count), 0), COUNT(*) FROM docs"
@@ -248,7 +251,6 @@ class _DocumentStore:
             for statement in drop_indexes:
                 self.db.execute(statement)
             for index, document in enumerate(documents):
-                self.path_index.ensure_many(document.distinct_paths())
                 doc_id, base = (
                     ids[index] if ids is not None
                     else (None, mutation.next_base)
@@ -269,12 +271,13 @@ class _DocumentStore:
                 mutation.next_base = base + count
             for statement in create_indexes:
                 self.db.execute(statement)
-            issues = self._load_issues(mutation.loaded)
-            if issues:
+            check = self._check_load(mutation.loaded)
+            if check.issues:
                 raise StoreIntegrityError(
                     "post-load integrity check failed: "
-                    + "; ".join(str(issue) for issue in issues)
+                    + "; ".join(str(issue) for issue in check.issues)
                 )
+            mutation.deltas = self._load_deltas(check)
         return [doc_id for doc_id, _, _ in mutation.loaded]
 
     # -- what a store supplies ---------------------------------------------------
@@ -285,6 +288,43 @@ class _DocumentStore:
         """Insert the rows of ``document``, ids ``base + 1 … base +
         count``; returns ``count``."""
         raise NotImplementedError
+
+    def _descriptors(
+        self,
+        document: Document,
+        base: int,
+        *,
+        par_id: Optional[int] = None,
+        prefix: str = "",
+        code: bytes = _ROOT_CODE,
+    ) -> Iterator[tuple[ElementNode, Optional[int], int, bytes]]:
+        """``(element, par_id, path_id, dewey_pos)`` of every element of
+        ``document`` in preorder, in one pass over its preorder list;
+        an element's own id is ``base + element.node_id``.
+
+        Path ids come from one :meth:`PathIndex.ensure_many` call.  A
+        child's Dewey code is its parent's plus its ordinal as one
+        component (Section 4.2); :meth:`Document.reindex` bounded every
+        ordinal, so none is checked again.  The keywords place a
+        fragment below a stored element: that element's id and path,
+        and the Dewey code of the fragment's root.
+        """
+        relative = document.distinct_paths()
+        ids = self.path_index.ensure_many([prefix + path for path in relative])
+        path_ids = {path: ids[prefix + path] for path in relative}
+        root = document.root
+        codes: list[bytes] = []
+        for element in document.iter_elements():
+            if element is root:
+                parent_id = par_id
+            else:
+                parent = element.parent
+                parent_id = base + parent.node_id
+                code = codes[parent.node_id - 1] + element.dewey[-1].to_bytes(
+                    COMPONENT_BYTES, "big"
+                )
+            codes.append(code)
+            yield element, parent_id, path_ids[element.path], code
 
     def _index_statements(self) -> tuple[Sequence[str], Sequence[str]]:
         """``(DROP statements, CREATE statements)`` of the secondary
@@ -306,12 +346,15 @@ class _DocumentStore:
     def _check_conforms(self, document: Document) -> None:
         """Raise before any write when ``document`` cannot be stored."""
 
-    def _load_issues(
-        self, loaded: Sequence[tuple[int, int, int]]
-    ) -> list[IntegrityIssue]:
-        """Invariants violated by the ``(doc_id, base, count)`` loads
-        just written (still inside their savepoint)."""
+    def _check_load(self, loaded: Sequence[tuple[int, int, int]]) -> LoadCheck:
+        """The rows of the ``(doc_id, base, count)`` loads just written
+        (still inside their savepoint) and the invariants they violate."""
         return check_document_load(self.db, self._tables, loaded)
+
+    def _load_deltas(self, check: LoadCheck) -> "Optional[Deltas]":
+        """What the rows a load wrote (read back by ``check``) add to
+        the path summary, when the store keeps an exact one."""
+        return None
 
     # -- diagnostics / fallback support ------------------------------------------
 

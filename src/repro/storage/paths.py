@@ -4,7 +4,8 @@ All distinct root-to-node label paths of the stored documents live in one
 relation, ``paths(id, path)``; every mapping relation carries a
 ``path_id`` foreign key into it.  The index fills gradually during
 insertion, exactly as the paper describes, with an in-memory cache so
-loading is one lookup per element.
+loading a document is one :meth:`PathIndex.ensure_many` call for its
+distinct paths.
 
 The cache is guarded by a lock: translation (which may run on a
 caller's reader threads) reads it while a loader thread fills it.  All writes to
@@ -39,24 +40,10 @@ class PathIndex:
             for path_id, path in db.query("SELECT id, path FROM paths")
         }
 
-    def ensure(self, path: str) -> int:
-        """Id of ``path``, inserting it on first sight."""
-        with self._lock:
-            path_id = self._cache.get(path)
-        if path_id is not None:
-            return path_id
-        cursor = self.db.execute(
-            "INSERT INTO paths (path) VALUES (?)", (path,)
-        )
-        path_id = int(cursor.lastrowid)
-        with self._lock:
-            self._cache[path] = path_id
-        return path_id
-
     def ensure_many(self, paths: Iterable[str]) -> dict[str, int]:
         """Ids for all of ``paths``, inserting the unseen ones in one
-        batch (the bulk-load fast path: one ``executemany`` instead of a
-        round-trip per new path)."""
+        batch (one ``executemany`` instead of a round-trip per new
+        path)."""
         wanted = list(dict.fromkeys(paths))
         with self._lock:
             missing = [p for p in wanted if p not in self._cache]

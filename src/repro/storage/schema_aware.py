@@ -32,6 +32,7 @@ from typing import Collection, Iterable, NamedTuple
 
 from repro.dewey import decode, encode
 from repro.errors import SchemaError, StorageError
+from repro.resilience.integrity import LoadCheck
 from repro.schema.marking import SchemaMarking
 from repro.schema.model import Schema
 from repro.schema.validate import iter_violations
@@ -293,7 +294,13 @@ class ShreddedStore(_DocumentStore):
         mapping: SchemaAwareMapping,
         marking: SchemaMarking,
     ):
-        super().__init__(db, list(mapping.relations))
+        super().__init__(
+            db,
+            {
+                table: info.text_kind is not None
+                for table, info in mapping.relations.items()
+            },
+        )
         self.schema = schema
         self.mapping = mapping
         self.marking = marking
@@ -354,21 +361,10 @@ class ShreddedStore(_DocumentStore):
             "VALUES ('generation', ?)",
             (str(generation),),
         )
-        if mutation.deltas is None and not mutation.loaded:
-            # The change did not say what it adds: the summary falls
-            # behind (stale, hence absent) until collected again.
-            return None
-        before = self.path_summary()
-        if before is not None:
-            # A load counts its rows now that they are written.
-            per_path, per_relation, documents = (
-                mutation.deltas
-                or _stats.count_rows(
-                    self.db,
-                    self.mapping,
-                    [doc_id for doc_id, _, _ in mutation.loaded],
-                )
-            )
+        if mutation.deltas is not None:
+            # Counted against the summary, which is exact.
+            before = self.path_summary()
+            per_path, per_relation, documents = mutation.deltas
             summary = before.plus(
                 per_path,
                 per_relation,
@@ -387,9 +383,16 @@ class ShreddedStore(_DocumentStore):
                 self.db, self.mapping, (1, generation)
             )
         else:
+            # The change did not say what it adds: the summary falls
+            # behind (stale, hence absent) until collected again.
             return None
         _stats.persist_summary(self.db, summary, self.path_index.all_paths())
         return summary
+
+    def _load_deltas(self, check: LoadCheck) -> _stats.Deltas | None:
+        if self.path_summary() is None:
+            return None
+        return _stats.tally_rows(check.rows, check.paths, self.mapping.relations)
 
     # -- loading -----------------------------------------------------------------
 
@@ -424,16 +427,46 @@ class ShreddedStore(_DocumentStore):
     def _write_document(
         self, document: Document, doc_id: int, base: int
     ) -> int:
-        count = 0
+        self._insert_rows(
+            self._rows(doc_id, base, self._descriptors(document, base))
+        )
+        return document.element_count()
+
+    def _rows(
+        self,
+        doc_id: int,
+        base: int,
+        descriptors: Iterable[tuple[ElementNode, int | None, int, bytes]],
+    ) -> dict[str, list[tuple]]:
+        """The rows, per relation, of the elements :meth:`_descriptors`
+        walks (one pass: it yields as this builds)."""
+        relation_for = self.mapping.relation_for
         rows_by_relation: dict[str, list[tuple]] = {}
-        for element in document.iter_elements():
-            count += 1
-            info = self.mapping.relation_for(element.name)
+        for described in descriptors:
+            info = relation_for(described[0].name)
             rows_by_relation.setdefault(info.table, []).append(
-                self._row_for(element, info, doc_id, base)
+                self._row_for(described, info, doc_id, base)
             )
-        self._insert_rows(rows_by_relation)
-        return count
+        return rows_by_relation
+
+    def _row_for(
+        self,
+        described: tuple[ElementNode, int | None, int, bytes],
+        info: RelationInfo,
+        doc_id: int,
+        base: int,
+    ) -> tuple:
+        """The row of one element, given what :meth:`_descriptors`
+        yields for it."""
+        element, par_id, path_id, dewey = described
+        row: list = [base + element.node_id, doc_id, par_id, path_id, dewey]
+        if info.shared:
+            row.append(element.name)
+        if info.text_kind is not None:
+            row.append(element.direct_text or None)
+        for attr_name in info.attr_columns:
+            row.append(element.attributes.get(attr_name))
+        return tuple(row)
 
     def _insert_rows(self, rows_by_relation: dict[str, list[tuple]]) -> None:
         for table, rows in rows_by_relation.items():
@@ -453,39 +486,6 @@ class ShreddedStore(_DocumentStore):
             f"INSERT INTO {info.table} ({', '.join(columns)}) "
             f"VALUES ({placeholders})"
         )
-
-    def _row_for(
-        self,
-        element: ElementNode,
-        info: RelationInfo,
-        doc_id: int,
-        base: int,
-        *,
-        par_id: int | None = None,
-        path: str | None = None,
-        dewey: tuple[int, ...] | None = None,
-    ) -> tuple:
-        """The row of ``element``.  The keywords place a fragment below
-        an element already stored (:meth:`append_subtree`): the id of
-        that parent for the fragment's root, and the absolute path and
-        Dewey vector in place of the fragment-relative ones."""
-        parent = element.parent
-        if parent is not None:
-            par_id = base + parent.node_id
-        row: list = [
-            base + element.node_id,
-            doc_id,
-            par_id,
-            self.path_index.ensure(path or element.path),
-            encode(dewey or element.dewey),
-        ]
-        if info.shared:
-            row.append(element.name)
-        if info.text_kind is not None:
-            row.append(element.direct_text or None)
-        for attr_name in info.attr_columns:
-            row.append(element.attributes.get(attr_name))
-        return tuple(row)
 
     # -- id translation -------------------------------------------------------------
 
@@ -523,22 +523,31 @@ class ShreddedStore(_DocumentStore):
         )
         if row is None:
             raise StorageError(f"unknown doc_id {doc_id}")
-        removed = 0
         with self._mutation() as mutation:
             mutation.removed = doc_id
-            # Count what goes while the rows still exist (the counts
-            # only apply to a summary that is exact going in).
+            # What goes is counted from what the DELETEs return (the
+            # counts only apply to a summary that is exact going in).
+            returned = [
+                (table, path_id, doc_id, valued)
+                for table, text in self._tables.items()
+                for path_id, valued in self.db.execute(  # static-ok: sql-interp
+                    f"DELETE FROM {table} WHERE doc_id = ? RETURNING "
+                    f"path_id, {'text IS NOT NULL' if text else '0'}",
+                    (doc_id,),
+                ).fetchall()
+            ]
             if self.path_summary() is not None:
-                mutation.deltas = _stats.count_rows(
-                    self.db, self.mapping, [doc_id], sign=-1
+                mutation.deltas = _stats.tally_rows(
+                    returned,
+                    {
+                        path_id: path
+                        for path, path_id in self.path_index.all_paths().items()
+                    },
+                    self.mapping.relations,
+                    sign=-1,
                 )
-            for table in self.mapping.relations:
-                cursor = self.db.execute(  # static-ok: sql-interp
-                    f"DELETE FROM {table} WHERE doc_id = ?", (doc_id,)
-                )
-                removed += cursor.rowcount
             self.db.execute("DELETE FROM docs WHERE id = ?", (doc_id,))
-        return removed
+        return len(returned)
 
     def append_subtree(self, parent_global_id: int, element: ElementNode) -> list[int]:
         """Insert ``element`` (with its subtree) as the last child of an
@@ -562,8 +571,8 @@ class ShreddedStore(_DocumentStore):
         # into the parent's coordinate system.
         fragment = Document(element, name="fragment")
         self._check_conforms(fragment, parent)
-        parent_vector = decode(parent.dewey)
-        # 1 + the largest child ordinal under the parent.
+        # 1 + the largest child ordinal under the parent; ``encode``
+        # refuses one a Dewey component cannot hold.
         ordinal = 1 + max(
             (
                 decode(bytes(highest))[-1]
@@ -576,25 +585,24 @@ class ShreddedStore(_DocumentStore):
             ),
             default=0,
         )
-        new_ids = []
-        rows_by_relation: dict[str, list[tuple]] = {}
+        code = parent.dewey + encode((ordinal,))
         with self._mutation() as mutation:
-            for node in fragment.iter_elements():
-                info = self.mapping.relation_for(node.name)
-                row = self._row_for(
-                    node,
-                    info,
+            base = mutation.next_base
+            self._insert_rows(
+                self._rows(
                     parent.doc_id,
-                    mutation.next_base,
-                    par_id=parent_global_id,
-                    path=parent.path + node.path,
-                    dewey=parent_vector + (ordinal,) + node.dewey[1:],
+                    base,
+                    self._descriptors(
+                        fragment,
+                        base,
+                        par_id=parent_global_id,
+                        prefix=parent.path,
+                        code=code,
+                    ),
                 )
-                new_ids.append(row[0])
-                rows_by_relation.setdefault(info.table, []).append(row)
-            self._insert_rows(rows_by_relation)
-            mutation.next_base += len(new_ids)
-        return new_ids
+            )
+            mutation.next_base += fragment.element_count()
+        return list(range(base + 1, mutation.next_base + 1))
 
     def _locate(self, global_id: int) -> _Located:
         """Relation, document, Dewey position, path and name of one

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.errors import DocumentDepthError
+from repro.dewey import codec
+from repro.errors import DeweyError, DocumentDepthError
 
 #: Deepest element a document may hold; the root element is at depth 1.
 #: ``Document.reindex`` stores a Dewey vector and a path per element, so a
@@ -176,7 +177,7 @@ class ElementNode(Node):
     def direct_text(self) -> str:
         """Concatenation of the element's *direct* text children."""
         return "".join(
-            c.value for c in self.children if isinstance(c, TextNode)
+            [c.value for c in self.children if isinstance(c, TextNode)]
         )
 
     @property
@@ -204,6 +205,9 @@ class Document:
     def __init__(self, root: ElementNode, name: str = "document"):
         self.root = root
         self.name = name
+        #: Every element in preorder, element ``i`` with node id ``i + 1``:
+        #: the walk :meth:`reindex` made, kept for every later reader.
+        self._elements: list[ElementNode] = []
         self.reindex()
 
     def reindex(self) -> None:
@@ -212,13 +216,21 @@ class Document:
         Must be called after any structural mutation of the tree.  Node ids
         follow a preorder traversal of element nodes (Figure 1b); Dewey
         ordinals are 1-based positions among *element* siblings (Figure 1c);
-        the root element has Dewey vector ``(1,)``.
+        the root element has Dewey vector ``(1,)``.  The walk's preorder
+        list becomes the one :meth:`iter_elements`, :meth:`element_count`
+        and :meth:`find_by_id` read, once the walk is through.
 
         :raises DocumentDepthError: when an element nests deeper than
-            :data:`MAX_DEPTH`, as soon as the walk reaches it (the
-            descriptors are then as stale as before the call).
+            :data:`MAX_DEPTH`, as soon as the walk reaches it.
+        :raises DeweyError: when an element has more element children
+            than a Dewey component can number
+            (:data:`repro.dewey.codec.MAX_ORDINAL`), as soon as the walk
+            reaches it.  After either error the element list is the one
+            before the call (the descriptors of the elements already
+            visited are not).
         """
-        counter = 0
+        max_ordinal = codec.MAX_ORDINAL
+        elements: list[ElementNode] = []
         stack: list[tuple[ElementNode, tuple[int, ...], str]] = [
             (self.root, (1,), "/" + self.root.name)
         ]
@@ -228,8 +240,8 @@ class Document:
                 raise DocumentDepthError(
                     f"<{element.name}> nests deeper than {MAX_DEPTH} elements"
                 )
-            counter += 1
-            element.node_id = counter
+            elements.append(element)
+            element.node_id = len(elements)
             element.dewey = dewey
             element.path = path
             element._document = self
@@ -241,25 +253,31 @@ class Document:
                     pending.append(
                         (child, dewey + (ordinal,), f"{path}/{child.name}")
                     )
-            # Push in reverse so the preorder counter visits children
+            if ordinal > max_ordinal:
+                raise DeweyError(
+                    f"<{element.name}> has {ordinal} child elements; a "
+                    f"Dewey component holds at most {max_ordinal}"
+                )
+            # Push in reverse so the preorder list takes children
             # left-to-right.
             stack.extend(reversed(pending))
+        self._elements = elements
 
     # -- whole-document access ----------------------------------------------
 
     def iter_elements(self) -> Iterator[ElementNode]:
-        """All element nodes in document (preorder) order."""
-        return self.root.iter()
+        """All element nodes in document (preorder) order, as of the
+        last :meth:`reindex`."""
+        return iter(self._elements)
 
     def element_count(self) -> int:
         """Number of element nodes in the document."""
-        return sum(1 for _ in self.iter_elements())
+        return len(self._elements)
 
     def find_by_id(self, node_id: int) -> Optional[ElementNode]:
         """Element with the given preorder id, or ``None``."""
-        for element in self.iter_elements():
-            if element.node_id == node_id:
-                return element
+        if 0 < node_id <= len(self._elements):
+            return self._elements[node_id - 1]
         return None
 
     def distinct_paths(self) -> list[str]:

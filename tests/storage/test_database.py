@@ -215,6 +215,24 @@ class TestOpenOptions:
             reader.close()
 
 
+class TestSQLiteFloor:
+    @pytest.mark.parametrize("opener", ["file", "memory"])
+    def test_sqlite_older_than_3_35_is_refused(
+        self, opener, tmp_path, monkeypatch
+    ):
+        """``delete_document`` counts what ``DELETE … RETURNING``
+        returns, which SQLite has since 3.35."""
+        import sqlite3
+
+        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 34, 1))
+        monkeypatch.setattr(sqlite3, "sqlite_version", "3.34.1")
+        with pytest.raises(StorageError, match=r"3\.34\.1 .* 3\.35"):
+            if opener == "file":
+                Database.open(str(tmp_path / "store.db"))
+            else:
+                Database.memory()
+
+
 class TestStatementCache:
     def test_a_churn_cycle_fits_the_statement_cache(self):
         """One ``load`` + ``delete_document`` + the queries between them

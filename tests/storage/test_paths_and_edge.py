@@ -16,30 +16,28 @@ class TestPathIndex:
     def test_ensure_assigns_stable_ids(self):
         db = Database.memory()
         index = PathIndex(db)
-        first = index.ensure("/a/b")
-        again = index.ensure("/a/b")
-        other = index.ensure("/a/c")
-        assert first == again
-        assert first != other
+        first = index.ensure_many(["/a/b", "/a/b"])
+        again = index.ensure_many(["/a/c", "/a/b"])
+        assert first == {"/a/b": again["/a/b"]}
+        assert again["/a/c"] != again["/a/b"]
 
     def test_lookup(self):
         index = PathIndex(Database.memory())
         assert index.lookup("/a") is None
-        path_id = index.ensure("/a")
+        (path_id,) = index.ensure_many(["/a"]).values()
         assert index.lookup("/a") == path_id
 
     def test_reloads_existing_rows(self):
         db = Database.memory()
         first = PathIndex(db)
-        path_id = first.ensure("/a/b")
+        (path_id,) = first.ensure_many(["/a/b"]).values()
         second = PathIndex(db)
         assert second.lookup("/a/b") == path_id
         assert len(second) == 1
 
     def test_all_paths_snapshot(self):
         index = PathIndex(Database.memory())
-        index.ensure("/a")
-        index.ensure("/a/b")
+        index.ensure_many(["/a", "/a/b"])
         assert index.all_paths() == {"/a": 1, "/a/b": 2}
 
 

@@ -81,6 +81,71 @@ def test_only_writes_are_issued_once_per_relation():
     ).stats
 
 
+def _element_reads(store, mutate) -> tuple[list[str], list[str], str]:
+    """Run ``mutate`` traced: the SELECTs that read an element relation
+    before and after its last INSERT or DELETE on one, and that write."""
+    relations = "|".join(map(re.escape, store.mapping.relations))
+    reads = re.compile(rf"^SELECT .*\bFROM (?:{relations})\b", re.S)
+    writes = re.compile(rf"^(?:INSERT INTO|DELETE FROM) (?:{relations})\b")
+    statements: list[str] = []
+    store.db.connection.set_trace_callback(statements.append)
+    mutate()
+    store.db.connection.set_trace_callback(None)
+    last = max(i for i, text in enumerate(statements) if writes.match(text))
+    before, after = (
+        [text for text in part if reads.match(text)]
+        for part in (statements[:last], statements[last:])
+    )
+    return before, after, statements[last]
+
+
+@pytest.fixture(scope="module")
+def churned():
+    """Five small XMark documents; a store that bulk-loaded two (so it
+    keeps an exact summary) and may load the rest."""
+    documents = [
+        generate_xmark(XMarkConfig(scale=0.1, seed=seed))
+        for seed in (3, 4, 5, 6, 7)
+    ]
+    store = ShreddedStore.create(Database.memory(), infer_schema(documents))
+    store.bulk_load(documents[:2])
+    return store, documents
+
+
+def test_a_load_reads_what_it_wrote_once(churned):
+    """One statement across the element relations after a load's
+    INSERTs — the integrity check's, which the summary deltas are
+    counted from too — however many documents it writes."""
+    store, documents = churned
+    for mutate in (
+        lambda: store.load(documents[2]),
+        lambda: store.bulk_load(documents[3:]),
+    ):
+        assert store.path_summary() is not None
+        before, after, _ = _element_reads(store, mutate)
+        assert before == []
+        (read,) = after
+        assert "UNION ALL" in read
+    assert store.path_summary().stats == collect_summary(
+        store.db, store.mapping, (0, 0)
+    ).stats
+
+
+def test_a_delete_reads_no_element_relation(churned):
+    """``delete_document`` counts the rows its DELETEs return."""
+    store, _ = churned
+    assert store.path_summary() is not None
+    [(doc_id,)] = store.db.query("SELECT MIN(id) FROM docs")
+    before, after, last = _element_reads(
+        store, lambda: store.delete_document(doc_id)
+    )
+    assert last.startswith("DELETE FROM") and " RETURNING " in last
+    assert before == after == []
+    assert store.path_summary().stats == collect_summary(
+        store.db, store.mapping, (0, 0)
+    ).stats
+
+
 def _wide_schema(children: int) -> Schema:
     """A root with ``children`` element types below it, each with text
     and an attribute: ``children + 1`` relations."""

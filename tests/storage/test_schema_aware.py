@@ -13,7 +13,8 @@ from repro import (
     parse_document,
     parse_fragment,
 )
-from repro.dewey import decode
+from repro.dewey import codec, decode
+from repro.errors import DeweyError
 from repro.storage.schema_aware import SchemaAwareMapping, sanitize_identifier
 
 
@@ -245,3 +246,54 @@ class TestStorability:
         schema = infer_schema([parse_document("<a><b k='1'>x</b></a>")])
         assert schema.conforms(parse_document("<a><b k='2'>y</b></a>"))
         assert not schema.conforms(parse_document("<a><b extra='E'/></a>"))
+
+
+class TestDeweyOrdinalBound:
+    """More element siblings than a Dewey component holds never reach
+    the rows: a tree that has them is refused when it is indexed, so
+    ``load`` / ``bulk_load`` never see one, and ``append_subtree``
+    refuses the ordinal past the last child before its transaction.
+    The real limit needs 8.4 M siblings; these run with it at 3."""
+
+    def test_every_refused_call_leaves_the_store_as_it_was(self, monkeypatch):
+        store = ShreddedStore.create(
+            Database.memory(),
+            infer_schema([parse_document("<r><c><d/></c></r>")]),
+        )
+        full = store.load(parse_document("<r><c/><c/><c/></r>"))
+        roomy = store.load(parse_document("<r><c/></r>"))
+        monkeypatch.setattr(codec, "MAX_ORDINAL", 3)
+
+        def dump():
+            return list(store.db.connection.iterdump()), store.generation
+
+        before = dump()
+        refused = [
+            lambda: store.load(parse_document("<r><c/><c/><c/><c/></r>")),
+            lambda: store.bulk_load(
+                [
+                    parse_document("<r><c/></r>"),
+                    parse_document("<r><c><d/><d/><d/><d/></c></r>"),
+                ]
+            ),
+            # The fourth child of a full root.
+            lambda: store.append_subtree(
+                store.doc_base(full) + 1, parse_fragment("<c/>")
+            ),
+            lambda: store.append_subtree(
+                store.doc_base(roomy) + 1,
+                parse_fragment("<c><d/><d/><d/><d/></c>"),
+            ),
+        ]
+        for call in refused:
+            with pytest.raises(DeweyError):
+                call()
+            assert dump() == before
+            assert store.verify_integrity() == []
+        (new_id,) = store.append_subtree(
+            store.doc_base(roomy) + 1, parse_fragment("<c/>")
+        )
+        (dewey,) = store.db.query_one(
+            "SELECT dewey_pos FROM c WHERE id = ?", (new_id,)
+        )
+        assert decode(dewey) == (1, 2)

@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from repro.dewey import codec
+from repro.errors import DeweyError
 from repro.xmltree.nodes import (
     MAX_DEPTH,
     AttributeNode,
@@ -199,6 +201,89 @@ def built_chain(depth: int) -> ElementNode:
     for _ in range(depth - 1):
         node = node.append_element("a")
     node.append_text("x")
+    return root
+
+
+class TestPreorderList:
+    """``reindex`` keeps the preorder list it walks: ``iter_elements``,
+    ``element_count`` and ``find_by_id`` read it, so they see the tree as
+    of the last ``reindex`` that went through."""
+
+    def test_a_reindex_after_a_structural_mutation_is_seen(self):
+        doc = small_doc()
+        old = list(doc.iter_elements())
+        c = doc.find_by_id(3)
+        c.append_element("D").append_element("E")
+        doc.root.children.remove(old[3])
+        # Not reindexed yet: the readers still see the tree as indexed.
+        assert list(doc.iter_elements()) == old
+        assert doc.element_count() == 4
+        doc.reindex()
+        assert [(e.node_id, e.name) for e in doc.iter_elements()] == [
+            (1, "A"), (2, "B"), (3, "C"), (4, "D"), (5, "E"),
+        ]
+        assert doc.element_count() == 5
+        assert doc.find_by_id(4).name == "D"
+        assert doc.find_by_id(5).dewey == (1, 1, 1, 1, 1)
+        assert doc.find_by_id(6) is None
+        assert doc.find_by_id(0) is None
+        assert doc.distinct_paths() == [
+            "/A", "/A/B", "/A/B/C", "/A/B/C/D", "/A/B/C/D/E",
+        ]
+
+    @pytest.mark.parametrize("error", [DocumentDepthError, DeweyError])
+    def test_a_reindex_that_raises_leaves_them_as_they_were(
+        self, error, monkeypatch
+    ):
+        doc = small_doc()
+        old = list(doc.iter_elements())
+        if error is DocumentDepthError:
+            # Below the second B (depth 2) the chain ends past MAX_DEPTH.
+            old[3].append(built_chain(MAX_DEPTH))
+        else:
+            # A has two element children; two more make four, past 3.
+            monkeypatch.setattr(codec, "MAX_ORDINAL", 3)
+            doc.root.append_element("B")
+            doc.root.append_element("B")
+        with pytest.raises(error):
+            doc.reindex()
+        assert list(doc.iter_elements()) == old
+        assert doc.element_count() == 4
+        assert [doc.find_by_id(i) for i in range(1, 5)] == old
+        assert doc.find_by_id(5) is None
+
+
+class TestDeweyOrdinalBound:
+    """A Dewey component holds ordinals up to ``MAX_ORDINAL``: indexing a
+    tree with more element siblings ends in a typed error, the way too
+    deep a tree does (the real limit needs 8.4 M siblings, so these run
+    with it at 3)."""
+
+    @pytest.fixture(autouse=True)
+    def limit(self, monkeypatch):
+        monkeypatch.setattr(codec, "MAX_ORDINAL", 3)
+
+    def test_at_the_limit(self):
+        doc = parse_document("<r><c/><c/><c/></r>")
+        assert [e.dewey for e in doc.iter_elements()][-1] == (1, 3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_document("<r><a/><c/><c/><c/><c/></r>"),
+            lambda: parse_document("<r><a><c/><c/><c/><c/></a></r>"),
+            lambda: Document(_siblings(4)),
+        ],
+    )
+    def test_past_the_limit_is_refused(self, build):
+        with pytest.raises(DeweyError, match="at most 3"):
+            build()
+
+
+def _siblings(count: int) -> ElementNode:
+    root = ElementNode("r")
+    for _ in range(count):
+        root.append_element("c")
     return root
 
 
