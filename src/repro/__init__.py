@@ -108,12 +108,6 @@ from repro.serving import (
     ShardedEngine,
     ShardedStore,
 )
-from repro.analysis import (
-    CodeLinter,
-    Finding,
-    Report,
-    Severity,
-)
 
 __version__ = "1.0.0"
 
@@ -122,7 +116,6 @@ __all__ = [
     "AccelStore",
     "AdmissionRejectedError",
     "AsyncShardedEngine",
-    "CodeLinter",
     "ConnectionPool",
     "Database",
     "DeweyError",
@@ -136,7 +129,6 @@ __all__ = [
     "EngineConfig",
     "FaultInjectingDatabase",
     "FaultPlan",
-    "Finding",
     "NaiveEngine",
     "NativeEngine",
     "PPFEngine",
@@ -147,7 +139,6 @@ __all__ = [
     "QueryLimitError",
     "QueryResult",
     "QueryTimeoutError",
-    "Report",
     "ReproError",
     "ResiliencePolicy",
     "ResultCache",
@@ -157,7 +148,6 @@ __all__ = [
     "SchemaError",
     "SchemaMarking",
     "ServedBy",
-    "Severity",
     "ShardError",
     "ShardRuntime",
     "ShardUnavailableError",

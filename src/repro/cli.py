@@ -10,7 +10,6 @@
     python -m repro shard create store/ doc1.xml --shards 4
     python -m repro query  store/ "//item" --shards 4
     python -m repro bench  --workload xmark --scale 8
-    python -m repro lint   --code src
 
 ``shred`` infers the schema from the first batch of documents and
 persists it in the database; later invocations reopen the store and
@@ -22,8 +21,8 @@ is told with ``--shards N``) and serves it through the supervised
 multi-process scatter-gather engine, with ``--query-timeout`` acting
 as the per-query deadline of the degradation ladder.
 
-``lint`` runs the project code rules (:mod:`repro.analysis`) and exits
-``0`` when clean, ``1`` on findings, and ``2`` on usage errors.
+Every command exits ``0`` on success, ``1`` with an ``error: …`` line
+on a library error, and ``2`` on a usage error.
 """
 
 from __future__ import annotations
@@ -346,20 +345,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """``repro lint`` — the project code rules over Python sources,
-    without executing anything."""
-    from repro.analysis import CodeLinter, exit_code
-
-    report = CodeLinter().lint_paths(args.code)
-    print(report.render_text())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-    return exit_code(report)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -492,23 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chart", action="store_true", help="also draw ASCII bar charts"
     )
     bench.set_defaults(handler=cmd_bench)
-
-    lint = commands.add_parser(
-        "lint", help="static analysis: the project code rules"
-    )
-    lint.add_argument(
-        "--code",
-        nargs="+",
-        required=True,
-        metavar="PATH",
-        help="Python files/directories to run the code linter over",
-    )
-    lint.add_argument(
-        "--output",
-        metavar="FILE",
-        help="also write the findings report as JSON",
-    )
-    lint.set_defaults(handler=cmd_lint)
     return parser
 
 

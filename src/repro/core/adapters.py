@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.pathregex import (
     PatternStep,
@@ -309,15 +309,3 @@ class EdgeAdapter(StoreAdapter):
             value = _value_expr(f"{inner_alias}.value", numeric)
             sub.where.add(RawCond(f"{value} {op} {literal_sql}"))
         return ExistsCond(sub)
-
-
-def combine_names(
-    candidates: Iterable[Candidate],
-) -> Optional[frozenset[str]]:
-    """Union of covered names over candidates; ``None`` if any is open."""
-    total: set[str] = set()
-    for candidate in candidates:
-        if candidate.names is None:
-            return None
-        total |= candidate.names
-    return frozenset(total)

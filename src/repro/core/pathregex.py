@@ -241,27 +241,6 @@ def exact_path(pattern: Sequence[PatternStep], anchored: bool) -> Optional[str]:
     return "".join(parts)
 
 
-def depth_offset(pattern: Sequence[PatternStep]) -> tuple[int, bool]:
-    """(minimum level offset, is-exact) a pattern spans.
-
-    ``child`` contributes exactly 1 level, ``desc`` at least 1, ``dos`` at
-    least 0; the offset is exact iff every separator is ``child``.  The
-    translator uses this to pin down the level distance of unanchored
-    structural joins (see DESIGN.md, correctness notes).
-    """
-    minimum = 0
-    exact = True
-    for step in pattern:
-        if step.sep == "child":
-            minimum += 1
-        elif step.sep == "desc":
-            minimum += 1
-            exact = False
-        else:
-            exact = False
-    return minimum, exact
-
-
 # ---------------------------------------------------------------------------
 # Schema-graph candidate resolution
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ class ShardedStore:
         """Split a global element id into ``(doc_id, node_id)`` — the
         same contract as :meth:`ShreddedStore.to_document_node_id`."""
         for entry in self._entries.values():
-            if entry.base <= element_id < entry.base + entry.node_count:
+            if entry.base < element_id <= entry.base + entry.node_count:
                 return entry.doc_id, element_id - entry.base
         raise StorageError(
             f"element id {element_id} belongs to no registered document"

@@ -120,34 +120,6 @@ class SelectStatement:
         self.tables.append(ref)
         return ref
 
-    def move_before(self, alias: str, reference: str) -> None:
-        """Reorder the FROM clause so ``alias`` precedes ``reference``.
-
-        FROM entries render with ``CROSS JOIN``, which SQLite treats as a
-        binding-order directive: a Dewey *ancestor* join is only
-        index-friendly when the ancestor side is scanned first and the
-        descendant side range-probed, so the translator moves the target
-        relation of upward joins in front of its context.  When
-        ``reference`` is not in this statement (a correlated outer
-        alias), ``alias`` moves to the front.
-        """
-        index = next(
-            (i for i, ref in enumerate(self.tables) if ref.alias == alias),
-            None,
-        )
-        if index is None:
-            return
-        ref = self.tables.pop(index)
-        target = next(
-            (
-                i
-                for i, existing in enumerate(self.tables)
-                if existing.alias == reference
-            ),
-            0,
-        )
-        self.tables.insert(target, ref)
-
 
 @dataclass
 class UnionStatement:

@@ -198,20 +198,18 @@ class Database:
         :param read_only: open via a ``mode=ro`` URI; writes then raise
             :class:`StorageError` and no journal-mode change is
             attempted.
+        :raises StorageError: naming ``path`` when SQLite cannot open it
+            (a directory, a missing parent directory, …).
         """
-        if read_only:
+        try:
             connection = sqlite3.connect(
-                f"file:{path}?mode=ro",
-                uri=True,
+                f"file:{path}?mode=ro" if read_only else path,
+                uri=read_only,
                 check_same_thread=check_same_thread,
                 cached_statements=_CACHED_STATEMENTS,
             )
-        else:
-            connection = sqlite3.connect(
-                path,
-                check_same_thread=check_same_thread,
-                cached_statements=_CACHED_STATEMENTS,
-            )
+        except sqlite3.Error as exc:
+            raise StorageError(f"cannot open database {path!r}: {exc}") from exc
         db = cls(connection, policy=policy)
         if not read_only:
             try:

@@ -65,8 +65,8 @@ def bulk_pragmas(db: Database) -> Iterator[None]:
     try:
         yield
     finally:
-        db.execute(f"PRAGMA synchronous = {int(previous_sync)}")  # static-ok: sql-interp
-        db.execute(f"PRAGMA temp_store = {int(previous_temp)}")  # static-ok: sql-interp
+        db.execute(f"PRAGMA synchronous = {int(previous_sync)}")
+        db.execute(f"PRAGMA temp_store = {int(previous_temp)}")
 
 
 #: The Dewey code of a document's root element, ``(1,)``.

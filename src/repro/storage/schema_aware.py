@@ -530,7 +530,7 @@ class ShreddedStore(_DocumentStore):
             returned = [
                 (table, path_id, doc_id, valued)
                 for table, text in self._tables.items()
-                for path_id, valued in self.db.execute(  # static-ok: sql-interp
+                for path_id, valued in self.db.execute(
                     f"DELETE FROM {table} WHERE doc_id = ? RETURNING "
                     f"path_id, {'text IS NOT NULL' if text else '0'}",
                     (doc_id,),
@@ -644,7 +644,7 @@ class ShreddedStore(_DocumentStore):
         removed = 0
         with self._mutation():
             for table in self.mapping.relations:
-                cursor = self.db.execute(  # static-ok: sql-interp
+                cursor = self.db.execute(
                     f"DELETE FROM {table} WHERE doc_id = ? "
                     f"AND dewey_pos >= ? AND dewey_pos < ?",
                     bounds,
@@ -664,7 +664,7 @@ class ShreddedStore(_DocumentStore):
                 f"relation {info.table!r} stores no text values"
             )
         with self._mutation():
-            self.db.execute(  # static-ok: sql-interp
+            self.db.execute(
                 f"UPDATE {info.table} SET text = ? WHERE id = ?",
                 (str(value), global_id),
             )
@@ -680,7 +680,7 @@ class ShreddedStore(_DocumentStore):
         info = self._locate(global_id).info
         column, _ = info.attr_column(name)
         with self._mutation():
-            self.db.execute(  # static-ok: sql-interp
+            self.db.execute(
                 f"UPDATE {info.table} SET {column} = ? WHERE id = ?",
                 (None if value is None else str(value), global_id),
             )

@@ -11,7 +11,6 @@ from repro.core.adapters import (
     Candidate,
     EdgeAdapter,
     SchemaAwareAdapter,
-    combine_names,
 )
 from repro.core.pathregex import PatternStep
 from repro.core.translator import PPFTranslator
@@ -141,15 +140,3 @@ class TestEdgeAdapter:
         candidate = Candidate("edge", None)
         expr = edge_adapter.attr_expr(candidate, "e", "id", False)
         assert expr.startswith("(SELECT value FROM attrs")
-
-
-class TestHelpers:
-    def test_combine_names(self):
-        a = Candidate("x", frozenset({"a"}))
-        b = Candidate("y", frozenset({"b", "c"}))
-        assert combine_names([a, b]) == frozenset({"a", "b", "c"})
-
-    def test_combine_names_open(self):
-        a = Candidate("x", frozenset({"a"}))
-        open_candidate = Candidate("edge", None)
-        assert combine_names([a, open_candidate]) is None

@@ -10,7 +10,6 @@ from repro.core.pathregex import (
     PatternStep,
     backward_to_forward,
     compile_pattern,
-    depth_offset,
     exact_path,
     pattern_of_steps,
     resolve_backward,
@@ -131,22 +130,6 @@ class TestDescendantOrSelfExpansion:
         regex = regex_for("/A/B/descendant-or-self::C")
         assert not matches(regex, "/A/B")     # B itself is not a C
         assert matches(regex, "/A/B/C")
-
-
-class TestDepthOffset:
-    @pytest.mark.parametrize(
-        "expression, expected",
-        [
-            ("/A/B", (2, True)),
-            ("/A//B", (2, False)),
-            ("//B", (1, False)),
-            ("/A/*/B", (3, True)),
-            ("/descendant-or-self::B", (0, False)),
-        ],
-    )
-    def test_offsets(self, expression, expected):
-        pattern = pattern_of_steps(steps_of(expression))
-        assert depth_offset(pattern) == expected
 
 
 class TestBackwardToForward:

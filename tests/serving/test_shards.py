@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+import repro
 from repro import (
     Database,
     ShardError,
@@ -231,6 +232,38 @@ class TestGlobalIdRegistry:
         entry = store.doc_entries[2]
         doc_id, node_id = store.to_document_node_id(entry.base + 3)
         assert (doc_id, node_id) == (entry.doc_id, 3)
+
+    def test_every_row_maps_to_the_same_node_as_on_a_single_store(
+        self, tmp_path
+    ):
+        """Node ids start at 1, so a document's ids are ``base + 1 ..
+        base + node_count``: its last element belongs to it, the next
+        document's base does not."""
+        docs = make_docs(count=2, items=2)
+        schema = infer_schema(docs)
+        single = ShreddedStore.create(
+            Database.open(str(tmp_path / "single.db")), schema
+        )
+        single.bulk_load(docs)
+        single.db.close()
+        ShardedStore.create(
+            str(tmp_path / "sharded"), schema, shards=2
+        ).bulk_load(docs)
+        mapped = []
+        for path in ("single.db", "sharded"):
+            with repro.connect(str(tmp_path / path)) as engine:
+                store = engine.store
+                mapped.append(
+                    [
+                        store.to_document_node_id(row.id)
+                        for row in engine.execute("//*")
+                    ]
+                )
+        assert mapped[0] == mapped[1] == [
+            (doc_id, node_id)
+            for doc_id, document in enumerate(docs, start=1)
+            for node_id in range(1, document.element_count() + 1)
+        ]
 
     def test_to_document_node_id_rejects_unknown(self, store):
         with pytest.raises(StorageError):

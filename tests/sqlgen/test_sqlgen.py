@@ -112,27 +112,6 @@ class TestStatements:
         stmt.add_table("t", "a")
         assert len(stmt.tables) == 1
 
-    def test_move_before(self):
-        stmt = SelectStatement()
-        stmt.add_table("a")
-        stmt.add_table("b")
-        stmt.add_table("c")
-        stmt.move_before("c", "a")
-        assert [ref.alias for ref in stmt.tables] == ["c", "a", "b"]
-
-    def test_move_before_missing_reference_moves_to_front(self):
-        stmt = SelectStatement()
-        stmt.add_table("a")
-        stmt.add_table("b")
-        stmt.move_before("b", "zzz")
-        assert [ref.alias for ref in stmt.tables] == ["b", "a"]
-
-    def test_move_before_unknown_alias_is_noop(self):
-        stmt = SelectStatement()
-        stmt.add_table("a")
-        stmt.move_before("nope", "a")
-        assert [ref.alias for ref in stmt.tables] == ["a"]
-
     def test_union_rendering(self):
         first = SelectStatement(columns=["1 AS x"])
         first.add_table("a")

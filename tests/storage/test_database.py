@@ -178,10 +178,20 @@ class TestOpenOptions:
                 db.execute("INSERT INTO t VALUES (1)")
 
     def test_read_only_missing_file_raises(self, tmp_path):
-        import sqlite3
-
-        with pytest.raises(sqlite3.OperationalError):
+        with pytest.raises(StorageError, match="absent.db"):
             Database.open(str(tmp_path / "absent.db"), read_only=True)
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+    def test_unopenable_path_raises_storage_error_naming_it(
+        self, tmp_path, kind, read_only
+    ):
+        path = str(
+            tmp_path if kind == "directory" else tmp_path / "absent" / "s.db"
+        )
+        with pytest.raises(StorageError) as caught:
+            Database.open(path, read_only=read_only)
+        assert repr(path) in str(caught.value)
 
     def test_check_same_thread_false_allows_cross_thread_use(self, tmp_path):
         import threading

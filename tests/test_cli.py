@@ -130,6 +130,13 @@ class TestCLI:
         assert main(["shred", db_path, "nope.xml"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify-plans", "lint"])
+    def test_removed_command_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_query_on_missing_store(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.db")
         assert main(["query", missing, "//x"]) == 1
@@ -245,6 +252,21 @@ class TestShardCLI:
         capsys.readouterr()
         assert main(["shard", "verify", store_dir]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["explain", "//item"], ["info"], ["stats"]],
+        ids=["explain", "info", "stats"],
+    )
+    def test_single_store_command_on_a_directory_is_an_error(
+        self, store_dir, xml_files, capsys, argv
+    ):
+        self._create(store_dir, xml_files)
+        capsys.readouterr()
+        assert main([argv[0], store_dir, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open database")
+        assert "Traceback" not in err
 
     def test_sharded_query_autodetects_directory(
         self, store_dir, xml_files, capsys
