@@ -223,12 +223,18 @@ def connect(
             f"{path!r} is a directory without a manifest.json — not a "
             f"sharded store (create one with `repro shard create`)"
         )
+    _require_existing(path)
+    return _connect_single(path, config)
+
+
+def _require_existing(path: str) -> None:
+    """Refuse a store path that does not exist, before SQLite would
+    create an empty file there."""
     if not os.path.exists(path):
         raise StorageError(
             f"{path!r} does not exist — shred documents into it first "
             f"(`repro shred`) or pass a sharded store directory"
         )
-    return _connect_single(path, config)
 
 
 def _connect_single(path: str, config: EngineConfig) -> "PPFEngine":

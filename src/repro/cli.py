@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.api import _is_sharded_dir
+from repro.api import _is_sharded_dir, _require_existing
 from repro.core.engine import PPFEngine
 from repro.errors import ReproError
 from repro.resilience.policy import ResiliencePolicy
@@ -43,6 +43,7 @@ from repro.xmltree.parser import parse_document
 def _open_store(
     path: str, policy: ResiliencePolicy | None = None
 ) -> ShreddedStore:
+    _require_existing(path)
     return ShreddedStore.open(Database.open(path, policy=policy))
 
 

@@ -14,28 +14,30 @@ Python-side row handling; more throughput per shard means more
 The transport is one ``socket.socketpair()`` per worker incarnation,
 framed by hand: a 4-byte little-endian length, then one ``marshal``
 payload.  A caller's thread writes its request frame itself, under the
-handle's send lock and without blocking: whatever the kernel does not
-take waits, in order, in the handle's outbox, and the dispatcher thread
-flushes it when the socket turns writable.  The dispatcher waits on
-every worker socket with one selector and completes requests as their
-responses arrive.  EOF on a worker's socket is the crash signal: the
-requests waiting on that worker are reported lost at once.  A worker
-blocks on its socket and exits on EOF, so it never outlives the process
-that started it; for that EOF to arrive, a forked child closes every
-parent-side socket end it inherited (:func:`_close_parent_ends`).
+runtime's lock and without blocking: whatever the kernel does not take
+waits, in order, in the handle's outbox, and the dispatcher thread
+flushes it when the socket turns writable.  The dispatcher — the
+runtime's only thread — waits on every worker socket with one selector
+and completes requests as their responses arrive.  EOF on a worker's
+socket is the crash signal: the requests waiting on that worker are
+reported lost at once.  A worker blocks on its socket and exits on EOF,
+so it never outlives the process that started it; for that EOF to
+arrive, a forked child closes every parent-side socket end it inherited
+(:func:`_close_parent_ends`).
 
 The robustness machinery lives here:
 
-* **supervision** — a :class:`ShardRuntime` background thread health-
-  checks every worker: a dead process (crash, OOM-kill) is respawned
-  immediately; a *hung* process (heartbeats stale) is terminated and
-  respawned.  Respawn events land in a journal the chaos suite asserts
-  on.
+* **supervision** — every ``health_interval`` the dispatcher's
+  ``select()`` times out into a health sweep that ticks each slot's
+  :class:`~repro.serving.lifecycle.Lifecycle`: a dead process (crash,
+  OOM-kill) is respawned; a *hung* one (heartbeat stale) is sent
+  ``terminate()`` and respawned.  Respawn events land in a journal the
+  chaos suite asserts on.
 * **generation fencing** — every worker incarnation carries a
-  generation number; responses echo it, and the parent drops responses
-  whose generation does not match the incarnation it sent the request
-  to.  A late reply from a pre-crash worker (or one serving a stale
-  store) can therefore never be mistaken for a fresh answer.
+  generation number; responses echo it, and the slot's lifecycle lets
+  a response complete only a request sent to that generation.  A late
+  reply from a pre-crash worker (or one serving a stale store) can
+  therefore never be mistaken for a fresh answer.
 * **circuit breaking** — :class:`CircuitBreaker` implements the
   classic closed → open → half-open ladder per shard, so a persistently
   failing shard is failed fast instead of eating the query deadline on
@@ -51,6 +53,7 @@ hedging, retries, degradation — stays in the parent
 
 from __future__ import annotations
 
+import itertools
 import marshal
 import multiprocessing
 import os
@@ -71,6 +74,7 @@ from repro.errors import (
 )
 from repro.resilience.faults import WorkerFaultPlan
 from repro.resilience.policy import ResiliencePolicy
+from repro.serving.lifecycle import Complete, Lifecycle, Spawn, Terminate
 
 #: Seconds between heartbeat stamps inside a healthy worker.
 HEARTBEAT_INTERVAL = 0.05
@@ -381,45 +385,19 @@ class WorkerHandle:
     #: The parent's end of the worker's socket, non-blocking.
     conn: socket.socket
     heartbeat: Any
-    started_at: float = field(default_factory=time.time)
-    #: Held to write to ``conn``, touch ``outbox`` or close the socket.
-    send_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False
-    )
-    #: Frame bytes the kernel has not taken yet, in send order.
+    #: The slot's machine, handed from each incarnation to the next.
+    lifecycle: Lifecycle
+    #: Frame bytes the kernel has not taken yet, in send order; touched
+    #: under the runtime's lock.
     outbox: bytearray = field(default_factory=bytearray, repr=False)
-    #: The socket is closed: EOF, a broken write, replacement or close.
-    closed: bool = False
-    #: Dispatcher thread only: ``inbox[:filled]`` holds the start of
-    #: the frames not yet delivered.
+    #: Dispatcher thread only: the selector watches ``conn`` for
+    #: writability too, and ``inbox[:filled]`` holds the start of the
+    #: frames not yet delivered.
+    writing: bool = False
     inbox: bytearray = field(
         default_factory=lambda: bytearray(_INBOX_BYTES), repr=False
     )
     filled: int = 0
-
-
-class _Pending:
-    """One in-flight request awaiting its completion."""
-
-    __slots__ = ("callback", "done", "expected_gen", "shard", "replica")
-
-    def __init__(
-        self,
-        shard: int,
-        replica: int,
-        expected_gen: int,
-        callback: "Callable[[Optional[dict]], None]",
-    ):
-        self.shard = shard
-        self.replica = replica
-        self.expected_gen = expected_gen
-        #: Fired once, from the dispatcher or supervisor thread, with
-        #: the response dict — or ``None`` when the request became
-        #: unanswerable (worker respawned / runtime closed).  Event-loop
-        #: callers bridge it with ``loop.call_soon_threadsafe``, blocking
-        #: ones with a queue; neither needs a waiting thread per request.
-        self.callback = callback
-        self.done = False
 
 
 class _Parked:
@@ -441,10 +419,11 @@ class ShardRuntime:
     """The supervised worker fleet over one sharded store.
 
     ``replicas`` workers serve each shard (two by default, so hedged
-    duplicate requests have somewhere to go).  A supervisor thread
-    respawns dead workers and terminates hung ones; a dispatcher thread
-    reads every worker socket and routes responses — dropping any whose
-    worker generation is stale — to the requests waiting on them.
+    duplicate requests have somewhere to go).  One dispatcher thread
+    reads every worker socket, routes responses to the requests waiting
+    on them and, every ``health_interval``, sweeps the fleet: each
+    slot's :class:`~repro.serving.lifecycle.Lifecycle` decides what is
+    lost, fenced, terminated and respawned, and the dispatcher does it.
 
     The runtime is transport only: :meth:`submit_batch` moves SQL out
     and ``on_complete`` (or :meth:`wait`) brings raw rows back.
@@ -476,14 +455,18 @@ class ShardRuntime:
         if start_method is None:
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(start_method)
-        self._workers: dict[tuple[int, int], WorkerHandle] = {}
+        #: Held to feed any lifecycle, to touch ``_pending`` or an
+        #: outbox, and to write to or close a worker socket.
         self._lock = threading.Lock()
-        self._pending: dict[int, _Pending] = {}
-        self._next_request_id = 1
-        self._stop = threading.Event()
+        self._workers: dict[tuple[int, int], WorkerHandle] = {}
+        #: Request id -> its slot's machine and completion hook, until
+        #: the sender abandons it (or :meth:`wait` does).
+        self._pending: dict[int, tuple[Lifecycle, Callable]] = {}
+        self._request_ids = itertools.count(1)
         self._started = False
-        #: Supervision journal: spawn/respawn/heartbeat-kill events, in
-        #: order.  The chaos suite uploads this as its run artifact.
+        self._dispatching = False
+        #: Supervision journal: spawn/respawn events, in order.  The
+        #: chaos suite uploads this as its run artifact.
         self.events: list[dict] = []
 
     # -- lifecycle ---------------------------------------------------------------
@@ -493,69 +476,62 @@ class ShardRuntime:
         return len(self.shard_paths)
 
     def start(self) -> "ShardRuntime":
-        """Spawn every worker and the dispatcher/supervisor threads."""
+        """Spawn every worker and the dispatcher thread."""
         if self._started:
             return self
         self._started = True
         self._selector = selectors.DefaultSelector()
-        # Any thread wakes the dispatcher with a byte here when the set
-        # of sockets to watch, or the events to watch them for, changes.
+        # A caller wakes the dispatcher with a byte here when an outbox
+        # starts to hold bytes, and close() when it is time to stop.
         self._wake_r, self._wake_w = socket.socketpair()
         for end in (self._wake_r, self._wake_w):
             end.setblocking(False)
             _PARENT_ENDS.add(end)
         self._selector.register(self._wake_r, selectors.EVENT_READ)
-        #: Dispatcher thread only: the events each watched socket is
-        #: registered for.
-        self._watched: dict[WorkerHandle, int] = {}
-        self._dispatching = True
         for shard in range(self.shard_count):
             for replica in range(self.replicas):
-                self._spawn(shard, replica, generation=0, reason="start")
+                lifecycle = Lifecycle(self.heartbeat_timeout)
+                self._spawn((shard, replica), lifecycle, Spawn(0, "start"))
+        self._dispatching = True
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, daemon=True, name="shard-dispatch"
         )
         self._dispatcher.start()
-        self._supervisor = threading.Thread(
-            target=self._supervise_loop, daemon=True, name="shard-supervise"
-        )
-        self._supervisor.start()
         return self
 
     def close(self) -> None:
-        """Stop supervision, shut every worker down, drain state."""
-        if not self._started or self._stop.is_set():
-            self._stop.set()
-            return
-        self._stop.set()
-        self._supervisor.join(timeout=2.0)
+        """Report every unanswered request lost, stop the dispatcher
+        and shut every worker down."""
         with self._lock:
+            if not self._dispatching:
+                return
+            self._dispatching = False
             handles = list(self._workers.values())
+            lost = [
+                self._firing(action)
+                for handle in handles
+                for action in handle.lifecycle.close()
+            ]
+            for handle in handles:
+                try:
+                    self._write(handle, _frame({"op": "stop"}))
+                except OSError:
+                    pass  # already gone
+        self._fire(lost)
+        self._wake()
+        self._dispatcher.join(timeout=2.0)
+        # A worker still running a batch reads EOF after it.
         for handle in handles:
-            try:
-                self._write(handle, {"op": "stop"})
-            except OSError:
-                pass  # already gone
+            handle.conn.close()
         deadline = time.monotonic() + 2.0
         for handle in handles:
             handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
-        # The dispatcher ran through the grace period, delivering late
-        # answers; it closes the sockets it watched on its way out.
-        self._dispatching = False
-        self._wake()
-        self._dispatcher.join(timeout=2.0)
-        for handle in handles:
-            self._close_socket(handle)
         self._wake_r.close()
         self._wake_w.close()
-        with self._lock:
-            self._workers.clear()
-        self._lose()
-        with self._lock:
-            self._pending.clear()
+        self._workers.clear()
 
     def __enter__(self) -> "ShardRuntime":
         return self.start()
@@ -566,8 +542,13 @@ class ShardRuntime:
     # -- spawning / supervision --------------------------------------------------
 
     def _spawn(
-        self, shard: int, replica: int, generation: int, reason: str
-    ) -> WorkerHandle:
+        self, slot: tuple[int, int], lifecycle: Lifecycle, spawn: Spawn
+    ) -> None:
+        """Start incarnation ``spawn.generation`` of ``slot`` and watch
+        its socket: in :meth:`start` before the dispatcher runs, then
+        only on the dispatcher, under the lock."""
+        shard, replica = slot
+        generation = spawn.generation
         config = WorkerConfig(
             shard=shard,
             replica=replica,
@@ -586,6 +567,7 @@ class ShardRuntime:
             daemon=True,
             name=f"shard-{shard}-r{replica}-g{generation}",
         )
+        # Also reaps a terminated predecessor that has exited by now.
         process.start()
         # Only the worker holds its end now: its exit is EOF here.
         child_end.close()
@@ -596,97 +578,73 @@ class ShardRuntime:
             process=process,
             conn=conn,
             heartbeat=heartbeat,
+            lifecycle=lifecycle,
         )
-        with self._lock:
-            self._workers[(shard, replica)] = handle
-            self.events.append(
-                {
-                    "time": time.time(),
-                    "event": "spawn" if generation == 0 else "respawn",
-                    "reason": reason,
-                    "shard": shard,
-                    "replica": replica,
-                    "generation": generation,
-                }
-            )
-        self._wake()
-        return handle
-
-    def _supervise_loop(self) -> None:
-        while not self._stop.wait(self.health_interval):
-            for key in list(self._workers):
-                with self._lock:
-                    handle = self._workers.get(key)
-                if handle is None:  # pragma: no cover - close() race
-                    continue
-                if not handle.process.is_alive():
-                    self._respawn(handle, reason="crash")
-                    continue
-                stale = time.time() - handle.heartbeat.value
-                if stale > self.heartbeat_timeout:
-                    handle.process.terminate()
-                    handle.process.join(timeout=1.0)
-                    self._respawn(handle, reason="hung")
-
-    def _respawn(self, handle: WorkerHandle, reason: str) -> None:
-        """Replace a dead/hung worker with a fresh incarnation one
-        generation up — in-flight requests to the old incarnation are
-        fenced off by the generation check in the dispatcher."""
-        self._spawn(
-            handle.shard,
-            handle.replica,
-            generation=handle.generation + 1,
-            reason=reason,
+        self._selector.register(conn, selectors.EVENT_READ, handle)
+        self._workers[slot] = handle
+        lifecycle.spawned(generation)
+        self.events.append(
+            {
+                "time": time.time(),
+                "event": "spawn" if generation == 0 else "respawn",
+                "reason": spawn.reason,
+                "shard": shard,
+                "replica": replica,
+                "generation": generation,
+            }
         )
-        self._lose()
 
-    def _lose(self) -> None:
-        """Complete with ``None`` every unanswered request whose worker
-        incarnation is gone — dead, respawned one generation up, or
-        shut down — so callers fail over now instead of waiting out
-        their deadline budget.  Runs on EOF of a worker's socket, after
-        every respawn and at close."""
+    def _sweep(self) -> None:
+        """One health sweep: tick every slot's machine and do what it
+        says.  A hung worker only gets a signal; nothing here joins."""
+        now = time.time()
+        lost = []
         with self._lock:
-            lost = []
-            for pending in self._pending.values():
-                handle = self._workers.get((pending.shard, pending.replica))
-                if not pending.done and (
-                    handle is None
-                    or handle.generation != pending.expected_gen
-                    or handle.closed
-                    or not handle.process.is_alive()
+            for slot, handle in list(self._workers.items()):
+                for action in handle.lifecycle.tick(
+                    now, handle.heartbeat.value, handle.process.is_alive()
                 ):
-                    pending.done = True
-                    lost.append(pending)
-        for pending in lost:
-            self._complete(pending, None)
+                    if isinstance(action, Complete):
+                        lost.append(self._firing(action))
+                    elif isinstance(action, Terminate):
+                        handle.process.terminate()
+                    else:
+                        self._drop(handle)
+                        try:
+                            self._spawn(slot, handle.lifecycle, action)
+                        except OSError:
+                            pass  # no fork: the slot stays down, sends lost
+        self._fire(lost)
+
+    def _firing(
+        self, action: Complete, response: Optional[dict] = None
+    ) -> tuple[Callable, Optional[dict]]:
+        """The hook ``action`` completes and what it gets, under the
+        lock: ``response``, or ``None`` for a lost request."""
+        return self._pending[action.rid][1], response if action.ok else None
 
     @staticmethod
-    def _complete(pending: _Pending, response: Optional[dict]) -> None:
+    def _fire(firings: list[tuple[Callable, Optional[dict]]]) -> None:
         # Outside the lock: the hook typically just posts to a queue or
         # schedules a loop.call_soon_threadsafe, but it is caller code.
-        try:
-            pending.callback(response)
-        except Exception:  # pragma: no cover - defensive
-            pass
+        for callback, response in firings:
+            try:
+                callback(response)
+            except Exception:  # pragma: no cover - defensive
+                pass
 
     def worker(self, shard: int, replica: int) -> WorkerHandle:
         """The current incarnation serving ``(shard, replica)``."""
-        with self._lock:
-            try:
-                return self._workers[(shard, replica)]
-            except KeyError:
-                raise ShardError(
-                    f"no worker for shard {shard} replica {replica}",
-                    shard=shard,
-                ) from None
+        handle = self._workers.get((shard, replica))
+        if handle is None:
+            raise ShardError(
+                f"no worker for shard {shard} replica {replica}", shard=shard
+            )
+        return handle
 
     def respawn_count(self) -> int:
         """Number of respawn events so far (crash + hang recoveries)."""
-        with self._lock:
-            return sum(
-                1 for event in self.events if event["event"] == "respawn"
-            )
+        return sum(1 for event in self.events if event["event"] == "respawn")
 
     # -- request plumbing --------------------------------------------------------
 
@@ -696,31 +654,32 @@ class ShardRuntime:
         except OSError:
             pass  # full, so a wake-up is pending anyway; or closed
 
-    def _write(self, handle: WorkerHandle, message: dict) -> None:
-        """Send one frame to ``handle``'s worker without blocking: what
-        the kernel does not take now waits in the outbox, behind what
-        is already there, for the dispatcher to flush.  Raises
-        ``OSError`` when the socket is closed or broken."""
-        frame = _frame(message)
-        with handle.send_lock:
-            if handle.closed:
-                raise ConnectionError("worker socket closed")
-            if handle.outbox:
-                handle.outbox += frame
-                return
-            try:
-                sent = handle.conn.send(frame)
-            except BlockingIOError:
-                sent = 0
-            if sent == len(frame):
-                return
-            handle.outbox += memoryview(frame)[sent:]
-        self._wake()  # the dispatcher now watches for writability
+    @staticmethod
+    def _write(handle: WorkerHandle, frame: bytes) -> bool:
+        """Send ``frame`` to ``handle``'s worker without blocking, under
+        the lock: what the kernel does not take now waits in the outbox,
+        behind what is already there, for the dispatcher to flush.
+        True when the dispatcher must start watching for writability;
+        raises ``OSError`` when the socket is closed or broken."""
+        if handle.outbox:
+            handle.outbox += frame
+            return False
+        try:
+            sent = handle.conn.send(frame)
+        except BlockingIOError:
+            sent = 0
+        if sent == len(frame):
+            return False
+        handle.outbox += memoryview(frame)[sent:]
+        return True
 
     def _dispatch_loop(self) -> None:
+        due = time.monotonic() + self.health_interval
         try:
             while self._dispatching:
-                for key, events in self._selector.select():
+                for key, events in self._selector.select(
+                    max(0.0, due - time.monotonic())
+                ):
                     handle = key.data
                     if handle is None:
                         self._watch()
@@ -729,75 +688,56 @@ class ShardRuntime:
                         self._flush(handle)
                     if events & selectors.EVENT_READ:
                         self._read(handle)
+                # Due even while frames keep the selector busy.
+                if time.monotonic() >= due:
+                    self._sweep()
+                    due = time.monotonic() + self.health_interval
         finally:
-            for handle in list(self._watched):
-                self._drop(handle)
             self._selector.close()
 
     def _watch(self) -> None:
-        """Bring the selector in line with the fleet: watch every live
-        incarnation, for writability too while its outbox holds bytes,
-        and drop the sockets of replaced ones."""
+        """Drain the wake-up socket and watch for writability every
+        socket whose outbox holds bytes."""
         try:
             while self._wake_r.recv(4096):
                 pass
         except BlockingIOError:
             pass
         with self._lock:
-            live = set(self._workers.values())
-        for handle in [h for h in self._watched if h not in live]:
-            self._drop(handle)
-        for handle in live:
-            if handle.closed:
-                continue
-            events = selectors.EVENT_READ
-            if handle.outbox:
-                events |= selectors.EVENT_WRITE
-            watched = self._watched.get(handle)
-            if watched is None:
-                self._selector.register(handle.conn, events, handle)
-            elif watched != events:
-                self._selector.modify(handle.conn, events, handle)
-            self._watched[handle] = events
+            for handle in self._workers.values():
+                if handle.outbox and not handle.writing:
+                    self._selector.modify(
+                        handle.conn,
+                        selectors.EVENT_READ | selectors.EVENT_WRITE,
+                        handle,
+                    )
+                    handle.writing = True
 
     def _drop(self, handle: WorkerHandle) -> None:
-        if self._watched.pop(handle, None) is not None:
+        """Stop watching ``handle``'s socket and close it, under the
+        lock on the dispatcher thread."""
+        if handle.conn.fileno() >= 0:
             self._selector.unregister(handle.conn)
-        self._close_socket(handle)
-
-    @staticmethod
-    def _close_socket(handle: WorkerHandle) -> None:
-        with handle.send_lock:
-            handle.closed = True
-            handle.outbox.clear()
             handle.conn.close()
+            handle.outbox.clear()
 
     def _flush(self, handle: WorkerHandle) -> None:
         """Hand the kernel what it takes of ``handle``'s outbox."""
-        with handle.send_lock:
-            if handle.closed:
-                return
+        with self._lock:
             try:
                 del handle.outbox[: handle.conn.send(handle.outbox)]
             except BlockingIOError:
                 return
             except OSError:
-                pass  # broken: the worker is gone, as on EOF
-            else:
-                if not handle.outbox:
-                    self._selector.modify(
-                        handle.conn, selectors.EVENT_READ, handle
-                    )
-                    self._watched[handle] = selectors.EVENT_READ
-                return
-        self._drop(handle)
-        self._lose()
+                # Broken: the worker is gone, and EOF follows on read.
+                handle.outbox.clear()
+            if not handle.outbox:
+                self._selector.modify(handle.conn, selectors.EVENT_READ, handle)
+                handle.writing = False
 
     def _read(self, handle: WorkerHandle) -> None:
         """Receive into ``handle``'s inbox and deliver every whole
         frame; on EOF, report the requests waiting on the worker lost."""
-        if handle.closed:
-            return
         inbox, start = handle.inbox, 0
         try:
             end = handle.filled + handle.conn.recv_into(
@@ -808,8 +748,10 @@ class ShardRuntime:
         except OSError:
             end = handle.filled
         if end == handle.filled:
-            self._drop(handle)
-            self._lose()
+            with self._lock:
+                lost = [self._firing(action) for action in handle.lifecycle.eof()]
+                self._drop(handle)
+            self._fire(lost)
             return
         while end - start >= _HEADER:
             stop = start + _HEADER + int.from_bytes(
@@ -818,7 +760,8 @@ class ShardRuntime:
             if stop > end:
                 break
             self._deliver(
-                marshal.loads(memoryview(inbox)[start + _HEADER : stop])
+                handle,
+                marshal.loads(memoryview(inbox)[start + _HEADER : stop]),
             )
             start = stop
         handle.filled = end - start
@@ -830,17 +773,17 @@ class ShardRuntime:
             if size > len(inbox):
                 inbox.extend(bytes(size - len(inbox)))
 
-    def _deliver(self, response: dict) -> None:
+    def _deliver(self, handle: WorkerHandle, response: dict) -> None:
+        """Complete the request ``response`` answers, unless it was
+        abandoned or the generation fence drops the frame."""
         with self._lock:
-            pending = self._pending.get(response.get("id"))
-            if pending is None or pending.done:
-                return  # already abandoned (hedge lost the race)
-            if response.get("gen") != pending.expected_gen:
-                # Generation fence: a reply from a stale worker
-                # incarnation must never satisfy a fresh request.
-                return
-            pending.done = True
-        self._complete(pending, response)
+            done = [
+                self._firing(action, response)
+                for action in handle.lifecycle.frame(
+                    response.get("gen"), response.get("id")
+                )
+            ]
+        self._fire(done)
 
     def _send(
         self,
@@ -851,36 +794,29 @@ class ShardRuntime:
     ) -> int:
         """Register a pending request and send ``message`` to the
         worker of ``(shard, replica)``; returns the request id."""
+        request_id = message["id"] = next(self._request_ids)
+        frame = _frame(message)
+        callback = on_complete if on_complete is not None else _Parked()
         with self._lock:
-            # Looked up and registered under one lock hold: a respawn
-            # either sees this request (and reports it lost) or has
-            # already swapped in the incarnation it goes to.
-            handle = self._workers.get((shard, replica))
-            if handle is None:
+            handle = self.worker(shard, replica)
+            self._pending[request_id] = (handle.lifecycle, callback)
+            # Registered and written under one lock hold: the request
+            # reaches the incarnation its machine has it pending on, or
+            # is lost at once because none is up.
+            lost = [self._firing(a) for a in handle.lifecycle.sent(request_id)]
+            try:
+                wake = not lost and self._write(handle, frame)
+            except OSError as exc:
+                handle.lifecycle.refused(request_id)
+                del self._pending[request_id]
                 raise ShardError(
-                    f"no worker for shard {shard} replica {replica}",
+                    f"could not send {message['op']} to shard {shard} "
+                    f"replica {replica}: {exc}",
                     shard=shard,
-                )
-            request_id = message["id"] = self._next_request_id
-            self._next_request_id += 1
-            self._pending[request_id] = _Pending(
-                shard,
-                replica,
-                handle.generation,
-                on_complete if on_complete is not None else _Parked(),
-            )
-        try:
-            self._write(handle, message)
-        except OSError as exc:
-            with self._lock:
-                pending = self._pending.pop(request_id, None)
-            if pending is None or pending.done:
-                return request_id  # already reported lost
-            raise ShardError(
-                f"could not send {message['op']} to shard {shard} "
-                f"replica {replica}: {exc}",
-                shard=shard,
-            ) from exc
+                ) from exc
+        if wake:
+            self._wake()  # the dispatcher now watches for writability
+        self._fire(lost)
         return request_id
 
     def submit_batch(
@@ -898,8 +834,9 @@ class ShardRuntime:
         ``items`` entry per statement (``ok`` + rows, or a per-item
         error), marshal-encoded; framing and system calls are paid once
         per batch instead of once per statement.  ``on_complete`` is
-        fired once from a runtime thread with the response dict — or
-        ``None`` when the request became unanswerable; without it the
+        fired once with the response dict — or ``None`` when the request
+        became unanswerable — from the dispatcher thread, or before this
+        returns when the slot has no live worker; without it the
         response is kept for :meth:`wait`.  Either way every id handed
         out is the caller's to :meth:`abandon` (or :meth:`wait` out)."""
         message = {
@@ -927,7 +864,7 @@ class ShardRuntime:
             pending = self._pending.get(request_id)
         if pending is None:
             return None
-        parked = pending.callback
+        parked = pending[1]
         if not isinstance(parked, _Parked):
             raise ShardError("wait() is for requests sent without on_complete")
         parked.event.wait(timeout)
@@ -939,4 +876,6 @@ class ShardRuntime:
         its eventual response — if any — is dropped by the
         dispatcher."""
         with self._lock:
-            self._pending.pop(request_id, None)
+            pending = self._pending.pop(request_id, None)
+            if pending is not None:
+                pending[0].abandon(request_id)

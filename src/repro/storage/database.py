@@ -31,6 +31,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 from repro.errors import (
@@ -203,7 +204,9 @@ class Database:
         """
         try:
             connection = sqlite3.connect(
-                f"file:{path}?mode=ro" if read_only else path,
+                Path(path).absolute().as_uri() + "?mode=ro"
+                if read_only
+                else path,
                 uri=read_only,
                 check_same_thread=check_same_thread,
                 cached_statements=_CACHED_STATEMENTS,

@@ -103,6 +103,20 @@ class TestRuntimeBasics:
             assert not bad["ok"] and bad["error_kind"] == "storage"
         store.close()
 
+    def test_one_parent_thread_runs_the_fleet(self, tmp_path):
+        """The dispatcher reads every socket and sweeps the fleet's
+        health; no other thread is started, and close() ends it."""
+        store = make_store(tmp_path)
+        before = set(threading.enumerate())
+        runtime = ShardRuntime(store.shard_paths, replicas=2).start()
+        try:
+            added = set(threading.enumerate()) - before
+            assert [thread.name for thread in added] == ["shard-dispatch"]
+        finally:
+            runtime.close()
+        assert not set(threading.enumerate()) - before
+        store.close()
+
     def test_rejects_empty_fleet(self):
         with pytest.raises(ShardError):
             ShardRuntime([])
@@ -273,12 +287,14 @@ class TestGenerationFencing:
             runtime.abandon(request)
             # Same id, wrong generation: register a request bound to
             # generation 0 and hand the receive path a generation-7
-            # reply, as the dispatcher does with each decoded frame.
+            # reply on its worker's socket, as the dispatcher does with
+            # each decoded frame.
             fenced = runtime.submit_batch(
                 0, [COUNT_SQL], on_complete=completions.put
             )
             runtime._deliver(
-                {"id": fenced, "ok": True, "items": b"", "gen": 7}
+                runtime.worker(0, 0),
+                {"id": fenced, "ok": True, "items": b"", "gen": 7},
             )
             assert completions.get(timeout=5.0)["gen"] == 0
             time.sleep(0.3)

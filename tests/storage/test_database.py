@@ -1,5 +1,7 @@
 """Database wrapper tests: the regexp UDF, error wrapping, diagnostics."""
 
+import os
+
 import pytest
 
 from repro import Database, StorageError
@@ -180,6 +182,21 @@ class TestOpenOptions:
     def test_read_only_missing_file_raises(self, tmp_path):
         with pytest.raises(StorageError, match="absent.db"):
             Database.open(str(tmp_path / "absent.db"), read_only=True)
+
+    @pytest.mark.parametrize("directory", ["a#b", "e?f", "c%41d"])
+    def test_read_only_open_quotes_the_path(self, tmp_path, directory):
+        """``#``, ``?`` and ``%`` mean something in a ``file:`` URI: an
+        unquoted one opened another file read-write, or none at all."""
+        os.mkdir(tmp_path / directory)
+        path = str(tmp_path / directory / "x.db")
+        with Database.open(path) as writer:
+            writer.execute("CREATE TABLE t (x)")
+            writer.execute("INSERT INTO t VALUES (7)")
+            writer.commit()
+        before = sorted(os.listdir(tmp_path))
+        with Database.open(path, read_only=True) as reader:
+            assert reader.query("SELECT x FROM t") == [(7,)]
+        assert sorted(os.listdir(tmp_path)) == before == [directory]
 
     @pytest.mark.parametrize("read_only", [False, True])
     @pytest.mark.parametrize("kind", ["directory", "missing-parent"])

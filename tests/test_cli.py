@@ -1,5 +1,7 @@
 """End-to-end CLI tests (shred → info → query → explain)."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -140,6 +142,19 @@ class TestCLI:
     def test_query_on_missing_store(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.db")
         assert main(["query", missing, "//x"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["explain", "//item"], ["info"], ["stats"]],
+        ids=["explain", "info", "stats"],
+    )
+    def test_read_command_on_missing_store_creates_nothing(
+        self, tmp_path, capsys, argv
+    ):
+        missing = str(tmp_path / "none.db")
+        assert main([argv[0], missing, *argv[1:]]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert os.listdir(tmp_path) == []
 
     def test_nonconforming_append_rejected(self, db_path, tmp_path, capsys):
         first = tmp_path / "a.xml"
@@ -289,6 +304,20 @@ class TestShardCLI:
         main(["query", store_dir, "//item[price>4]"])
         sharded = capsys.readouterr().out
         assert sharded == single
+
+    def test_sharded_query_in_a_directory_named_with_a_hash(
+        self, tmp_path, db_path, xml_files, capsys
+    ):
+        """Each worker opens its shard read-only through a ``file:`` URI,
+        where an unquoted ``#`` would end the path."""
+        store_dir = str(tmp_path / "fl#1")
+        main(["shred", db_path, *xml_files])
+        self._create(store_dir, xml_files)
+        capsys.readouterr()
+        main(["query", db_path, "//item[price>4]"])
+        single = capsys.readouterr().out
+        assert main(["query", store_dir, "//item[price>4]"]) == 0
+        assert capsys.readouterr().out == single
 
     def test_shard_count_mismatch_is_an_error(
         self, store_dir, xml_files, capsys
